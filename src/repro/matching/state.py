@@ -155,12 +155,17 @@ class MatchingState:
         # the exact insertion history, which the differential fingerprint
         # tests pin across engines.
         ghost_idx = np.nonzero((sorted_adj < lg.lo) | (sorted_adj >= lg.hi))[0]
+        ghost_ys = sorted_adj[ghost_idx]
+        ys = ghost_ys.tolist()
         self.active_pairs: set[tuple[int, int]] = set()
         _add_pair = self.active_pairs.add
-        for i, y in zip(src_local[ghost_idx].tolist(),
-                        sorted_adj[ghost_idx].tolist()):
+        for i, y in zip(src_local[ghost_idx].tolist(), ys):
             _add_pair((i, y))
         self.nghosts = len(self.active_pairs)
+        # Every message goes to the owner of a ghost: look the owners up
+        # once here, not once per push.
+        self.ghost_owner: dict[int, int] = dict(
+            zip(ys, lg.dist.owner_array(ghost_ys).tolist()))
         self.awaiting = 0
         self.dead_ranks: set[int] = set()  # crashed peers we have renounced
         self.work: deque[int] = deque()  # local indices awaiting PROCESSNEIGHBORS
@@ -183,12 +188,12 @@ class MatchingState:
         self.charge(COST_PUSH)
         self.stats.sent[ctx_id.name] += 1
         pf = self.push_fast
-        if pf is not None and pf(ctx_id, self.lg.dist.owner(y),
-                                 x_payload, y_payload):
+        owner = self.ghost_owner[y]
+        if pf is not None and pf(ctx_id, owner, x_payload, y_payload):
             return
         # Backends hand in either a plain callable (threaded engine) or a
         # generator function (coroutine engine) — drive whichever we got.
-        res = self.push_fn(ctx_id, self.lg.dist.owner(y), x_payload, y_payload)
+        res = self.push_fn(ctx_id, owner, x_payload, y_payload)
         if isinstance(res, GeneratorType):
             yield from res
 

@@ -132,6 +132,8 @@ class FullCollective:
             root = self.params["root"]
             return [list(datas) if r == root else None for r in range(self.nprocs)]
         if kind == "allgather":
+            # One list shared by all ranks: dist_graph_create_adjacent
+            # validates it once on the strength of that identity.
             return [list(datas)] * self.nprocs
         if kind == "alltoall":
             # datas[q] is the length-p list rank q sends; result[r][q] is
@@ -245,6 +247,8 @@ class NeighborhoodCollective:
         "entries",
         "done",
         "_slot_of",
+        "_pending",
+        "_latest",
     )
 
     def __init__(
@@ -267,8 +271,17 @@ class NeighborhoodCollective:
         # lazy per-sender cache: rank -> position of each peer in that
         # rank's neighbor list (avoids repeated list.index in result_for)
         self._slot_of: dict[int, dict[int, int]] = {}
+        # Readiness, kept incrementally: per rank r, how many members of
+        # {r} ∪ N(r) have yet to enter, and the latest entry time among
+        # those that have (max is exact, so this is the scan's float).
+        self._pending = [len(ns) + 1 for ns in adjacency]
+        self._latest = [float("-inf")] * nprocs
 
-    def enter(self, rank: int, time: float, data: Any, kind: str, params: dict) -> None:
+    def enter(
+        self, rank: int, time: float, data: Any, kind: str, params: dict
+    ) -> list[int]:
+        """Record ``rank``'s entry; returns the neighbors whose rendezvous
+        this entry completed (the only ranks whose wake potential moved)."""
         if kind != self.kind:
             raise CommMismatchError(
                 f"collective mismatch at {self.key}: rank {rank} called {kind}, "
@@ -277,19 +290,25 @@ class NeighborhoodCollective:
         if rank in self.entries:
             raise CommMismatchError(f"rank {rank} entered {self.key} twice")
         self.entries[rank] = (time, data)
+        pending = self._pending
+        latest = self._latest
+        pending[rank] -= 1
+        if time > latest[rank]:
+            latest[rank] = time
+        completed = []
+        for q in self.adjacency[rank]:
+            if time > latest[q]:
+                latest[q] = time
+            pending[q] -= 1
+            if not pending[q]:
+                completed.append(q)
+        return completed
 
     def ready_for(self, rank: int) -> bool:
-        entries = self.entries
-        if rank not in entries:
-            return False
-        return all(q in entries for q in self.adjacency[rank])
+        return not self._pending[rank]
 
     def wake_potential(self, rank: int) -> float | None:
-        if not self.ready_for(rank):
-            return None
-        times = [self.entries[rank][0]]
-        times.extend(self.entries[q][0] for q in self.adjacency[rank])
-        return max(times)
+        return None if self._pending[rank] else self._latest[rank]
 
     def straggler_for(self, rank: int) -> tuple[int, float]:
         """Last entrant of ``rank``'s rendezvous set ``{rank} ∪ N(rank)``

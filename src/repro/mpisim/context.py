@@ -32,7 +32,7 @@ from repro.mpisim.aggregate import (
 )
 from repro.mpisim.engine import _BLOCKED, run_inline
 from repro.mpisim.collectives import get_or_create_agreement, get_or_create_full
-from repro.mpisim.errors import RankCrashed
+from repro.mpisim.errors import CommMismatchError, RankCrashed
 from repro.mpisim.message import ANY_SOURCE, ANY_TAG, Message
 from repro.mpisim.topology import DistGraphTopology, payload_nbytes
 from repro.mpisim.window import Window, _WindowStore
@@ -1165,12 +1165,21 @@ class RankContext:
     def dist_graph_create_adjacent_g(self, neighbors: Sequence[int]):
         my = sorted(set(int(q) for q in neighbors))
         gathered = yield from self.allgather_g(my)
-        DistGraphTopology.validate_symmetric(gathered)
-        # All ranks must agree on the scope id for subsequent neighborhood
-        # ops: derive it through a bcast of rank 0's reservation.
-        sid = self._engine.new_scope_id() if self.rank == 0 else None
-        sid = yield from self.bcast_g(sid, root=0)
-        return DistGraphTopology(self, sid, gathered)
+        # Every rank holds the same gathered object, so rank 0's O(E)
+        # symmetry check speaks for all P. Its verdict rides the bcast
+        # that was already needed: the scope id all ranks must agree on
+        # for subsequent neighborhood ops, or the mismatch to re-raise.
+        verdict = None
+        if self.rank == 0:
+            try:
+                DistGraphTopology.validate_symmetric(gathered)
+                verdict = self._engine.new_scope_id()
+            except CommMismatchError as exc:
+                verdict = exc
+        verdict = yield from self.bcast_g(verdict, root=0)
+        if isinstance(verdict, CommMismatchError):
+            raise CommMismatchError(*verdict.args)
+        return DistGraphTopology(self, verdict, gathered)
 
     def win_allocate(self, count: int, dtype=np.int64, fill: int = 0) -> Window:
         """Collectively allocate an RMA window of ``count`` local elements."""

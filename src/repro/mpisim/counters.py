@@ -141,6 +141,13 @@ class CommMatrix:
         self.counts[src, dst] += 1
         self.bytes[src, dst] += int(nbytes)
 
+    def record_row(self, src: int, dsts: np.ndarray, nbytes) -> None:
+        """One message from ``src`` to each of ``dsts`` (distinct ranks,
+        as an index array) carrying ``nbytes[i]``: :meth:`record` over
+        the pairs, in one indexed add."""
+        self.counts[src, dsts] += 1
+        self.bytes[src, dsts] += np.asarray(nbytes, dtype=np.int64)
+
     def merged_with(self, other: "CommMatrix") -> "CommMatrix":
         out = CommMatrix(self.nprocs)
         out.counts = self.counts + other.counts

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.mpisim.collectives import get_or_create_neighborhood
 from repro.mpisim.engine import run_inline
 from repro.mpisim.errors import CommMismatchError, RankCrashed
@@ -99,6 +101,8 @@ class DistGraphTopology:
         self.degree = len(self.neighbors)
         # O(1) lookup from neighbor rank to buffer slot, as in real codes.
         self.neighbor_index = {q: i for i, q in enumerate(self.neighbors)}
+        # Column index of the lane-accounting row add (CommMatrix.record_row).
+        self._neighbor_arr = np.array(self.neighbors, dtype=np.intp)
         #: ranks known dead when this topology was built — failure
         #: notifications for them do not abort its collectives
         self.epoch: tuple[int, ...] = tuple(epoch)
@@ -220,15 +224,7 @@ class DistGraphTopology:
         rank = self.rank
         if self._crash_aware(eng):
             self._check_revoked(eng)
-        key = eng.next_coll_key(self.scope_id, rank)
-        op = get_or_create_neighborhood(
-            eng.coll_ops(), key, "neighbor_alltoallv", eng.nprocs, self.adjacency,
-            params={},
-        )
-        op.enter(rank, eng.clock_of(rank), payload, "neighbor_alltoallv", {})
-        # This entry may have completed a parked neighbor's rendezvous
-        # ({q} ∪ N(q) all present): re-index their heap candidates.
-        eng.notify_ranks(self.neighbors)
+        key, op = self._enter(eng, "neighbor_alltoallv", payload)
         # CPU posting happens now (it cannot be overlapped).
         m = eng.machine
         active_out = sum(1 for _, n in payload if n > 0)
@@ -239,6 +235,19 @@ class DistGraphTopology:
         return PendingNeighborExchange(self, key, op, [n for _, n in payload])
 
     # ------------------------------------------------------------------
+    def _enter(self, eng, kind: str, data: list[Any]):
+        """Enter this scope's next neighborhood collective; ``(key, op)``."""
+        rank = self.rank
+        key = eng.next_coll_key(self.scope_id, rank)
+        op = get_or_create_neighborhood(
+            eng.coll_ops(), key, kind, eng.nprocs, self.adjacency, params={}
+        )
+        # Re-index the parked neighbors whose rendezvous ({q} ∪ N(q) all
+        # present) this entry completed; the call itself, even with an
+        # empty list, drops the token-retention guard.
+        eng.notify_ranks(op.enter(rank, eng.clock_of(rank), data, kind, {}))
+        return key, op
+
     def _exchange(self, kind: str, data: list[Any], nbytes_per_item: int | None):
         return run_inline(self._exchange_g(kind, data, nbytes_per_item))
 
@@ -249,14 +258,7 @@ class DistGraphTopology:
         crash_aware = self._crash_aware(eng)
         if crash_aware:
             self._check_revoked(eng)
-        key = eng.next_coll_key(self.scope_id, rank)
-        op = get_or_create_neighborhood(
-            eng.coll_ops(), key, kind, eng.nprocs, self.adjacency, params={}
-        )
-        op.enter(rank, eng.clock_of(rank), data, kind, {})
-        # This entry may have completed a parked neighbor's rendezvous
-        # ({q} ∪ N(q) all present): re-index their heap candidates.
-        eng.notify_ranks(self.neighbors)
+        key, op = self._enter(eng, kind, data)
         eng.set_describe(rank, f"{kind}#{key[1]}")
         if crash_aware:
             yield from _block_neighborhood_g(
@@ -291,8 +293,7 @@ class DistGraphTopology:
         eng.charge_comm(rank, cost, phase="collective")
         rc.neighbor_collectives += 1
         rc.bytes_collective += sum(send_bytes)
-        for q, nb in zip(self.neighbors, send_bytes):
-            eng.counters.ncl.record(rank, q, nb)
+        eng.counters.ncl.record_row(rank, self._neighbor_arr, send_bytes)
         eng.trace_event(rank, kind, degree=self.degree, nbytes=sum(send_bytes))
         if op.mark_done(rank):
             eng.coll_ops().pop(key, None)
@@ -366,8 +367,7 @@ class PendingNeighborExchange:
         rc = eng.rank_counters(rank)
         rc.neighbor_collectives += 1
         rc.bytes_collective += sum(self._send_bytes)
-        for q, nb in zip(topo.neighbors, self._send_bytes):
-            eng.counters.ncl.record(rank, q, nb)
+        eng.counters.ncl.record_row(rank, topo._neighbor_arr, self._send_bytes)
         if op.mark_done(rank):
             eng.coll_ops().pop(self._key, None)
         return recv_items, recv_bytes

@@ -79,6 +79,7 @@ class Orchestrator:
         #: already queued when the dispatcher wakes)
         self.linger = linger
         self._lock = threading.Lock()
+        self._shutdown_lock = threading.Lock()  # serialises shutdown() callers
         self._wakeup = threading.Event()
         self._queue: list[Job] = []
         self._inflight: dict[str, Job] = {}  # key -> primary job
@@ -104,12 +105,19 @@ class Orchestrator:
         return self
 
     def shutdown(self, wait: bool = True) -> None:
-        with self._lock:
-            self._stop = True
-        self._wakeup.set()
-        if self._started and wait:
-            self._thread.join(timeout=10)
-        self.executor.shutdown(wait=wait)
+        """Stop the dispatcher and the pool. Idempotent: `POST
+        /v1/shutdown` and `serve_forever()`'s clean-up both land here,
+        and the later caller waits for the earlier one to finish rather
+        than tearing the pool's pipes down underneath it."""
+        with self._shutdown_lock:
+            with self._lock:
+                if self._stop:
+                    return
+                self._stop = True
+            self._wakeup.set()
+            if self._started and wait:
+                self._thread.join(timeout=10)
+            self.executor.shutdown(wait=wait)
 
     # -- submission ---------------------------------------------------
     def submit(self, request: JobRequest) -> Job:

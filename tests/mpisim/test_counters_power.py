@@ -1,5 +1,6 @@
 """Counters, communication matrices, and the energy/memory model."""
 
+import numpy as np
 import pytest
 
 from repro.mpisim.counters import CommMatrix, RankCounters, RunCounters
@@ -14,6 +15,23 @@ def test_comm_matrix_record_and_totals():
     assert m.total_messages() == 3
     assert m.total_bytes() == 160
     assert m.counts[0, 1] == 2
+
+
+@pytest.mark.parametrize("dsts", [[], [2], [0, 1, 3], [4, 1]])
+def test_comm_matrix_record_row_equals_record_loop(dsts):
+    """The one-op row add is the per-neighbor loop (neighbors are
+    distinct), on counts and bytes, including degree 0."""
+    nbytes = [0, 24, 2**40][:len(dsts)]
+    row, loop = CommMatrix(5), CommMatrix(5)
+    for m in (row, loop):
+        m.record(3, 1, 7)  # pre-existing traffic accumulates, not overwritten
+    for _ in range(2):
+        row.record_row(3, np.array(dsts, dtype=np.intp), nbytes)
+        for q, nb in zip(dsts, nbytes):
+            loop.record(3, q, nb)
+    assert np.array_equal(row.counts, loop.counts)
+    assert np.array_equal(row.bytes, loop.bytes)
+    assert row.counts.dtype == row.bytes.dtype == np.int64
 
 
 def test_comm_matrix_nonzero_fraction():

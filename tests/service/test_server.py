@@ -209,3 +209,37 @@ def test_shutdown_endpoint(tmp_path):
             break
     else:
         pytest.fail("server still answering after shutdown")
+
+
+def test_shutdown_endpoint_races_no_pool_teardown(tmp_path):
+    """`POST /v1/shutdown` and `serve_forever()`'s own clean-up both shut
+    the orchestrator down; racing each other into the process pool they
+    used to die with EBADF about one time in ten."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for cycle in range(30):
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--mp-context", "fork",
+             "--store", str(tmp_path / "store")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = proc.stdout.readline()  # "matching-as-a-service on URL"
+            url = banner.split()[-1]
+            assert ServiceClient(url, timeout=10).shutdown()["ok"] is True
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, f"cycle {cycle}: {err}"
+        assert "Traceback" not in err, f"cycle {cycle}: {err}"
