@@ -541,9 +541,9 @@ def _cmd_submit(args) -> int:
     except (OSError, SchemaError) as e:
         raise SystemExit(str(e)) from None
 
-    client = ServiceClient(args.url, timeout=args.timeout)
     try:
-        env = client.submit(request, wait=not args.no_wait)
+        with ServiceClient(args.url, timeout=args.timeout) as client:
+            env = client.submit(request, wait=not args.no_wait)
     except ServiceError as e:
         raise SystemExit(str(e)) from None
     except OSError as e:

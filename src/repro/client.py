@@ -2,21 +2,28 @@
 
 >>> from repro.client import ServiceClient
 >>> from repro.service import GraphRef, JobRequest
->>> c = ServiceClient("http://127.0.0.1:8123")            # doctest: +SKIP
->>> env = c.submit(JobRequest(GraphRef("rmat-s10"), 8))   # doctest: +SKIP
->>> env["cache"], env["result"]["record"]["makespan"]     # doctest: +SKIP
+>>> with ServiceClient("http://127.0.0.1:8123") as c:     # doctest: +SKIP
+...     env = c.submit(JobRequest(GraphRef("rmat-s10"), 8))
+...     env["cache"], env["result"]["record"]["makespan"]
 
 Everything speaks the versioned wire schema in
 :mod:`repro.service.schema`; no third-party HTTP stack is involved
-(``urllib.request`` only), so any environment that can import ``repro``
+(``http.client`` only), so any environment that can import ``repro``
 can be a client.
+
+A client keeps its connections open between calls: the TCP set-up (and
+the server's thread start) is paid once, not per request, which is most
+of what a small exchange costs. Threads may share one client; each
+request takes an idle connection or opens another, so concurrent
+requests are in flight together, never queued on one socket.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+from collections import deque
+from urllib.parse import urlsplit
 
 from repro.service.schema import JobRequest, JobResult, SchemaError
 
@@ -30,13 +37,43 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """One service endpoint, e.g. ``ServiceClient("http://host:8123")``."""
+    """One service endpoint, e.g. ``ServiceClient("http://host:8123")``.
+
+    Close it (or use it in a ``with`` block) to release its sockets;
+    a closed client reconnects if it is used again.
+    """
 
     def __init__(self, url: str, *, timeout: float = 630.0):
         self.url = url.rstrip("/")
         self.timeout = timeout
+        parts = urlsplit(self.url)
+        self._connection = (
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._prefix = parts.path
+        #: connections no request is using; deque push/pop are atomic
+        self._idle: deque[http.client.HTTPConnection] = deque()
+
+    # -- lifecycle ----------------------------------------------------
+    def close(self) -> None:
+        """Close the idle connections; call once the last request is back."""
+        while self._idle:
+            self._idle.pop().close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- plumbing -----------------------------------------------------
+    def _connect(self) -> http.client.HTTPConnection:
+        conn = self._connection(self._netloc, timeout=self.timeout)
+        conn.connect()  # sets TCP_NODELAY: headers and body go out at once
+        return conn
+
     def _request(
         self,
         method: str,
@@ -44,25 +81,45 @@ class ServiceClient:
         body: bytes | None = None,
         content_type: str = "application/json",
     ) -> tuple[int, bytes, str]:
-        req = urllib.request.Request(
-            f"{self.url}{path}", data=body, method=method
-        )
-        if body is not None:
-            req.add_header("Content-Type", content_type)
+        headers = {} if body is None else {"Content-Type": content_type}
+
+        def exchange(conn) -> http.client.HTTPResponse:
+            conn.request(method, self._prefix + path, body, headers)
+            return conn.getresponse()
+
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return (
-                    resp.status,
-                    resp.read(),
-                    resp.headers.get("Content-Type", ""),
-                )
-        except urllib.error.HTTPError as e:
-            detail = e.read().decode("utf-8", errors="replace")
+            conn, reused = self._idle.pop(), True
+        except IndexError:
+            conn, reused = self._connect(), False
+        try:
+            try:
+                resp = exchange(conn)
+            except ConnectionError:
+                # The server closes connections that sit idle, and only a
+                # reused one can have gone stale: send again, once, on a
+                # fresh one. Safe to repeat — a submission is idempotent
+                # by content key. A timeout is not a ConnectionError.
+                if not reused:
+                    raise
+                conn.close()
+                conn = self._connect()
+                resp = exchange(conn)
+            blob = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        if resp.status >= 400:
+            detail = blob.decode("utf-8", errors="replace")
             try:
                 detail = json.loads(detail).get("error", detail)
             except json.JSONDecodeError:
                 pass
-            raise ServiceError(e.code, detail) from None
+            raise ServiceError(resp.status, detail)
+        return resp.status, blob, resp.headers.get("Content-Type", "")
 
     def _json(self, method: str, path: str, body: bytes | None = None,
               content_type: str = "application/json") -> dict:

@@ -31,7 +31,9 @@ from repro.service.pool import execute_batch
 from repro.service.schema import JobRequest, JobResult
 from repro.service.store import ResultStore
 
-_ACTIVE = ("queued", "running")
+#: finished jobs kept addressable by id (`GET /v1/jobs/<id>`); older ones
+#: are dropped, their results stay in the store under the content key
+FINISHED_JOBS_KEPT = 1024
 
 
 @dataclass
@@ -83,7 +85,8 @@ class Orchestrator:
         self._wakeup = threading.Event()
         self._queue: list[Job] = []
         self._inflight: dict[str, Job] = {}  # key -> primary job
-        self._jobs: dict[str, Job] = {}  # job id -> job (incl. finished)
+        self._active: dict[str, Job] = {}  # job id -> queued/running job
+        self._finished: dict[str, Job] = {}  # the most recent, oldest first
         self._ids = itertools.count(1)
         self._stop = False
         # -- counters (see /v1/stats) ---------------------------------
@@ -137,7 +140,7 @@ class Orchestrator:
                 # identical request already queued/running: ride along
                 job = Job(id=job_id, request=request, key=key, cache="coalesced")
                 primary.followers.append(job)
-                self._jobs[job_id] = job
+                self._active[job_id] = job
                 self.jobs_coalesced += 1
                 return job
             cached = self.store.lookup(key)  # counts the hit or miss
@@ -148,18 +151,26 @@ class Orchestrator:
                     result=cached,
                 )
                 job.done.set()
-                self._jobs[job_id] = job
+                self._retire(job)
                 return job
             job = Job(id=job_id, request=request, key=key, cache="miss")
-            self._jobs[job_id] = job
+            self._active[job_id] = job
             self._inflight[key] = job
             self._queue.append(job)
         self._wakeup.set()
         return job
 
     def job(self, job_id: str) -> Job | None:
+        """An active job, or one of the `FINISHED_JOBS_KEPT` latest done."""
         with self._lock:
-            return self._jobs.get(job_id)
+            return self._active.get(job_id) or self._finished.get(job_id)
+
+    def _retire(self, job: Job) -> None:
+        """File a finished job, dropping the oldest past the bound (locked)."""
+        self._active.pop(job.id, None)
+        self._finished[job.id] = job
+        while len(self._finished) > FINISHED_JOBS_KEPT:
+            del self._finished[next(iter(self._finished))]
 
     # -- dispatch -----------------------------------------------------
     def _dispatch_loop(self) -> None:
@@ -242,11 +253,11 @@ class Orchestrator:
                 if result.status != "ok":
                     self.sims_failed += 1
                 self._inflight.pop(job.key, None)
-                waiters = [job, *job.followers]
-            for w in waiters:
-                w.result = result
-                w.state = "done" if result.status == "ok" else "failed"
-                w.done.set()
+                for w in (job, *job.followers):
+                    w.result = result
+                    w.state = "done" if result.status == "ok" else "failed"
+                    self._retire(w)
+                    w.done.set()
 
     # -- accounting ---------------------------------------------------
     def stats(self) -> dict:

@@ -25,7 +25,6 @@ Bodies may be JSON or TOML (the same shape); :func:`parse_request` and
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
@@ -74,7 +73,7 @@ def load_toml_file(path: str) -> dict:
 
 
 def _reject_unknown(cls, d: dict, context: str) -> None:
-    known = {f.name for f in fields(cls)}
+    known = {f.name for f in fields(cls) if f.init}
     unknown = sorted(set(d) - known)
     if unknown:
         raise SchemaError(
@@ -175,7 +174,8 @@ class WireConfig:
             raise SchemaError(f"config.tie_break {self.tie_break!r} unknown")
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # every field is a scalar: no recursive asdict/deepcopy needed
+        return {name: getattr(self, name) for name in _WIRE_FIELDS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "WireConfig":
@@ -216,6 +216,9 @@ class WireConfig:
         if self.engine is not None:
             cfg = cfg.evolve(engine=self.engine)
         return cfg
+
+
+_WIRE_FIELDS = tuple(f.name for f in fields(WireConfig))
 
 
 @dataclass(frozen=True)
@@ -324,6 +327,10 @@ class JobResult:
     error: str | None = None
     code_version: str = ""
     schema_version: int = SCHEMA_VERSION
+    #: the JSON this result was decoded from, set by :meth:`from_json`
+    #: only. Not a wire field: a store object is immutable, so the server
+    #: splices these bytes into a reply instead of encoding them again.
+    raw: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -363,7 +370,15 @@ class JobResult:
             d = json.loads(text)
         except json.JSONDecodeError as e:
             raise SchemaError(f"bad JSON: {e}") from None
-        return cls.from_dict(d)
+        result = cls.from_dict(d)
+        object.__setattr__(
+            result, "raw", text if isinstance(text, bytes) else text.encode()
+        )
+        return result
+
+    def to_bytes(self) -> bytes:
+        """The JSON to serve: the decoded-from bytes if any, else encoded."""
+        return self.raw or self.to_json().encode()
 
 
 def parse_request(body: bytes, content_type: str = "application/json") -> JobRequest:

@@ -20,25 +20,94 @@ POST     /v1/shutdown                    clean shutdown
 The response envelope for job submission separates what is per-request
 (``job_id``, ``cache``, ``state``) from the cache-stable ``result``
 payload, which is **bit-identical** between the run that computed it and
-every later cache hit.
+every later cache hit: a hit's reply carries the store object's bytes as
+they are.
+
+Connections are kept alive (HTTP/1.1) and served by one thread each, so
+a client pays the TCP set-up and the thread start once, not per request.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
 from dataclasses import dataclass
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.codever import cached_code_version
-from repro.service.orchestrator import Orchestrator
+from repro.service.orchestrator import FINISHED_JOBS_KEPT, Orchestrator
 from repro.service.pool import make_executor, warm_executor
-from repro.service.schema import SCHEMA_VERSION, SchemaError, parse_request
+from repro.service.schema import (
+    SCHEMA_VERSION,
+    JobResult,
+    SchemaError,
+    parse_request,
+)
 from repro.service.store import ResultStore, write_store_meta
 
 #: default cap on how long one synchronous submit may hold a connection
 WAIT_TIMEOUT = 600.0
+#: seconds a kept-alive connection may sit between requests before the
+#: server closes it and releases its thread (a client that comes back
+#: later reconnects; `repro.client` does so transparently)
+IDLE_TIMEOUT = 60.0
+
+
+def _encode(payload: dict) -> bytes:
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+def _encode_with_result(payload: dict, result: JobResult) -> bytes:
+    """``_encode({**payload, "result": result.to_dict()})`` without
+    encoding the result again: its own bytes are spliced in."""
+    head, _, tail = json.dumps(
+        {**payload, "result": None}, sort_keys=True
+    ).partition('"result": null')
+    return b"".join(
+        (head.encode(), b'"result": ', result.to_bytes(), tail.encode(), b"\n")
+    )
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """Counts accepted connections and tracks the open ones, so that a
+    shutdown can close them under their (otherwise immortal) threads."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self._conn_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+        self.connections_accepted = 0
+
+    def process_request(self, request, client_address):
+        with self._conn_lock:
+            self.connections_accepted += 1
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._conn_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        with self._conn_lock:
+            still_open = list(self._open)
+        for sock in still_open:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # wakes the thread reading it
+            except OSError:
+                pass  # the peer or the handler closed it first
+
+    def handle_error(self, request, client_address):
+        # a peer that went away mid-reply is not a server fault
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
 
 
 @dataclass
@@ -71,10 +140,7 @@ class MatchingService:
             linger=self.config.linger,
         ).start()
         handler = _make_handler(self)
-        self.httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self.httpd.daemon_threads = True
+        self.httpd = _HTTPServer((self.config.host, self.config.port), handler)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -102,6 +168,7 @@ class MatchingService:
     def shutdown(self) -> None:
         self.httpd.shutdown()
         self.httpd.server_close()
+        self.httpd.close_connections()
         self.orchestrator.shutdown()
 
 
@@ -112,22 +179,31 @@ def _make_handler(service: MatchingService):
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-matchd/1"
+        timeout = IDLE_TIMEOUT
+        disable_nagle_algorithm = True
 
         # -- plumbing -------------------------------------------------
         def log_message(self, format, *args):  # quiet by default
             pass
 
         def _send(self, code: int, payload: dict | bytes,
-                  content_type: str = "application/json") -> None:
-            body = (
-                payload if isinstance(payload, bytes)
-                else (json.dumps(payload, sort_keys=True) + "\n").encode()
+                  content_type: str = "application/json",
+                  close: bool = False) -> None:
+            body = payload if isinstance(payload, bytes) else _encode(payload)
+            head = (
+                f"{self.protocol_version} {code} {HTTPStatus(code).phrase}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {self.date_time_string()}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                f"Content-Length: {len(body)}\r\n"
             )
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            if close:
+                head += "Connection: close\r\n"
+                self.close_connection = True
+            # One write, so one segment: on a kept-alive connection a body
+            # written after its headers waits out the peer's delayed ACK
+            # (Nagle), ~40 ms a reply.
+            self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
 
         def _error(self, code: int, message: str) -> None:
             self._send(code, {"error": message})
@@ -136,27 +212,30 @@ def _make_handler(service: MatchingService):
             length = int(self.headers.get("Content-Length") or 0)
             return self.rfile.read(length) if length else b""
 
-        def _envelope(self, job) -> dict:
-            env = job.describe()
-            if job.result is not None:
-                env["result"] = job.result.to_dict()
-            return env
+        def _envelope(self, job) -> bytes:
+            if job.result is None:
+                return _encode(job.describe())
+            return _encode_with_result(job.describe(), job.result)
 
         # -- routes ---------------------------------------------------
         def do_POST(self):
+            # read before any reply: bytes left unread on a kept-alive
+            # connection would be parsed as the next request line
+            body = self._body()
             url = urlparse(self.path)
             if url.path == "/v1/jobs":
-                return self._post_job(url)
+                return self._post_job(url, body)
             if url.path == "/v1/shutdown":
-                self._send(200, {"ok": True, "message": "shutting down"})
+                self._send(200, {"ok": True, "message": "shutting down"},
+                           close=True)
                 threading.Thread(target=service.shutdown, daemon=True).start()
                 return
             self._error(404, f"no such endpoint: POST {url.path}")
 
-        def _post_job(self, url) -> None:
+        def _post_job(self, url, body: bytes) -> None:
             try:
                 request = parse_request(
-                    self._body(), self.headers.get("Content-Type", "")
+                    body, self.headers.get("Content-Type", "")
                 )
             except SchemaError as e:
                 return self._error(400, str(e))
@@ -175,6 +254,7 @@ def _make_handler(service: MatchingService):
             self._send(200, self._envelope(job))
 
         def do_GET(self):
+            self._body()  # nothing unread, as in do_POST
             url = urlparse(self.path)
             parts = [p for p in url.path.split("/") if p]
             if url.path == "/v1/healthz":
@@ -184,17 +264,26 @@ def _make_handler(service: MatchingService):
                     "code_version": service.code_version,
                 })
             if url.path == "/v1/stats":
-                return self._send(200, orch.stats())
+                return self._send(200, {
+                    **orch.stats(),
+                    "connections_accepted": self.server.connections_accepted,
+                })
             if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
                 job = orch.job(parts[2])
                 if job is None:
-                    return self._error(404, f"no such job {parts[2]!r}")
+                    return self._error(
+                        404,
+                        f"no such job {parts[2]!r}: never issued, or finished "
+                        f"and dropped (the {FINISHED_JOBS_KEPT} most recently "
+                        "finished jobs are kept; results stay under "
+                        "/v1/results/<key>)",
+                    )
                 return self._send(200, self._envelope(job))
             if len(parts) == 3 and parts[:2] == ["v1", "results"]:
                 result = store.peek(parts[2])
                 if result is None:
                     return self._error(404, f"no cached result for {parts[2]!r}")
-                return self._send(200, {"result": result.to_dict()})
+                return self._send(200, _encode_with_result({}, result))
             if len(parts) == 4 and parts[:2] == ["v1", "artifacts"]:
                 path = store.artifact_path(parts[2], parts[3])
                 if path is None:

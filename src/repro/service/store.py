@@ -40,6 +40,7 @@ class ResultStore:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.objects = self.root / "objects"
+        self._objects = str(self.objects)  # lookups join strings, not Paths
         self.tmp = self.root / "tmp"
         self.objects.mkdir(parents=True, exist_ok=True)
         self.tmp.mkdir(parents=True, exist_ok=True)
@@ -56,24 +57,26 @@ class ResultStore:
 
     def lookup(self, key: str) -> JobResult | None:
         """Fetch a cached result, counting the probe as a hit or miss."""
-        path = self._dir(key) / "result.json"
-        try:
-            text = path.read_text()
-        except OSError:
-            with self._lock:
-                self.misses += 1
-            return None
+        result = self.peek(key)
         with self._lock:
-            self.hits += 1
-        return JobResult.from_json(text)
+            if result is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return result
 
     def peek(self, key: str) -> JobResult | None:
-        """Fetch without touching the hit/miss counters (GET /v1/results)."""
-        path = self._dir(key) / "result.json"
+        """Fetch without touching the hit/miss counters (GET /v1/results).
+
+        One read of the object's bytes, which the parsed result keeps as
+        ``raw`` so that a reply can carry them as they are.
+        """
         try:
-            return JobResult.from_json(path.read_text())
+            with open(f"{self._objects}/{_check_key(key)}/result.json", "rb") as f:
+                blob = f.read()
         except OSError:
             return None
+        return JobResult.from_json(blob)
 
     # -- publication --------------------------------------------------
     def put(self, result: JobResult, artifacts: dict[str, bytes] | None = None) -> None:

@@ -110,6 +110,26 @@ def test_job_lookup(orch):
     assert job.wait(WAIT)
 
 
+def test_finished_jobs_are_bounded_active_ones_are_not(orch, monkeypatch):
+    from repro.service import orchestrator
+
+    monkeypatch.setattr(orchestrator, "FINISHED_JOBS_KEPT", 3)
+    miss = orch.submit(make_request())
+    follower = orch.submit(make_request())
+    assert miss.wait(WAIT) and follower.wait(WAIT)
+    hits = [orch.submit(make_request()) for _ in range(3)]
+    # the three newest finished jobs stay, oldest first out
+    assert orch.job(miss.id) is None and orch.job(follower.id) is None
+    assert [orch.job(h.id) for h in hits] == hits
+    # a queued job is never dropped, however many others finish meanwhile
+    slow = orch.submit(make_request(nprocs=8))
+    more = [orch.submit(make_request()) for _ in range(5)]
+    assert orch.job(slow.id) is slow
+    assert slow.wait(WAIT)
+    assert orch.job(slow.id) is slow  # now the newest finished one
+    assert orch.job(more[0].id) is None
+
+
 def test_invalid_request_rejected_before_queueing(orch):
     from repro.service.schema import SchemaError
 

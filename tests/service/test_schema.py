@@ -210,6 +210,26 @@ def test_graph_ref_build_is_memoized_registry_graph():
     assert GraphRef("rmat-s10").build() is get_graph("rmat-s10")
 
 
+def test_wire_config_to_dict_is_asdict():
+    """The flat comprehension must stay what `dataclasses.asdict` gave:
+    same keys, same order, same values — cache keys hash this dict."""
+    cfg = WireConfig(engine="vector", max_ops=7, agg_flush_bytes=4096)
+    assert list(cfg.to_dict().items()) == list(dataclasses.asdict(cfg).items())
+
+
+def test_result_remembers_the_bytes_it_was_decoded_from():
+    res = JobResult(key="0" * 64, status="ok", record={"makespan": 1.5})
+    assert res.raw is None and res.to_bytes() == res.to_json().encode()
+    spaced = json.dumps(res.to_dict(), indent=1).encode()
+    back = JobResult.from_json(spaced)
+    assert back == res and back.to_bytes() == spaced
+    # not a wire field: never encoded, rejected when sent, not copied
+    assert "raw" not in back.to_dict()
+    with pytest.raises(SchemaError, match="unknown field"):
+        JobResult.from_dict({**res.to_dict(), "raw": "x"})
+    assert dataclasses.replace(back, key="1" * 64).raw is None
+
+
 def test_cache_dict_drops_engine_only():
     cfg = WireConfig(engine="vector")
     d = cfg.cache_dict()

@@ -2,7 +2,8 @@
 
 One module-scoped service runs with ``workers=0`` (InlineExecutor), so
 simulations execute on the dispatcher thread — fast and sandbox-safe —
-while the HTTP path (ThreadingHTTPServer + urllib client) is fully real.
+while the HTTP path (ThreadingHTTPServer + http.client connections) is
+fully real. The transport itself is tests/service/test_connections.py.
 """
 
 import json
@@ -188,7 +189,7 @@ def test_stats_shape(client):
     for field in (
         "jobs_submitted", "jobs_coalesced", "sims_executed", "sims_failed",
         "batches_dispatched", "objects", "cache_hits", "cache_misses",
-        "code_version",
+        "code_version", "connections_accepted",
     ):
         assert field in s
 

@@ -52,6 +52,13 @@ def test_stored_bytes_are_the_canonical_json(store):
     assert on_disk == make_result().to_json()
 
 
+def test_lookup_carries_the_stored_bytes(store):
+    store.put(make_result())
+    on_disk = (store.objects / KEY / "result.json").read_bytes()
+    assert store.lookup(KEY).raw == on_disk
+    assert store.peek(KEY).raw == on_disk
+
+
 def test_artifacts_roundtrip(store):
     arts = {"trace.json": b'{"spans": []}', "phases.csv": b"rank,phase\n"}
     store.put(make_result(artifacts=tuple(sorted(arts))), artifacts=arts)
