@@ -17,7 +17,6 @@ NCL wins.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.graph.build import build_graph
 from repro.graph.csr import CSRGraph
@@ -54,6 +53,10 @@ def rgg_graph(
     # Number vertices bottom-to-top: consecutive ids = horizontal band.
     order = np.argsort(pts[:, 1], kind="stable")
     pts = pts[order]
+    # Imported here: scipy costs ~40 MB and ~0.5 s a process, and only
+    # this family needs it (tests/test_import_hygiene.py keeps it so).
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(pts)
     pairs = tree.query_pairs(r=radius, output_type="ndarray")
     if len(pairs) == 0:

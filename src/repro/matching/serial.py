@@ -60,12 +60,22 @@ def _edge_keys(g: CSRGraph) -> np.ndarray:
 
 
 def matching_weight(g: CSRGraph, mate: np.ndarray) -> float:
-    total = 0.0
-    for v in range(g.num_vertices):
-        u = int(mate[v])
-        if u >= 0 and v < u:
-            total += g.edge_weight(v, u)
-    return total
+    """Sum of the matched edges' weights, added in vertex order (every
+    golden weight pin depends on that order); KeyError for a matched
+    pair that is not an edge."""
+    mate = np.asarray(mate)
+    u, v, w = g.edge_list()  # u < v, ascending u
+    hit = np.flatnonzero(mate[u] == v)
+    # first slot per vertex, as CSRGraph.edge_weight reads a parallel edge
+    owners, first = np.unique(u[hit], return_index=True)
+    matched = np.flatnonzero(mate > np.arange(len(mate)))
+    if len(owners) != len(matched):
+        a = int(np.setdiff1d(matched, owners)[0])
+        raise KeyError(f"no edge {{{a}, {int(mate[a])}}}")
+    if len(owners) == 0:
+        return 0.0
+    # np.sum adds pairwise; accumulate adds left to right like the loop
+    return float(np.add.accumulate(w[hit[first]])[-1])
 
 
 def greedy_matching(g: CSRGraph) -> MatchingResult:

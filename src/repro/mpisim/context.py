@@ -598,9 +598,7 @@ class RankContext:
         eng._op_count += 2 * sent  # one charge_comm + one post_message each
         if dst_blocked:
             eng._stale.add(dest)
-        mat = eng.counters.p2p
-        mat.counts[rank, dest] += sent
-        mat.bytes[rank, dest] += sent * nbytes
+        eng.counters.p2p.record(rank, dest, nbytes, sent)
         rc = eng.counters.ranks[rank]
         rc.comm_time = ct
         rc.sends += sent

@@ -126,49 +126,141 @@ class RankCounters:
 
 
 class CommMatrix:
-    """Dense (nprocs x nprocs) message-count and byte matrices.
+    """Message counts and bytes per (sender, receiver) pair, stored
+    sparsely: what a run holds is proportional to the pairs that
+    exchanged something, not to ``nprocs**2``.
 
-    Row = sender, column = receiver — same orientation as the paper's TAU
-    plots ("vertical axis represents the sender process ids").
+    ``counts`` / ``bytes`` are dense ``(nprocs, nprocs)`` int64 views
+    built on demand (row = sender, column = receiver — the orientation of
+    the paper's TAU plots, "vertical axis represents the sender process
+    ids"); they are for plotting and tests, never read on the run path.
     """
 
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        self.counts = np.zeros((nprocs, nprocs), dtype=np.int64)
-        self.bytes = np.zeros((nprocs, nprocs), dtype=np.int64)
+        #: ``src * nprocs + dst`` -> messages / bytes (same keys, same order)
+        self._messages: dict[int, int] = {}
+        self._volume: dict[int, int] = {}
+        #: ``src`` -> ``[(dsts, messages, bytes), ...]``, one lane per
+        #: neighbour array that rank has passed to :meth:`record_row`
+        self._lanes: dict[int, list[tuple]] = {}
 
-    def record(self, src: int, dst: int, nbytes: int) -> None:
-        self.counts[src, dst] += 1
-        self.bytes[src, dst] += int(nbytes)
+    def record(self, src: int, dst: int, nbytes: int, count: int = 1) -> None:
+        """``count`` messages of ``nbytes`` each from ``src`` to ``dst``."""
+        n = self.nprocs
+        if not (0 <= src < n and 0 <= dst < n):
+            raise IndexError(f"pair ({src}, {dst}) outside {n} ranks")
+        key = src * n + dst
+        messages, volume = self._messages, self._volume
+        messages[key] = messages.get(key, 0) + count
+        volume[key] = volume.get(key, 0) + count * int(nbytes)
 
     def record_row(self, src: int, dsts: np.ndarray, nbytes) -> None:
         """One message from ``src`` to each of ``dsts`` (distinct ranks,
         as an index array) carrying ``nbytes[i]``: :meth:`record` over
-        the pairs, in one indexed add."""
-        self.counts[src, dsts] += 1
-        self.bytes[src, dsts] += np.asarray(nbytes, dtype=np.int64)
+        the pairs, in one vectorised add on a lane of ``len(dsts)``."""
+        for lane in self._lanes.get(src, ()):
+            if lane[0] is dsts:
+                break
+        else:
+            lane = self._lane(src, dsts)
+        _, messages, volume = lane
+        messages += 1
+        volume += np.asarray(nbytes, dtype=np.int64)
+
+    def _lane(self, src: int, dsts: np.ndarray) -> tuple:
+        """The lane of ``src`` for a neighbour array first seen by
+        identity: an equal array's lane re-keyed to ``dsts``, or a new
+        one."""
+        n = self.nprocs
+        if not 0 <= src < n or (
+            len(dsts) and not (0 <= dsts.min() and dsts.max() < n)
+        ):
+            raise IndexError(f"row {src} -> {dsts} outside {n} ranks")
+        lanes = self._lanes.setdefault(src, [])
+        for i, (known, messages, volume) in enumerate(lanes):
+            if np.array_equal(known, dsts):
+                lanes[i] = lane = (dsts, messages, volume)
+                return lane
+        lane = (dsts, np.zeros(len(dsts), np.int64), np.zeros(len(dsts), np.int64))
+        lanes.append(lane)
+        return lane
+
+    def _parts(self):
+        """Raw ``(keys, messages, bytes)`` array triples — the pairs,
+        then each lane — with ``key = src * nprocs + dst``."""
+        n = len(self._messages)
+        yield (
+            np.fromiter(self._messages, np.int64, n),
+            np.fromiter(self._messages.values(), np.int64, n),
+            np.fromiter(self._volume.values(), np.int64, n),
+        )
+        for src, lanes in self._lanes.items():
+            for dsts, messages, volume in lanes:
+                yield src * self.nprocs + dsts, messages, volume
+
+    def _coo(self, *others: "CommMatrix") -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, messages, bytes)`` over the pairs recorded here (and
+        in ``others``), keys ascending and unique — the canonical form:
+        a function of what was recorded, not of how or in what order."""
+        parts = [part for mat in (self, *others) for part in mat._parts()]
+        raw_keys, messages, volume = (np.concatenate(col) for col in zip(*parts))
+        keys, inverse = np.unique(raw_keys, return_inverse=True)
+        out = np.zeros((2, len(keys)), dtype=np.int64)
+        np.add.at(out[0], inverse, messages)
+        np.add.at(out[1], inverse, volume)
+        return keys, out[0], out[1]
+
+    def _dense(self, which: int) -> np.ndarray:
+        coo = self._coo()
+        out = np.zeros(self.nprocs * self.nprocs, dtype=np.int64)
+        out[coo[0]] = coo[which]
+        out.flags.writeable = False
+        return out.reshape(self.nprocs, self.nprocs)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Dense read-only message-count matrix, built per access."""
+        return self._dense(1)
+
+    @property
+    def bytes(self) -> np.ndarray:
+        """Dense read-only byte matrix, built per access."""
+        return self._dense(2)
+
+    def __getstate__(self) -> tuple:
+        # What a checkpoint cut pickles: the canonical triple, so equal
+        # histories give equal bytes whatever mix of record / record_row
+        # / restore produced them.
+        return (self.nprocs, *self._coo())
+
+    def __setstate__(self, state: tuple) -> None:
+        self.nprocs, keys, messages, volume = state
+        keys = keys.tolist()
+        self._messages = dict(zip(keys, messages.tolist()))
+        self._volume = dict(zip(keys, volume.tolist()))
+        self._lanes = {}
 
     def merged_with(self, other: "CommMatrix") -> "CommMatrix":
         out = CommMatrix(self.nprocs)
-        out.counts = self.counts + other.counts
-        out.bytes = self.bytes + other.bytes
+        out.__setstate__((self.nprocs, *self._coo(other)))
         return out
 
     def nonzero_fraction(self) -> float:
         """Fraction of (src, dst) pairs that exchanged at least one message."""
-        off_diag = self.nprocs * self.nprocs - self.nprocs
+        n = self.nprocs
+        off_diag = n * n - n
         if off_diag == 0:
             return 0.0
-        nz = int(np.count_nonzero(self.counts)) - int(
-            np.count_nonzero(np.diag(self.counts))
-        )
-        return nz / off_diag
+        keys, messages, _ = self._coo()
+        nz = np.count_nonzero((messages != 0) & (keys // n != keys % n))
+        return int(nz) / off_diag
 
     def total_messages(self) -> int:
-        return int(self.counts.sum())
+        return sum(int(messages.sum()) for _, messages, _ in self._parts())
 
     def total_bytes(self) -> int:
-        return int(self.bytes.sum())
+        return sum(int(volume.sum()) for _, _, volume in self._parts())
 
 
 @dataclass

@@ -197,7 +197,11 @@ class Orchestrator:
                     j.state = "running"
                 with self._lock:
                     self.batches_dispatched += 1
-                fut = self.executor.submit(execute_batch, payload)
+                try:
+                    fut = self.executor.submit(execute_batch, payload)
+                except Exception as e:  # the batch is lost, the loop is not
+                    self._worker_failed(batch, e)
+                    continue
                 fut.add_done_callback(
                     lambda f, jobs=batch: self._complete(jobs, f)
                 )
@@ -215,11 +219,8 @@ class Orchestrator:
         try:
             outcomes = {o["key"]: o for o in fut.result()}
         except Exception as e:  # worker process died, pool broke, ...
-            outcomes = {
-                j.key: {"key": j.key, "ok": False,
-                        "error": f"worker failure: {type(e).__name__}: {e}"}
-                for j in jobs
-            }
+            self._worker_failed(jobs, e)
+            return
         for job in jobs:
             out = outcomes.get(
                 job.key,
@@ -248,16 +249,32 @@ class Orchestrator:
                     error=f"store write failed: {e}",
                     code_version=self.code_version,
                 )
-            with self._lock:
-                self.sims_executed += 1
-                if result.status != "ok":
-                    self.sims_failed += 1
-                self._inflight.pop(job.key, None)
-                for w in (job, *job.followers):
-                    w.result = result
-                    w.state = "done" if result.status == "ok" else "failed"
-                    self._retire(w)
-                    w.done.set()
+            self._finish(job, result)
+
+    def _worker_failed(self, jobs: list[Job], exc: Exception) -> None:
+        """Answer a batch the pool lost. The failure says nothing about
+        the requests, so nothing is stored: a re-submit is a miss that
+        runs again (errors `execute_point` returns as data are facts
+        about the request, and those `_complete` does cache)."""
+        for job in jobs:
+            self._finish(job, JobResult(
+                key=job.key, status="error",
+                error=f"worker failure: {type(exc).__name__}: {exc}",
+                code_version=self.code_version,
+            ))
+
+    def _finish(self, job: Job, result: JobResult) -> None:
+        """Hand one result to the primary and every follower."""
+        with self._lock:
+            self.sims_executed += 1
+            if result.status != "ok":
+                self.sims_failed += 1
+            self._inflight.pop(job.key, None)
+            for w in (job, *job.followers):
+                w.result = result
+                w.state = "done" if result.status == "ok" else "failed"
+                self._retire(w)
+                w.done.set()
 
     # -- accounting ---------------------------------------------------
     def stats(self) -> dict:

@@ -14,8 +14,14 @@ Workers are long-lived: the per-process graph memoization in
 
 from __future__ import annotations
 
+import threading
 import traceback
-from concurrent.futures import Executor, Future, ProcessPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+)
 
 
 def execute_point(job: dict) -> dict:
@@ -98,20 +104,53 @@ class InlineExecutor(Executor):
         pass
 
 
+class WorkerPool(Executor):
+    """A ``ProcessPoolExecutor`` that outlives its workers.
+
+    A worker that dies (OOM kill, segfault) breaks the stdlib pool for
+    good: every pending future fails and every later ``submit`` raises
+    ``BrokenProcessPool``. Here the first ``submit`` after a break
+    discards the broken pool and starts a re-warmed one, so one lost
+    batch costs one batch.
+    """
+
+    def __init__(self, workers: int, mp_context: str = "spawn"):
+        import multiprocessing
+
+        self._workers = workers
+        self._ctx = multiprocessing.get_context(mp_context)
+        self._lock = threading.Lock()
+        self._pool = self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(self._workers, mp_context=self._ctx)
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        with self._lock:
+            try:
+                return self._pool.submit(fn, *args, **kwargs)
+            except BrokenExecutor:
+                self._pool.shutdown(wait=False)
+                self._pool = self._new_pool()
+                warm_executor(self._pool, self._workers)
+                return self._pool.submit(fn, *args, **kwargs)
+
+    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
+        with self._lock:
+            self._pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+
+
 def make_executor(workers: int, mp_context: str = "spawn") -> Executor:
     """Build the batch executor.
 
     ``workers == 0`` → :class:`InlineExecutor`; otherwise a
-    ``ProcessPoolExecutor`` with the requested start method ("spawn" is
+    :class:`WorkerPool` with the requested start method ("spawn" is
     the safe default alongside the threaded HTTP front end; "fork" is
     faster to warm on POSIX and what the tests use).
     """
     if workers <= 0:
         return InlineExecutor()
-    import multiprocessing
-
-    ctx = multiprocessing.get_context(mp_context)
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+    return WorkerPool(workers, mp_context)
 
 
 def warm_executor(executor: Executor, workers: int = 1) -> None:

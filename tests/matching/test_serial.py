@@ -72,6 +72,26 @@ def test_weight_matches_reported():
     assert matching_weight(g, res.mate) == pytest.approx(res.weight)
 
 
+@pytest.mark.parametrize("name,g", FAMILIES, ids=[n for n, _ in FAMILIES])
+def test_matching_weight_is_the_vertex_order_sum_to_the_bit(name, g):
+    """The golden weight pins were frozen on a left-to-right loop over
+    vertices; float addition does not commute, so the order is pinned."""
+    mate = greedy_matching(g).mate
+    total = 0.0
+    for v, u in enumerate(mate.tolist()):
+        if u > v:
+            total += g.edge_weight(v, u)
+    assert matching_weight(g, mate) == total
+    assert matching_weight(g, np.full(g.num_vertices, NO_MATE)) == 0.0
+
+
+def test_matching_weight_rejects_a_pair_that_is_no_edge():
+    g = path_graph(6, seed=1)
+    mate = np.array([1, 0, 5, NO_MATE, NO_MATE, 2])
+    with pytest.raises(KeyError, match=r"no edge \{2, 5\}"):
+        matching_weight(g, mate)
+
+
 def test_single_edge_graph():
     g = from_edges(2, [0], [1], [3.5])
     res = locally_dominant_matching(g)

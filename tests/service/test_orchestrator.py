@@ -6,7 +6,11 @@ dispatcher thread); the stress test at the bottom exercises a real
 "concurrent clients" acceptance scenario.
 """
 
+import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -178,5 +182,68 @@ def test_concurrent_clients_on_process_pool(tmp_path):
         for i in range(12):
             assert results[i].to_json() == results[i % 3].to_json()
         assert {results[i].status for i in range(12)} == {"ok"}
+    finally:
+        orch.shutdown()
+
+
+# -- a worker process dies --------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore:.*fork.*:DeprecationWarning")
+def test_killed_worker_fails_the_batch_typed_and_nothing_else(tmp_path):
+    """SIGKILL the pool's worker mid-batch: the batch's job fails with a
+    typed error that is *not* cached (a re-submit is a miss that runs),
+    the pool is replaced, and the dispatcher keeps dispatching."""
+    before = set(multiprocessing.active_children())
+    executor = make_executor(1, "fork")
+    warm_executor(executor, 1)
+    (worker,) = set(multiprocessing.active_children()) - before
+    store = ResultStore(tmp_path / "store")
+    orch = Orchestrator(store, executor, CODE, linger=0).start()
+    try:
+        # Stopped, the worker cannot finish the batch before the kill.
+        os.kill(worker.pid, signal.SIGSTOP)
+        lost = orch.submit(make_request())
+        while lost.state == "queued":
+            time.sleep(0.01)
+        os.kill(worker.pid, signal.SIGKILL)
+        assert lost.wait(WAIT)
+        assert lost.state == "failed" and lost.result.status == "error"
+        assert lost.result.error.startswith("worker failure: BrokenProcessPool")
+        assert orch.stats()["sims_failed"] == 1
+        assert store.lookup(lost.key) is None
+
+        again = orch.submit(make_request())
+        assert again.cache == "miss"
+        assert again.wait(WAIT)
+        assert again.state == "done" and again.result.status == "ok"
+
+        other = orch.submit(make_request(nprocs=2))
+        assert other.wait(WAIT)
+        assert other.state == "done"
+        assert orch.stats()["sims_failed"] == 1
+    finally:
+        orch.shutdown()
+
+
+def test_dispatcher_survives_a_submit_that_raises(tmp_path):
+    class Flaky(InlineExecutor):
+        fail = True
+
+        def submit(self, fn, /, *args, **kwargs):
+            if self.fail:
+                self.fail = False
+                raise RuntimeError("cannot schedule")
+            return super().submit(fn, *args, **kwargs)
+
+    orch = Orchestrator(
+        ResultStore(tmp_path / "store"), Flaky(), CODE, linger=0
+    ).start()
+    try:
+        lost = orch.submit(make_request())
+        assert lost.wait(WAIT)
+        assert lost.result.error == "worker failure: RuntimeError: cannot schedule"
+        again = orch.submit(make_request())
+        assert again.cache == "miss" and again.wait(WAIT)
+        assert again.state == "done"
     finally:
         orch.shutdown()
