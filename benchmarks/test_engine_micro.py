@@ -12,11 +12,11 @@ def _pingpong(rounds):
     def prog(ctx):
         for i in range(rounds):
             if ctx.rank == 0:
-                ctx.isend(1, i)
-                ctx.recv(source=1)
+                yield from ctx.isend_g(1, i)
+                yield from ctx.recv_g(source=1)
             else:
-                ctx.recv(source=0)
-                ctx.isend(0, i)
+                yield from ctx.recv_g(source=0)
+                yield from ctx.isend_g(0, i)
 
     return prog
 
@@ -32,7 +32,7 @@ def test_engine_pingpong_throughput(benchmark):
 def test_engine_allreduce_throughput(benchmark):
     def prog(ctx):
         for _ in range(200):
-            ctx.allreduce(ctx.rank)
+            yield from ctx.allreduce_g(ctx.rank)
 
     benchmark.pedantic(
         lambda: Engine(8, cori_aries()).run(prog), rounds=3, iterations=1
@@ -42,11 +42,11 @@ def test_engine_allreduce_throughput(benchmark):
 def test_engine_neighbor_alltoallv_throughput(benchmark):
     def prog(ctx):
         p = ctx.nprocs
-        topo = ctx.dist_graph_create_adjacent(
+        topo = yield from ctx.dist_graph_create_adjacent_g(
             sorted({(ctx.rank - 1) % p, (ctx.rank + 1) % p})
         )
         for _ in range(100):
-            topo.neighbor_alltoallv([[1, 2, 3]] * topo.degree)
+            yield from topo.neighbor_alltoallv_g([[1, 2, 3]] * topo.degree)
 
     benchmark.pedantic(
         lambda: Engine(8, cori_aries()).run(prog), rounds=3, iterations=1
@@ -68,12 +68,12 @@ def _scatter(seed, rounds, fan):
             for d in dests[ctx.rank, k]:
                 d = int(d)
                 if d != ctx.rank:
-                    ctx.isend(d, k, nbytes=32)
+                    yield from ctx.isend_g(d, k, nbytes=32)
             expected = int(np.sum(dests[:, k, :] == ctx.rank)) - int(
                 np.sum(dests[ctx.rank, k, :] == ctx.rank)
             )
             for _ in range(expected):
-                ctx.recv()
+                yield from ctx.recv_g()
         return 0
 
     return prog

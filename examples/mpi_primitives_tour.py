@@ -9,8 +9,8 @@ three communication families the paper compares:
 2. one-sided RMA (window, put, flush, passive-target polling),
 3. a distributed graph topology with neighborhood collectives,
 
-plus classic collectives, persistent requests (``send_init``/``start``),
-nonblocking receives (``irecv``/``waitall``), and the message
+plus classic collectives, persistent requests (``send_init_g``/``start_g``),
+nonblocking receives (``irecv``/``waitall_g``), and the message
 aggregator — and shows the virtual clock, counters, and energy model
 the experiments are built from.
 
@@ -28,31 +28,31 @@ def rank_program(ctx):
 
     # --- 1. point-to-point ring ------------------------------------------
     right, left = (me + 1) % p, (me - 1) % p
-    ctx.isend(right, f"hello from {me}", tag=1)
-    msg = ctx.recv(source=left, tag=1)
+    yield from ctx.isend_g(right, f"hello from {me}", tag=1)
+    msg = yield from ctx.recv_g(source=left, tag=1)
     assert msg.payload == f"hello from {left}"
 
     # --- 2. classic collectives ------------------------------------------
-    total = ctx.allreduce(me)  # sum of ranks
-    ranks = ctx.allgather(me)
+    total = yield from ctx.allreduce_g(me)  # sum of ranks
+    ranks = yield from ctx.allgather_g(me)
     assert total == p * (p - 1) // 2 and ranks == list(range(p))
 
     # --- 3. one-sided RMA --------------------------------------------------
-    win = ctx.win_allocate(p, dtype=np.int64)
+    win = yield from ctx.win_allocate_g(p, dtype=np.int64)
     # everyone deposits its rank into everyone else's window slot
     for q in range(p):
         if q != me:
-            win.put(q, np.array([me]), target_offset=me)
-    win.flush_all()
-    ctx.barrier()
-    win.sync_local()
+            yield from win.put_g(q, np.array([me]), target_offset=me)
+    yield from win.flush_all_g()
+    yield from ctx.barrier_g()
+    yield from win.sync_local_g()
     mine = win.local.copy()
     mine[me] = me
     assert mine.tolist() == list(range(p))
 
     # --- 4. neighborhood collectives over a ring topology -------------------
-    topo = ctx.dist_graph_create_adjacent(sorted({left, right}))
-    got = topo.neighbor_alltoall([me * 10 + q for q in topo.neighbors])
+    topo = yield from ctx.dist_graph_create_adjacent_g(sorted({left, right}))
+    got = yield from topo.neighbor_alltoall_g([me * 10 + q for q in topo.neighbors])
     for q, item in zip(topo.neighbors, got):
         assert item == q * 10 + me
 
@@ -60,10 +60,10 @@ def rank_program(ctx):
     # A persistent send pays envelope construction (o_send_init) once and
     # a cheaper o_send_start per message — MPI_Send_init/MPI_Start.
     recvs = [ctx.irecv(source=left, tag=2) for _ in range(4)]
-    chan = ctx.send_init(right, tag=2)
+    chan = yield from ctx.send_init_g(right, tag=2)
     for i in range(4):
-        chan.start((me, i), nbytes=16)
-    for m in ctx.waitall(recvs):
+        yield from chan.start_g((me, i), nbytes=16)
+    for m in (yield from ctx.waitall_g(recvs)):
         assert m.payload[0] == left
 
     # --- 6. message aggregation --------------------------------------------
@@ -72,13 +72,13 @@ def rank_program(ctx):
     # matching backend. poll() hands back each coalesced message.
     agg = ctx.aggregator(flush_count=8)
     for i in range(8):
-        agg.append(right, i, f"tiny-{i}", 24)  # 8th append auto-flushes
-    agg.flush_all()  # iteration boundary: ship any stragglers
+        yield from agg.append_g(right, i, f"tiny-{i}", 24)  # 8th append auto-flushes
+    yield from agg.flush_all_g()  # iteration boundary: ship any stragglers
     got = []
     while len(got) < 8:
-        agg.poll(lambda src, tag, payload: got.append((tag, payload)))
+        yield from agg.poll_g(lambda src, tag, payload: got.append((tag, payload)))
         if len(got) < 8:
-            ctx.probe()  # fast-forward to the next arrival
+            yield from ctx.probe_g()  # fast-forward to the next arrival
     assert got == [(i, f"tiny-{i}") for i in range(8)]
 
     # local computation advances the virtual clock

@@ -42,6 +42,18 @@ import argparse
 import sys
 
 
+def _resolve(lookup, name: str):
+    """Registry lookup of a user-typed name: an unknown one ends the
+    command with the registry's one-line message and exit status 2.
+    Only the lookup is guarded — a ``KeyError`` from the command body is
+    a bug and keeps its traceback."""
+    try:
+        return lookup(name)
+    except KeyError as e:
+        print(e.args[0], file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _cmd_datasets(args) -> int:
     from repro.harness.spec import all_specs
     from repro.util.tables import TextTable, format_si
@@ -72,9 +84,9 @@ def _cmd_experiments(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.harness.experiments.base import run_experiment
+    from repro.harness.experiments.base import get_experiment
 
-    out = run_experiment(args.exp_id, fast=not args.full)
+    out = _resolve(get_experiment, args.exp_id)(not args.full)
     print(out.text)
     if out.findings:
         print("Findings:")
@@ -234,7 +246,7 @@ def _parse_partitions(specs: list[str]):
 
 
 def _cmd_match(args) -> int:
-    from repro.harness.spec import get_graph
+    from repro.harness.spec import get_spec
     from repro.matching import MatchingOptions, RunConfig, run_matching
     from repro.mpisim.checkpoint import (
         CheckpointConfig,
@@ -336,7 +348,7 @@ def _cmd_match(args) -> int:
             f"(epoch {restore.epoch}, vtime {restore.vtime:.6e})"
         )
 
-    g = get_graph(args.dataset)
+    g = _resolve(get_spec, args.dataset).instantiate()
     options = MatchingOptions(
         agg_flush_bytes=args.agg_flush_bytes or None,
         agg_flush_count=args.agg_flush_count or None,
@@ -356,7 +368,7 @@ def _cmd_match(args) -> int:
                 restore=restore,
                 spares=args.spares,
                 replicas=args.replicas,
-                # None → RunConfig's default ($REPRO_ENGINE or threaded)
+                # None → RunConfig's default ($REPRO_ENGINE or coroutine)
                 **({"engine": args.engine} if args.engine else {}),
             ),
         )
@@ -416,11 +428,11 @@ def _cmd_match(args) -> int:
 
 def _cmd_profile(args) -> int:
     from repro import api
-    from repro.harness.spec import get_graph
+    from repro.harness.spec import get_spec
     from repro.mpisim.machine import get_machine
     from repro.util.tables import format_seconds
 
-    g = get_graph(args.dataset)
+    g = _resolve(get_spec, args.dataset).instantiate()
     pr = api.profile(
         g,
         args.nprocs,
@@ -446,12 +458,12 @@ def _cmd_profile(args) -> int:
 
 def _cmd_chaos(args) -> int:
     from repro import api
-    from repro.harness.spec import get_graph
+    from repro.harness.spec import get_spec
 
     if args.restart and args.churn:
         raise SystemExit("--restart and --churn are separate chaos modes")
     backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    g = get_graph(args.dataset)
+    g = _resolve(get_spec, args.dataset).instantiate()
     mode = "restart" if args.restart else "churn" if args.churn else "faults"
     try:
         report = api.chaos(
@@ -629,9 +641,9 @@ def main(argv: list[str] | None = None) -> int:
     p_match.add_argument("--machine", default="cori-aries")
     p_match.add_argument(
         "--engine", default=None, choices=["threaded", "coroutine", "vector"],
-        help="execution engine (bit-identical results; coroutine scales "
-        "to thousands of ranks, vector to tens of thousands). "
-        "Default: $REPRO_ENGINE or threaded",
+        help="execution engine (bit-identical results; vector adds the "
+        "fused fast paths, threaded is an alias of coroutine). "
+        "Default: $REPRO_ENGINE or coroutine",
     )
     p_match.add_argument(
         "--config", default="", metavar="FILE.toml",

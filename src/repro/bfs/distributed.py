@@ -62,14 +62,14 @@ def bfs_rank_main(
 
         # Ship candidates (batched per destination, Graph500-style).
         for q, verts in sorted(out.items()):
-            ctx.isend(q, verts, tag=_FRONTIER_TAG, nbytes=8 * len(verts))
+            yield from ctx.isend_g(q, verts, tag=_FRONTIER_TAG, nbytes=8 * len(verts))
         # Everyone agrees on how many batches are in flight this round.
-        inbound = ctx.alltoall(
+        inbound = yield from ctx.alltoall_g(
             [len(out.get(q, ())) and 1 for q in range(ctx.nprocs)], nbytes_per_pair=8
         )
         for q, has_batch in enumerate(inbound):
             if has_batch:
-                msg = ctx.recv(source=q, tag=_FRONTIER_TAG)
+                msg = yield from ctx.recv_g(source=q, tag=_FRONTIER_TAG)
                 ctx.compute(1.0 * len(msg.payload))
                 for u in msg.payload:
                     i = u - lg.lo
@@ -78,7 +78,7 @@ def bfs_rank_main(
                         next_frontier.append(u)
 
         depth += 1
-        total = ctx.allreduce(len(next_frontier))
+        total = yield from ctx.allreduce_g(len(next_frontier))
         if total == 0:
             break
         frontier = next_frontier

@@ -88,15 +88,15 @@ class _CCState:
             self.ghost_labels[vertex] = label
 
 
-def _exchange_nsr(ctx, state, changed) -> None:
+def _exchange_nsr(ctx, state, changed):
     lg = state.lg
     for q in lg.neighbor_ranks:
         for v, lab in state.updates_for(q, changed):
-            ctx.isend(q, (v, lab), tag=_UPDATE_TAG, nbytes=16)
-        ctx.isend(q, None, tag=_DONE_TAG, nbytes=8)
+            yield from ctx.isend_g(q, (v, lab), tag=_UPDATE_TAG, nbytes=16)
+        yield from ctx.isend_g(q, None, tag=_DONE_TAG, nbytes=8)
     waiting = set(lg.neighbor_ranks)
     while waiting:
-        msg = ctx.recv(tag=ctx.ANY_TAG)
+        msg = yield from ctx.recv_g(tag=ctx.ANY_TAG)
         if msg.tag == _DONE_TAG:
             waiting.discard(msg.src)
         else:
@@ -104,9 +104,9 @@ def _exchange_nsr(ctx, state, changed) -> None:
 
 
 def _make_ncl_exchange(ctx, state):
-    topo = ctx.dist_graph_create_adjacent(state.lg.neighbor_ranks)
+    topo = yield from ctx.dist_graph_create_adjacent_g(state.lg.neighbor_ranks)
 
-    def exchange(changed) -> None:
+    def exchange(changed):
         items, nbytes = [], []
         for q in topo.neighbors:
             flat = np.array(
@@ -115,7 +115,8 @@ def _make_ncl_exchange(ctx, state):
             )
             items.append(flat)
             nbytes.append(int(flat.nbytes))
-        received, _ = topo.neighbor_alltoallv(items, nbytes_each=nbytes)
+        received, _ = yield from topo.neighbor_alltoallv_g(
+            items, nbytes_each=nbytes)
         for arr in received:
             for s in range(0, len(arr), 2):
                 state.apply_update(int(arr[s]), int(arr[s + 1]))
@@ -130,7 +131,7 @@ def cc_rank_main(ctx: RankContext, parts: list[LocalGraph], model: str) -> dict:
     if model == "nsr":
         exchange = lambda ch: _exchange_nsr(ctx, state, ch)  # noqa: E731
     elif model == "ncl":
-        exchange = _make_ncl_exchange(ctx, state)
+        exchange = yield from _make_ncl_exchange(ctx, state)
     else:
         raise KeyError(f"unknown cc model {model!r}; have nsr/ncl")
 
@@ -138,8 +139,8 @@ def cc_rank_main(ctx: RankContext, parts: list[LocalGraph], model: str) -> dict:
     while True:
         rounds += 1
         changed = state.sweep()
-        exchange(changed)
-        if ctx.allreduce(len(changed)) == 0:
+        yield from exchange(changed)
+        if (yield from ctx.allreduce_g(len(changed))) == 0:
             break
     ctx.free(lg.memory_bytes(), "graph-csr")
     return {"lo": lg.lo, "hi": lg.hi, "labels": state.labels, "rounds": rounds}

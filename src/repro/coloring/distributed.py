@@ -129,16 +129,16 @@ class _ColoringState:
 # per-model exchange implementations
 # ----------------------------------------------------------------------
 
-def _exchange_nsr(ctx, state, colored_now) -> None:
+def _exchange_nsr(ctx, state, colored_now):
     """One isend per boundary update plus per-neighbor DONE sentinels."""
     lg = state.lg
     for q in lg.neighbor_ranks:
         for v, c in state.updates_for(q, colored_now):
-            ctx.isend(q, (v, c), tag=_UPDATE_TAG, nbytes=16)
-        ctx.isend(q, None, tag=_DONE_TAG, nbytes=8)
+            yield from ctx.isend_g(q, (v, c), tag=_UPDATE_TAG, nbytes=16)
+        yield from ctx.isend_g(q, None, tag=_DONE_TAG, nbytes=8)
     waiting = set(lg.neighbor_ranks)
     while waiting:
-        msg = ctx.recv(tag=ctx.ANY_TAG)
+        msg = yield from ctx.recv_g(tag=ctx.ANY_TAG)
         if msg.tag == _DONE_TAG:
             waiting.discard(msg.src)
         else:
@@ -146,9 +146,9 @@ def _exchange_nsr(ctx, state, colored_now) -> None:
 
 
 def _make_ncl_exchange(ctx, state):
-    topo = ctx.dist_graph_create_adjacent(state.lg.neighbor_ranks)
+    topo = yield from ctx.dist_graph_create_adjacent_g(state.lg.neighbor_ranks)
 
-    def exchange(colored_now) -> None:
+    def exchange(colored_now):
         items = []
         nbytes = []
         for q in topo.neighbors:
@@ -156,7 +156,8 @@ def _make_ncl_exchange(ctx, state):
             flat = np.array([x for vc in ups for x in vc], dtype=np.int64)
             items.append(flat)
             nbytes.append(int(flat.nbytes))
-        received, _ = topo.neighbor_alltoallv(items, nbytes_each=nbytes)
+        received, _ = yield from topo.neighbor_alltoallv_g(
+            items, nbytes_each=nbytes)
         for arr in received:
             for s in range(0, len(arr), 2):
                 state.apply_update(int(arr[s]), int(arr[s + 1]))
@@ -167,7 +168,7 @@ def _make_ncl_exchange(ctx, state):
 def _make_rma_exchange(ctx, state):
     """Puts into per-neighbor window regions + counts exchange (Fig. 1)."""
     lg = state.lg
-    topo = ctx.dist_graph_create_adjacent(lg.neighbor_ranks)
+    topo = yield from ctx.dist_graph_create_adjacent_g(lg.neighbor_ranks)
     nbrs = topo.neighbors
     # Unlike matching (hard 2-messages-per-pair bound), a boundary vertex
     # may recolor once per round indefinitely, so regions are *reused* per
@@ -176,25 +177,25 @@ def _make_rma_exchange(ctx, state):
     caps = [2 * max(1, len(state.boundary[q])) for q in nbrs]
     starts = np.zeros(len(nbrs) + 1, dtype=np.int64)
     np.cumsum(caps, out=starts[1:])
-    win = ctx.win_allocate(int(starts[-1]) * 2, dtype=np.int64)
+    win = yield from ctx.win_allocate_g(int(starts[-1]) * 2, dtype=np.int64)
     region_start = starts * 2
-    remote_base = topo.neighbor_alltoall([int(s) for s in region_start[:-1]],
-                                         nbytes_per_item=8)
+    remote_base = yield from topo.neighbor_alltoall_g(
+        [int(s) for s in region_start[:-1]], nbytes_per_item=8)
     write_cursor = [0] * len(nbrs)
     read_cursor = [0] * len(nbrs)
 
-    def exchange(colored_now) -> None:
+    def exchange(colored_now):
         for k, q in enumerate(nbrs):
             for v, c in state.updates_for(q, colored_now):
                 if write_cursor[k] >= caps[k]:
                     raise RuntimeError("coloring RMA region overflow")
                 off = remote_base[k] + write_cursor[k] * 2
-                win.put(q, np.array([v, c], dtype=np.int64), off)
+                yield from win.put_g(q, np.array([v, c], dtype=np.int64), off)
                 write_cursor[k] += 1
-        win.flush_all()
-        counts = topo.neighbor_alltoall([int(c) for c in write_cursor],
-                                        nbytes_per_item=8)
-        win.sync_local()
+        yield from win.flush_all_g()
+        counts = yield from topo.neighbor_alltoall_g(
+            [int(c) for c in write_cursor], nbytes_per_item=8)
+        yield from win.sync_local_g()
         buf = win.local
         for k in range(len(nbrs)):
             base = int(region_start[k])
@@ -222,9 +223,9 @@ def coloring_rank_main(ctx: RankContext, parts: list[LocalGraph], model: str) ->
     if model == "nsr":
         exchange = lambda colored: _exchange_nsr(ctx, state, colored)  # noqa: E731
     elif model == "ncl":
-        exchange = _make_ncl_exchange(ctx, state)
+        exchange = yield from _make_ncl_exchange(ctx, state)
     elif model == "rma":
-        exchange = _make_rma_exchange(ctx, state)
+        exchange = yield from _make_rma_exchange(ctx, state)
     else:
         raise KeyError(f"unknown coloring model {model!r}; have nsr/rma/ncl")
 
@@ -232,9 +233,9 @@ def coloring_rank_main(ctx: RankContext, parts: list[LocalGraph], model: str) ->
     while True:
         rounds += 1
         colored_now = state.color_speculatively()
-        exchange(colored_now)
+        yield from exchange(colored_now)
         conflicts = state.resolve_conflicts()
-        if ctx.allreduce(conflicts) == 0:
+        if (yield from ctx.allreduce_g(conflicts)) == 0:
             break
     ctx.free(lg.memory_bytes(), "graph-csr")
     return {"lo": lg.lo, "hi": lg.hi, "colors": state.colors, "rounds": rounds}

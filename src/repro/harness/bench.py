@@ -11,7 +11,7 @@ appends its snapshot instead of overwriting history, and a legacy
 single-snapshot file is migrated into the series on first append.
 
 Every entry carries the simulated makespan as a determinism fingerprint:
-the two schedulers — and, for the engine-mode entries, the three
+the two schedulers — and, for the engine-mode entries, the two
 execution engines — must agree bit-for-bit (this is asserted), so a
 perf number can never silently come from a behaviorally different
 engine.
@@ -40,9 +40,6 @@ SCHEDULERS = ("reference", "heap")
 # microbenchmark rank programs
 # ----------------------------------------------------------------------
 def _pingpong(rounds: int) -> Callable:
-    # Generator-style rank programs: the threaded engine drives them to
-    # completion inline, the coroutine engine single-steps them — one
-    # program text benchmarks both execution modes.
     def prog(ctx):
         for i in range(rounds):
             if ctx.rank == 0:
@@ -338,28 +335,21 @@ def _bench_aggregation(quick: bool, repeats: int) -> dict[str, Any]:
     return entry
 
 
-ENGINE_MODES = ("threaded", "coroutine", "vector")
+ENGINE_MODES = ("coroutine", "vector")
 
 
 def _bench_engine_modes(quick: bool, repeats: int) -> dict[str, Any]:
-    """Threaded vs coroutine vs vector execution engine, three measurements.
+    """Coroutine vs vector execution engine, three measurements.
 
-    ``e2e``: one small matching run under all three engines — proves the
+    ``e2e``: one small matching run under both engines — proves the
     modes agree bit-for-bit (makespan and weight asserted) and gives the
-    end-to-end wall-time ratios at a P the threaded engine can still
-    handle comfortably.
+    end-to-end wall times.
 
     ``switch_storm``: a nearest-neighbor ring at P in the thousands,
     where every event parks the rank and the simulation is nothing but
-    scheduling decisions. The threaded engine pays an OS context switch
-    (futex wake + cold thread stack) per decision and its events/s
-    collapses as P grows; the coroutine engine resumes a generator in
-    the scheduler's own thread and holds its rate. The
-    ``events_per_sec_ratio`` here is the engine-scaling headline — the
-    reason P>=4096 weak-scaling runs are coroutine-only. The vector
-    engine degenerates to the coroutine engine in this regime (every
-    event genuinely parks), which is asserted by the shared fingerprint
-    and visible as events/s parity.
+    scheduling decisions. The vector engine degenerates to the coroutine
+    engine in this regime (every event genuinely parks), which is
+    asserted by the shared fingerprint and visible as events/s parity.
 
     ``drain_storm``: the opposite regime — bursty send/drain phases
     separated by compute, so one rank stays provably minimal for whole
@@ -380,12 +370,9 @@ def _bench_engine_modes(quick: bool, repeats: int) -> dict[str, Any]:
         "nprocs": nprocs,
     }
     for mode in ENGINE_MODES:
-        # The threaded run spawns one OS thread per rank; one repeat is
-        # plenty.
-        reps = 1 if mode == "threaded" else repeats
         best = None
         res = None
-        for _ in range(reps):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             res = run_matching(g, nprocs, "ncl", config=RunConfig(engine=mode))
             wall = time.perf_counter() - t0
@@ -400,16 +387,14 @@ def _bench_engine_modes(quick: bool, repeats: int) -> dict[str, Any]:
         }
     if len({(e2e[m]["makespan"], e2e[m]["weight"]) for m in ENGINE_MODES}) != 1:
         raise AssertionError("engine modes disagree on e2e outcome")
-    e2e["speedup"] = e2e["threaded"]["wall_s"] / e2e["coroutine"]["wall_s"]
 
     storm_p = 8192
     storm_rounds = 2 if quick else 6
     storm: dict[str, Any] = {"nprocs": storm_p, "rounds": storm_rounds}
     for mode in ENGINE_MODES:
-        reps = 1 if mode == "threaded" else repeats
         best = None
         res = None
-        for _ in range(reps):
+        for _ in range(repeats):
             eng = Engine(storm_p, cori_aries(), engine=mode)
             t0 = time.perf_counter()
             res = eng.run(_ring(storm_rounds))
@@ -424,10 +409,6 @@ def _bench_engine_modes(quick: bool, repeats: int) -> dict[str, Any]:
         }
     if len({storm[m]["makespan"] for m in ENGINE_MODES}) != 1:
         raise AssertionError("engine modes disagree on switch-storm outcome")
-    storm["events_per_sec_ratio"] = (
-        storm["coroutine"]["events_per_sec"]
-        / storm["threaded"]["events_per_sec"]
-    )
 
     dp, rounds, fan, stagger = (
         (128, 3, 64, 4e-4) if quick else (256, 4, 128, 8e-4)
@@ -437,10 +418,9 @@ def _bench_engine_modes(quick: bool, repeats: int) -> dict[str, Any]:
     }
     fingerprints = {}
     for mode in ENGINE_MODES:
-        reps = 1 if mode == "threaded" else repeats
         best = None
         res = None
-        for _ in range(reps):
+        for _ in range(repeats):
             eng = Engine(dp, cori_aries(), engine=mode)
             t0 = time.perf_counter()
             res = eng.run(_drain_storm(rounds, fan, stagger))
@@ -469,10 +449,6 @@ def _bench_engine_modes(quick: bool, repeats: int) -> dict[str, Any]:
     drain["events_per_sec_ratio_vector_vs_coroutine"] = (
         drain["vector"]["events_per_sec"]
         / drain["coroutine"]["events_per_sec"]
-    )
-    drain["events_per_sec_ratio_vector_vs_threaded"] = (
-        drain["vector"]["events_per_sec"]
-        / drain["threaded"]["events_per_sec"]
     )
     return {"e2e": e2e, "switch_storm": storm, "drain_storm": drain}
 
@@ -579,14 +555,14 @@ def render_report(report: dict[str, Any]) -> str:
         st = em["switch_storm"]
         lines.append(
             f"engine modes e2e (rmat scale {ee2['scale']}, p={ee2['nprocs']}, "
-            f"ncl): coroutine {ee2['speedup']:.2f}x faster wall, identical "
-            f"simulation"
+            f"ncl): {ee2['coroutine']['wall_s']:.2f} s (coroutine) vs "
+            f"{ee2['vector']['wall_s']:.2f} s (vector), identical simulation"
         )
         lines.append(
             f"engine modes switch-storm (ring, p={st['nprocs']}): "
             f"{st['coroutine']['events_per_sec']:,.0f} events/s (coroutine) vs "
-            f"{st['threaded']['events_per_sec']:,.0f} (threaded) = "
-            f"{st['events_per_sec_ratio']:.1f}x, identical simulation"
+            f"{st['vector']['events_per_sec']:,.0f} (vector), identical "
+            f"simulation"
         )
         ds = em.get("drain_storm")
         if ds:
@@ -596,9 +572,7 @@ def render_report(report: dict[str, Any]) -> str:
                 f"{ds['vector']['events_per_sec']:,.0f} events/s (vector) vs "
                 f"{ds['coroutine']['events_per_sec']:,.0f} (coroutine) = "
                 f"{ds['events_per_sec_ratio_vector_vs_coroutine']:.1f}x "
-                f"per-event cost reduction "
-                f"({ds['events_per_sec_ratio_vector_vs_threaded']:.1f}x vs "
-                f"threaded), identical simulation"
+                f"per-event cost reduction, identical simulation"
             )
     ag = report.get("aggregation")
     if ag:

@@ -42,16 +42,20 @@ def experiment(exp_id: str):
     return wrap
 
 
-def run_experiment(exp_id: str, fast: bool = True) -> ExperimentOutput:
+def get_experiment(exp_id: str) -> Callable[[bool], ExperimentOutput]:
+    """The registered runner for ``exp_id`` (``KeyError`` if unknown)."""
     import repro.harness.experiments  # noqa: F401 - populate registry
 
     try:
-        fn = _EXPERIMENTS[exp_id]
+        return _EXPERIMENTS[exp_id]
     except KeyError:
         raise KeyError(
             f"unknown experiment {exp_id!r}; have {sorted(_EXPERIMENTS)}"
         ) from None
-    return fn(fast)
+
+
+def run_experiment(exp_id: str, fast: bool = True) -> ExperimentOutput:
+    return get_experiment(exp_id)(fast)
 
 
 def all_experiment_ids() -> list[str]:

@@ -31,7 +31,7 @@ from repro.util.tables import TextTable
 def _layout_rank_main(ctx, parts):
     lg = parts[ctx.rank]
     backend = RMABackend(ctx, lg)
-    backend.setup()  # run the deferred construction collectives now
+    yield from backend._setup_comm_g()  # the deferred construction collectives
     nbrs = list(backend.topo.neighbors)
     layout = {
         "neighbors": nbrs,
@@ -41,7 +41,7 @@ def _layout_rank_main(ctx, parts):
         "remote_base": [int(backend.remote_base[q]) for q in nbrs],
         "ghosts": {q: lg.ghost_counts[q] for q in nbrs},
     }
-    ctx.barrier()
+    yield from ctx.barrier_g()
     return layout
 
 

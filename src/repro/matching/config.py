@@ -22,8 +22,19 @@ from typing import Any
 
 from repro.matching.driver import MatchingOptions
 from repro.mpisim.checkpoint import CheckpointConfig, EngineSnapshot
+from repro.mpisim.engine import ENGINES
 from repro.mpisim.faults import FaultPlan
 from repro.mpisim.machine import MachineModel
+
+
+def _default_engine() -> str:
+    """``$REPRO_ENGINE`` (set-but-empty counts as unset), else coroutine."""
+    name = os.environ.get("REPRO_ENGINE") or "coroutine"
+    if name not in ENGINES:
+        raise ValueError(
+            f"unknown engine {name!r} (from $REPRO_ENGINE); pick from {ENGINES}"
+        )
+    return name
 
 
 @dataclass(frozen=True)
@@ -49,13 +60,12 @@ class RunConfig:
     compute_weight: bool = True  #: weigh the matching (skip for timing
     #: sweeps that only need the makespan)
     scheduler: str = "heap"  #: engine scheduler ("heap" or "reference")
-    engine: str = field(
-        default_factory=lambda: os.environ.get("REPRO_ENGINE", "threaded")
-    )  #: execution engine ("threaded", "coroutine", or "vector"); all
-    #: bit-identical, coroutine scales to P>=4096 and vector (coroutine
-    #: plus fused guard-checked fast paths) to P>=16384 (docs/
-    #: engine_scheduling.md). Default comes from $REPRO_ENGINE so CI can
-    #: run the whole suite under any engine without code changes.
+    engine: str = field(default_factory=_default_engine)  #: "coroutine"
+    #: (generator ranks stepped one operation at a time; "threaded" is an
+    #: accepted alias) or "vector" (the same plus fused guard-checked
+    #: fast paths); bit-identical (docs/engine_scheduling.md). Default
+    #: comes from $REPRO_ENGINE so CI can run the whole suite under
+    #: either without code changes.
 
     # -- checkpoint/restart (docs/fault_model.md) ---------------------
     checkpoint: CheckpointConfig | None = None  #: take coordinated

@@ -95,10 +95,8 @@ def matching_rank_main(
     statistics, and backend iteration counts; the harness assembles the
     global matching from these.
 
-    Written as a generator so the rank program runs unchanged under both
-    execution engines: the threaded engine drives it to completion inline
-    (parks block the rank thread and the generator never suspends), the
-    coroutine engine single-steps it from the scheduler loop.
+    A generator: the engine single-steps it from the scheduler loop and
+    every blocking call inside delegates with ``yield from``.
     """
     options = options or MatchingOptions()
     lg = parts[ctx.rank]
@@ -119,11 +117,10 @@ def matching_rank_main(
     backend = make_backend(model, ctx, lg, options)
     state = MatchingState(
         lg,
-        # Prefer the generator form of Push when the backend has one
-        # (parking pushes must reach the scheduler via the yield protocol
-        # under the coroutine engine); non-parking pushes (ncl, incl)
-        # stay plain callables — MatchingState drives either.
-        push=getattr(backend, "push_g", backend.push),
+        # Parking pushes are generators (push_g: they must reach the
+        # scheduler via the yield protocol); non-parking pushes (ncl,
+        # incl) stay plain callables — MatchingState drives either.
+        push=backend.push_g if hasattr(backend, "push_g") else backend.push,
         charge=ctx.compute,
         eager_reject=options.eager_reject,
         handle_scale=getattr(backend, "handle_scale", 1.0),

@@ -24,7 +24,6 @@ from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
-from repro.mpisim.engine import run_inline
 
 
 class INCLBackend:
@@ -57,9 +56,6 @@ class INCLBackend:
         self._staged_bytes += TRIPLE_BYTES
 
     # ------------------------------------------------------------------
-    def run(self, state: MatchingState) -> dict:
-        return run_inline(self.run_g(state))
-
     def run_g(self, state: MatchingState):
         if self._needs_setup:
             yield from self._setup_comm_g()

@@ -23,7 +23,6 @@ from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
-from repro.mpisim.engine import run_inline
 
 #: extra abstract work units per message event (queue churn in the old code)
 _MBP_EXTRA_WORK = 6.0
@@ -45,9 +44,6 @@ class MBPBackend:
         self.ctx.alloc(self._fixed_bytes, "mbp-tables")
 
     # ------------------------------------------------------------------
-    def push(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> None:
-        run_inline(self.push_g(ctx_id, target_rank, x, y))
-
     def push_g(self, ctx_id: Ctx, target_rank: int, x: int, y: int):
         self.ctx.compute(_MBP_EXTRA_WORK)
         yield from self.ctx.isend_g(target_rank, (x, y), tag=int(ctx_id),
@@ -72,9 +68,6 @@ class MBPBackend:
             handled += 1
 
     # ------------------------------------------------------------------
-    def run(self, state: MatchingState) -> dict:
-        return run_inline(self.run_g(state))
-
     def run_g(self, state: MatchingState):
         """Globally synchronized rounds: drain, work, then a communicator-
         wide termination reduction every round (the old code's quiescence

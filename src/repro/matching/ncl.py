@@ -34,7 +34,6 @@ from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
-from repro.mpisim.engine import run_inline
 from repro.mpisim.errors import RankCrashed
 from repro.mpisim.topology import DistGraphTopology
 
@@ -72,10 +71,10 @@ class NCLBackend:
             #: triples consumed from each sender (dedup on resend overlap)
             self.consumed: dict[int, int] = {q: 0 for q in self._all_nbrs}
         else:
-            # Setup collective deferred to the first run() step (it parks,
-            # which must go through the yield protocol under the coroutine
-            # engine; nothing in between touches the clock or trace). On
-            # resume, topology and send buffers come from the checkpoint
+            # Setup collective deferred to the first run_g() step (it
+            # parks, which must go through the yield protocol; nothing in
+            # between touches the clock or trace). On resume, topology
+            # and send buffers come from the checkpoint
             # (restore_checkpoint) instead — re-running the setup
             # collective would charge time the uninterrupted run never
             # spent.
@@ -239,9 +238,6 @@ class NCLBackend:
                 yield from self._recover_g(state, e.rank)
 
     # ------------------------------------------------------------------
-    def run(self, state: MatchingState) -> dict:
-        return run_inline(self.run_g(state))
-
     def run_g(self, state: MatchingState):
         if self.fault_aware:
             return (yield from self._run_survivable_g(state))
@@ -298,7 +294,7 @@ class NCLBackend:
         return blob
 
     def restore_checkpoint(self, blob: dict) -> None:
-        """Adopt a snapshot; the next :meth:`run` resumes mid-loop."""
+        """Adopt a snapshot; the next :meth:`run_g` resumes mid-loop."""
         self._iterations = blob["iterations"]
         self._started = blob["started"]
         self._recoveries = blob["recoveries"]

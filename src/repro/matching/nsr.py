@@ -28,7 +28,6 @@ from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.reliable import ReliableChannel
 from repro.matching.state import MatchingState
 from repro.mpisim.context import FUSED_FALLBACK, RankContext
-from repro.mpisim.engine import run_inline
 from repro.mpisim.message import Message
 
 
@@ -87,11 +86,8 @@ class NSRBackend:
         self._resumed = False
 
     # ------------------------------------------------------------------
-    def push(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> None:
-        """Immediate nonblocking send; the context is the MPI tag."""
-        run_inline(self.push_g(ctx_id, target_rank, x, y))
-
     def push_g(self, ctx_id: Ctx, target_rank: int, x: int, y: int):
+        """Immediate nonblocking send; the context is the MPI tag."""
         if self.channel is not None:
             yield from self.channel.send_g(
                 target_rank, int(ctx_id), (x, y), TRIPLE_BYTES)
@@ -146,9 +142,6 @@ class NSRBackend:
             handled += 1
 
     # ------------------------------------------------------------------
-    def run(self, state: MatchingState) -> dict:
-        return run_inline(self.run_g(state))
-
     def run_g(self, state: MatchingState):
         if self.channel is not None or self.fault_aware:
             return (yield from self._run_hardened_g(state))
@@ -276,7 +269,7 @@ class NSRBackend:
         return blob
 
     def restore_checkpoint(self, blob: dict) -> None:
-        """Adopt a snapshot; the next :meth:`run` resumes mid-loop."""
+        """Adopt a snapshot; the next :meth:`run_g` resumes mid-loop."""
         self._iterations = blob["iterations"]
         self._quiet_until = blob["quiet_until"]
         if self.channel is not None:

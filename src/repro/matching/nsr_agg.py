@@ -42,7 +42,6 @@ from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
-from repro.mpisim.engine import run_inline
 
 #: lane auto-flush defaults: the byte threshold sits at the eager limit's
 #: order of magnitude so only pathologically hot lanes flush early; the
@@ -120,19 +119,15 @@ class NSRAggBackend:
         self._resumed = False
 
     # ------------------------------------------------------------------
-    def push(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> None:
-        """Stage the triple in the target's coalescing lane."""
-        run_inline(self.push_g(ctx_id, target_rank, x, y))
-
     def push_g(self, ctx_id: Ctx, target_rank: int, x: int, y: int):
+        """Stage the triple in the target's coalescing lane."""
         yield from self.agg.append_g(
             target_rank, int(ctx_id), (x, y), TRIPLE_BYTES)
         self.ctx.alloc(TRIPLE_BYTES, "agg-sendbuf")
         self._staged_bytes += TRIPLE_BYTES
 
     def _deliver(self, src: int, user_tag: int, payload):
-        # Generator handler: the aggregator's poll path drives it under
-        # either engine (plain poll run_inlines the same normalization).
+        # Generator handler: the aggregator's poll path drives it.
         x, y = payload
         yield from self._state.handle_g(Ctx(user_tag), x, y)
 
@@ -143,9 +138,6 @@ class NSRAggBackend:
         if self._staged_bytes:
             self.ctx.free(self._staged_bytes, "agg-sendbuf")
             self._staged_bytes = 0
-
-    def run(self, state: MatchingState) -> dict:
-        return run_inline(self.run_g(state))
 
     def run_g(self, state: MatchingState):
         """NSR's event loop with batch transport and boundary flushes."""
@@ -246,7 +238,7 @@ class NSRAggBackend:
         }
 
     def restore_checkpoint(self, blob: dict) -> None:
-        """Adopt a snapshot; the next :meth:`run` resumes mid-loop."""
+        """Adopt a snapshot; the next :meth:`run_g` resumes mid-loop."""
         self._iterations = blob["iterations"]
         self._lingered = blob["lingered"]
         self._quiet_until = blob["quiet_until"]

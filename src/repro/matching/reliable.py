@@ -34,7 +34,6 @@ from types import GeneratorType
 from typing import Any, Callable
 
 from repro.mpisim.context import RankContext
-from repro.mpisim.engine import run_inline
 from repro.mpisim.errors import RetryExhausted
 
 #: MPI tags used by the shim (application tags ride inside the payload;
@@ -76,10 +75,10 @@ class ReliableChannel:
     The owner drives it from an event loop::
 
         chan = ReliableChannel(ctx)
-        chan.send(dst, tag, payload, nbytes)     # instead of ctx.isend
-        chan.poll(handler)                       # instead of iprobe+recv
-        chan.service(ctx.now)                    # fire due retransmits
-        ctx.probe(deadline=chan.next_deadline())  # timed wait
+        yield from chan.send_g(dst, tag, payload, nbytes)  # not isend_g
+        yield from chan.poll_g(handler)          # instead of iprobe+recv
+        yield from chan.service_g(ctx.now)       # fire due retransmits
+        yield from ctx.probe_g(deadline=chan.next_deadline())  # timed wait
 
     ``handler(src, user_tag, payload)`` sees each payload exactly once,
     in per-source send order.
@@ -109,11 +108,8 @@ class ReliableChannel:
     # ------------------------------------------------------------------
     # send side
     # ------------------------------------------------------------------
-    def send(self, dst: int, user_tag: int, payload: Any, nbytes: int) -> None:
-        """Reliably send ``payload`` to ``dst`` (returns immediately)."""
-        run_inline(self.send_g(dst, user_tag, payload, nbytes))
-
     def send_g(self, dst: int, user_tag: int, payload: Any, nbytes: int):
+        """Reliably send ``payload`` to ``dst`` (returns immediately)."""
         seq = self._next_seq.get(dst, 0)
         self._next_seq[dst] = seq + 1
         pend = _Pending(
@@ -127,9 +123,6 @@ class ReliableChannel:
         self._unacked[(dst, seq)] = pend
         yield from self._transmit_g(pend)
 
-    def _transmit(self, p: _Pending) -> None:
-        run_inline(self._transmit_g(p))
-
     def _transmit_g(self, p: _Pending):
         if self.ctx.is_failed(p.dst):
             return  # dead peer; the entry is reaped by service/on_rank_failed
@@ -140,7 +133,7 @@ class ReliableChannel:
             nbytes=p.nbytes + SEQ_HEADER_BYTES,
         )
 
-    def service(self, now: float, *, may_abandon: bool = False) -> int:
+    def service_g(self, now: float, *, may_abandon: bool = False):
         """Retransmit every overdue unacked message; returns the count.
 
         ``may_abandon`` permits giving up on a message that has exhausted
@@ -148,9 +141,6 @@ class ReliableChannel:
         depends on confirmation — e.g. it is locally quiescent); without
         it, exhaustion raises :class:`RetryExhausted`.
         """
-        return run_inline(self.service_g(now, may_abandon=may_abandon))
-
-    def service_g(self, now: float, *, may_abandon: bool = False):
         fired = 0
         rc = self.ctx.counters()
         plan = self.ctx.fault_plan
@@ -231,15 +221,12 @@ class ReliableChannel:
     # ------------------------------------------------------------------
     # receive side
     # ------------------------------------------------------------------
-    def poll(self, handler: Callable[[int, int, Any], None]) -> int:
+    def poll_g(self, handler: Callable[[int, int, Any], None]):
         """Drain every arrived message; returns messages *delivered up*.
 
         ACKs retire pending sends; DATA is acknowledged, deduplicated,
         and released to ``handler`` in per-source sequence order.
         """
-        return run_inline(self.poll_g(handler))
-
-    def poll_g(self, handler: Callable[[int, int, Any], None]):
         ctx = self.ctx
         rc = ctx.counters()
         delivered = 0
@@ -268,7 +255,7 @@ class ReliableChannel:
             while peer.next_expected in peer.held:
                 ut, pl = peer.held.pop(peer.next_expected)
                 peer.next_expected += 1
-                # Generator-style handlers (coroutine engine) may park.
+                # Generator-style handlers may park.
                 res = handler(src, ut, pl)
                 if isinstance(res, GeneratorType):
                     yield from res

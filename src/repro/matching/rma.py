@@ -31,7 +31,7 @@ Fault tolerance (extension; see docs/fault_model.md):
   outstanding bad-slot debt so the loop cannot exit with holes.
 
 * **Crash recovery** — under a crash plan, setup moves inside the run
-  loop and every collective is survivor-safe (:meth:`RankContext.agree`
+  loop and every collective is survivor-safe (:meth:`RankContext.agree_g`
   / epoch-keyed topology). One-sided data needs no resend on a crash:
   pending window updates live in the store independent of any
   collective, and counts are cumulative. Recovery renounces the dead
@@ -49,7 +49,6 @@ from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
-from repro.mpisim.engine import run_inline
 from repro.mpisim.errors import RankCrashed
 from repro.mpisim.topology import DistGraphTopology
 from repro.mpisim.window import Window
@@ -111,11 +110,11 @@ class RMABackend:
         self._started = False
         self._resumed = False
 
-        # Setup collectives are deferred to the first run() step: they
-        # park, which must happen through the yield protocol under the
-        # coroutine engine (nothing between here and run() touches the
-        # clock or trace, so the deferral is bit-invisible). The fault-
-        # aware path builds survivor-safe topology inside run() instead;
+        # Setup collectives are deferred to the first run_g() step: they
+        # park, which must happen through the yield protocol (nothing
+        # between here and run_g() touches the clock or trace, so the
+        # deferral is bit-invisible). The fault-aware path builds
+        # survivor-safe topology inside run_g() instead;
         # on resume, window and topology come from the checkpoint
         # (restore_checkpoint) — re-running the setup collectives would
         # charge time the uninterrupted run never spent.
@@ -128,12 +127,8 @@ class RMABackend:
             # model; a resume's restored counters already carry this.
             ctx.alloc(8 * 4 * max(1, len(self._all_nbrs)), "rma-bookkeeping")
 
-    def setup(self) -> None:
-        """Run the deferred setup collectives now (threaded engine only;
-        run() performs this automatically on its first step)."""
-        run_inline(self._setup_comm_g())
-
     def _setup_comm_g(self):
+        """The deferred setup collectives (run_g's first step)."""
         ctx = self.ctx
         self._needs_setup = False
         self.topo = yield from ctx.dist_graph_create_adjacent_g(
@@ -148,9 +143,6 @@ class RMABackend:
         }
 
     # ------------------------------------------------------------------
-    def push(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> None:
-        run_inline(self.push_g(ctx_id, target_rank, x, y))
-
     def push_g(self, ctx_id: Ctx, target_rank: int, x: int, y: int):
         if self.write_cursor[target_rank] >= self.region_cap[target_rank]:
             raise RuntimeError(
@@ -270,9 +262,6 @@ class RMABackend:
         return sum(len(v) for v in self._my_bad.values())
 
     # ------------------------------------------------------------------
-    def run(self, state: MatchingState) -> dict:
-        return run_inline(self.run_g(state))
-
     def run_g(self, state: MatchingState):
         if not self.fault_aware:
             return (yield from self._run_plain_g(state))
@@ -415,7 +404,7 @@ class RMABackend:
         }
 
     def restore_checkpoint(self, blob: dict) -> None:
-        """Adopt a snapshot; the next :meth:`run` resumes mid-loop."""
+        """Adopt a snapshot; the next :meth:`run_g` resumes mid-loop."""
         self._iterations = blob["iterations"]
         self._started = blob["started"]
         self._recoveries = blob["recoveries"]

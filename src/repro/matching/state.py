@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import Ctx
-from repro.mpisim.engine import run_inline
 from repro.util.hashing import edge_hash_array
 
 NO_MATE = -1
@@ -180,19 +179,16 @@ class MatchingState:
     def _li(self, v: int) -> int:
         return v - self.lg.lo
 
-    def _push(self, ctx_id: Ctx, y: int, x_payload: int, y_payload: int) -> None:
-        """Send (ctx, x, y) to owner(y)."""
-        run_inline(self._push_g(ctx_id, y, x_payload, y_payload))
-
     def _push_g(self, ctx_id: Ctx, y: int, x_payload: int, y_payload: int):
+        """Send (ctx, x, y) to owner(y)."""
         self.charge(COST_PUSH)
         self.stats.sent[ctx_id.name] += 1
         pf = self.push_fast
         owner = self.ghost_owner[y]
         if pf is not None and pf(ctx_id, owner, x_payload, y_payload):
             return
-        # Backends hand in either a plain callable (threaded engine) or a
-        # generator function (coroutine engine) — drive whichever we got.
+        # Backends hand in either a plain callable (a push that never
+        # parks) or a generator function — drive whichever we got.
         res = self.push_fn(ctx_id, owner, x_payload, y_payload)
         if isinstance(res, GeneratorType):
             yield from res
@@ -209,11 +205,8 @@ class MatchingState:
     # ------------------------------------------------------------------
     # FINDMATE (paper Algorithm 4, deferred-proposal variant)
     # ------------------------------------------------------------------
-    def find_mate(self, v: int) -> None:
-        """Point owned vertex ``v`` at its best available neighbor."""
-        run_inline(self.find_mate_g(v))
-
     def find_mate_g(self, v: int):
+        """Point owned vertex ``v`` at its best available neighbor."""
         lg = self.lg
         i = self._li(v)
         if self.status[i] != FREE:
@@ -261,11 +254,8 @@ class MatchingState:
                 yield from self._push_g(Ctx.REQUEST, y, y, v)
                 self.awaiting += 1
 
-    def _invalidate(self, v: int) -> None:
-        """No candidate remains for ``v``: broadcast INVALID (case #5)."""
-        run_inline(self._invalidate_g(v))
-
     def _invalidate_g(self, v: int):
+        """No candidate remains for ``v``: broadcast INVALID (case #5)."""
         i = self._li(v)
         assert not self.pending[i], "dead vertex cannot hold proposals"
         self.status[i] = DEAD
@@ -299,11 +289,8 @@ class MatchingState:
     # ------------------------------------------------------------------
     # PROCESSNEIGHBORS (paper Algorithm 5)
     # ------------------------------------------------------------------
-    def process_neighbors(self, i: int) -> None:
-        """Resolve the neighborhood of newly matched owned vertex (idx i)."""
-        run_inline(self.process_neighbors_g(i))
-
     def process_neighbors_g(self, i: int):
+        """Resolve the neighborhood of newly matched owned vertex (idx i)."""
         if self.processed[i]:
             return
         self.processed[i] = True
@@ -324,11 +311,8 @@ class MatchingState:
                 if self._deactivate(i, u):
                     yield from self._push_g(Ctx.REJECT, u, u, v)
 
-    def drain_work(self) -> int:
-        """Run PROCESSNEIGHBORS for every queued matched vertex."""
-        return run_inline(self.drain_work_g())
-
     def drain_work_g(self):
+        """Run PROCESSNEIGHBORS for every queued matched vertex."""
         done = 0
         while self.work:
             yield from self.process_neighbors_g(self.work.popleft())
@@ -338,11 +322,8 @@ class MatchingState:
     # ------------------------------------------------------------------
     # PROCESSINCOMINGDATA (paper Algorithm 6, deferred variant)
     # ------------------------------------------------------------------
-    def handle(self, ctx_id: Ctx, x: int, y: int) -> None:
-        """Process one incoming (ctx, x, y): x is ours, y is the sender's."""
-        run_inline(self.handle_g(ctx_id, x, y))
-
     def handle_g(self, ctx_id: Ctx, x: int, y: int):
+        """Process one incoming (ctx, x, y): x is ours, y is the sender's."""
         self.charge(COST_MSG * self.handle_scale)
         self.stats.received[Ctx(ctx_id).name] += 1
         lg = self.lg
@@ -386,9 +367,6 @@ class MatchingState:
         else:  # pragma: no cover
             raise ValueError(f"unknown context {ctx_id}")
 
-    def _resolution(self, i: int, x: int, y: int) -> None:
-        run_inline(self._resolution_g(i, x, y))
-
     def _resolution_g(self, i: int, x: int, y: int):
         """Shared REJECT/INVALID handling.
 
@@ -412,7 +390,7 @@ class MatchingState:
     # ------------------------------------------------------------------
     # fault tolerance (ULFM-style graceful degradation)
     # ------------------------------------------------------------------
-    def renounce_rank(self, dead: int) -> int:
+    def renounce_rank_g(self, dead: int):
         """Abandon every cross interaction with crashed rank ``dead``.
 
         Mirrors what a ULFM ``MPI_Comm_shrink`` recovery path would do:
@@ -430,9 +408,6 @@ class MatchingState:
 
         Idempotent per rank; returns the number of affected pairs/vertices.
         """
-        return run_inline(self.renounce_rank_g(dead))
-
-    def renounce_rank_g(self, dead: int):
         lg = self.lg
         if dead in self.dead_ranks:
             return 0
@@ -512,11 +487,8 @@ class MatchingState:
     # ------------------------------------------------------------------
     # phases / termination
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Phase 1: initial FINDMATE sweep over owned vertices."""
-        run_inline(self.start_g())
-
     def start_g(self):
+        """Phase 1: initial FINDMATE sweep over owned vertices."""
         for v in range(self.lg.lo, self.lg.hi):
             yield from self.find_mate_g(v)
 

@@ -12,12 +12,12 @@ Quick example::
     from repro.mpisim import Engine, get_machine
 
     def program(ctx):
-        token = ctx.allreduce(ctx.rank)      # sum of ranks
+        token = yield from ctx.allreduce_g(ctx.rank)   # sum of ranks
         if ctx.rank == 0:
-            ctx.isend(1, ("hello", token))
+            yield from ctx.isend_g(1, ("hello", token))
         elif ctx.rank == 1:
-            msg = ctx.recv(source=0)
-        ctx.barrier()
+            msg = yield from ctx.recv_g(source=0)
+        yield from ctx.barrier_g()
         return token
 
     result = Engine(4, get_machine("cori-aries")).run(program)
@@ -29,7 +29,7 @@ from repro.mpisim.aggregate import (
     MessageAggregator,
     PersistentSendRequest,
     RecvRequest,
-    waitall,
+    waitall_g,
 )
 from repro.mpisim.collectives import AgreementCollective
 from repro.mpisim.context import RankContext
@@ -159,5 +159,5 @@ __all__ = [
     "MessageAggregator",
     "PersistentSendRequest",
     "RecvRequest",
-    "waitall",
+    "waitall_g",
 ]

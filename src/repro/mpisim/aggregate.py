@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.mpisim.engine import run_inline
 from repro.mpisim.errors import RetryExhausted
 from repro.mpisim.message import ANY_SOURCE, ANY_TAG, Message
 
@@ -65,10 +64,10 @@ AGG_SEQ_HEADER_BYTES = 8
 class PersistentSendRequest:
     """A prebuilt send channel to one destination (``MPI_Send_init``).
 
-    Created via :meth:`RankContext.send_init`; each :meth:`start` ships
+    Created via :meth:`RankContext.send_init_g`; each :meth:`start_g` ships
     one payload with the amortized ``o_send_start`` overhead. In the
     simulator's eager model a started send completes locally, so
-    :meth:`wait` never blocks — it exists so ``waitall`` can treat send
+    :meth:`wait_g` never blocks — it exists so ``waitall_g`` can treat send
     and receive requests uniformly.
     """
 
@@ -81,11 +80,8 @@ class PersistentSendRequest:
         self.starts = 0
         self.last_arrival = 0.0
 
-    def start(self, payload: Any, nbytes: int | None = None) -> float:
-        """Start the request with ``payload``; returns the arrival time."""
-        return run_inline(self.start_g(payload, nbytes))
-
     def start_g(self, payload: Any, nbytes: int | None = None):
+        """Start the request with ``payload``; returns the arrival time."""
         arrival = yield from self.ctx._post_send_g(
             self.dest, payload, self.tag, nbytes, persistent=True
         )
@@ -93,11 +89,8 @@ class PersistentSendRequest:
         self.last_arrival = arrival
         return arrival
 
-    def wait(self) -> float:
-        """Eager-protocol completion: already done; returns last arrival."""
-        return self.last_arrival
-
     def wait_g(self):
+        """Eager-protocol completion: already done; returns last arrival."""
         yield from ()
         return self.last_arrival
 
@@ -105,10 +98,10 @@ class PersistentSendRequest:
 class RecvRequest:
     """A posted nonblocking receive (``MPI_Irecv``).
 
-    ``test()`` completes the receive if a matching message has physically
-    arrived; ``wait()`` blocks (fast-forwarding the virtual clock) until
-    one does. The delivered :class:`Message` is cached, so ``wait`` after
-    a successful ``test`` is free.
+    ``test_g`` completes the receive if a matching message has physically
+    arrived; ``wait_g`` blocks (fast-forwarding the virtual clock) until
+    one does. The delivered :class:`Message` is cached, so ``wait_g``
+    after a successful ``test_g`` is free.
     """
 
     __slots__ = ("ctx", "source", "tag", "_msg")
@@ -123,37 +116,27 @@ class RecvRequest:
     def complete(self) -> bool:
         return self._msg is not None
 
-    def test(self) -> Message | None:
-        """Nonblocking completion attempt (``MPI_Test``)."""
-        return run_inline(self.test_g())
-
     def test_g(self):
+        """Nonblocking completion attempt (``MPI_Test``)."""
         if self._msg is None:
             if (yield from self.ctx.iprobe_g(self.source, self.tag)) is not None:
                 self._msg = yield from self.ctx.recv_g(self.source, self.tag)
         return self._msg
 
-    def wait(self) -> Message:
-        """Blocking completion (``MPI_Wait``)."""
-        return run_inline(self.wait_g())
-
     def wait_g(self):
+        """Blocking completion (``MPI_Wait``)."""
         if self._msg is None:
             self._msg = yield from self.ctx.recv_g(self.source, self.tag)
         return self._msg
 
 
-def waitall(requests: Iterable[PersistentSendRequest | RecvRequest]) -> list:
+def waitall_g(requests: Iterable[PersistentSendRequest | RecvRequest]):
     """Complete every request in order; returns each request's result.
 
     Send requests yield their arrival time, receive requests the
     delivered :class:`Message` — the uniform completion call the MPI-style
-    API promises (also available as ``ctx.waitall``).
+    API promises (also available as ``ctx.waitall_g``).
     """
-    return run_inline(waitall_g(requests))
-
-
-def waitall_g(requests: Iterable[PersistentSendRequest | RecvRequest]):
     results = []
     for r in requests:
         results.append((yield from r.wait_g()))
@@ -198,9 +181,9 @@ class MessageAggregator:
     Owner-driven, like :class:`~repro.matching.reliable.ReliableChannel`::
 
         agg = ctx.aggregator(flush_count=64)
-        agg.append(dst, tag, payload, nbytes)   # instead of ctx.isend
-        agg.flush_all()                         # iteration boundary
-        agg.poll(handler)                       # instead of iprobe+recv
+        yield from agg.append_g(dst, tag, payload, nbytes)  # not isend_g
+        yield from agg.flush_all_g()            # iteration boundary
+        yield from agg.poll_g(handler)          # instead of iprobe+recv
 
     ``handler(src, user_tag, payload)`` sees each coalesced message
     exactly once, in per-source append order (batches preserve order and
@@ -209,7 +192,7 @@ class MessageAggregator:
     Flush policy: a lane is auto-flushed the moment its buffered payload
     reaches ``flush_bytes`` or its message count reaches ``flush_count``
     (whichever first; ``None`` disables that trigger), and explicitly via
-    :meth:`flush` / :meth:`flush_all` at iteration boundaries.
+    :meth:`flush_g` / :meth:`flush_all_g` at iteration boundaries.
 
     Each batch travels as one wire message: ``header_bytes`` once, plus
     every payload, plus ``machine.agg_submsg_header_bytes`` of framing
@@ -259,11 +242,8 @@ class MessageAggregator:
     # ------------------------------------------------------------------
     # send side
     # ------------------------------------------------------------------
-    def append(self, dest: int, tag: int, payload: Any, nbytes: int) -> None:
-        """Buffer one small message for ``dest``; may auto-flush the lane."""
-        run_inline(self.append_g(dest, tag, payload, nbytes))
-
     def append_g(self, dest: int, tag: int, payload: Any, nbytes: int):
+        """Buffer one small message for ``dest``; may auto-flush the lane."""
         if self.ctx.is_failed(dest):
             rc = self.ctx.counters()
             rc.agg_dropped_dead += 1
@@ -280,7 +260,7 @@ class MessageAggregator:
         ):
             yield from self.flush_g(dest)
 
-    def flush(self, dest: int) -> int:
+    def flush_g(self, dest: int):
         """Ship ``dest``'s buffered messages as one batch.
 
         Returns the number of coalesced messages shipped (0 for an empty
@@ -288,9 +268,6 @@ class MessageAggregator:
         destination's failure has been detected by now, the buffer is
         dropped and reported instead.
         """
-        return run_inline(self.flush_g(dest))
-
-    def flush_g(self, dest: int):
         lane = self._lanes.get(dest)
         if lane is None or not lane.entries:
             return 0
@@ -342,11 +319,8 @@ class MessageAggregator:
         eng.trace_event(ctx.rank, "agg-flush", dest=dest, msgs=k, nbytes=wire)
         return k
 
-    def flush_all(self) -> int:
-        """Explicit iteration-boundary flush of every lane (sorted order)."""
-        return run_inline(self.flush_all_g())
-
     def flush_all_g(self):
+        """Explicit iteration-boundary flush of every lane (sorted order)."""
         shipped = 0
         for dest in sorted(self._lanes):
             shipped += yield from self.flush_g(dest)
@@ -372,10 +346,10 @@ class MessageAggregator:
     # ------------------------------------------------------------------
     # batch-level reliability (reliable=True)
     # ------------------------------------------------------------------
-    def service(self, now: float, *, may_abandon: bool = False) -> int:
+    def service_g(self, now: float, *, may_abandon: bool = False):
         """Retransmit every overdue unacked batch; returns the count.
 
-        Mirrors :meth:`ReliableChannel.service`: a destination that is
+        Mirrors :meth:`ReliableChannel.service_g`: a destination that is
         unreachable through an active network partition gets its deadline
         deferred to the heal time *without* burning a retry attempt, so a
         healed partition can never be mistaken for a death. ``may_abandon``
@@ -383,9 +357,6 @@ class MessageAggregator:
         protocol no longer depends on delivery); otherwise exhaustion
         raises :class:`RetryExhausted`. No-op when ``reliable`` is off.
         """
-        return run_inline(self.service_g(now, may_abandon=may_abandon))
-
-    def service_g(self, now: float, *, may_abandon: bool = False):
         if not self.reliable:
             return 0
         fired = 0
@@ -509,16 +480,13 @@ class MessageAggregator:
     # ------------------------------------------------------------------
     # receive side
     # ------------------------------------------------------------------
-    def poll(self, handler: Callable[[int, int, Any], None]) -> int:
+    def poll_g(self, handler: Callable[[int, int, Any], None]):
         """Unpack every arrived batch; returns coalesced messages delivered.
 
         The receiver pays one ``o_recv`` per *batch* (charged by the
         underlying ``recv``) plus the per-byte unpack cost — this is the
         software saving aggregation exists for.
         """
-        return run_inline(self.poll_g(handler))
-
-    def poll_g(self, handler: Callable[[int, int, Any], None]):
         ctx = self.ctx
         rc = ctx.counters()
         delivered = 0
@@ -559,17 +527,6 @@ class MessageAggregator:
                     src, ent, nb - AGG_SEQ_HEADER_BYTES, handler
                 )
 
-    def _deliver(
-        self,
-        src: int,
-        entries: Sequence[tuple[int, Any]],
-        nbytes: int,
-        handler: Callable[[int, int, Any], None],
-    ) -> int:
-        """Unpack one batch (``nbytes`` = payloads + framing, seq header
-        already stripped) and hand each coalesced message up."""
-        return run_inline(self._deliver_g(src, entries, nbytes, handler))
-
     def _deliver_g(
         self,
         src: int,
@@ -577,6 +534,8 @@ class MessageAggregator:
         nbytes: int,
         handler: Callable[[int, int, Any], None],
     ):
+        """Unpack one batch (``nbytes`` = payloads + framing, seq header
+        already stripped) and hand each coalesced message up."""
         ctx = self.ctx
         eng = ctx._engine
         rc = ctx.counters()
@@ -588,7 +547,7 @@ class MessageAggregator:
         rc.agg_batches_received += 1
         rc.agg_msgs_delivered += len(entries)
         for user_tag, payload in entries:
-            # A generator-style handler (coroutine engine) may itself park
+            # A generator-style handler may itself park
             # — e.g. when handling triggers a reply send; drive it inline.
             res = handler(src, user_tag, payload)
             if isinstance(res, GeneratorType):

@@ -1,19 +1,17 @@
 """Per-rank MPI-like API handed to rank programs.
 
 This is the simulated analogue of an ``MPI_Comm`` plus the rank-local
-runtime: point-to-point (``isend`` / ``iprobe`` / ``recv``), classic
+runtime: point-to-point (``isend_g`` / ``iprobe_g`` / ``recv_g``), classic
 collectives, distributed graph topologies with neighborhood collectives,
 and RMA window allocation. Method names follow mpi4py's lower-case
 conventions where a direct analogue exists.
 
-Every operation that can block exists in two spellings: the canonical
-generator form (``recv_g``, ``barrier_g``, ...) whose park points
-suspend under the coroutine engine, and a plain wrapper (``recv``,
-``barrier``, ...) that drives the generator inline — exact under the
-threaded engine, where parks block the calling thread and the generator
-never yields. Generator-style rank programs (``yield from
-ctx.recv_g(...)``) therefore run bit-identically under both engines;
-plain-style programs are threaded-only.
+Every operation that can block is a generator, spelled with a ``_g``
+suffix (``recv_g``, ``barrier_g``, ...): a rank program delegates into it
+(``msg = yield from ctx.recv_g(...)``) and the park points inside suspend
+the whole ``yield from`` chain back to the scheduler. Operations that
+never block (``compute``, ``alloc``, ``irecv``, the fused fast paths) are
+plain methods.
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ from repro.mpisim.aggregate import (
     MessageAggregator,
     PersistentSendRequest,
     RecvRequest,
-    waitall as _waitall,
     waitall_g as _waitall_g,
 )
-from repro.mpisim.engine import _BLOCKED, run_inline
+from repro.mpisim.engine import _BLOCKED
 from repro.mpisim.collectives import get_or_create_agreement, get_or_create_full
 from repro.mpisim.errors import CommMismatchError, RankCrashed
 from repro.mpisim.message import ANY_SOURCE, ANY_TAG, Message
@@ -150,10 +147,6 @@ class RankContext:
     # ------------------------------------------------------------------
     # coordinated checkpoint/restart
     # ------------------------------------------------------------------
-    def checkpoint_tick(self) -> None:
-        """Plain wrapper for :meth:`checkpoint_tick_g` (threaded engine)."""
-        run_inline(self.checkpoint_tick_g())
-
     def checkpoint_tick_g(self):
         """Mark a checkpoint boundary (collective-style backend loop top).
 
@@ -190,10 +183,6 @@ class RankContext:
     def resume_app_state(self) -> Any:
         """The application blob this rank's provider captured at the cut."""
         return self._resume["app"] if self._resume is not None else None
-
-    def reissue_parked_wait(self) -> None:
-        """Plain wrapper for :meth:`reissue_parked_wait_g` (threaded)."""
-        run_inline(self.reissue_parked_wait_g())
 
     def reissue_parked_wait_g(self):
         """Re-enter the wait this rank was parked in at the checkpoint.
@@ -234,20 +223,6 @@ class RankContext:
     # ------------------------------------------------------------------
     # point-to-point
     # ------------------------------------------------------------------
-    def _post_send(
-        self,
-        dest: int,
-        payload: Any,
-        tag: int,
-        nbytes: int | None,
-        *,
-        persistent: bool = False,
-    ) -> float:
-        """Plain wrapper for :meth:`_post_send_g` (threaded engine)."""
-        return run_inline(
-            self._post_send_g(dest, payload, tag, nbytes, persistent=persistent)
-        )
-
     def _post_send_g(
         self,
         dest: int,
@@ -257,7 +232,7 @@ class RankContext:
         *,
         persistent: bool = False,
     ):
-        """Shared send path for :meth:`isend` and persistent ``start``.
+        """Shared send path for :meth:`isend_g` and persistent ``start``.
 
         The charging sequence (yield → origin overhead → wire posting →
         counters → trace) is the bit-reproducibility contract: both entry
@@ -292,26 +267,16 @@ class RankContext:
             eng.trace_event(self.rank, "send", dest=dest, tag=tag, nbytes=nbytes)
         return arrival
 
-    def isend(
+    def isend_g(
         self, dest: int, payload: Any, *, tag: int = 0, nbytes: int | None = None
-    ) -> float:
+    ):
         """Nonblocking send; returns the (virtual) arrival time.
 
         Models eager-protocol completion: the send buffer is logically
         copied, so the operation completes locally once the origin overhead
         has been charged (rendezvous sends absorb the handshake cost).
         """
-        return self._post_send(dest, payload, tag, nbytes)
-
-    def isend_g(
-        self, dest: int, payload: Any, *, tag: int = 0, nbytes: int | None = None
-    ):
-        """Generator form of :meth:`isend` (coroutine-safe)."""
         return (yield from self._post_send_g(dest, payload, tag, nbytes))
-
-    def send_init(self, dest: int, *, tag: int = 0) -> PersistentSendRequest:
-        """Plain wrapper for :meth:`send_init_g` (threaded engine)."""
-        return run_inline(self.send_init_g(dest, tag=tag))
 
     def send_init_g(self, dest: int, *, tag: int = 0):
         """Build a persistent send request (``MPI_Send_init``).
@@ -335,22 +300,16 @@ class RankContext:
 
         Posting is free local bookkeeping — the receive's costs are
         charged when the request completes (``test``/``wait``), exactly
-        as :meth:`recv` would charge them.
+        as :meth:`recv_g` would charge them.
         """
         return RecvRequest(self, source, tag)
 
-    def waitall(
-        self, requests: Sequence[PersistentSendRequest | RecvRequest]
-    ) -> list:
+    def waitall_g(self, requests: Sequence[PersistentSendRequest | RecvRequest]):
         """Complete every request in order (``MPI_Waitall``).
 
         Returns each request's completion value: the arrival time for
         send requests, the delivered :class:`Message` for receives.
         """
-        return _waitall(requests)
-
-    def waitall_g(self, requests: Sequence[PersistentSendRequest | RecvRequest]):
-        """Generator form of :meth:`waitall` (coroutine-safe)."""
         return (yield from _waitall_g(requests))
 
     def aggregator(
@@ -385,12 +344,6 @@ class RankContext:
         if tag is not None:
             kwargs["tag"] = tag
         return MessageAggregator(self, **kwargs)
-
-    def iprobe(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> tuple[int, int, int] | None:
-        """Plain wrapper for :meth:`iprobe_g` (threaded engine)."""
-        return run_inline(self.iprobe_g(source, tag))
 
     def iprobe_g(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Nonblocking probe: ``(src, tag, nbytes)`` if a matching message
@@ -693,10 +646,6 @@ class RankContext:
             src_rc.free(k * req, "send-requests")
         return out
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Message:
-        """Plain wrapper for :meth:`recv_g` (threaded engine)."""
-        return run_inline(self.recv_g(source, tag))
-
     def recv_g(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive of the earliest matching message.
 
@@ -746,16 +695,6 @@ class RankContext:
         eng.trace_event(self.rank, "recv", src=msg.src, tag=msg.tag, nbytes=msg.nbytes)
         return msg
 
-    def probe(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        *,
-        deadline: float | None = None,
-    ) -> None:
-        """Plain wrapper for :meth:`probe_g` (threaded engine)."""
-        run_inline(self.probe_g(source, tag, deadline=deadline))
-
     def probe_g(
         self,
         source: int = ANY_SOURCE,
@@ -765,7 +704,7 @@ class RankContext:
     ):
         """Block until a matching message is available (MPI_Probe).
 
-        Rank programs use this instead of spinning on :meth:`iprobe` when
+        Rank programs use this instead of spinning on :meth:`iprobe_g` when
         they have no local work left; it fast-forwards the local clock to
         the next arrival instead of simulating a busy-wait.
 
@@ -812,14 +751,14 @@ class RankContext:
         tag: int = ANY_TAG,
         *,
         deadline: float | None = None,
-    ) -> None:
-        """Deprecated alias for :meth:`probe` (the MPI-style name)."""
+    ):
+        """Deprecated alias for :meth:`probe_g` (the MPI-style name)."""
         warnings.warn(
-            "RankContext.probe_block is deprecated; use RankContext.probe",
+            "RankContext.probe_block is deprecated; use RankContext.probe_g",
             DeprecationWarning,
             stacklevel=2,
         )
-        self.probe(source, tag, deadline=deadline)
+        return self.probe_g(source, tag, deadline=deadline)
 
     def pending_message_count(self) -> int:
         """Messages queued for this rank (arrived or still in flight)."""
@@ -828,55 +767,27 @@ class RankContext:
     # ------------------------------------------------------------------
     # classic collectives on COMM_WORLD (scope 0)
     # ------------------------------------------------------------------
-    def barrier(self) -> None:
-        self._full_collective("barrier", None, 0, {})
-
     def barrier_g(self):
         yield from self._full_collective_g("barrier", None, 0, {})
-
-    def allreduce(self, value: Any, op: str = "sum") -> Any:
-        nbytes = payload_nbytes(value)
-        return self._full_collective("allreduce", value, nbytes, {"op": op})
 
     def allreduce_g(self, value: Any, op: str = "sum"):
         nbytes = payload_nbytes(value)
         return (yield from self._full_collective_g(
             "allreduce", value, nbytes, {"op": op}))
 
-    def bcast(self, value: Any, root: int = 0) -> Any:
-        nbytes = payload_nbytes(value)
-        return self._full_collective("bcast", value, nbytes, {"root": root})
-
     def bcast_g(self, value: Any, root: int = 0):
         nbytes = payload_nbytes(value)
         return (yield from self._full_collective_g(
             "bcast", value, nbytes, {"root": root}))
-
-    def gather(self, value: Any, root: int = 0) -> list[Any] | None:
-        nbytes = payload_nbytes(value)
-        return self._full_collective("gather", value, nbytes, {"root": root})
 
     def gather_g(self, value: Any, root: int = 0):
         nbytes = payload_nbytes(value)
         return (yield from self._full_collective_g(
             "gather", value, nbytes, {"root": root}))
 
-    def allgather(self, value: Any) -> list[Any]:
-        nbytes = payload_nbytes(value)
-        return self._full_collective("allgather", value, nbytes, {})
-
     def allgather_g(self, value: Any):
         nbytes = payload_nbytes(value)
         return (yield from self._full_collective_g("allgather", value, nbytes, {}))
-
-    def alltoall(self, items: Sequence[Any], nbytes_per_pair: int | None = None) -> list[Any]:
-        if len(items) != self.nprocs:
-            raise ValueError(f"alltoall needs {self.nprocs} items, got {len(items)}")
-        if nbytes_per_pair is None:
-            nbytes_per_pair = max((payload_nbytes(x) for x in items), default=8)
-        return self._full_collective(
-            "alltoall", list(items), int(nbytes_per_pair), {"nbytes_per_pair": nbytes_per_pair}
-        )
 
     def alltoall_g(self, items: Sequence[Any], nbytes_per_pair: int | None = None):
         if len(items) != self.nprocs:
@@ -886,10 +797,6 @@ class RankContext:
         return (yield from self._full_collective_g(
             "alltoall", list(items), int(nbytes_per_pair),
             {"nbytes_per_pair": nbytes_per_pair}))
-
-    def _full_collective(self, kind: str, data: Any, nbytes: int, params: dict) -> Any:
-        """Plain wrapper for :meth:`_full_collective_g` (threaded engine)."""
-        return run_inline(self._full_collective_g(kind, data, nbytes, params))
 
     def _full_collective_g(self, kind: str, data: Any, nbytes: int, params: dict):
         eng = self._engine
@@ -940,10 +847,6 @@ class RankContext:
             eng.coll_ops().pop(key, None)
         return result
 
-    def _block_crash_aware(self, op, label: str) -> None:
-        """Plain wrapper for :meth:`_block_crash_aware_g` (threaded engine)."""
-        run_inline(self._block_crash_aware_g(op, label))
-
     def _block_crash_aware_g(self, op, label: str):
         """Wait on a full collective under a crash plan.
 
@@ -976,12 +879,6 @@ class RankContext:
     # ------------------------------------------------------------------
     # survivor agreement / recovery (ULFM shrink-and-rebuild analogue)
     # ------------------------------------------------------------------
-    def agree(self, value: Any, op: str = "sum", *, epoch: Sequence[int] = (),
-              kind: str = "agree", label: str = "") -> Any:
-        """Plain wrapper for :meth:`agree_g` (threaded engine)."""
-        return run_inline(self.agree_g(value, op, epoch=epoch, kind=kind,
-                                       label=label))
-
     def agree_g(self, value: Any, op: str = "sum", *, epoch: Sequence[int] = (),
                 kind: str = "agree", label: str = ""):
         """Deterministic survivor agreement (``MPIX_Comm_agree`` analogue).
@@ -1053,22 +950,18 @@ class RankContext:
             eng.coll_ops().pop(key, None)
         return result
 
-    def agree_gather(self, value: Any, *, epoch: Sequence[int] = (),
-                     label: str = "") -> dict[int, Any]:
-        """Survivor agreement that gathers ``{rank: value}`` over entrants."""
-        return self.agree(value, epoch=epoch, kind="agree_gather", label=label)
-
     def agree_gather_g(self, value: Any, *, epoch: Sequence[int] = (),
                        label: str = ""):
+        """Survivor agreement that gathers ``{rank: value}`` over entrants."""
         return (yield from self.agree_g(value, epoch=epoch,
                                         kind="agree_gather", label=label))
 
-    def shrink_rebuild_topology(
+    def shrink_rebuild_topology_g(
         self, neighbors: Sequence[int], *, epoch: Sequence[int] = ()
-    ) -> DistGraphTopology:
+    ):
         """Rebuild a distributed graph topology over the survivors.
 
-        Survivor-agreement analogue of :meth:`dist_graph_create_adjacent`:
+        Survivor-agreement analogue of :meth:`dist_graph_create_adjacent_g`:
         the neighbor-list exchange runs as an agreement (crashed ranks
         contribute nothing and get empty neighborhoods), and the topology
         scope is keyed by the failure epoch so rebuilt neighborhood
@@ -1076,11 +969,6 @@ class RankContext:
         :class:`RankCrashed` if a rank the agreement skipped is not yet in
         ``epoch`` — the caller must renounce it and retry.
         """
-        return run_inline(self.shrink_rebuild_topology_g(neighbors, epoch=epoch))
-
-    def shrink_rebuild_topology_g(
-        self, neighbors: Sequence[int], *, epoch: Sequence[int] = ()
-    ):
         epoch = tuple(sorted(int(r) for r in epoch))
         my = sorted(set(int(q) for q in neighbors) - set(epoch))
         gathered = yield from self.agree_gather_g(my, epoch=epoch, label="topo")
@@ -1102,29 +990,20 @@ class RankContext:
         """
         self._engine.revoke_scope(topo.scope_id, self.now, int(dead_rank))
 
-    def win_allocate_survivor(
+    def win_allocate_survivor_g(
         self, count: int, dtype=np.int64, fill: int = 0,
         *, epoch: Sequence[int] = (), tag: str = "win",
         charge_memory: bool = True,
-    ) -> Window:
+    ):
         """Survivor-safe RMA window allocation (agreement rendezvous).
 
-        Unlike :meth:`win_allocate` this tolerates participants crashing
+        Unlike :meth:`win_allocate_g` this tolerates participants crashing
         mid-call. The backing store is created once per ``tag`` per engine
         and shared, with every rank's buffer sized from the first
         creator's gathered counts — so a straggler re-entering from a
         larger failure epoch adopts the same store instead of allocating
         a divergent one.
         """
-        return run_inline(self.win_allocate_survivor_g(
-            count, dtype, fill, epoch=epoch, tag=tag,
-            charge_memory=charge_memory))
-
-    def win_allocate_survivor_g(
-        self, count: int, dtype=np.int64, fill: int = 0,
-        *, epoch: Sequence[int] = (), tag: str = "win",
-        charge_memory: bool = True,
-    ):
         dtype = np.dtype(dtype)
         epoch = tuple(sorted(int(r) for r in epoch))
         sizes = yield from self.agree_gather_g(int(count), epoch=epoch,
@@ -1151,16 +1030,13 @@ class RankContext:
     # ------------------------------------------------------------------
     # topology / RMA construction (both collective)
     # ------------------------------------------------------------------
-    def dist_graph_create_adjacent(self, neighbors: Sequence[int]) -> DistGraphTopology:
+    def dist_graph_create_adjacent_g(self, neighbors: Sequence[int]):
         """Create a distributed graph topology (symmetric neighborhoods).
 
         Collective: every rank passes the ranks it shares ghost vertices
         with. Mirrors ``MPI_Dist_graph_create_adjacent`` with
         ``sources == destinations``.
         """
-        return run_inline(self.dist_graph_create_adjacent_g(neighbors))
-
-    def dist_graph_create_adjacent_g(self, neighbors: Sequence[int]):
         my = sorted(set(int(q) for q in neighbors))
         gathered = yield from self.allgather_g(my)
         # Every rank holds the same gathered object, so rank 0's O(E)
@@ -1179,16 +1055,13 @@ class RankContext:
             raise CommMismatchError(*verdict.args)
         return DistGraphTopology(self, verdict, gathered)
 
-    def win_allocate(self, count: int, dtype=np.int64, fill: int = 0) -> Window:
-        """Collectively allocate an RMA window of ``count`` local elements."""
-        return run_inline(self.win_allocate_g(count, dtype, fill))
-
     def win_allocate_g(self, count: int, dtype=np.int64, fill: int = 0):
+        """Collectively allocate an RMA window of ``count`` local elements."""
         dtype = np.dtype(dtype)
         sizes = yield from self.allgather_g(int(count))
         # Rank 0 builds the shared store and broadcasts it (object identity
-        # is shared across rank threads: this is simulator-internal state,
-        # not modelled traffic).
+        # is shared across ranks: this is simulator-internal state, not
+        # modelled traffic).
         store = None
         if self.rank == 0:
             store = _WindowStore(

@@ -1,23 +1,13 @@
 """Deterministic discrete-event engine executing SPMD rank programs.
 
-Each simulated rank runs its target under one of two execution engines —
-``engine="threaded"`` (one real Python thread per rank, parked on an
-``Event``) or ``engine="coroutine"`` (one generator per rank, stepped
-directly by the scheduler) — but ranks never run concurrently either
-way: a sequential scheduler hands a single execution token to the rank
-with the smallest virtual clock, so the whole simulation is a
-conservative discrete-event simulation and is bit-for-bit deterministic
-for a given (program, machine model, seed).
-
-The coroutine engine exists for scale: a thread switch costs
-microseconds and the OS caps usable thread counts in the low thousands,
-while resuming a generator costs well under a microsecond and P=16384
-generators are cheap — the weak-scaling regime of the source paper
-(Fig. 4) is only reachable on the coroutine path. Both engines share
-every scheduling, tracing, fault, and checkpoint decision; only the park
-mechanism differs (block the thread vs ``yield`` a park marker up the
-generator chain), which the engine-differential test matrix proves
-bit-identical.
+Each simulated rank is one generator, stepped directly by the scheduler,
+and ranks never run concurrently: a sequential scheduler hands a single
+execution token to the rank with the smallest virtual clock, so the
+whole simulation is a conservative discrete-event simulation and is
+bit-for-bit deterministic for a given (program, machine model, seed).
+Resuming a generator costs well under a microsecond and P=16384
+generators are cheap, which is what puts the weak-scaling regime of the
+source paper (Fig. 4) within reach.
 
 Safety argument (why probing local queues is exact): the scheduler only
 resumes the rank whose candidate time ``(t, rank_id)`` is minimal over all
@@ -49,19 +39,16 @@ Rank programs interact with the engine only through
 to the scheduler *before* evaluating, which re-establishes the invariant
 even after arbitrarily long local compute bursts.
 
-Under the coroutine engine a rank program is a *generator*: wherever it
-would block it delegates (``yield from``) into the context's ``*_g``
-methods, whose park points yield a private marker that bubbles up the
-``yield from`` chain to the scheduler. The same generator-style program
-runs unchanged under the threaded engine, where the park points block
-the thread instead of yielding (``_thread_main`` detects a generator
-result and drives it inline). See docs/engine_scheduling.md.
+A rank program is a *generator*: wherever it would block it delegates
+(``yield from``) into the context's ``*_g`` methods, whose park points
+yield a private marker that bubbles up the ``yield from`` chain to the
+scheduler. A plain function that never blocks is also a valid target.
+See docs/engine_scheduling.md.
 """
 
 from __future__ import annotations
 
 import pickle
-import threading
 from dataclasses import dataclass, field
 from types import GeneratorType
 from heapq import heappop, heappush
@@ -103,25 +90,27 @@ _CRASHED = "crashed"  # killed by the fault plan at its scheduled time
 _INF = float("inf")
 
 SCHEDULERS = ("heap", "reference")
+#: ``"threaded"`` is an accepted name for the scalar generator engine
+#: (stored request files and ``REPRO_ENGINE=threaded`` shells carry it);
+#: it selects exactly what ``"coroutine"`` selects.
 ENGINES = ("threaded", "coroutine", "vector")
 
-#: Sentinel yielded by the engine's park points under the coroutine
-#: engine. The generator driver rejects anything else surfacing from a
-#: rank program — a stray ``yield`` in user code would otherwise be
-#: silently treated as a park with whatever wake state was left behind.
+#: Sentinel yielded by the engine's park points. The generator driver
+#: rejects anything else surfacing from a rank program — a stray
+#: ``yield`` in user code would otherwise be silently treated as a park
+#: with whatever wake state was left behind.
 _PARK = object()
 
 
 def run_inline(gen):
     """Drive a simulator-call generator to completion without a scheduler.
 
-    The plain (non-``_g``) wrappers across ``mpisim`` use this: under the
-    threaded engine a generator's park points block the calling thread
-    and never yield, so one ``next`` runs it to ``StopIteration`` and the
-    return value is exact. Under the coroutine engine a park *does*
-    yield — reaching one through a plain wrapper means non-generator code
-    tried to block, which cannot be suspended; fail loudly instead of
-    corrupting the schedule.
+    For code that runs off-engine — unit tests of ``MatchingState`` or
+    ``ReliableChannel`` against scripted transports — where a ``*_g``
+    call never reaches a park point, so one ``next`` runs it to
+    ``StopIteration`` and the return value is exact. Reaching a park
+    means non-generator code tried to block, which cannot be suspended;
+    fail loudly instead of corrupting the schedule.
     """
     try:
         next(gen)
@@ -129,10 +118,9 @@ def run_inline(gen):
         return stop.value
     gen.close()
     raise RuntimeError(
-        "blocking simulator call reached a park point through a plain "
-        "(non-generator) wrapper under engine='coroutine'; convert the "
-        "calling code to generator style ('yield from ctx.<op>_g(...)') "
-        "or run with engine='threaded'"
+        "blocking simulator call reached a park point under run_inline; "
+        "convert the calling code to generator style "
+        "('yield from ctx.<op>_g(...)')"
     )
 
 
@@ -147,10 +135,8 @@ class _RankState:
     rank: int
     clock: float = 0.0
     state: str = _NEW
-    thread: threading.Thread | None = None
-    # coroutine engine: this rank's program generator (None once finished)
+    # this rank's program generator (None once finished)
     gen: Any = None
-    event: threading.Event = field(default_factory=threading.Event)
     queue: ReceiveQueue = field(default_factory=ReceiveQueue)
     # blocked-state wait condition:
     wake_potential: Callable[[], float | None] | None = None
@@ -226,18 +212,15 @@ class Engine:
         invalidation) or ``"reference"`` (the original linear scan, kept
         as the executable specification for differential tests).
     engine:
-        ``"threaded"`` (default, one OS thread per rank),
-        ``"coroutine"`` (one generator per rank, stepped directly by the
-        scheduler — required for P in the thousands), or ``"vector"``
-        (coroutine mechanics plus a token-retention guard enabling the
-        fused batched fast paths in :class:`RankContext` — required for
-        P in the tens of thousands). All engines make identical
-        scheduling decisions and produce bit-identical traces, clocks,
-        counters, and checkpoints; the coroutine and vector engines need
-        generator-style rank programs (``yield from ctx.<op>_g(...)``),
-        which also run unchanged under the threaded engine. The vector
-        fast paths disarm automatically under fault plans, profiling,
-        or recovery (exact coroutine behaviour).
+        ``"coroutine"`` (default: one generator per rank, stepped
+        directly by the scheduler; ``"threaded"`` is an accepted alias)
+        or ``"vector"`` (the same plus a token-retention guard enabling
+        the fused batched fast paths in :class:`RankContext` — required
+        for P in the tens of thousands). Both make identical scheduling
+        decisions and produce bit-identical traces, clocks, counters,
+        and checkpoints. The vector fast paths disarm automatically
+        under fault plans, profiling, or recovery (exact coroutine
+        behaviour).
     audit:
         Heap mode only: cross-check every scheduling decision against a
         fresh reference scan (slow; used by the property test suite to
@@ -255,7 +238,7 @@ class Engine:
         profile: bool = False,
         faults: FaultPlan | None = None,
         scheduler: str = "heap",
-        engine: str = "threaded",
+        engine: str = "coroutine",
         audit: bool = False,
         checkpoint: CheckpointConfig | None = None,
         kill_at: float | None = None,
@@ -313,11 +296,10 @@ class Engine:
         self.faults = faults
         self.scheduler = scheduler
         self._use_heap = scheduler == "heap"
+        # Deliberately NOT part of checkpoint snapshots: a cut taken
+        # under one engine must restore (and hash) identically under
+        # the other.
         self.engine = engine
-        # The mode switch every park point branches on. Deliberately NOT
-        # part of checkpoint snapshots: a cut taken under one engine must
-        # restore (and hash) identically under the others.
-        self._threaded = engine == "threaded"
         # Vector engine: coroutine mechanics plus a token-retention
         # guard that lets the running rank batch whole message rounds
         # without bouncing through the scheduler (see yield_ready_g).
@@ -358,7 +340,6 @@ class Engine:
         # advance. None when disabled, so the hot paths pay one branch.
         self.profiler: SpanRecorder | None = SpanRecorder(nprocs) if profile else None
         self._ranks = [_RankState(r) for r in range(nprocs)]
-        self._sched_event = threading.Event()
         self._abort = False
         self._send_seq = 0
         # Per-(src, dst) last delivery time: MPI guarantees non-overtaking
@@ -488,7 +469,8 @@ class Engine:
             else:
                 self._scheduler_loop()
         finally:
-            self._shutdown_threads()
+            self._abort = True
+            self._unwind_ranks()
 
         failed = [rs for rs in self._ranks if rs.state == _FAILED]
         if failed:
@@ -552,7 +534,7 @@ class Engine:
         for rs in self._ranks:
             rsnap = restore["ranks"][rs.rank] if restore is not None else None
             if rsnap is not None and rsnap["status"] != "live":
-                # Finished and crashed ranks need no thread: their final
+                # Finished and crashed ranks need no body: their final
                 # state is already part of the snapshot.
                 rs.clock = rsnap["clock"]
                 rs.nic_out_free = rsnap.get("nic_out_free", 0.0)
@@ -573,18 +555,8 @@ class Engine:
                 rs.rma_outstanding = rsnap["rma_outstanding"]
                 rs.failures_seen = rsnap["failures_seen"]
                 ctx._resume = rsnap
-            if self._threaded:
-                rs.thread = threading.Thread(
-                    target=self._thread_main,
-                    args=(rs, ctx, target, args + extra),
-                    name=f"simrank-{rs.rank}",
-                    daemon=True,
-                )
-                rs.state = _READY
-                rs.thread.start()
-            else:
-                rs.gen = self._gen_main(rs, ctx, target, args + extra)
-                rs.state = _READY
+            rs.gen = self._gen_main(rs, ctx, target, args + extra)
+            rs.state = _READY
 
         if restore is not None:
             # Ranks recorded at a safepoint wait (e.g. a probe) were
@@ -592,7 +564,7 @@ class Engine:
             # back in that park before any scheduling decision: the next
             # cut can be due before their candidate time, and the
             # uninterrupted run assembles it while they sit blocked. The
-            # path from thread start to the re-issued park charges no
+            # path from generator start to the re-issued park charges no
             # virtual time and emits no trace, so running it eagerly (in
             # rank order) is invisible to the replayed schedule.
             for rs in self._ranks:
@@ -604,38 +576,12 @@ class Engine:
                     self._switch_to(rs)
 
     # ------------------------------------------------------------------
-    # rank bodies (threaded: one per thread; coroutine: one generator)
+    # rank bodies (one generator per rank)
     # ------------------------------------------------------------------
-    def _thread_main(self, rs: _RankState, ctx, target, args) -> None:
-        # Wait for the scheduler to hand us the token the first time.
-        rs.event.wait()
-        rs.event.clear()
-        if self._abort:
-            rs.state = _FAILED if rs.error else _DONE
-            self._sched_event.set()
-            return
-        try:
-            res = target(ctx, *args)
-            if isinstance(res, GeneratorType):
-                # Generator-style program under the threaded engine: its
-                # park points block this thread inside the generator's own
-                # frame, so driving it here never observes a yield.
-                res = run_inline(res)
-            rs.result = res
-            rs.state = _DONE
-        except SimAbort:
-            if rs.state not in (_FAILED, _CRASHED):
-                rs.state = _DONE
-        except BaseException as exc:  # noqa: BLE001 - report any rank failure
-            rs.error = exc
-            rs.state = _FAILED
-        finally:
-            self._sched_event.set()
-
     def _gen_main(self, rs: _RankState, ctx, target, args):
-        """Coroutine-mode rank body: :meth:`_thread_main`'s exception
-        envelope as a generator. Park markers from the program's
-        ``yield from`` chain pass straight through to the driver."""
+        """Rank body: the exception envelope around one rank program.
+        Park markers from the program's ``yield from`` chain pass
+        straight through to the driver in :meth:`_switch_to`."""
         try:
             res = target(ctx, *args)
             if isinstance(res, GeneratorType):
@@ -654,32 +600,24 @@ class Engine:
             rs.error = exc
             rs.state = _FAILED
 
-    def _shutdown_threads(self) -> None:
-        self._abort = True
-        if not self._threaded:
-            # Unwind every still-suspended rank generator exactly as the
-            # threaded engine unwinds parked threads: SimAbort at the park
-            # point, absorbed by the _gen_main envelope.
-            for rs in self._ranks:
-                gen, rs.gen = rs.gen, None
-                if gen is None:
-                    continue
-                try:
-                    gen.throw(SimAbort)
-                except StopIteration:
-                    pass
-                except SimAbort:
-                    # Never-started generator: the throw propagates without
-                    # running the envelope; mirror _thread_main's abort path.
-                    if rs.state not in (_FAILED, _CRASHED):
-                        rs.state = _DONE
-            return
+    def _unwind_ranks(self) -> None:
+        """Unwind every still-suspended rank generator: SimAbort at the
+        park point, absorbed by the :meth:`_gen_main` envelope. Shared by
+        the end of :meth:`run` and the recovery controller, which
+        relaunches the slots from a restored cut afterwards."""
         for rs in self._ranks:
-            if rs.thread and rs.thread.is_alive():
-                rs.event.set()
-        for rs in self._ranks:
-            if rs.thread:
-                rs.thread.join(timeout=5.0)
+            gen, rs.gen = rs.gen, None
+            if gen is None:
+                continue
+            try:
+                gen.throw(SimAbort)
+            except StopIteration:
+                pass
+            except SimAbort:
+                # Never-started generator: the throw propagates without
+                # running the envelope.
+                if rs.state not in (_FAILED, _CRASHED):
+                    rs.state = _DONE
 
     # ------------------------------------------------------------------
     # scheduler (reference implementation: full scan per decision)
@@ -902,14 +840,9 @@ class Engine:
         # rank's competitors; it is re-armed lazily by the new token
         # holder's first fast-path minimality check (yield_ready_g).
         self._guard = None
-        if self._threaded:
-            self._sched_event.clear()
-            rs.event.set()
-            self._sched_event.wait()
-            return
-        # Coroutine engine: step the rank's generator until its next park
-        # (it yields the park marker) or its completion (the _gen_main
-        # envelope has already recorded result/error and final state).
+        # Step the rank's generator until its next park (it yields the
+        # park marker) or its completion (the _gen_main envelope has
+        # already recorded result/error and final state).
         gen = rs.gen
         try:
             yielded = next(gen)
@@ -1200,34 +1133,6 @@ class Engine:
         stats["rollback_vtime"] += tc - snap.vtime
         stats["recovery_latency"].append(delta)
 
-    def _unwind_ranks(self) -> None:
-        """Unwind every still-suspended rank body (threads or generators)
-        so the slots can be relaunched from a restored cut. Unlike
-        :meth:`_shutdown_threads` this leaves the engine runnable: the
-        abort flag is reset and the scheduler event cleared."""
-        if self._threaded:
-            self._abort = True
-            for rs in self._ranks:
-                if rs.thread and rs.thread.is_alive():
-                    rs.event.set()
-            for rs in self._ranks:
-                if rs.thread:
-                    rs.thread.join(timeout=5.0)
-                    rs.thread = None
-            self._abort = False
-            self._sched_event.clear()
-        else:
-            for rs in self._ranks:
-                gen, rs.gen = rs.gen, None
-                if gen is None:
-                    continue
-                try:
-                    gen.throw(SimAbort)
-                except StopIteration:
-                    pass
-                except SimAbort:
-                    pass
-
     def register_checkpoint_provider(self, rank: int, fn: Callable[[], Any]) -> None:
         """Register the application-state capture hook for ``rank``.
 
@@ -1236,10 +1141,6 @@ class Engine:
         blob comes back as ``ctx.resume_app_state()`` after a restore.
         """
         self._ckpt_providers[rank] = fn
-
-    def checkpoint_tick(self, rank: int) -> None:
-        """Plain wrapper for :meth:`checkpoint_tick_g` (threaded engine)."""
-        run_inline(self.checkpoint_tick_g(rank))
 
     def checkpoint_tick_g(self, rank: int):
         """Rank-side checkpoint boundary for collective-style backends.
@@ -1265,7 +1166,9 @@ class Engine:
             # Invalidate any stale heap entry for this rank: a tick park
             # must only be released by the checkpoint assembly itself.
             rs.heap_ver += 1
-        yield from self._park_g(rs)
+        yield _PARK
+        if self._abort:
+            raise SimAbort()
         rs.state = _RUNNING
         rs.ckpt_tick = False
         rs.describe = ""
@@ -1315,8 +1218,8 @@ class Engine:
     def _crash_rank(self, rs: _RankState, tc: float) -> None:
         """Kill ``rs`` at virtual time ``tc`` (scheduler side).
 
-        The rank's thread stays parked; it is unwound via SimAbort during
-        shutdown. Its final clock is the crash time, so a crashed rank
+        The rank's generator stays parked; it is unwound via SimAbort
+        during shutdown. Its final clock is the crash time, so a crashed rank
         contributes exactly ``tc`` to the makespan.
         """
         # The kill can be detected after the rank's clock already ran past
@@ -1339,9 +1242,9 @@ class Engine:
             )
 
     def _check_self_crash(self, rank: int) -> None:
-        """Called from rank threads at every communication yield point:
+        """Called from rank programs at every communication yield point:
         if this rank's clock has reached its scheduled crash time, it dies
-        here (unwinding the thread) instead of issuing the operation."""
+        here (unwinding the generator) instead of issuing the operation."""
         tc = self._scheduled_crash(rank)
         if tc is None:
             return
@@ -1440,7 +1343,7 @@ class Engine:
 
         The first caller's ``factory`` builds the object; later callers
         (possibly arriving from a larger failure epoch) adopt it. Safe
-        because rank threads run strictly sequentially.
+        because ranks run strictly sequentially.
         """
         obj = self._shared_objects.get(key)
         if obj is None:
@@ -1509,38 +1412,8 @@ class Engine:
         return out
 
     # ------------------------------------------------------------------
-    # rank-side yield primitives (called from rank threads / generators)
+    # rank-side yield primitives (called from rank generators)
     # ------------------------------------------------------------------
-    def _park(self, rs: _RankState) -> None:
-        """Threaded park: give the token back to the scheduler; return
-        when resumed."""
-        self._sched_event.set()
-        rs.event.wait()
-        rs.event.clear()
-        if self._abort:
-            raise SimAbort()
-
-    def _park_g(self, rs: _RankState):
-        """Mode-branched park, written once for both engines.
-
-        Threaded: block the rank's thread (never yields, so the whole
-        surrounding generator chain can be exhausted inline). Coroutine:
-        yield the park marker, which bubbles up the ``yield from`` chain
-        to the scheduler's generator driver; resuming the generator is
-        the token hand-back. Every parking primitive routes through here,
-        so both engines park and resume under identical conditions.
-        """
-        if self._threaded:
-            self._park(rs)
-            return
-        yield _PARK
-        if self._abort:
-            raise SimAbort()
-
-    def yield_ready(self, rank: int) -> None:
-        """Plain wrapper for :meth:`yield_ready_g` (threaded engine)."""
-        run_inline(self.yield_ready_g(rank))
-
     def yield_ready_g(self, rank: int):
         """Yield the token; resume when this rank is next in clock order.
 
@@ -1592,23 +1465,10 @@ class Engine:
         rs.state = _READY
         if self._use_heap:
             self._push_candidate(rs)
-        yield from self._park_g(rs)
+        yield _PARK
+        if self._abort:
+            raise SimAbort()
         rs.state = _RUNNING
-
-    def block_on(
-        self,
-        rank: int,
-        wake_potential: Callable[[], float | None],
-        describe: str,
-        wait_phase: str = "wait",
-        safepoint: tuple | None = None,
-        force_park: bool = False,
-    ) -> None:
-        """Plain wrapper for :meth:`block_on_g` (threaded engine)."""
-        run_inline(
-            self.block_on_g(rank, wake_potential, describe, wait_phase,
-                            safepoint, force_park)
-        )
 
     def block_on_g(
         self,
@@ -1658,13 +1518,15 @@ class Engine:
         rs.safepoint = safepoint
         if self._use_heap:
             self._push_candidate(rs)
-        yield from self._park_g(rs)
+        yield _PARK
+        if self._abort:
+            raise SimAbort()
         rs.state = _RUNNING
         rs.safepoint = None
         rs.describe = ""
 
     # ------------------------------------------------------------------
-    # cost charging (called from rank threads holding the token)
+    # cost charging (called from the rank holding the token)
     # ------------------------------------------------------------------
     def _tick(self, n: int = 1) -> None:
         self._op_count += n

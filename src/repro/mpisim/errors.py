@@ -61,7 +61,7 @@ class RankFailure(SimError):
 
 
 class SimAbort(BaseException):
-    """Internal: injected into parked rank threads to unwind them on abort.
+    """Internal: thrown into parked rank generators to unwind them on abort.
 
     Derives from BaseException so user-level ``except Exception`` handlers
     inside rank targets cannot swallow it.

@@ -12,18 +12,12 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.mpisim.collectives import get_or_create_neighborhood
-from repro.mpisim.engine import run_inline
 from repro.mpisim.errors import CommMismatchError, RankCrashed
 
 # Buddy placement for diskless checkpoint replication is a topology
 # property (a ring overlay on the process graph); the function lives in
 # ``checkpoint`` to avoid an import cycle and is re-exported here.
 from repro.mpisim.checkpoint import buddy_ranks  # noqa: F401
-
-
-def _block_neighborhood(eng, ctx, op, scope_id, epoch_set, label: str) -> None:
-    """Plain wrapper for :func:`_block_neighborhood_g` (threaded engine)."""
-    run_inline(_block_neighborhood_g(eng, ctx, op, scope_id, epoch_set, label))
 
 
 def _block_neighborhood_g(eng, ctx, op, scope_id, epoch_set, label: str):
@@ -86,7 +80,7 @@ class DistGraphTopology:
     """Per-rank handle to a shared distributed graph topology.
 
     Created collectively via
-    :meth:`repro.mpisim.context.RankContext.dist_graph_create_adjacent`;
+    :meth:`repro.mpisim.context.RankContext.dist_graph_create_adjacent_g`;
     every rank passes its neighbor list and the constructor validates that
     the resulting process graph is symmetric.
     """
@@ -131,9 +125,9 @@ class DistGraphTopology:
                     )
 
     # ------------------------------------------------------------------
-    def neighbor_alltoall(
+    def neighbor_alltoall_g(
         self, items: Sequence[Any], nbytes_per_item: int | None = None
-    ) -> list[Any]:
+    ):
         """Exchange one fixed-size item with every neighbor.
 
         ``items`` is aligned with :attr:`neighbors`; the return list is
@@ -145,47 +139,19 @@ class DistGraphTopology:
             )
         if nbytes_per_item is None:
             nbytes_per_item = max((payload_nbytes(x) for x in items), default=8)
-        return self._exchange("neighbor_alltoall", list(items), int(nbytes_per_item))
-
-    def neighbor_alltoall_g(
-        self, items: Sequence[Any], nbytes_per_item: int | None = None
-    ):
-        if len(items) != self.degree:
-            raise ValueError(
-                f"neighbor_alltoall: {len(items)} items for degree {self.degree}"
-            )
-        if nbytes_per_item is None:
-            nbytes_per_item = max((payload_nbytes(x) for x in items), default=8)
         return (yield from self._exchange_g(
             "neighbor_alltoall", list(items), int(nbytes_per_item)))
-
-    def neighbor_alltoallv(
-        self,
-        items: Sequence[Any],
-        nbytes_each: Sequence[int] | None = None,
-    ) -> tuple[list[Any], list[int]]:
-        """Exchange one variable-size item per neighbor.
-
-        Returns ``(received_items, received_nbytes)``, both aligned with
-        :attr:`neighbors`.
-        """
-        if len(items) != self.degree:
-            raise ValueError(
-                f"neighbor_alltoallv: {len(items)} items for degree {self.degree}"
-            )
-        if nbytes_each is None:
-            nbytes_each = [payload_nbytes(x) for x in items]
-        payload = [(x, int(n)) for x, n in zip(items, nbytes_each)]
-        received = self._exchange("neighbor_alltoallv", payload, None)
-        recv_items = [x for x, _ in received]
-        recv_bytes = [n for _, n in received]
-        return recv_items, recv_bytes
 
     def neighbor_alltoallv_g(
         self,
         items: Sequence[Any],
         nbytes_each: Sequence[int] | None = None,
     ):
+        """Exchange one variable-size item per neighbor.
+
+        Returns ``(received_items, received_nbytes)``, both aligned with
+        :attr:`neighbors`.
+        """
         if len(items) != self.degree:
             raise ValueError(
                 f"neighbor_alltoallv: {len(items)} items for degree {self.degree}"
@@ -209,7 +175,7 @@ class DistGraphTopology:
         The CPU-side posting cost (per active lane) is charged immediately
         at issue; the wire time (latency walk + payload) proceeds "in the
         background" and is only waited for — and therefore potentially
-        hidden behind local computation — at :meth:`PendingNeighborExchange.wait`.
+        hidden behind local computation — at :meth:`PendingNeighborExchange.wait_g`.
         """
         if len(items) != self.degree:
             raise ValueError(
@@ -247,9 +213,6 @@ class DistGraphTopology:
         # empty list, drops the token-retention guard.
         eng.notify_ranks(op.enter(rank, eng.clock_of(rank), data, kind, {}))
         return key, op
-
-    def _exchange(self, kind: str, data: list[Any], nbytes_per_item: int | None):
-        return run_inline(self._exchange_g(kind, data, nbytes_per_item))
 
     def _exchange_g(self, kind: str, data: list[Any], nbytes_per_item: int | None):
         ctx = self._ctx
@@ -318,11 +281,8 @@ class PendingNeighborExchange:
         self._issue_time = topo._ctx.now
         self._done = False
 
-    def wait(self) -> tuple[list[Any], list[int]]:
-        """Complete the exchange; returns (items, nbytes) per neighbor."""
-        return run_inline(self.wait_g())
-
     def wait_g(self):
+        """Complete the exchange; returns (items, nbytes) per neighbor."""
         if self._done:
             raise RuntimeError("PendingNeighborExchange.wait() called twice")
         self._done = True

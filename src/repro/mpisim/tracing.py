@@ -279,7 +279,7 @@ class RunProfile:
 class SpanRecorder:
     """Engine-side span collector (one per profiled run).
 
-    Rank threads and the scheduler call :meth:`add` at the three clock
+    Ranks and the scheduler call :meth:`add` at the three clock
     advance sites (compute charge, comm charge, idle advance); the
     context layer annotates waits with cross-rank dependencies via
     :meth:`attach_dep`. All methods are cheap appends — the engine only

@@ -8,7 +8,7 @@ Semantics follow the subset of MPI-3 RMA the paper's implementation uses:
 * ``flush_all`` completes the origin's outstanding operations (passive
   target synchronization, as the paper uses — not fences);
 * the target observes incoming data by *polling its own window*
-  (:meth:`Window.sync_local`), which applies every transfer whose network
+  (:meth:`Window.sync_local_g`), which applies every transfer whose network
   arrival time has passed the target's local clock.
 
 Visibility timing: a put issued at origin time ``t`` becomes visible at
@@ -26,7 +26,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.mpisim.engine import run_inline
 
 
 @dataclass(slots=True)
@@ -65,7 +64,7 @@ class Window:
     # ------------------------------------------------------------------
     @property
     def local(self) -> np.ndarray:
-        """This rank's exposed buffer (call :meth:`sync_local` first to
+        """This rank's exposed buffer (call :meth:`sync_local_g` first to
         apply transfers that have physically arrived)."""
         return self._store.buffers[self.rank]
 
@@ -73,24 +72,13 @@ class Window:
         return int(self._store.buffers[rank].size)
 
     # ------------------------------------------------------------------
-    def put(self, target: int, data: np.ndarray, target_offset: int) -> None:
-        """One-sided write of ``data`` into ``target``'s window region."""
-        self._issue(target, data, target_offset, accumulate=False)
-
     def put_g(self, target: int, data: np.ndarray, target_offset: int):
+        """One-sided write of ``data`` into ``target``'s window region."""
         yield from self._issue_g(target, data, target_offset, accumulate=False)
 
-    def accumulate(self, target: int, data: np.ndarray, target_offset: int) -> None:
-        """One-sided element-wise sum into the target region (MPI_SUM)."""
-        self._issue(target, data, target_offset, accumulate=True)
-
     def accumulate_g(self, target: int, data: np.ndarray, target_offset: int):
+        """One-sided element-wise sum into the target region (MPI_SUM)."""
         yield from self._issue_g(target, data, target_offset, accumulate=True)
-
-    def _issue(
-        self, target: int, data: np.ndarray, target_offset: int, accumulate: bool
-    ) -> None:
-        run_inline(self._issue_g(target, data, target_offset, accumulate))
 
     def _issue_g(
         self, target: int, data: np.ndarray, target_offset: int, accumulate: bool
@@ -152,11 +140,8 @@ class Window:
                         accumulate=accumulate)
 
     # ------------------------------------------------------------------
-    def flush_all(self) -> None:
-        """Complete all outstanding one-sided operations from this origin."""
-        run_inline(self.flush_all_g())
-
     def flush_all_g(self):
+        """Complete all outstanding one-sided operations from this origin."""
         ctx = self._ctx
         eng = ctx._engine
         yield from eng.yield_ready_g(self.rank)
@@ -172,16 +157,13 @@ class Window:
         eng.trace_event(self.rank, "flush", win=self.win_id)
 
     # ------------------------------------------------------------------
-    def sync_local(self) -> int:
+    def sync_local_g(self):
         """Apply every arrived transfer to the local buffer.
 
         Returns the number of transfers applied. Transfers are applied in
         (arrival, issue-seq) order so overlapping writes resolve exactly as
         the network delivered them.
         """
-        return run_inline(self.sync_local_g())
-
-    def sync_local_g(self):
         ctx = self._ctx
         eng = ctx._engine
         yield from eng.yield_ready_g(self.rank)
@@ -205,16 +187,13 @@ class Window:
             del pend[:applied]
         return applied
 
-    def get(self, target: int, target_offset: int, count: int) -> np.ndarray:
+    def get_g(self, target: int, target_offset: int, count: int):
         """One-sided read of the target region (round-trip at the origin).
 
         Reads the region as of this origin's completion time, overlaying
         (without consuming) pending transfers that have arrived by then.
         Concurrent target-local stores are a data race, exactly as in MPI.
         """
-        return run_inline(self.get_g(target, target_offset, count))
-
-    def get_g(self, target: int, target_offset: int, count: int):
         ctx = self._ctx
         eng = ctx._engine
         yield from eng.yield_ready_g(self.rank)

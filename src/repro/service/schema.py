@@ -14,9 +14,9 @@ Design rules:
   tunable must fail loudly, not silently run the default configuration
   and poison the cache under the wrong key;
 * the cache key is a pure function of (graph, nprocs, model, config,
-  code_version) — minus the ``engine`` field, which is proven
-  bit-identical across the threaded/coroutine/vector engines and must
-  therefore *share* cache entries (docs/service.md).
+  code_version) — minus the ``engine`` field: the engines are proven
+  bit-identical and must therefore *share* cache entries
+  (docs/service.md).
 
 Bodies may be JSON or TOML (the same shape); :func:`parse_request` and
 :func:`loads_toml` are the single decoding path for the HTTP server, the
@@ -142,7 +142,7 @@ class WireConfig:
     """
 
     machine: str = "cori-aries"  #: machine-model preset name
-    engine: str | None = None  #: threaded/coroutine/vector; cache-neutral
+    engine: str | None = None  #: coroutine/vector (threaded = coroutine); cache-neutral
     scheduler: str = "heap"
     max_ops: int | None = None
     compute_weight: bool = True

@@ -1,12 +1,16 @@
 """Graph500-style BFS: serial oracle, distributed agreement, validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.bfs import bfs_levels, bfs_parents, run_bfs, validate_bfs_levels
+from repro.bfs.distributed import bfs_rank_main
+from repro.graph.distribution import partition_graph
 from repro.graph.csr import from_edges
 from repro.graph.generators import grid2d_graph, kmer_graph, path_graph, rmat_graph
-from repro.mpisim import zero_latency
+from repro.mpisim import Engine, cori_aries, zero_latency
 
 FAST = zero_latency()
 
@@ -85,3 +89,20 @@ def test_distributed_counters():
     _, res, _ = run_bfs(g, 4, root=0, machine=FAST)
     assert res.counters.p2p.total_messages() > 0
     assert res.makespan > 0
+
+
+def test_golden_pin():
+    # Recorded by the thread-per-rank engine in its last commit (rmat
+    # scale 8, seed 3, P=4, cori-aries); the generator port must
+    # reproduce it to the bit, under both engines.
+    g = rmat_graph(8, seed=3)
+    level, res, rounds = run_bfs(g, 4)
+    assert res.makespan == 0.0001563574999999999
+    assert rounds == 4
+    assert res.counters.p2p.total_messages() == 38
+    assert hashlib.sha256(level.tobytes()).hexdigest()[:16] == "1b4287eb7722ae73"
+    vec = Engine(4, cori_aries(), engine="vector").run(
+        bfs_rank_main, args=(partition_graph(g, 4), 0))
+    assert vec.makespan == res.makespan
+    assert vec.total_ops == res.total_ops
+    assert vec.counters.p2p.total_messages() == 38

@@ -9,6 +9,8 @@ from repro.cc import (
     run_cc,
     validate_components,
 )
+from repro.cc.distributed import cc_rank_main
+from repro.graph.distribution import partition_graph
 from repro.graph.csr import from_edges
 from repro.graph.generators import (
     grid2d_graph,
@@ -17,7 +19,7 @@ from repro.graph.generators import (
     rgg_graph,
     rmat_graph,
 )
-from repro.mpisim import zero_latency
+from repro.mpisim import Engine, cori_aries, zero_latency
 
 FAST = zero_latency()
 
@@ -101,3 +103,21 @@ def test_deterministic():
     b = run_cc(g, 4, "nsr", machine=FAST)
     assert np.array_equal(a.labels, b.labels)
     assert a.makespan == b.makespan
+
+
+# model -> (makespan, rounds, components): recorded by the thread-per-rank
+# engine in its last commit (rmat scale 8, seed 3, P=4, cori-aries).
+GOLDEN = {
+    "nsr": (0.0007476800000000002, 3, 14),
+    "ncl": (0.00046302079999999867, 3, 14),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN))
+def test_golden_pins(model):
+    g = rmat_graph(8, seed=3)
+    res = run_cc(g, 4, model)
+    assert (res.makespan, res.rounds, res.num_components) == GOLDEN[model]
+    vec = Engine(4, cori_aries(), engine="vector").run(
+        cc_rank_main, args=(partition_graph(g, 4), model))
+    assert vec.makespan == res.makespan

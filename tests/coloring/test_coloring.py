@@ -11,7 +11,9 @@ from repro.coloring import (
     num_colors,
     run_coloring,
 )
+from repro.coloring.distributed import coloring_rank_main
 from repro.graph.csr import from_edges
+from repro.graph.distribution import partition_graph
 from repro.graph.generators import (
     complete_graph,
     grid2d_graph,
@@ -20,7 +22,7 @@ from repro.graph.generators import (
     rmat_graph,
     star_graph,
 )
-from repro.mpisim import zero_latency
+from repro.mpisim import Engine, cori_aries, zero_latency
 
 FAST = zero_latency()
 
@@ -136,3 +138,22 @@ def test_conflict_loser_is_deterministic():
     g = from_edges(4, [0, 1, 2], [1, 2, 3])  # path over 2 ranks of 2
     r = run_coloring(g, 2, "ncl", machine=FAST)
     check_coloring_valid(g, r.colors)
+
+
+# model -> (makespan, rounds, colours): recorded by the thread-per-rank
+# engine in its last commit (rmat scale 8, seed 3, P=4, cori-aries).
+GOLDEN = {
+    "nsr": (0.0008494349999999952, 6, 23),
+    "rma": (0.00048018399999999933, 6, 23),
+    "ncl": (0.0004360643999999976, 6, 23),
+}
+
+
+@pytest.mark.parametrize("model", sorted(GOLDEN))
+def test_golden_pins(model):
+    g = rmat_graph(8, seed=3)
+    res = run_coloring(g, 4, model)
+    assert (res.makespan, res.rounds, res.num_colors) == GOLDEN[model]
+    vec = Engine(4, cori_aries(), engine="vector").run(
+        coloring_rank_main, args=(partition_graph(g, 4), model))
+    assert vec.makespan == res.makespan

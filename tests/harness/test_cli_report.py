@@ -43,6 +43,25 @@ def test_cli_match_rejects_unknown_model():
         main(["match", "rmat-s10", "-m", "smoke-signals"])
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["match", "no-such-graph"], "dataset"),
+        (["profile", "no-such-graph"], "dataset"),
+        (["chaos", "no-such-graph"], "dataset"),
+        (["run", "no-such-graph"], "experiment"),
+    ],
+    ids=["match", "profile", "chaos", "run"],
+)
+def test_cli_unknown_name_is_one_line_not_a_traceback(argv, kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"unknown {kind} 'no-such-graph'; have [")
+    assert err.count("\n") == 1
+
+
 def test_paper_claims_cover_all_experiments():
     """Every registered experiment must have a paper-claim entry for the
     EXPERIMENTS.md report."""

@@ -21,6 +21,32 @@ def test_fig1_invariants(fig1):
     assert "prefix sums" in fig1.text
 
 
+@pytest.mark.parametrize("engine", ["coroutine", "vector"])
+def test_fig1_layout_pin(engine):
+    # Rank 0's layout and the makespan as the thread-per-rank engine
+    # recorded them in its last commit (rmat scale 7, seed 3, P=4).
+    from repro.graph.distribution import partition_graph
+    from repro.graph.generators import rmat_graph
+    from repro.harness.experiments.fig01 import _layout_rank_main
+    from repro.mpisim import Engine, zero_latency
+
+    parts = partition_graph(rmat_graph(7, seed=3), 4)
+    res = Engine(4, zero_latency(), engine=engine).run(
+        _layout_rank_main, args=(parts,))
+    assert res.makespan == 1.71645e-08
+    assert res.rank_results[0] == {
+        "neighbors": [1, 2, 3],
+        "caps": [204, 294, 140],
+        "starts": [0, 612, 1494],
+        "window_elems": 1914,
+        "remote_base": [0, 0, 0],
+        "ghosts": {1: 102, 2: 147, 3: 70},
+    }
+    assert [lay["remote_base"] for lay in res.rank_results[1:]] == [
+        [0, 882, 420], [612, 612, 972], [1494, 1380, 1650],
+    ]
+
+
 def test_fig7_bandwidth_reduction():
     out = run_experiment("fig7")
     for name in ("cage15", "hv15r"):

@@ -22,13 +22,17 @@ from repro.graph.generators import rmat_graph
 from repro.matching import run_matching, RunConfig
 from repro.mpisim.machine import cori_aries
 
-# model -> (makespan, weight, matched edges, iterations)
+# model -> (makespan, weight, matched edges, iterations,
+#           heap-scheduler switches, total ops, total messages)
+# The last three columns were recorded by the thread-per-rank engine in
+# its final commit, so the generator engines are held to every
+# scheduling decision it made, not only to the clocks.
 GOLDEN = {
-    "nsr": (0.0011927654999999962, 33.23161028286712, 40, 51),
-    "rma": (0.00040368000000000055, 33.23161028286712, 40, 8),
-    "ncl": (0.0003901130000000003, 33.23161028286712, 40, 8),
-    "mbp": (0.002519747499999989, 33.23161028286712, 40, 6),
-    "nsr-agg": (0.0002336318000000013, 33.23161028286712, 40, 32),
+    "nsr": (0.0011927654999999962, 33.23161028286712, 40, 51, 2073, 3583, 867),
+    "rma": (0.00040368000000000055, 33.23161028286712, 40, 8, 916, 2190, 1127),
+    "ncl": (0.0003901130000000003, 33.23161028286712, 40, 8, 108, 104, 192),
+    "mbp": (0.002519747499999989, 33.23161028286712, 40, 6, 1780, 4184, 1036),
+    "nsr-agg": (0.0002336318000000013, 33.23161028286712, 40, 32, 211, 488, 60),
 }
 
 
@@ -41,10 +45,10 @@ def graph():
 @pytest.mark.parametrize("model", sorted(GOLDEN))
 @pytest.mark.parametrize("scheduler", ["heap", "reference"])
 def test_golden_pins(graph, model, scheduler, engine):
-    # The coroutine and vector engines must hit the very same pins the
-    # threaded engine recorded: the constants are engine-independent by
-    # contract (the vector engine's batching is scheduling-invisible).
-    makespan, weight, edges, iters = GOLDEN[model]
+    # Every engine name must hit the very same pins: the constants are
+    # engine-independent by contract (the vector engine's batching is
+    # scheduling-invisible; "threaded" is an alias of "coroutine").
+    makespan, weight, edges, iters, switches, ops, messages = GOLDEN[model]
     res = run_matching(
         graph, 4, model,
         config=RunConfig(machine=cori_aries(), scheduler=scheduler,
@@ -54,6 +58,11 @@ def test_golden_pins(graph, model, scheduler, engine):
     assert res.weight == weight
     assert res.num_matched_edges == edges
     assert res.iterations == iters
+    assert res.engine.total_ops == ops
+    assert res.total_messages() == messages
+    if scheduler == "heap":
+        # the reference scan takes different keep-running shortcuts
+        assert res.engine.scheduler_switches == switches
 
 
 def test_all_backends_agree_on_weight(graph):
@@ -64,16 +73,13 @@ def test_all_backends_agree_on_weight(graph):
 
 
 # ----------------------------------------------------------------------
-# weak-scaling pins: P=1024..16384, generator engines only
+# weak-scaling pins: P=1024..16384
 # ----------------------------------------------------------------------
 # Weak scaling in the Fig. 4 sense: the per-rank problem is held fixed
 # (R-MAT scale 13 over 1024 ranks, 14 over 4096, 15 over 16384 — eight
-# vertices per rank) while P quadruples. These run ONLY under the
-# generator engines; the threaded engine would need one OS thread per
-# rank and minutes of pure context-switch overhead, which is exactly the
-# wall those engines remove. The vector engine must reproduce the
-# coroutine engine's pins exactly (its batching is scheduling-invisible);
-# P=16384 is vector-only — the scalar coroutine engine takes tens of
+# vertices per rank) while P quadruples. The vector engine must
+# reproduce the coroutine engine's pins exactly (its batching is
+# scheduling-invisible); P=16384 is vector-only — the scalar coroutine engine takes tens of
 # minutes there, the vector engine a few. Deselected by default via the
 # `scale` marker — CI's scale-smoke job and `pytest -m scale` opt in.
 #

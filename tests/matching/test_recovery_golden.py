@@ -3,7 +3,7 @@
 The contract (docs/fault_model.md, "Recovery"): with ``spares > 0`` a
 matching run survives rank crashes — including continuous Poisson churn
 — and still produces **bit-identical mate and weight** to the fault-free
-run, on every fault-capable backend and under both execution engines.
+run, on every fault-capable backend and under every engine name.
 Matching is confluent: recovery shifts the schedule (rollback, recovery
 charges, replication traffic), which moves the makespan but can never
 move the matching. ``WEIGHT_PIN`` keeps the reference from drifting
@@ -26,6 +26,8 @@ from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import FaultPlan, PartitionWindow
 
 BACKENDS = ["nsr", "nsr-agg", "rma", "ncl"]
+# "threaded" is an accepted alias of "coroutine"; it stays a leg so the
+# alias is held to the same pins.
 ENGINES = ["threaded", "coroutine"]
 
 # Same reference instance as tests/matching/test_restart.py: rmat scale
@@ -53,21 +55,20 @@ def graph():
 
 @pytest.fixture(scope="module")
 def clean(graph):
-    """Fault-free checkpointed reference per backend (threaded)."""
+    """Fault-free checkpointed reference per backend."""
     out = {}
     for b in BACKENDS:
         out[b] = run_matching(
             g=graph, nprocs=4, model=b,
             config=RunConfig(
                 checkpoint=CheckpointConfig(interval=INTERVAL[b]),
-                engine="threaded",
             ),
         )
         assert out[b].weight == WEIGHT_PIN
     return out
 
 
-def recovered_run(graph, backend, faults, engine="threaded", spares=4,
+def recovered_run(graph, backend, faults, engine="coroutine", spares=4,
                   replicas=2, interval=None):
     return run_matching(
         g=graph, nprocs=4, model=backend,
@@ -119,12 +120,12 @@ class TestEpochBoundaryCrash:
                 graph, "ncl", FaultPlan(crashes={1: 3 * INTERVAL["ncl"]}),
                 engine=e,
             )
-            for e in ENGINES
+            for e in ("coroutine", "vector")
         }
-        th, co = runs["threaded"], runs["coroutine"]
-        assert th.makespan == co.makespan
-        assert th.recovery == co.recovery
-        assert np.array_equal(th.mate, co.mate)
+        co, ve = runs["coroutine"], runs["vector"]
+        assert co.makespan == ve.makespan
+        assert co.recovery == ve.recovery
+        assert np.array_equal(co.mate, ve.mate)
 
 
 class TestChurn:
@@ -149,12 +150,12 @@ class TestChurn:
         )
         runs = {
             e: recovered_run(graph, backend, plan, spares=24, engine=e)
-            for e in ENGINES
+            for e in ("coroutine", "vector")
         }
-        th, co = runs["threaded"], runs["coroutine"]
-        assert th.makespan == co.makespan
-        assert th.recovery == co.recovery
-        assert np.array_equal(th.mate, co.mate)
+        co, ve = runs["coroutine"], runs["vector"]
+        assert co.makespan == ve.makespan
+        assert co.recovery == ve.recovery
+        assert np.array_equal(co.mate, ve.mate)
 
 
 class TestRestoreUnderFaults:

@@ -19,17 +19,17 @@ class TestDuplicateAck:
         def prog(ctx):
             chan = ReliableChannel(ctx)
             if ctx.rank == 0:
-                chan.send(1, 5, "payload", nbytes=24)
+                yield from chan.send_g(1, 5, "payload", nbytes=24)
                 ctx.compute(seconds=1e-3)  # let DATA + both ACKs arrive
                 got = []
-                chan.poll(lambda s, t, p: got.append((s, t, p)))
+                yield from chan.poll_g(lambda s, t, p: got.append((s, t, p)))
                 return (chan.idle(), chan.unacked_count(), got)
             # Rank 1: deliver the DATA (poll acks it), then ack it AGAIN
             # by hand — modelling an ack whose original was presumed lost.
             ctx.compute(seconds=2e-4)
             got = []
-            chan.poll(lambda s, t, p: got.append((s, t, p)))
-            ctx.isend(0, 0, tag=TAG_ACK, nbytes=ACK_BYTES)  # duplicate ack
+            yield from chan.poll_g(lambda s, t, p: got.append((s, t, p)))
+            yield from ctx.isend_g(0, 0, tag=TAG_ACK, nbytes=ACK_BYTES)  # duplicate ack
             return got
 
         res = run_plan(2, prog)
@@ -45,14 +45,14 @@ class TestDuplicateAck:
             chan = ReliableChannel(ctx)
             peer = 1 - ctx.rank
             for i in range(10):
-                chan.send(peer, 1, i, nbytes=24)
+                yield from chan.send_g(peer, 1, i, nbytes=24)
             got = []
             for _ in range(200):
-                chan.poll(lambda s, t, p: got.append(p))
-                chan.service(ctx.now)
+                yield from chan.poll_g(lambda s, t, p: got.append(p))
+                yield from chan.service_g(ctx.now)
                 if len(got) >= 10 and chan.idle():
                     return got
-                ctx.probe(deadline=chan.next_deadline())
+                yield from ctx.probe_g(deadline=chan.next_deadline())
             return ("spun-out", got)
 
         res = run_plan(2, prog, plan)
@@ -71,12 +71,12 @@ class TestAbandonment:
                 ctx.compute(seconds=1e-2)
                 return None
             chan = ReliableChannel(ctx, rto=1e-5, max_retries=3)
-            chan.send(1, 1, "doomed", nbytes=24)
+            yield from chan.send_g(1, 1, "doomed", nbytes=24)
             while not chan.idle():
-                chan.service(ctx.now, may_abandon=may_abandon)
+                yield from chan.service_g(ctx.now, may_abandon=may_abandon)
                 if chan.idle():
                     break
-                ctx.probe(deadline=chan.next_deadline())
+                yield from ctx.probe_g(deadline=chan.next_deadline())
             return (chan.idle(), ctx.counters().abandoned)
 
         return prog
@@ -95,11 +95,11 @@ class TestAbandonment:
                 ctx.compute(seconds=1e-2)
                 return None
             chan = ReliableChannel(ctx, rto=1e-5, max_retries=2)
-            chan.send(1, 1, "doomed", nbytes=24)
+            yield from chan.send_g(1, 1, "doomed", nbytes=24)
             try:
                 while not chan.idle():
-                    chan.service(ctx.now, may_abandon=False)
-                    ctx.probe(deadline=chan.next_deadline())
+                    yield from chan.service_g(ctx.now, may_abandon=False)
+                    yield from ctx.probe_g(deadline=chan.next_deadline())
             except RetryExhausted:
                 return "raised"
             return "silent"
@@ -120,14 +120,14 @@ class TestOnRankFailed:
                 ctx.compute(seconds=1.0)
                 return None
             chan = ReliableChannel(ctx, rto=1e-5, max_retries=50)
-            chan.send(1, 1, "to-the-doomed", nbytes=24)
+            yield from chan.send_g(1, 1, "to-the-doomed", nbytes=24)
             reaped = 0
             while not chan.idle():
                 if 1 in ctx.failed_ranks():
                     reaped = chan.on_rank_failed(1)
                     continue
-                chan.service(ctx.now)
-                ctx.probe(deadline=chan.next_deadline())
+                yield from chan.service_g(ctx.now)
+                yield from ctx.probe_g(deadline=chan.next_deadline())
             retrans = ctx.counters().retransmits
             return (reaped, retrans, chan.idle())
 
@@ -150,12 +150,12 @@ class TestOnRankFailed:
                 ctx.compute(seconds=1.0)
                 return None
             chan = ReliableChannel(ctx, rto=1e-5, max_retries=50)
-            chan.send(1, 1, "to-the-doomed", nbytes=24)
+            yield from chan.send_g(1, 1, "to-the-doomed", nbytes=24)
             while not chan.idle():
-                chan.service(ctx.now)
+                yield from chan.service_g(ctx.now)
                 if chan.idle():
                     break
-                ctx.probe(deadline=chan.next_deadline())
+                yield from ctx.probe_g(deadline=chan.next_deadline())
             return chan.idle()
 
         res = run_plan(2, prog, plan)

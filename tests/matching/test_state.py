@@ -13,6 +13,7 @@ from repro.graph.csr import from_edges
 from repro.graph.distribution import partition_graph
 from repro.matching.contexts import Ctx
 from repro.matching.state import DEAD, FREE, MATCHED, NO_MATE, MatchingState
+from repro.mpisim.engine import run_inline
 
 
 class PushRecorder:
@@ -46,7 +47,7 @@ def test_initial_counters():
 def test_start_sends_request_for_heavy_cross_edge():
     g = cross_pair_graph()
     st, rec = make_state(g, 2, 0)
-    st.start()
+    run_inline(st.start_g())
     # vertex 1's best is ghost 2 (w=5) -> REQUEST to rank 1
     assert (Ctx.REQUEST, 1, 2, 1) in rec.sent
     assert st.awaiting == 1
@@ -56,13 +57,13 @@ def test_start_sends_request_for_heavy_cross_edge():
 def test_crossing_request_matches():
     g = cross_pair_graph()
     st, rec = make_state(g, 2, 0)
-    st.start()
+    run_inline(st.start_g())
     # rank 1's vertex 2 also prefers 1: its REQUEST arrives
-    st.handle(Ctx.REQUEST, 1, 2)
+    run_inline(st.handle_g(Ctx.REQUEST, 1, 2))
     assert st.status[1] == MATCHED
     assert st.mate[1] == 2
     assert st.awaiting == 0
-    st.drain_work()
+    run_inline(st.drain_work_g())
     assert st.locally_done()
     # vertex 0 lost its only neighbor -> becomes DEAD, no message (no ghosts)
     assert st.status[0] == DEAD
@@ -71,23 +72,23 @@ def test_crossing_request_matches():
 def test_reject_triggers_refind():
     g = cross_pair_graph()
     st, rec = make_state(g, 2, 0)
-    st.start()
+    run_inline(st.start_g())
     rec.sent.clear()
-    st.handle(Ctx.REJECT, 1, 2)  # ghost 2 says no
+    run_inline(st.handle_g(Ctx.REJECT, 1, 2))  # ghost 2 says no
     # vertex 1 falls back to local neighbor 0 -> local match
     assert st.status[1] == MATCHED
     assert st.mate[1] == 0
     assert st.mate[0] == 1
     assert st.awaiting == 0
-    st.drain_work()
+    run_inline(st.drain_work_g())
     assert st.locally_done()
 
 
 def test_invalid_resolves_like_reject():
     g = cross_pair_graph()
     st, _ = make_state(g, 2, 0)
-    st.start()
-    st.handle(Ctx.INVALID, 1, 2)
+    run_inline(st.start_g())
+    run_inline(st.handle_g(Ctx.INVALID, 1, 2))
     assert st.mate[1] == 0  # fell back to local match
     assert st.awaiting == 0
 
@@ -98,12 +99,12 @@ def test_deferred_proposal_then_pointer_arrives():
     # craft: 2-3 light, 1-2 heavy: 2 prefers ghost 1 -> sends request.
     g = from_edges(4, [0, 1, 2], [1, 2, 3], [1.0, 5.0, 2.0])
     st, rec = make_state(g, 2, 1)  # owns {2, 3}
-    st.start()
+    run_inline(st.start_g())
     assert (Ctx.REQUEST, 0, 1, 2) in rec.sent
     # crossing request from vertex 1 arrives -> mutual match
-    st.handle(Ctx.REQUEST, 2, 1)
+    run_inline(st.handle_g(Ctx.REQUEST, 2, 1))
     assert st.mate[0] == 1  # local index 0 == global 2
-    st.drain_work()
+    run_inline(st.drain_work_g())
     assert st.locally_done()
 
 
@@ -112,12 +113,12 @@ def test_proposal_parked_until_local_decision():
     g = from_edges(4, [0, 1, 2], [1, 2, 3], [9.0, 5.0, 2.0])
     st, rec = make_state(g, 2, 0)
     # ghost 2 proposes to 1 before rank 0 starts
-    st.handle(Ctx.REQUEST, 1, 2)
+    run_inline(st.handle_g(Ctx.REQUEST, 1, 2))
     assert 2 in st.pending[1]
     assert st.status[1] == FREE
-    st.start()
+    run_inline(st.start_g())
     # 0 and 1 point at each other -> local match; neighbors processed
-    st.drain_work()
+    run_inline(st.drain_work_g())
     assert st.mate[1] == 0
     # the parked proposer got a REJECT
     assert (Ctx.REJECT, 1, 2, 1) in rec.sent
@@ -127,10 +128,10 @@ def test_proposal_parked_until_local_decision():
 def test_eager_reject_variant_rejects_parked_proposal():
     g = from_edges(4, [0, 1, 2], [1, 2, 3], [9.0, 5.0, 2.0])
     st, rec = make_state(g, 2, 0, eager_reject=True)
-    st.start()  # 0-1 match locally, processes neighbors
-    st.drain_work()
+    run_inline(st.start_g())  # 0-1 match locally, processes neighbors
+    run_inline(st.drain_work_g())
     rec.sent.clear()
-    st.handle(Ctx.REQUEST, 1, 2)  # late proposal to a matched vertex
+    run_inline(st.handle_g(Ctx.REQUEST, 1, 2))  # late proposal to a matched vertex
     # pair was already deactivated by PROCESSNEIGHBORS -> no duplicate send
     assert rec.sent == []
 
@@ -140,12 +141,12 @@ def test_request_to_matched_vertex_rejected_once():
     # PROCESSNEIGHBORS has not yet run (work queued).
     g = from_edges(4, [0, 1, 2], [1, 2, 3], [9.0, 5.0, 2.0])
     st, rec = make_state(g, 2, 0)
-    st.start()  # 0-1 matched, work queue holds both
+    run_inline(st.start_g())  # 0-1 matched, work queue holds both
     rec.sent.clear()
-    st.handle(Ctx.REQUEST, 1, 2)  # arrives before drain_work
+    run_inline(st.handle_g(Ctx.REQUEST, 1, 2))  # arrives before drain_work
     assert (Ctx.REJECT, 1, 2, 1) in rec.sent
     rec.sent.clear()
-    st.drain_work()  # must NOT send a second reject for the same pair
+    run_inline(st.drain_work_g())  # must NOT send a second reject for the same pair
     assert all(not (c == Ctx.REJECT and x == 2) for c, _, x, _ in rec.sent)
 
 
@@ -153,17 +154,17 @@ def test_invalidate_broadcasts_to_active_ghosts_only():
     # star: center 2 owned by rank1; leaves 0,1 on rank0, 3 on rank1.
     g = from_edges(4, [2, 2, 2], [0, 1, 3], [5.0, 4.0, 3.0])
     st, rec = make_state(g, 2, 0)  # rank0 owns {0,1}, both only know ghost 2
-    st.start()
+    run_inline(st.start_g())
     # both 0 and 1 request 2 (their only candidate)
     reqs = [s for s in rec.sent if s[0] == Ctx.REQUEST]
     assert len(reqs) == 2
     rec.sent.clear()
     # 2 matches 0 (crossing REQUEST); 1 gets a REJECT, has nothing left
-    st.handle(Ctx.REQUEST, 0, 2)
-    st.handle(Ctx.REJECT, 1, 2)
+    run_inline(st.handle_g(Ctx.REQUEST, 0, 2))
+    run_inline(st.handle_g(Ctx.REJECT, 1, 2))
     assert st.status[0] == MATCHED
     assert st.status[1] == DEAD
-    st.drain_work()
+    run_inline(st.drain_work_g())
     assert st.locally_done()
 
 
@@ -171,15 +172,15 @@ def test_foreign_vertex_rejected():
     g = cross_pair_graph()
     st, _ = make_state(g, 2, 0)
     with pytest.raises(ValueError):
-        st.handle(Ctx.REQUEST, 3, 0)  # vertex 3 belongs to rank 1
+        run_inline(st.handle_g(Ctx.REQUEST, 3, 0))  # vertex 3 belongs to rank 1
 
 
 def test_ack_is_ignored():
     g = cross_pair_graph()
     st, rec = make_state(g, 2, 0)
-    st.start()
+    run_inline(st.start_g())
     before = (st.nghosts, st.awaiting, st.stats.matched_remote)
-    st.handle(Ctx.ACK, 1, 2)
+    run_inline(st.handle_g(Ctx.ACK, 1, 2))
     assert (st.nghosts, st.awaiting, st.stats.matched_remote) == before
 
 

@@ -16,13 +16,16 @@ class TestPersistentRequests:
     def test_send_init_start_delivers(self):
         def prog(ctx):
             if ctx.rank == 0:
-                req = ctx.send_init(1, tag=9)
+                req = yield from ctx.send_init_g(1, tag=9)
                 for i in range(5):
-                    req.start(i, nbytes=24)
+                    yield from req.start_g(i, nbytes=24)
                 assert req.starts == 5
-                req.wait()  # eager: free, never blocks
+                yield from req.wait_g()  # eager: free, never blocks
             else:
-                return [ctx.recv(source=0, tag=9).payload for _ in range(5)]
+                got = []
+                for _ in range(5):
+                    got.append((yield from ctx.recv_g(source=0, tag=9)).payload)
+                return got
 
         res = Engine(2, cori_aries()).run(prog)
         assert res.rank_results[1] == [0, 1, 2, 3, 4]
@@ -36,15 +39,15 @@ class TestPersistentRequests:
             def prog(ctx):
                 if ctx.rank == 0:
                     if persistent:
-                        req = ctx.send_init(1)
+                        req = yield from ctx.send_init_g(1)
                         for i in range(50):
-                            req.start(i, nbytes=24)
+                            yield from req.start_g(i, nbytes=24)
                     else:
                         for i in range(50):
-                            ctx.isend(1, i, nbytes=24)
+                            yield from ctx.isend_g(1, i, nbytes=24)
                     return ctx.now
                 for _ in range(50):
-                    ctx.recv(source=0)
+                    yield from ctx.recv_g(source=0)
 
             return Engine(2, cori_aries()).run(prog).rank_results[0]
 
@@ -54,14 +57,14 @@ class TestPersistentRequests:
         def prog(ctx):
             if ctx.rank == 0:
                 req = ctx.irecv(source=1, tag=3)
-                assert req.test() is None  # nothing sent yet
+                assert (yield from req.test_g()) is None  # nothing sent yet
                 assert not req.complete
-                ctx.recv(source=1, tag=1)  # sync: peer sent tag-3 first
-                msg = req.wait()
-                assert req.complete and req.test() is msg
+                yield from ctx.recv_g(source=1, tag=1)  # sync: peer sent tag-3 first
+                msg = yield from req.wait_g()
+                assert req.complete and (yield from req.test_g()) is msg
                 return msg.payload
-            ctx.isend(0, "payload", tag=3)
-            ctx.isend(0, "go", tag=1)
+            yield from ctx.isend_g(0, "payload", tag=3)
+            yield from ctx.isend_g(0, "go", tag=1)
 
         res = Engine(2, cori_aries()).run(prog)
         assert res.rank_results[0] == "payload"
@@ -70,13 +73,13 @@ class TestPersistentRequests:
         def prog(ctx):
             if ctx.rank == 0:
                 reqs = [ctx.irecv(source=1, tag=t) for t in (1, 2)]
-                send = ctx.send_init(1, tag=5)
-                send.start("x", nbytes=8)
-                done = ctx.waitall(reqs + [send])
+                send = yield from ctx.send_init_g(1, tag=5)
+                yield from send.start_g("x", nbytes=8)
+                done = yield from ctx.waitall_g(reqs + [send])
                 return [m.payload for m in done[:2]]
-            ctx.isend(0, "a", tag=1)
-            ctx.isend(0, "b", tag=2)
-            ctx.recv(source=0, tag=5)
+            yield from ctx.isend_g(0, "a", tag=1)
+            yield from ctx.isend_g(0, "b", tag=2)
+            yield from ctx.recv_g(source=0, tag=5)
 
         res = Engine(2, cori_aries()).run(prog)
         assert res.rank_results[0] == ["a", "b"]
@@ -90,12 +93,13 @@ def agg_pair(sender, *, nprocs=2, machine=None, faults=None, trace=False):
 
     def prog(ctx):
         if ctx.rank == 0:
-            return sender(ctx)
+            return (yield from sender(ctx))
         got = []
         agg = ctx.aggregator()
-        ctx.probe(deadline=ctx.now + 1.0)
-        while ctx.iprobe() is not None:
-            agg.poll(lambda src, tag, payload: got.append((src, tag, payload)))
+        yield from ctx.probe_g(deadline=ctx.now + 1.0)
+        while (yield from ctx.iprobe_g()) is not None:
+            yield from agg.poll_g(
+                lambda src, tag, payload: got.append((src, tag, payload)))
         return got
 
     eng = Engine(nprocs, machine or cori_aries(), faults=faults, trace=trace)
@@ -108,10 +112,10 @@ class TestFlushPolicy:
 
         def sender(ctx):
             agg = ctx.aggregator(flush_count=3)
-            agg.append(1, 0, "a", 24)
-            agg.append(1, 0, "b", 24)
+            yield from agg.append_g(1, 0, "a", 24)
+            yield from agg.append_g(1, 0, "b", 24)
             assert agg.pending_messages() == 2  # below threshold: buffered
-            agg.append(1, 0, "c", 24)
+            yield from agg.append_g(1, 0, "c", 24)
             assert agg.pending_messages() == 0  # reaching it flushed
             assert ctx.counters().agg_batches == 1
             assert ctx.counters().agg_msgs_coalesced == 3
@@ -124,9 +128,9 @@ class TestFlushPolicy:
 
         def sender(ctx):
             agg = ctx.aggregator(flush_bytes=48)
-            agg.append(1, 0, "a", 24)
+            yield from agg.append_g(1, 0, "a", 24)
             assert agg.pending_bytes() == 24
-            agg.append(1, 0, "b", 24)  # lands exactly on the threshold
+            yield from agg.append_g(1, 0, "b", 24)  # lands exactly on the threshold
             assert agg.pending_messages() == 0
             assert ctx.counters().agg_batches == 1
 
@@ -135,8 +139,8 @@ class TestFlushPolicy:
     def test_empty_flush_is_a_noop(self):
         def sender(ctx):
             agg = ctx.aggregator()
-            assert agg.flush(1) == 0
-            assert agg.flush_all() == 0
+            assert (yield from agg.flush_g(1)) == 0
+            assert (yield from agg.flush_all_g()) == 0
             rc = ctx.counters()
             assert rc.agg_batches == 0 and rc.sends == 0
 
@@ -149,6 +153,7 @@ class TestFlushPolicy:
                 ctx.aggregator(flush_bytes=0)
             with pytest.raises(ValueError):
                 ctx.aggregator(flush_count=-1)
+            yield from ()  # agg_pair delegates to a generator
 
         agg_pair(sender)
 
@@ -160,17 +165,17 @@ class TestFlushPolicy:
             if ctx.rank == 0:
                 agg = ctx.aggregator()
                 for i in range(4):
-                    agg.append(2, i, f"to2-{i}", 24)
-                    agg.append(1, i, f"to1-{i}", 24)
-                assert agg.flush_all() == 8
+                    yield from agg.append_g(2, i, f"to2-{i}", 24)
+                    yield from agg.append_g(1, i, f"to1-{i}", 24)
+                assert (yield from agg.flush_all_g()) == 8
                 assert agg.pending_messages() == 0
             else:
                 got = []
                 agg = ctx.aggregator()
                 while len(got) < 4:
-                    agg.poll(lambda s, t, p: got.append((t, p)))
+                    yield from agg.poll_g(lambda s, t, p: got.append((t, p)))
                     if len(got) < 4:
-                        ctx.probe()
+                        yield from ctx.probe_g()
                 return got
 
         res = Engine(3, cori_aries()).run(prog)
@@ -184,8 +189,8 @@ class TestFlushPolicy:
         def sender(ctx):
             agg = ctx.aggregator()
             for i in range(4):
-                agg.append(1, 0, i, 24)
-            agg.flush_all()
+                yield from agg.append_g(1, 0, i, 24)
+            yield from agg.flush_all_g()
             m = ctx.machine
             rc = ctx.counters()
             assert rc.sends == 1
@@ -206,8 +211,8 @@ class TestFlushPolicy:
 
         def sender(ctx):
             agg = ctx.aggregator()
-            agg.append(1, 0, "only", 24)
-            agg.flush_all()
+            yield from agg.append_g(1, 0, "only", 24)
+            yield from agg.flush_all_g()
             assert ctx.counters().agg_bytes_saved == (
                 -ctx.machine.agg_submsg_header_bytes
             )
@@ -227,7 +232,7 @@ class TestCrashHandling:
                 agg = ctx.aggregator()
                 ctx.compute(seconds=1e-3)  # well past crash + detection
                 assert ctx.is_failed(1)
-                agg.append(1, 0, "lost", 24)
+                yield from agg.append_g(1, 0, "lost", 24)
                 rc = ctx.counters()
                 assert agg.pending_messages() == 0  # never buffered
                 assert rc.agg_dropped_dead == 1 and rc.sends == 0
@@ -243,11 +248,11 @@ class TestCrashHandling:
         def prog(ctx):
             if ctx.rank == 0:
                 agg = ctx.aggregator()
-                agg.append(1, 0, "a", 24)  # buffered: crash not detected yet
-                agg.append(1, 0, "b", 24)
+                yield from agg.append_g(1, 0, "a", 24)  # buffered: crash not detected yet
+                yield from agg.append_g(1, 0, "b", 24)
                 assert agg.pending_messages() == 2
                 ctx.compute(seconds=1e-3)
-                assert agg.flush(1) == 0
+                assert (yield from agg.flush_g(1)) == 0
                 rc = ctx.counters()
                 assert rc.agg_dropped_dead == 2
                 assert rc.sends == 0 and rc.agg_batches == 0
@@ -262,7 +267,7 @@ class TestCrashHandling:
         def prog(ctx):
             if ctx.rank == 0:
                 agg = ctx.aggregator()
-                agg.append(1, 0, "a", 24)
+                yield from agg.append_g(1, 0, "a", 24)
                 ctx.compute(seconds=1e-3)
                 assert agg.drop_rank(1) == 1
                 assert agg.drop_rank(1) == 0  # idempotent
@@ -281,13 +286,13 @@ def test_aggregated_run_is_deterministic():
         nxt = (ctx.rank + 1) % ctx.nprocs
         agg = ctx.aggregator(flush_count=4)
         for i in range(10):
-            agg.append(nxt, 0, i, 24)
-        agg.flush_all()
+            yield from agg.append_g(nxt, 0, i, 24)
+        yield from agg.flush_all_g()
         got = []
         while len(got) < 10:
-            agg.poll(lambda s, t, p: got.append(p))
+            yield from agg.poll_g(lambda s, t, p: got.append(p))
             if len(got) < 10:
-                ctx.probe()
+                yield from ctx.probe_g()
         return got
 
     a = Engine(4, cori_aries()).run(prog)
@@ -301,13 +306,13 @@ def test_probe_block_alias_warns_and_works():
 
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, "x")
+            yield from ctx.isend_g(1, "x")
         else:
             with warnings.catch_warnings(record=True) as w:
                 warnings.simplefilter("always")
-                ctx.probe_block()
+                yield from ctx.probe_block()
             caught.extend(w)
-            return ctx.recv(source=0).payload
+            return (yield from ctx.recv_g(source=0)).payload
 
     res = Engine(2, cori_aries()).run(prog)
     assert res.rank_results[1] == "x"

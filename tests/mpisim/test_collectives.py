@@ -18,18 +18,23 @@ def run(p, fn, machine=None):
 
 
 def test_allreduce_sum():
-    res = run(5, lambda ctx: ctx.allreduce(ctx.rank))
+    res = run(5, lambda ctx: ctx.allreduce_g(ctx.rank))
     assert res.rank_results == [10] * 5
 
 
 def test_allreduce_min_max():
-    res = run(4, lambda ctx: (ctx.allreduce(ctx.rank, "min"), ctx.allreduce(ctx.rank, "max")))
+    def prog(ctx):
+        lo = yield from ctx.allreduce_g(ctx.rank, "min")
+        hi = yield from ctx.allreduce_g(ctx.rank, "max")
+        return (lo, hi)
+
+    res = run(4, prog)
     assert res.rank_results == [(0, 3)] * 4
 
 
 def test_allreduce_arrays():
     def prog(ctx):
-        return ctx.allreduce(np.array([ctx.rank, 1.0]))
+        return (yield from ctx.allreduce_g(np.array([ctx.rank, 1.0])))
 
     res = run(3, prog)
     for out in res.rank_results:
@@ -37,23 +42,23 @@ def test_allreduce_arrays():
 
 
 def test_allreduce_logical():
-    res = run(4, lambda ctx: ctx.allreduce(ctx.rank == 2, "lor"))
+    res = run(4, lambda ctx: ctx.allreduce_g(ctx.rank == 2, "lor"))
     assert res.rank_results == [True] * 4
-    res = run(4, lambda ctx: ctx.allreduce(True, "land"))
+    res = run(4, lambda ctx: ctx.allreduce_g(True, "land"))
     assert res.rank_results == [True] * 4
 
 
 def test_bcast():
     def prog(ctx):
         val = "hello" if ctx.rank == 1 else None
-        return ctx.bcast(val, root=1)
+        return (yield from ctx.bcast_g(val, root=1))
 
     assert run(4, prog).rank_results == ["hello"] * 4
 
 
 def test_gather():
     def prog(ctx):
-        return ctx.gather(ctx.rank * 2, root=0)
+        return (yield from ctx.gather_g(ctx.rank * 2, root=0))
 
     res = run(4, prog)
     assert res.rank_results[0] == [0, 2, 4, 6]
@@ -61,14 +66,14 @@ def test_gather():
 
 
 def test_allgather():
-    res = run(3, lambda ctx: ctx.allgather(chr(97 + ctx.rank)))
+    res = run(3, lambda ctx: ctx.allgather_g(chr(97 + ctx.rank)))
     assert res.rank_results == [["a", "b", "c"]] * 3
 
 
 def test_alltoall():
     def prog(ctx):
         items = [f"{ctx.rank}->{q}" for q in range(ctx.nprocs)]
-        return ctx.alltoall(items)
+        return (yield from ctx.alltoall_g(items))
 
     res = run(3, prog)
     assert res.rank_results[1] == ["0->1", "1->1", "2->1"]
@@ -76,7 +81,7 @@ def test_alltoall():
 
 def test_alltoall_wrong_length():
     def prog(ctx):
-        ctx.alltoall([1, 2])  # wrong for p=3
+        yield from ctx.alltoall_g([1, 2])  # wrong for p=3
 
     with pytest.raises(RankFailure):
         run(3, prog)
@@ -85,7 +90,7 @@ def test_alltoall_wrong_length():
 def test_barrier_aligns_clocks():
     def prog(ctx):
         ctx.compute(seconds=float(ctx.rank))
-        ctx.barrier()
+        yield from ctx.barrier_g()
         return ctx.now
 
     res = run(4, prog, machine=cori_aries())
@@ -98,9 +103,9 @@ def test_barrier_aligns_clocks():
 def test_collective_kind_mismatch_raises():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.barrier()
+            yield from ctx.barrier_g()
         else:
-            ctx.allreduce(1)
+            yield from ctx.allreduce_g(1)
 
     with pytest.raises((RankFailure, CommMismatchError)):
         run(2, prog)
@@ -108,9 +113,9 @@ def test_collective_kind_mismatch_raises():
 
 def test_repeated_collectives_match_by_sequence():
     def prog(ctx):
-        a = ctx.allreduce(1)
-        b = ctx.allreduce(2)
-        c = ctx.allreduce(ctx.rank)
+        a = yield from ctx.allreduce_g(1)
+        b = yield from ctx.allreduce_g(2)
+        c = yield from ctx.allreduce_g(ctx.rank)
         return (a, b, c)
 
     res = run(4, prog)
@@ -118,7 +123,11 @@ def test_repeated_collectives_match_by_sequence():
 
 
 def test_collective_counters():
-    res = run(3, lambda ctx: ctx.allreduce(1) and ctx.barrier())
+    def prog(ctx):
+        yield from ctx.allreduce_g(1)
+        yield from ctx.barrier_g()
+
+    res = run(3, prog)
     for rc in res.counters.ranks:
         assert rc.collectives == 2
 
@@ -160,8 +169,8 @@ def test_allreduce_array_min_max():
     def prog(ctx):
         vec = np.array([ctx.rank, -ctx.rank, 5])
         return (
-            ctx.allreduce(vec, "min").tolist(),
-            ctx.allreduce(vec, "max").tolist(),
+            (yield from ctx.allreduce_g(vec, "min")).tolist(),
+            (yield from ctx.allreduce_g(vec, "max")).tolist(),
         )
 
     res = run(4, prog)
@@ -233,6 +242,7 @@ def test_neighborhood_double_entry_raises():
     assert op.wake_potential(0) == op.wake_potential(1) == 1.0
 
 
+# "threaded" is an accepted alias of "coroutine"; kept as a leg.
 @pytest.mark.parametrize("engine", ["threaded", "coroutine"])
 @pytest.mark.parametrize("neighbors", [
     {0: [1]},            # asymmetric: 0 -> 1 but not 1 -> 0

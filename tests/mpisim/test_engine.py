@@ -46,8 +46,8 @@ def test_determinism_across_runs():
     def prog(ctx):
         total = 0
         for i in range(20):
-            ctx.isend((ctx.rank + 1) % ctx.nprocs, i)
-            total += ctx.recv().payload
+            yield from ctx.isend_g((ctx.rank + 1) % ctx.nprocs, i)
+            total += (yield from ctx.recv_g()).payload
         return (total, ctx.now)
 
     r1 = Engine(4, cori_aries()).run(prog)
@@ -60,7 +60,7 @@ def test_rank_exception_propagates():
     def prog(ctx):
         if ctx.rank == 2:
             raise ValueError("boom")
-        ctx.barrier()
+        yield from ctx.barrier_g()
 
     with pytest.raises(RankFailure) as ei:
         Engine(4, zero_latency()).run(prog)
@@ -71,7 +71,7 @@ def test_rank_exception_propagates():
 def test_deadlock_detected_on_missing_sender():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.recv(source=1)
+            yield from ctx.recv_g(source=1)
 
     with pytest.raises(DeadlockError) as ei:
         Engine(2, zero_latency()).run(prog)
@@ -81,7 +81,7 @@ def test_deadlock_detected_on_missing_sender():
 def test_deadlock_detected_on_partial_collective():
     def prog(ctx):
         if ctx.rank != 3:
-            ctx.barrier()
+            yield from ctx.barrier_g()
 
     with pytest.raises(DeadlockError):
         Engine(4, zero_latency()).run(prog)
@@ -90,8 +90,8 @@ def test_deadlock_detected_on_partial_collective():
 def test_max_ops_limit():
     def prog(ctx):
         while True:
-            ctx.isend((ctx.rank + 1) % 2, 0)
-            ctx.recv()
+            yield from ctx.isend_g((ctx.rank + 1) % 2, 0)
+            yield from ctx.recv_g()
 
     with pytest.raises(SimLimitExceeded):
         Engine(2, zero_latency(), max_ops=500).run(prog)
@@ -110,7 +110,7 @@ def test_max_vtime_limit():
 # ----------------------------------------------------------------------
 class TestEngineFailureParity:
     """Deadlock dumps and budget aborts must be engine-independent: the
-    coroutine engine reports exactly the stall info the threaded one does."""
+    vector engine reports exactly the stall info the coroutine one does."""
 
     @staticmethod
     def _deadlock_dump(engine):
@@ -123,8 +123,8 @@ class TestEngineFailureParity:
         return ei.value
 
     def test_recv_recv_deadlock_dump_identical(self):
-        a = self._deadlock_dump("threaded")
-        b = self._deadlock_dump("coroutine")
+        a = self._deadlock_dump("coroutine")
+        b = self._deadlock_dump("vector")
         assert a.rank_states == b.rank_states
         assert a.details == b.details
         assert a.collectives == b.collectives
@@ -138,11 +138,11 @@ class TestEngineFailureParity:
                 yield from ctx.barrier_g()
 
         dumps = {}
-        for mode in ("threaded", "coroutine"):
+        for mode in ("coroutine", "vector"):
             with pytest.raises(DeadlockError) as ei:
                 Engine(3, zero_latency(), trace=True, engine=mode).run(prog)
             dumps[mode] = ei.value
-        a, b = dumps["threaded"], dumps["coroutine"]
+        a, b = dumps["coroutine"], dumps["vector"]
         assert a.collectives == b.collectives
         assert a.collectives and a.collectives[0]["missing"] == [2]
         assert str(a) == str(b)
@@ -159,11 +159,11 @@ class TestEngineFailureParity:
                 yield from ctx.recv_g()
 
         msgs = {}
-        for mode in ("threaded", "coroutine"):
+        for mode in ("coroutine", "vector"):
             with pytest.raises(SimLimitExceeded) as ei:
                 Engine(2, cori_aries(), engine=mode, **limits).run(prog)
             msgs[mode] = str(ei.value)
-        assert msgs["threaded"] == msgs["coroutine"]
+        assert msgs["coroutine"] == msgs["vector"]
 
 
 def test_engine_single_use():
@@ -190,9 +190,9 @@ def test_idle_time_accounted():
     def prog(ctx):
         if ctx.rank == 0:
             ctx.compute(seconds=1.0)
-            ctx.isend(1, "late")
+            yield from ctx.isend_g(1, "late")
         else:
-            ctx.recv(source=0)
+            yield from ctx.recv_g(source=0)
 
     res = Engine(2, cori_aries()).run(prog)
     rc1 = res.counters.ranks[1]

@@ -8,7 +8,7 @@ terminate) must satisfy:
 * conservation: messages received == messages sent (after drain);
 * virtual-time sanity: makespan bounded below by any rank's serial work
   and nondecreasing in the latency parameter;
-* engine equivalence: the threaded and coroutine engines produce the
+* engine equivalence: the coroutine and vector engines produce the
   same full fingerprint (clocks, results, counters, switch count,
   trace) for random programs under random fault plans
   (drop/dup/delay/partition/crash);
@@ -52,15 +52,15 @@ def scripted_program(seed: int, rounds: int):
             ctx.compute(units=float(rng.integers(0, 50)))
             d = int(dests[ctx.rank, k])
             if d != ctx.rank:
-                ctx.isend(d, (ctx.rank, k))
+                yield from ctx.isend_g(d, (ctx.rank, k))
                 sent += 1
             expected = int(np.sum(dests[:, k] == ctx.rank)) - int(
                 dests[ctx.rank, k] == ctx.rank
             )
             for _ in range(expected):
-                ctx.recv()
+                yield from ctx.recv_g()
                 received += 1
-            ctx.allreduce(1)
+            yield from ctx.allreduce_g(1)
         return (sent, received)
 
     return prog
@@ -105,7 +105,7 @@ def test_makespan_at_least_serial_compute(seed):
         rng = make_rng(seed, "work", ctx.rank)
         total = float(rng.integers(100, 1000))
         ctx.compute(units=total)
-        ctx.barrier()
+        yield from ctx.barrier_g()
         return total
 
     res = Engine(4, cori_aries()).run(prog)
@@ -129,7 +129,7 @@ def test_time_split_accounts_everything(seed, nprocs):
 
 
 # ----------------------------------------------------------------------
-# engine equivalence: threaded vs coroutine under random fault plans
+# engine equivalence: coroutine vs vector under random fault plans
 # ----------------------------------------------------------------------
 def _fingerprint(res, trace):
     """Every observable of a run, flattened to comparable values."""
@@ -218,15 +218,15 @@ def faulty_cases(draw):
 @SLOWISH
 @given(case=faulty_cases())
 def test_engines_bit_identical_under_random_faults(case):
-    """The coroutine engine replays the threaded engine's every decision:
+    """The vector engine replays the coroutine engine's every decision:
     identical fingerprints for random programs under random fault plans."""
     nprocs, plan, rounds = case
     prog = faulty_ring_program(rounds)
     fps = {}
-    for mode in ("threaded", "coroutine", "vector"):
+    for mode in ("coroutine", "vector"):
         eng = Engine(nprocs, cori_aries(), trace=True, faults=plan, engine=mode)
         fps[mode] = _fingerprint(eng.run(prog), eng.trace)
-    assert fps["threaded"] == fps["coroutine"] == fps["vector"]
+    assert fps["coroutine"] == fps["vector"]
 
 
 @SLOWISH
@@ -236,39 +236,12 @@ def test_engines_bit_identical_under_random_faults(case):
     rounds=st.integers(1, 6),
 )
 def test_engines_bit_identical_fault_free(seed, nprocs, rounds):
-    prog = scripted_program_g(seed, rounds)
+    prog = scripted_program(seed, rounds)
     fps = {}
-    for mode in ("threaded", "coroutine", "vector"):
+    for mode in ("coroutine", "vector"):
         eng = Engine(nprocs, cori_aries(), trace=True, engine=mode)
         fps[mode] = _fingerprint(eng.run(prog), eng.trace)
-    assert fps["threaded"] == fps["coroutine"] == fps["vector"]
-
-
-def scripted_program_g(seed: int, rounds: int):
-    """Generator-style twin of scripted_program (collectives + exact recvs)."""
-
-    def prog(ctx):
-        rng = make_rng(seed, "script", ctx.rank)
-        shared = make_rng(seed, "script-shared")
-        dests = shared.integers(0, ctx.nprocs, size=(ctx.nprocs, rounds))
-        received = 0
-        sent = 0
-        for k in range(rounds):
-            ctx.compute(units=float(rng.integers(0, 50)))
-            d = int(dests[ctx.rank, k])
-            if d != ctx.rank:
-                yield from ctx.isend_g(d, (ctx.rank, k))
-                sent += 1
-            expected = int(np.sum(dests[:, k] == ctx.rank)) - int(
-                dests[ctx.rank, k] == ctx.rank
-            )
-            for _ in range(expected):
-                yield from ctx.recv_g()
-                received += 1
-            yield from ctx.allreduce_g(1)
-        return (sent, received)
-
-    return prog
+    assert fps["coroutine"] == fps["vector"]
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +252,7 @@ def scripted_program_g(seed: int, rounds: int):
 def test_coroutine_checkpoint_kill_resume_roundtrip(kill_frac, engine):
     """Under the generator engines: checkpoint, kill mid-run, resume from
     the last surviving snapshot — the finished run is bit-identical to the
-    uninterrupted one (and to the threaded engine's). The vector engine
+    uninterrupted one. The vector engine
     degenerates to scalar stepping while checkpointing yet must produce
     the same snapshot hashes."""
     from repro.graph.generators import rmat_graph
@@ -318,15 +291,3 @@ def test_coroutine_checkpoint_kill_resume_roundtrip(kill_frac, engine):
     assert res.weight == ref.weight
     assert res.makespan == ref.makespan
     assert res.engine.final_clocks == ref.engine.final_clocks
-
-    # and the whole exercise matches the threaded engine's result
-    threaded = run_matching(
-        g, 4, "ncl",
-        config=RunConfig(
-            engine="threaded", trace=True,
-            checkpoint=CheckpointConfig(interval=interval,
-                                        store=CheckpointStore()),
-        ),
-    )
-    assert np.array_equal(threaded.mate, ref.mate)
-    assert threaded.makespan == ref.makespan

@@ -19,11 +19,11 @@ def chatter(ctx):
     """Each rank sends 20 messages to the next rank and receives 20."""
     nxt = (ctx.rank + 1) % ctx.nprocs
     for i in range(20):
-        ctx.isend(nxt, i, tag=1, nbytes=24)
+        yield from ctx.isend_g(nxt, i, tag=1, nbytes=24)
     got = []
     for _ in range(20):
-        got.append(ctx.recv(tag=1).payload)
-    ctx.barrier()
+        got.append((yield from ctx.recv_g(tag=1)).payload)
+    yield from ctx.barrier_g()
     return got
 
 
@@ -39,11 +39,11 @@ def ring_with_plan(plan, nprocs=4):
     def prog(ctx):
         nxt = (ctx.rank + 1) % ctx.nprocs
         for i in range(10):
-            ctx.isend(nxt, i, tag=1, nbytes=24)
+            yield from ctx.isend_g(nxt, i, tag=1, nbytes=24)
         ctx.compute(seconds=1e-3)  # let everything arrive
         n = 0
-        while ctx.iprobe() is not None:
-            ctx.recv(tag=1)
+        while (yield from ctx.iprobe_g()) is not None:
+            yield from ctx.recv_g(tag=1)
             n += 1
         return n
 
@@ -104,12 +104,12 @@ class TestMessageFaults:
         def prog(ctx):
             if ctx.rank == 0:
                 for i in range(30):
-                    ctx.isend(1, i, tag=1, nbytes=24)
+                    yield from ctx.isend_g(1, i, tag=1, nbytes=24)
                 return None
             ctx.compute(seconds=1e-2)
             got = []
-            while ctx.iprobe() is not None:
-                got.append(ctx.recv(tag=1).payload)
+            while (yield from ctx.iprobe_g()) is not None:
+                got.append((yield from ctx.recv_g(tag=1)).payload)
             return got
 
         res = Engine(2, cori_aries(), faults=plan).run(prog)
@@ -136,7 +136,7 @@ class TestCrashes:
             if ctx.rank == 0:
                 ctx.compute(seconds=1e-7)
                 for i in range(5):
-                    ctx.isend(1, i, tag=1, nbytes=24)
+                    yield from ctx.isend_g(1, i, tag=1, nbytes=24)
                 return "sent"
             ctx.compute(seconds=1.0)  # never finishes: crashes first
             return "unreachable"
@@ -158,7 +158,7 @@ class TestCrashes:
             ctx.compute(seconds=1e-3)  # well past detection
             assert ctx.failed_ranks() == frozenset({1})
             with pytest.raises(RankCrashed):
-                ctx.isend(1, "hi", tag=1, nbytes=8)
+                yield from ctx.isend_g(1, "hi", tag=1, nbytes=8)
             return "ok"
 
         res = Engine(2, cori_aries(), faults=plan).run(prog)
@@ -172,7 +172,7 @@ class TestCrashes:
                 ctx.compute(seconds=1.0)
                 return None
             with pytest.raises(RankCrashed):
-                ctx.recv(source=1, tag=1)
+                yield from ctx.recv_g(source=1, tag=1)
             return "ok"
 
         res = Engine(2, cori_aries(), faults=plan).run(prog)
@@ -185,7 +185,7 @@ class TestCrashes:
             if ctx.rank == 1:
                 ctx.compute(seconds=1.0)
                 return None
-            ctx.probe(deadline=None)  # woken by the failure event
+            yield from ctx.probe_g(deadline=None)  # woken by the failure event
             return sorted(ctx.failed_ranks())
 
         res = Engine(2, cori_aries(), faults=plan).run(prog)
@@ -197,10 +197,10 @@ class TestDegradation:
         def prog(ctx):
             if ctx.rank == 0:
                 for i in range(50):
-                    ctx.isend(1, i, tag=1, nbytes=1000)
+                    yield from ctx.isend_g(1, i, tag=1, nbytes=1000)
                 return None
             for _ in range(50):
-                ctx.recv(tag=1)
+                yield from ctx.recv_g(tag=1)
             return ctx.now
 
         m = cori_aries()
@@ -227,8 +227,8 @@ class TestDeadlockDump:
     def test_dump_has_queue_depth_and_last_event(self):
         def prog(ctx):
             if ctx.rank == 0:
-                ctx.isend(1, "x", tag=9, nbytes=8)
-            ctx.recv(tag=5)  # wrong tag on both ranks: deadlock
+                yield from ctx.isend_g(1, "x", tag=9, nbytes=8)
+            yield from ctx.recv_g(tag=5)  # wrong tag on both ranks: deadlock
             return None
 
         with pytest.raises(DeadlockError) as ei:

@@ -26,7 +26,7 @@ class TestCrashAwareFullCollectives:
                 return "unreachable"
             ctx.compute(seconds=1e-5)  # enter after the crash
             try:
-                return ctx.allreduce(1)
+                return (yield from ctx.allreduce_g(1))
             except RankCrashed as e:
                 return ("crashed", e.rank)
 
@@ -45,7 +45,7 @@ class TestCrashAwareFullCollectives:
                 ctx.compute(seconds=1.0)
                 return None
             try:
-                ctx.barrier()
+                yield from ctx.barrier_g()
                 return "done"
             except RankCrashed as e:
                 return ("crashed", e.rank, round(ctx.now, 9) >= 5e-5)
@@ -58,7 +58,7 @@ class TestCrashAwareFullCollectives:
         # All survivors enter; the crashed rank was never a late party
         # because it entered before dying.
         plan = FaultPlan(crashes={2: 1.0}, detect_latency=1e-6)
-        res = run_plan(3, lambda ctx: ctx.allreduce(ctx.rank), plan)
+        res = run_plan(3, lambda ctx: ctx.allreduce_g(ctx.rank), plan)
         assert res.rank_results == [3, 3, 3]
 
 
@@ -71,7 +71,7 @@ class TestAgreement:
                 ctx.compute(seconds=1.0)
                 return None
             ctx.compute(seconds=1e-5)
-            return ctx.agree(10 + ctx.rank, epoch=(1,))
+            return (yield from ctx.agree_g(10 + ctx.rank, epoch=(1,)))
 
         res = run_plan(4, prog, plan)
         for r in (0, 2, 3):
@@ -85,7 +85,7 @@ class TestAgreement:
             if ctx.rank == 1:
                 ctx.compute(seconds=1.0)
                 return None
-            ctx.agree(1, epoch=(1,))
+            yield from ctx.agree_g(1, epoch=(1,))
             return ctx.now
 
         res = run_plan(3, prog, plan)
@@ -102,7 +102,7 @@ class TestAgreement:
                 return None
             ctx.compute(seconds=1e-5)
             try:
-                return ctx.agree(1)  # epoch=() -> rank 1's death is news
+                return (yield from ctx.agree_g(1))  # epoch=() -> rank 1's death is news
             except RankCrashed as e:
                 return ("crashed", e.rank)
 
@@ -121,7 +121,7 @@ class TestAgreement:
             epoch = ()
             while True:
                 try:
-                    return ctx.agree(ctx.rank, epoch=epoch)
+                    return (yield from ctx.agree_g(ctx.rank, epoch=epoch))
                 except RankCrashed as e:
                     epoch = tuple(sorted(set(epoch) | {e.rank}))
 
@@ -137,7 +137,7 @@ class TestAgreement:
                 ctx.compute(seconds=1.0)
                 return None
             ctx.compute(seconds=1e-5)
-            return ctx.agree_gather(("v", ctx.rank), epoch=(0,))
+            return (yield from ctx.agree_gather_g(("v", ctx.rank), epoch=(0,)))
 
         res = run_plan(3, prog, plan)
         assert res.rank_results[1] == {1: ("v", 1), 2: ("v", 2)}
@@ -155,9 +155,9 @@ class TestShrinkRebuild:
             ctx.compute(seconds=1e-5)
             nbrs = [q for q in range(ctx.nprocs) if q != ctx.rank]
             live = [q for q in nbrs if q != 1]
-            topo = ctx.shrink_rebuild_topology(live, epoch=(1,))
+            topo = yield from ctx.shrink_rebuild_topology_g(live, epoch=(1,))
             assert topo.neighbors == live
-            got = topo.neighbor_alltoall(
+            got = yield from topo.neighbor_alltoall_g(
                 [ctx.rank * 100 + q for q in live], nbytes_per_item=8
             )
             return sorted(got)
@@ -175,7 +175,7 @@ class TestShrinkRebuild:
                 return None
             ctx.compute(seconds=1e-5)
             try:
-                ctx.shrink_rebuild_topology([q for q in range(3) if q != ctx.rank])
+                yield from ctx.shrink_rebuild_topology_g([q for q in range(3) if q != ctx.rank])
                 return "built"
             except RankCrashed as e:
                 return ("crashed", e.rank)
@@ -200,14 +200,14 @@ class TestRevocation:
                 ctx.compute(seconds=1.0)
                 return None
             ctx.compute(seconds=2e-4)  # past the crash + detection
-            topo = ctx.shrink_rebuild_topology(live, epoch=epoch)
+            topo = yield from ctx.shrink_rebuild_topology_g(live, epoch=epoch)
             if ctx.rank == 2:
                 # Recovery path: abandon the topology without entering.
                 ctx.compute(seconds=1e-5)
                 ctx.revoke_topology(topo, 1)
                 return "revoked"
             try:
-                topo.neighbor_alltoall([7 for _ in live], nbytes_per_item=8)
+                yield from topo.neighbor_alltoall_g([7 for _ in live], nbytes_per_item=8)
                 return "exchanged"
             except RankCrashed as e:
                 return ("revoked-out", e.rank)
@@ -223,8 +223,8 @@ class TestDeadlockDumpCollectives:
         # No fault plan: rank 2 simply never enters the barrier.
         def prog(ctx):
             if ctx.rank == 2:
-                ctx.recv()  # blocks forever
-            ctx.barrier()
+                yield from ctx.recv_g()  # blocks forever
+            yield from ctx.barrier_g()
 
         with pytest.raises(DeadlockError) as ei:
             Engine(3, cori_aries()).run(prog)
@@ -246,7 +246,7 @@ class TestDeadlockDumpCollectives:
             ctx.compute(seconds=1e-5)
             while True:  # keep swallowing the failure -> guaranteed stall
                 try:
-                    ctx.allreduce(1)
+                    yield from ctx.allreduce_g(1)
                     return "done"
                 except RankCrashed:
                     ctx.compute(seconds=1e-5)

@@ -15,11 +15,11 @@ from repro.mpisim import Engine, cori_aries, zero_latency
 def test_small_message_does_not_overtake_large():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, "big", nbytes=4096)  # long injection
-            ctx.isend(1, "tiny", nbytes=1)  # would otherwise arrive first
+            yield from ctx.isend_g(1, "big", nbytes=4096)  # long injection
+            yield from ctx.isend_g(1, "tiny", nbytes=1)  # would otherwise arrive first
         else:
-            first = ctx.recv(source=0)
-            second = ctx.recv(source=0)
+            first = yield from ctx.recv_g(source=0)
+            second = yield from ctx.recv_g(source=0)
             return (first.payload, second.payload)
 
     res = Engine(2, cori_aries()).run(prog)
@@ -32,12 +32,12 @@ def test_sentinel_after_burst_is_received_last():
     def prog(ctx):
         if ctx.rank == 0:
             for i in range(20):
-                ctx.isend(1, i, tag=1, nbytes=64 * (i % 3 + 1))
-            ctx.isend(1, None, tag=2, nbytes=8)  # DONE
+                yield from ctx.isend_g(1, i, tag=1, nbytes=64 * (i % 3 + 1))
+            yield from ctx.isend_g(1, None, tag=2, nbytes=8)  # DONE
         else:
             got = []
             while True:
-                msg = ctx.recv(source=0)
+                msg = yield from ctx.recv_g(source=0)
                 if msg.tag == 2:
                     break
                 got.append(msg.payload)
@@ -53,10 +53,10 @@ def test_ordering_independent_pairs_unconstrained():
     def prog(ctx):
         if ctx.rank in (0, 1):
             ctx.compute(seconds=ctx.rank * 1e-6)
-            ctx.isend(2, ctx.rank)
+            yield from ctx.isend_g(2, ctx.rank)
         elif ctx.rank == 2:
-            a = ctx.recv().payload
-            b = ctx.recv().payload
+            a = (yield from ctx.recv_g()).payload
+            b = (yield from ctx.recv_g()).payload
             return sorted([a, b])
 
     res = Engine(3, zero_latency()).run(prog)
@@ -66,13 +66,13 @@ def test_ordering_independent_pairs_unconstrained():
 def test_fifo_survives_interleaved_tags():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, "a1", tag=1, nbytes=2048)
-            ctx.isend(1, "b1", tag=2, nbytes=8)
-            ctx.isend(1, "a2", tag=1, nbytes=8)
+            yield from ctx.isend_g(1, "a1", tag=1, nbytes=2048)
+            yield from ctx.isend_g(1, "b1", tag=2, nbytes=8)
+            yield from ctx.isend_g(1, "a2", tag=1, nbytes=8)
         else:
-            b = ctx.recv(source=0, tag=2)
-            a1 = ctx.recv(source=0, tag=1)
-            a2 = ctx.recv(source=0, tag=1)
+            b = yield from ctx.recv_g(source=0, tag=2)
+            a1 = yield from ctx.recv_g(source=0, tag=1)
+            a2 = yield from ctx.recv_g(source=0, tag=1)
             return (b.payload, a1.payload, a2.payload)
 
     res = Engine(2, cori_aries()).run(prog)

@@ -8,9 +8,9 @@ from repro.mpisim import ANY_SOURCE, ANY_TAG, Engine, cori_aries, zero_latency
 def test_payload_integrity():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, {"k": [1, 2, 3]}, tag=7)
+            yield from ctx.isend_g(1, {"k": [1, 2, 3]}, tag=7)
         else:
-            m = ctx.recv(source=0, tag=7)
+            m = yield from ctx.recv_g(source=0, tag=7)
             assert m.payload == {"k": [1, 2, 3]}
             assert m.src == 0 and m.tag == 7
             return m.payload
@@ -23,9 +23,11 @@ def test_fifo_per_sender():
     def prog(ctx):
         if ctx.rank == 0:
             for i in range(10):
-                ctx.isend(1, i)
+                yield from ctx.isend_g(1, i)
         else:
-            got = [ctx.recv(source=0).payload for _ in range(10)]
+            got = []
+            for _ in range(10):
+                got.append((yield from ctx.recv_g(source=0)).payload)
             assert got == list(range(10))
 
     Engine(2, cori_aries()).run(prog)
@@ -34,11 +36,11 @@ def test_fifo_per_sender():
 def test_tag_selective_recv():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, "a", tag=1)
-            ctx.isend(1, "b", tag=2)
+            yield from ctx.isend_g(1, "a", tag=1)
+            yield from ctx.isend_g(1, "b", tag=2)
         else:
-            b = ctx.recv(source=0, tag=2)
-            a = ctx.recv(source=0, tag=1)
+            b = yield from ctx.recv_g(source=0, tag=2)
+            a = yield from ctx.recv_g(source=0, tag=1)
             return (a.payload, b.payload)
 
     res = Engine(2, zero_latency()).run(prog)
@@ -49,9 +51,12 @@ def test_any_source_any_tag():
     def prog(ctx):
         if ctx.rank != 0:
             ctx.compute(seconds=ctx.rank * 1e-3)  # stagger arrivals
-            ctx.isend(0, ctx.rank)
+            yield from ctx.isend_g(0, ctx.rank)
         else:
-            got = [ctx.recv(source=ANY_SOURCE, tag=ANY_TAG).payload for _ in range(3)]
+            got = []
+            for _ in range(3):
+                msg = yield from ctx.recv_g(source=ANY_SOURCE, tag=ANY_TAG)
+                got.append(msg.payload)
             return got
 
     res = Engine(4, cori_aries()).run(prog)
@@ -66,11 +71,11 @@ def test_iprobe_respects_arrival_time():
     def prog(ctx):
         if ctx.rank == 0:
             ctx.compute(seconds=1.0)
-            ctx.isend(1, "x")
+            yield from ctx.isend_g(1, "x")
         else:
-            early = ctx.iprobe()  # rank 1 probes at t~0
+            early = yield from ctx.iprobe_g()  # rank 1 probes at t~0
             ctx.compute(seconds=2.0)
-            late = ctx.iprobe()
+            late = yield from ctx.iprobe_g()
             return (early, late is not None)
 
     res = Engine(2, cori_aries()).run(prog)
@@ -81,11 +86,11 @@ def test_probe_fast_forwards():
     def prog(ctx):
         if ctx.rank == 0:
             ctx.compute(seconds=0.5)
-            ctx.isend(1, "later")
+            yield from ctx.isend_g(1, "later")
         else:
-            ctx.probe()
-            assert ctx.iprobe() is not None
-            m = ctx.recv()
+            yield from ctx.probe_g()
+            assert (yield from ctx.iprobe_g()) is not None
+            m = yield from ctx.recv_g()
             return ctx.now
 
     res = Engine(2, cori_aries()).run(prog)
@@ -95,12 +100,12 @@ def test_probe_fast_forwards():
 def test_iprobe_returns_header():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, (1, 2, 3), tag=9, nbytes=24)
+            yield from ctx.isend_g(1, (1, 2, 3), tag=9, nbytes=24)
         else:
-            ctx.probe()
-            hdr = ctx.iprobe()
+            yield from ctx.probe_g()
+            hdr = yield from ctx.iprobe_g()
             assert hdr == (0, 9, 24)
-            ctx.recv()
+            yield from ctx.recv_g()
 
     Engine(2, zero_latency()).run(prog)
 
@@ -111,12 +116,12 @@ def test_pingpong_latency_math():
 
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, 0)
-            ctx.recv(source=1)
+            yield from ctx.isend_g(1, 0)
+            yield from ctx.recv_g(source=1)
             return ctx.now
         else:
-            ctx.recv(source=0)
-            ctx.isend(0, 1)
+            yield from ctx.recv_g(source=0)
+            yield from ctx.isend_g(0, 1)
 
     res = Engine(2, m).run(prog)
     t = res.rank_results[0]
@@ -127,11 +132,11 @@ def test_pingpong_latency_math():
 def test_counters_track_messages_and_bytes():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, b"abcd", nbytes=4)
-            ctx.isend(1, b"efgh", nbytes=4)
+            yield from ctx.isend_g(1, b"abcd", nbytes=4)
+            yield from ctx.isend_g(1, b"efgh", nbytes=4)
         else:
-            ctx.recv()
-            ctx.recv()
+            yield from ctx.recv_g()
+            yield from ctx.recv_g()
 
     res = Engine(2, zero_latency()).run(prog)
     c = res.counters
@@ -148,11 +153,10 @@ def test_queue_memory_is_released():
     def prog(ctx):
         if ctx.rank == 0:
             for _ in range(50):
-                ctx.isend(1, 1, nbytes=8)
+                yield from ctx.isend_g(1, 1, nbytes=8)
         else:
-            ctx.barrier.__self__  # no-op touch
             for _ in range(50):
-                ctx.recv()
+                yield from ctx.recv_g()
 
     res = Engine(2, zero_latency()).run(prog)
     rc = res.counters.ranks[1]
@@ -166,9 +170,9 @@ def test_rendezvous_costs_more_than_eager():
     def mk(nbytes):
         def prog(ctx):
             if ctx.rank == 0:
-                ctx.isend(1, b"", nbytes=nbytes)
+                yield from ctx.isend_g(1, b"", nbytes=nbytes)
                 return ctx.now
-            ctx.recv()
+            yield from ctx.recv_g()
 
         return prog
 

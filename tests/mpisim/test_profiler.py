@@ -103,7 +103,7 @@ def test_profiling_off_is_bit_identical(name):
 def test_profile_off_by_default():
     eng = Engine(2, cori_aries())
     assert eng.profiler is None
-    res = eng.run(lambda ctx: ctx.allreduce(1))
+    res = eng.run(lambda ctx: ctx.allreduce_g(1))
     assert res.profile is None
 
 
@@ -122,9 +122,9 @@ def test_wait_spans_carry_message_deps():
     def prog(ctx):
         if ctx.rank == 0:
             ctx.compute(seconds=1e-4)
-            ctx.isend(1, "x", nbytes=64)
+            yield from ctx.isend_g(1, "x", nbytes=64)
         else:
-            ctx.recv(source=0)
+            yield from ctx.recv_g(source=0)
 
     # rank 1 must have a recv-wait span whose dependency is rank 0's send
     eng = Engine(2, cori_aries(), profile=True)

@@ -27,16 +27,7 @@ from repro.mpisim.machine import cori_aries
 from repro.mpisim.recovery import RecoveryConfig
 
 
-def program_t(ctx):
-    total = 0
-    for it in range(40):
-        ctx.checkpoint_tick()
-        total += ctx.allreduce(ctx.rank + it)
-    ctx.barrier()
-    return total
-
-
-def program_g(ctx):
+def program(ctx):
     total = 0
     for it in range(40):
         yield from ctx.checkpoint_tick_g()
@@ -45,12 +36,13 @@ def program_g(ctx):
     return total
 
 
-PROGRAMS = {"threaded": program_t, "coroutine": program_g}
-ENGINES = list(PROGRAMS)
+# "threaded" is an accepted alias of the scalar generator engine; it
+# stays a leg so the alias is held to the same recovery contract.
+ENGINES = ["threaded", "coroutine"]
 P = 4
 
 
-def run(engine="threaded", faults=None, recovery=None, interval=None,
+def run(engine="coroutine", faults=None, recovery=None, interval=None,
         store=None, nprocs=P, **kw):
     ckpt = None
     if interval is not None:
@@ -62,7 +54,7 @@ def run(engine="threaded", faults=None, recovery=None, interval=None,
         nprocs, cori_aries(), engine=engine, faults=faults,
         checkpoint=ckpt, recovery=recovery, **kw,
     )
-    return eng, eng.run(PROGRAMS[engine])
+    return eng, eng.run(program)
 
 
 @pytest.fixture(scope="module")
@@ -176,12 +168,12 @@ class TestStaticCrashHealed:
             recovery=RecoveryConfig(spares=1, replicas=2),
             interval=clean.makespan / 8,
         )
-        _, th = run(engine="threaded", **kw)
         _, co = run(engine="coroutine", **kw)
-        assert th.makespan == co.makespan
-        assert th.rank_results == co.rank_results
-        assert th.recovery == co.recovery
-        assert th.final_clocks == co.final_clocks
+        _, ve = run(engine="vector", **kw)
+        assert co.makespan == ve.makespan
+        assert co.rank_results == ve.rank_results
+        assert co.recovery == ve.recovery
+        assert co.final_clocks == ve.final_clocks
 
 
 class TestRecoveryFailed:
@@ -273,10 +265,10 @@ class TestChurn:
             recovery=RecoveryConfig(spares=16, replicas=2),
             interval=clean.makespan / 8,
         )
-        _, th = run(engine="threaded", **kw)
         _, co = run(engine="coroutine", **kw)
-        assert th.makespan == co.makespan
-        assert th.recovery == co.recovery
+        _, ve = run(engine="vector", **kw)
+        assert co.makespan == ve.makespan
+        assert co.recovery == ve.recovery
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

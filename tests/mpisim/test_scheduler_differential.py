@@ -1,13 +1,14 @@
-"""Differential tests: schedulers AND execution engines are bit-identical.
+"""Differential tests: schedulers AND engine names are bit-identical.
 
 The engine ships two scheduler implementations (``scheduler="heap"``, the
 indexed candidate-time heap, and ``scheduler="reference"``, the original
-O(P)-scan executable specification) and two execution engines
-(``engine="threaded"``, one OS thread per rank, and ``engine="coroutine"``,
-generator ranks stepped by the scheduler) — see docs/engine_scheduling.md.
-This suite runs a matrix of (program x machine x seed x fault plan) under
-both schedulers, parametrized over both engines, and asserts that every
-*virtual* observable agrees exactly:
+O(P)-scan executable specification) and steps generator ranks either one
+operation at a time (``engine="coroutine"``, also reachable under its
+alias ``"threaded"``) or with the token-retention fast paths
+(``engine="vector"``) — see docs/engine_scheduling.md. This suite runs a
+matrix of (program x machine x seed x fault plan) under both schedulers,
+parametrized over the engine names, and asserts that every *virtual*
+observable agrees exactly:
 
 * the canonically ordered event trace, byte-for-byte as CSV;
 * per-rank final clocks and the makespan;
@@ -21,12 +22,8 @@ comparison: the two implementations take different keep-running shortcuts
 in ``yield_ready``, which changes how often the token physically moves but
 nothing a rank program can observe in virtual time. Across *engines* with
 the scheduler held fixed, however, the switch count IS asserted: the
-coroutine engine must make exactly the scheduling decisions the threaded
+vector engine must make exactly the scheduling decisions the coroutine
 engine makes.
-
-Rank programs are written in generator style (``yield from ctx.<op>_g``),
-which both engines accept: the threaded engine drives the generator to
-completion inline, the coroutine engine single-steps it.
 """
 
 import dataclasses
@@ -35,6 +32,8 @@ import numpy as np
 import pytest
 
 from repro.mpisim import Engine, FaultPlan, cori_aries, trace_to_csv
+from repro.mpisim.engine import run_inline
+from repro.mpisim.errors import RankFailure
 from repro.mpisim.machine import commodity_cluster, get_machine, zero_latency
 from repro.mpisim.tracing import time_ordered
 from repro.util.rng import make_rng
@@ -83,18 +82,19 @@ def assert_equivalent(a, ta, b, tb, check_switches=False,
         np.testing.assert_array_equal(ma.bytes, mb.bytes)
 
 
+# "threaded" is an accepted alias of "coroutine": it stays a leg so the
+# alias is held to the whole matrix.
 ENGINES = ["threaded", "coroutine", "vector"]
 
 
 def run_both(prog, nprocs, machine, faults=None, expect_crashes=False,
-             engine="threaded"):
+             engine="coroutine"):
     """Run under both schedulers with the given engine; assert equivalence.
 
-    When ``engine="coroutine"`` (or ``"vector"``, which only engages its
-    fast paths under the heap scheduler) a third run (heap scheduler,
-    threaded engine) closes the cross-engine leg of the differential:
-    same scheduler, different engine must agree on everything *including*
-    the switch count.
+    When ``engine="vector"`` (which only engages its fast paths under the
+    heap scheduler) a third run (heap scheduler, coroutine engine) closes
+    the cross-engine leg of the differential: same scheduler, different
+    engine must agree on everything *including* the switch count.
     """
     out = {}
     for sched in ("reference", "heap"):
@@ -107,10 +107,10 @@ def run_both(prog, nprocs, machine, faults=None, expect_crashes=False,
     if expect_crashes:
         assert a.crashed_ranks  # the plan must actually bite
     assert_equivalent(a, ta, b, tb)
-    if engine in ("coroutine", "vector"):
+    if engine == "vector":
         eng = Engine(
             nprocs, machine, trace=True, faults=faults, scheduler="heap",
-            engine="threaded",
+            engine="coroutine",
         )
         c, tc = eng.run(prog), eng.trace
         assert_equivalent(b, tb, c, tc, check_switches=True)
@@ -321,16 +321,6 @@ def test_matching_backends_bit_identical(model, engine):
     )
     for rca, rcb in zip(a.counters.ranks, b.counters.ranks):
         assert _counters_dict(rca) == _counters_dict(rcb)
-    if engine == "coroutine":
-        # cross-engine leg: heap/coroutine vs heap/threaded, full fingerprint
-        c = run_matching(
-            g, 4, model,
-            config=RunConfig(scheduler="heap", trace=True, engine="threaded"),
-        )
-        assert_equivalent(b.engine, b.engine.trace, c.engine, c.engine.trace,
-                          check_switches=True, check_rank_results=False)
-        np.testing.assert_array_equal(b.mate, c.mate)
-        assert b.weight == c.weight
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -351,14 +341,6 @@ def test_matching_under_faults_bit_identical(engine):
     assert (a.makespan, a.weight) == (b.makespan, b.weight)
     assert a.fault_totals() == b.fault_totals()
     np.testing.assert_array_equal(a.mate, b.mate)
-    if engine == "coroutine":
-        c = run_matching(
-            g, 4, "nsr",
-            config=RunConfig(faults=plan, scheduler="heap", engine="threaded"),
-        )
-        assert (b.makespan, b.weight) == (c.makespan, c.weight)
-        assert b.fault_totals() == c.fault_totals()
-        np.testing.assert_array_equal(b.mate, c.mate)
 
 
 # ----------------------------------------------------------------------
@@ -375,18 +357,51 @@ def test_unknown_engine_rejected():
 
 
 def test_plain_blocking_call_rejected_under_coroutine():
-    # A rank program that parks through a plain (non-generator) wrapper
-    # cannot be suspended by the coroutine engine; the failure must be a
-    # clear diagnostic, not a hang.
+    # run_inline drives a simulator-call generator without a scheduler;
+    # one that reaches a park point cannot be suspended there, and the
+    # failure must be a clear diagnostic, not a hang.
     def prog(ctx):
         yield from ()
-        ctx.barrier()  # plain wrapper -> run_inline -> park -> error
+        run_inline(ctx.barrier_g())
 
-    from repro.mpisim.errors import RankFailure
-
-    eng = Engine(2, cori_aries(), engine="coroutine")
-    with pytest.raises(RankFailure, match="park point"):
+    eng = Engine(2, cori_aries())
+    with pytest.raises(RankFailure, match="park point") as exc:
         eng.run(prog)
+    assert "threaded" not in str(exc.value)
+
+
+def test_plain_target_that_never_parks_still_runs():
+    # A rank program need not be a generator as long as it never blocks.
+    def prog(ctx):
+        ctx.compute(seconds=1e-6 * (ctx.rank + 1))
+        return ctx.rank * 2
+
+    res = Engine(3, cori_aries()).run(prog)
+    assert res.rank_results == [0, 2, 4]
+    assert res.makespan == 3e-6
+
+
+def test_default_engine_is_coroutine_and_threaded_is_its_alias(monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    assert RunConfig().engine == "coroutine"
+    assert Engine(2, cori_aries()).engine == "coroutine"
+    runs = {}
+    for name in ("coroutine", "threaded"):
+        eng = Engine(5, cori_aries(), trace=True, engine=name)
+        runs[name] = (eng.run(scripted(7, rounds=4)), eng.trace)
+    assert_equivalent(*runs["coroutine"], *runs["threaded"], check_switches=True)
+
+
+def test_repro_engine_env(monkeypatch):
+    # set-but-empty means unset; a bad value is attributed to the variable
+    monkeypatch.setenv("REPRO_ENGINE", "")
+    assert RunConfig().engine == "coroutine"
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
+    assert RunConfig().engine == "vector"
+    monkeypatch.setenv("REPRO_ENGINE", "fibers")
+    with pytest.raises(ValueError, match=r"unknown engine 'fibers'.*\$REPRO_ENGINE"):
+        RunConfig()
+    assert RunConfig(engine="coroutine").engine == "coroutine"
 
 
 def test_machines_importable():

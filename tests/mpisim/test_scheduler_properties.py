@@ -40,15 +40,15 @@ def scripted(seed: int, rounds: int, collective_every: int):
             ctx.compute(units=float(rng.integers(0, 60)))
             d = int(dests[ctx.rank, k])
             if d != ctx.rank:
-                ctx.isend(d, (ctx.rank, k), nbytes=32)
+                yield from ctx.isend_g(d, (ctx.rank, k), nbytes=32)
             expected = int(np.sum(dests[:, k] == ctx.rank)) - int(
                 dests[ctx.rank, k] == ctx.rank
             )
             for _ in range(expected):
-                ctx.recv()
+                yield from ctx.recv_g()
             if collective_every and k % collective_every == 0:
-                ctx.allreduce(1)
-        ctx.barrier()
+                yield from ctx.allreduce_g(1)
+        yield from ctx.barrier_g()
         return ctx.rank
 
     return prog
@@ -63,11 +63,11 @@ def drain_prog(seed: int, rounds: int):
         for k in range(rounds):
             d = int(dests[ctx.rank, k])
             if d != ctx.rank:
-                ctx.isend(d, k, tag=2, nbytes=24)
+                yield from ctx.isend_g(d, k, tag=2, nbytes=24)
         ctx.compute(seconds=2e-3)
         n = 0
-        while ctx.iprobe() is not None:
-            ctx.recv(tag=2)
+        while (yield from ctx.iprobe_g()) is not None:
+            yield from ctx.recv_g(tag=2)
             n += 1
         return n
 
@@ -146,13 +146,13 @@ def test_audited_under_crashes(seed, crash_rank, crash_t):
         for i, d in enumerate(map(int, dests)):
             try:
                 if d != ctx.rank:
-                    ctx.isend(d, i, tag=3, nbytes=16)
+                    yield from ctx.isend_g(d, i, tag=3, nbytes=16)
             except RankCrashed:
                 pass
             ctx.compute(seconds=1.5e-4)
         n = 0
-        while ctx.iprobe() is not None:
-            ctx.recv(tag=3)
+        while (yield from ctx.iprobe_g()) is not None:
+            yield from ctx.recv_g(tag=3)
             n += 1
         return n
 

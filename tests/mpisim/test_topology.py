@@ -12,7 +12,7 @@ def ring_neighbors(rank, p):
 
 def test_topology_creation_and_fields():
     def prog(ctx):
-        topo = ctx.dist_graph_create_adjacent(ring_neighbors(ctx.rank, ctx.nprocs))
+        topo = yield from ctx.dist_graph_create_adjacent_g(ring_neighbors(ctx.rank, ctx.nprocs))
         return (topo.degree, topo.neighbors)
 
     res = Engine(5, zero_latency()).run(prog)
@@ -23,7 +23,7 @@ def test_topology_creation_and_fields():
 def test_asymmetric_topology_rejected():
     def prog(ctx):
         nbrs = [1] if ctx.rank == 0 else []
-        ctx.dist_graph_create_adjacent(nbrs)
+        yield from ctx.dist_graph_create_adjacent_g(nbrs)
 
     with pytest.raises((RankFailure, CommMismatchError)):
         Engine(2, zero_latency()).run(prog)
@@ -31,7 +31,7 @@ def test_asymmetric_topology_rejected():
 
 def test_self_neighbor_rejected():
     def prog(ctx):
-        ctx.dist_graph_create_adjacent([ctx.rank])
+        yield from ctx.dist_graph_create_adjacent_g([ctx.rank])
 
     with pytest.raises((RankFailure, CommMismatchError)):
         Engine(2, zero_latency()).run(prog)
@@ -47,8 +47,8 @@ def test_validate_symmetric_direct():
 
 def test_neighbor_alltoall_ring():
     def prog(ctx):
-        topo = ctx.dist_graph_create_adjacent(ring_neighbors(ctx.rank, ctx.nprocs))
-        got = topo.neighbor_alltoall([(ctx.rank, q) for q in topo.neighbors])
+        topo = yield from ctx.dist_graph_create_adjacent_g(ring_neighbors(ctx.rank, ctx.nprocs))
+        got = yield from topo.neighbor_alltoall_g([(ctx.rank, q) for q in topo.neighbors])
         # item i came from neighbors[i] and was addressed to us
         for q, item in zip(topo.neighbors, got):
             assert item == (q, ctx.rank)
@@ -60,8 +60,8 @@ def test_neighbor_alltoall_ring():
 
 def test_neighbor_alltoall_wrong_count():
     def prog(ctx):
-        topo = ctx.dist_graph_create_adjacent(ring_neighbors(ctx.rank, ctx.nprocs))
-        topo.neighbor_alltoall([0])  # degree is 2
+        topo = yield from ctx.dist_graph_create_adjacent_g(ring_neighbors(ctx.rank, ctx.nprocs))
+        yield from topo.neighbor_alltoall_g([0])  # degree is 2
 
     with pytest.raises(RankFailure):
         Engine(4, zero_latency()).run(prog)
@@ -69,9 +69,9 @@ def test_neighbor_alltoall_wrong_count():
 
 def test_neighbor_alltoallv_variable_sizes():
     def prog(ctx):
-        topo = ctx.dist_graph_create_adjacent(ring_neighbors(ctx.rank, ctx.nprocs))
+        topo = yield from ctx.dist_graph_create_adjacent_g(ring_neighbors(ctx.rank, ctx.nprocs))
         items = [[ctx.rank] * (q + 1) for q in topo.neighbors]
-        recv, nbytes = topo.neighbor_alltoallv(items)
+        recv, nbytes = yield from topo.neighbor_alltoallv_g(items)
         for q, item in zip(topo.neighbors, recv):
             assert item == [q] * (ctx.rank + 1)
         assert len(nbytes) == topo.degree
@@ -83,9 +83,9 @@ def test_neighbor_alltoallv_variable_sizes():
 
 def test_empty_neighborhood():
     def prog(ctx):
-        topo = ctx.dist_graph_create_adjacent([])
-        got = topo.neighbor_alltoall([])
-        recv, _ = topo.neighbor_alltoallv([])
+        topo = yield from ctx.dist_graph_create_adjacent_g([])
+        got = yield from topo.neighbor_alltoall_g([])
+        recv, _ = yield from topo.neighbor_alltoallv_g([])
         return (got, recv)
 
     res = Engine(3, zero_latency()).run(prog)
@@ -97,8 +97,8 @@ def test_star_topology():
 
     def prog(ctx):
         nbrs = list(range(1, ctx.nprocs)) if ctx.rank == 0 else [0]
-        topo = ctx.dist_graph_create_adjacent(nbrs)
-        got = topo.neighbor_alltoall([ctx.rank * 100 + q for q in topo.neighbors])
+        topo = yield from ctx.dist_graph_create_adjacent_g(nbrs)
+        got = yield from topo.neighbor_alltoall_g([ctx.rank * 100 + q for q in topo.neighbors])
         return got
 
     res = Engine(4, zero_latency()).run(prog)
@@ -108,8 +108,8 @@ def test_star_topology():
 
 def test_ncl_matrix_recorded():
     def prog(ctx):
-        topo = ctx.dist_graph_create_adjacent(ring_neighbors(ctx.rank, ctx.nprocs))
-        topo.neighbor_alltoall([1] * topo.degree, nbytes_per_item=16)
+        topo = yield from ctx.dist_graph_create_adjacent_g(ring_neighbors(ctx.rank, ctx.nprocs))
+        yield from topo.neighbor_alltoall_g([1] * topo.degree, nbytes_per_item=16)
 
     res = Engine(4, zero_latency()).run(prog)
     assert res.counters.ncl.counts[0, 1] == 1

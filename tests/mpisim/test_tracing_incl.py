@@ -22,11 +22,11 @@ def _ring(rank, p):
 def test_trace_records_ops():
     def prog(ctx):
         if ctx.rank == 0:
-            ctx.isend(1, "x")
+            yield from ctx.isend_g(1, "x")
         elif ctx.rank == 1:
-            ctx.recv()
-        ctx.allreduce(1)
-        ctx.barrier()
+            yield from ctx.recv_g()
+        yield from ctx.allreduce_g(1)
+        yield from ctx.barrier_g()
 
     eng = Engine(3, zero_latency(), trace=True)
     eng.run(prog)
@@ -39,14 +39,14 @@ def test_trace_records_ops():
 
 def test_trace_disabled_by_default():
     eng = Engine(2, zero_latency())
-    eng.run(lambda ctx: ctx.barrier())
+    eng.run(lambda ctx: ctx.barrier_g())
     assert eng.trace is None
 
 
 def test_trace_csv_and_filters():
     def prog(ctx):
-        ctx.isend((ctx.rank + 1) % 2, ctx.rank)
-        ctx.recv()
+        yield from ctx.isend_g((ctx.rank + 1) % 2, ctx.rank)
+        yield from ctx.recv_g()
 
     eng = Engine(2, cori_aries(), trace=True)
     eng.run(prog)
@@ -64,13 +64,13 @@ def test_trace_records_rma_and_ncl():
     import numpy as np
 
     def prog(ctx):
-        win = ctx.win_allocate(2)
+        win = yield from ctx.win_allocate_g(2)
         if ctx.rank == 0:
-            win.put(1, np.array([5]), 0)
-            win.flush_all()
-        ctx.barrier()
-        topo = ctx.dist_graph_create_adjacent(_ring(ctx.rank, ctx.nprocs))
-        topo.neighbor_alltoall([0] * topo.degree)
+            yield from win.put_g(1, np.array([5]), 0)
+            yield from win.flush_all_g()
+        yield from ctx.barrier_g()
+        topo = yield from ctx.dist_graph_create_adjacent_g(_ring(ctx.rank, ctx.nprocs))
+        yield from topo.neighbor_alltoall_g([0] * topo.degree)
 
     eng = Engine(3, zero_latency(), trace=True)
     eng.run(prog)
@@ -84,10 +84,10 @@ def test_trace_records_rma_and_ncl():
 
 def test_ineighbor_alltoallv_semantics():
     def prog(ctx):
-        topo = ctx.dist_graph_create_adjacent(_ring(ctx.rank, ctx.nprocs))
+        topo = yield from ctx.dist_graph_create_adjacent_g(_ring(ctx.rank, ctx.nprocs))
         req = topo.ineighbor_alltoallv([[ctx.rank] * (q + 1) for q in topo.neighbors])
         ctx.compute(seconds=1e-6)  # overlap window
-        items, nbytes = req.wait()
+        items, nbytes = yield from req.wait_g()
         for q, item in zip(topo.neighbors, items):
             assert item == [q] * (ctx.rank + 1)
         return True
@@ -100,10 +100,10 @@ def test_ineighbor_wait_twice_rejected():
     from repro.mpisim.errors import RankFailure
 
     def prog(ctx):
-        topo = ctx.dist_graph_create_adjacent(_ring(ctx.rank, ctx.nprocs))
+        topo = yield from ctx.dist_graph_create_adjacent_g(_ring(ctx.rank, ctx.nprocs))
         req = topo.ineighbor_alltoallv([[1]] * topo.degree)
-        req.wait()
-        req.wait()
+        yield from req.wait_g()
+        yield from req.wait_g()
 
     with pytest.raises(RankFailure):
         Engine(3, zero_latency()).run(prog)
@@ -116,18 +116,18 @@ def test_overlap_hides_wire_time():
     payload = [list(range(512))] * 2  # 4 KiB per neighbor
 
     def blocking(ctx):
-        topo = ctx.dist_graph_create_adjacent(_ring(ctx.rank, ctx.nprocs))
+        topo = yield from ctx.dist_graph_create_adjacent_g(_ring(ctx.rank, ctx.nprocs))
         for _ in range(20):
             ctx.compute(seconds=50e-6)
-            topo.neighbor_alltoallv([payload[0]] * topo.degree)
+            yield from topo.neighbor_alltoallv_g([payload[0]] * topo.degree)
         return ctx.now
 
     def nonblocking(ctx):
-        topo = ctx.dist_graph_create_adjacent(_ring(ctx.rank, ctx.nprocs))
+        topo = yield from ctx.dist_graph_create_adjacent_g(_ring(ctx.rank, ctx.nprocs))
         for _ in range(20):
             req = topo.ineighbor_alltoallv([payload[0]] * topo.degree)
             ctx.compute(seconds=50e-6)
-            req.wait()
+            yield from req.wait_g()
         return ctx.now
 
     t_block = Engine(4, m).run(blocking).makespan
@@ -163,9 +163,9 @@ def test_trace_csv_escapes_adversarial_detail():
 
 def test_trace_csv_round_trips_real_run():
     def prog(ctx):
-        ctx.isend((ctx.rank + 1) % 2, (ctx.rank, "x"))
-        ctx.recv()
-        ctx.barrier()
+        yield from ctx.isend_g((ctx.rank + 1) % 2, (ctx.rank, "x"))
+        yield from ctx.recv_g()
+        yield from ctx.barrier_g()
 
     eng = Engine(2, cori_aries(), trace=True)
     eng.run(prog)

@@ -10,11 +10,11 @@ has three faces, each pinned here:
 * **opportunism** — they may send/drain *fewer* operations than asked
   (or none at all) whenever the guard cannot prove the rank stays
   minimal; the caller loops with scalar fallbacks. On the scalar
-  engines, and under any gate that disables the fast path (tracing,
+  engine, and under any gate that disables the fast path (tracing,
   operation budgets, faults), they must decline entirely and return
   0 / [].
 * **bit-identity** — a program written against the burst API must
-  produce exactly the simulation the scalar engines produce: same
+  produce exactly the simulation the scalar engine produces: same
   makespan, clocks, op counts, *and switch count* (batching elides
   scheduler work, never scheduler decisions).
 * **invisibility** — ``Engine.try_arm_guard`` replays the scheduler's
@@ -27,7 +27,7 @@ import pytest
 from repro.harness.bench import _drain_storm
 from repro.mpisim import Engine, cori_aries
 
-ENGINES = ("threaded", "coroutine", "vector")
+ENGINES = ("coroutine", "vector")
 
 
 def _run(prog, nprocs, mode, **kw):
@@ -50,10 +50,10 @@ def _observables(res):
 def test_drain_storm_bit_identical_across_engines(nprocs):
     # The bench's retention workload, shrunk: bursts engage on the
     # vector engine, scalar generators replay it elsewhere — one
-    # simulation, three execution strategies.
+    # simulation, two execution strategies.
     prog = _drain_storm(rounds=3, fan=16, stagger=4e-4)
     fps = {m: _observables(_run(prog, nprocs, m)[0]) for m in ENGINES}
-    assert fps["threaded"] == fps["coroutine"] == fps["vector"]
+    assert fps["coroutine"] == fps["vector"]
 
 
 def test_drain_storm_traced_identical_across_engines():
@@ -135,13 +135,12 @@ def test_bursts_engage_on_vector_only():
     assert sent > total // 2, (sent, total)
     assert recvd > total // 4, (recvd, total)
 
-    # Scalar engines: the same program text, zero burst absorption.
-    for mode in ("threaded", "coroutine"):
-        res, _ = _run(prog, 4, mode)
-        assert res.rank_results == [(0, 0)] * 4
-        assert res.makespan == res_v.makespan
-        assert res.total_ops == res_v.total_ops
-        assert res.scheduler_switches == res_v.scheduler_switches
+    # Scalar engine: the same program text, zero burst absorption.
+    res, _ = _run(prog, 4, "coroutine")
+    assert res.rank_results == [(0, 0)] * 4
+    assert res.makespan == res_v.makespan
+    assert res.total_ops == res_v.total_ops
+    assert res.scheduler_switches == res_v.scheduler_switches
 
 
 def test_bursts_decline_under_trace_and_budgets():
@@ -183,5 +182,5 @@ def test_try_arm_guard_is_scheduler_invisible():
     base, _ = _run(plain, 4, "vector")
     assert _observables(probing) == _observables(base)
     # ...and on a non-vector engine the probe is a guaranteed no-op.
-    thr, _ = _run(prog, 4, "threaded")
-    assert _observables(thr) == _observables(base)
+    scalar, _ = _run(prog, 4, "coroutine")
+    assert _observables(scalar) == _observables(base)

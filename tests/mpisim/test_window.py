@@ -8,13 +8,13 @@ from repro.mpisim import Engine, RankFailure, cori_aries, zero_latency
 
 def test_put_visible_after_flush_and_barrier():
     def prog(ctx):
-        win = ctx.win_allocate(4)
+        win = yield from ctx.win_allocate_g(4)
         if ctx.rank == 1:
-            win.put(0, np.array([7, 8]), 1)
-            win.flush_all()
-        ctx.barrier()
+            yield from win.put_g(0, np.array([7, 8]), 1)
+            yield from win.flush_all_g()
+        yield from ctx.barrier_g()
         if ctx.rank == 0:
-            win.sync_local()
+            yield from win.sync_local_g()
             return win.local.tolist()
 
     res = Engine(2, zero_latency()).run(prog)
@@ -25,20 +25,20 @@ def test_put_not_visible_before_arrival():
     """Target syncing 'before' the put's network arrival sees nothing."""
 
     def prog2(ctx):
-        win = ctx.win_allocate(2)
+        win = yield from ctx.win_allocate_g(2)
         if ctx.rank == 1:
             ctx.compute(seconds=1.0)
-            win.put(0, np.array([5]), 0)
-            win.flush_all()
+            yield from win.put_g(0, np.array([5]), 0)
+            yield from win.flush_all_g()
         out = None
         if ctx.rank == 0:
-            win.sync_local()
+            yield from win.sync_local_g()
             early = win.local.tolist()
             ctx.compute(seconds=5.0)
-            win.sync_local()
+            yield from win.sync_local_g()
             late = win.local.tolist()
             out = (early, late)
-        ctx.barrier()
+        yield from ctx.barrier_g()
         return out
 
     res = Engine(2, cori_aries()).run(prog2)
@@ -47,15 +47,15 @@ def test_put_not_visible_before_arrival():
 
 def test_put_ordering_last_writer_wins():
     def prog(ctx):
-        win = ctx.win_allocate(1)
+        win = yield from ctx.win_allocate_g(1)
         if ctx.rank == 1:
-            win.put(0, np.array([1]), 0)
+            yield from win.put_g(0, np.array([1]), 0)
             ctx.compute(seconds=0.1)
-            win.put(0, np.array([2]), 0)
-            win.flush_all()
-        ctx.barrier()
+            yield from win.put_g(0, np.array([2]), 0)
+            yield from win.flush_all_g()
+        yield from ctx.barrier_g()
         if ctx.rank == 0:
-            win.sync_local()
+            yield from win.sync_local_g()
             return int(win.local[0])
 
     res = Engine(2, cori_aries()).run(prog)
@@ -64,13 +64,13 @@ def test_put_ordering_last_writer_wins():
 
 def test_accumulate_sums():
     def prog(ctx):
-        win = ctx.win_allocate(1)
+        win = yield from ctx.win_allocate_g(1)
         if ctx.rank != 0:
-            win.accumulate(0, np.array([ctx.rank]), 0)
-            win.flush_all()
-        ctx.barrier()
+            yield from win.accumulate_g(0, np.array([ctx.rank]), 0)
+            yield from win.flush_all_g()
+        yield from ctx.barrier_g()
         if ctx.rank == 0:
-            win.sync_local()
+            yield from win.sync_local_g()
             return int(win.local[0])
 
     res = Engine(4, zero_latency()).run(prog)
@@ -79,10 +79,10 @@ def test_accumulate_sums():
 
 def test_put_out_of_bounds():
     def prog(ctx):
-        win = ctx.win_allocate(2)
+        win = yield from ctx.win_allocate_g(2)
         if ctx.rank == 0:
-            win.put(1, np.array([1, 2, 3]), 0)
-        ctx.barrier()
+            yield from win.put_g(1, np.array([1, 2, 3]), 0)
+        yield from ctx.barrier_g()
 
     with pytest.raises(RankFailure):
         Engine(2, zero_latency()).run(prog)
@@ -90,13 +90,13 @@ def test_put_out_of_bounds():
 
 def test_asymmetric_window_sizes():
     def prog(ctx):
-        win = ctx.win_allocate(8 if ctx.rank == 0 else 0)
+        win = yield from ctx.win_allocate_g(8 if ctx.rank == 0 else 0)
         if ctx.rank == 1:
-            win.put(0, np.arange(8), 0)
-            win.flush_all()
-        ctx.barrier()
+            yield from win.put_g(0, np.arange(8), 0)
+            yield from win.flush_all_g()
+        yield from ctx.barrier_g()
         if ctx.rank == 0:
-            win.sync_local()
+            yield from win.sync_local_g()
             return win.local.tolist()
 
     res = Engine(2, zero_latency()).run(prog)
@@ -105,14 +105,14 @@ def test_asymmetric_window_sizes():
 
 def test_get_reads_remote():
     def prog2(ctx):
-        win = ctx.win_allocate(4, fill=0)
+        win = yield from ctx.win_allocate_g(4, fill=0)
         if ctx.rank == 0:
             win.local[:] = [9, 8, 7, 6]
-        ctx.barrier()
+        yield from ctx.barrier_g()
         out = None
         if ctx.rank == 1:
-            out = win.get(0, 1, 2).tolist()
-        ctx.barrier()
+            out = (yield from win.get_g(0, 1, 2)).tolist()
+        yield from ctx.barrier_g()
         return out
 
     res = Engine(2, zero_latency()).run(prog2)
@@ -123,14 +123,14 @@ def test_flush_advances_clock_past_put_completion():
     m = cori_aries()
 
     def prog2(ctx):
-        win = ctx.win_allocate(1024)
+        win = yield from ctx.win_allocate_g(1024)
         out = None
         if ctx.rank == 0:
             t0 = ctx.now
-            win.put(1, np.zeros(1000, dtype=np.int64), 0)
-            win.flush_all()
+            yield from win.put_g(1, np.zeros(1000, dtype=np.int64), 0)
+            yield from win.flush_all_g()
             out = ctx.now - t0
-        ctx.barrier()
+        yield from ctx.barrier_g()
         return out
 
     res = Engine(2, m).run(prog2)
@@ -141,11 +141,11 @@ def test_flush_advances_clock_past_put_completion():
 
 def test_rma_counters_and_memory():
     def prog(ctx):
-        win = ctx.win_allocate(4)
+        win = yield from ctx.win_allocate_g(4)
         if ctx.rank == 0:
-            win.put(1, np.array([1]), 0)
-            win.flush_all()
-        ctx.barrier()
+            yield from win.put_g(1, np.array([1]), 0)
+            yield from win.flush_all_g()
+        yield from ctx.barrier_g()
         win.free()
 
     res = Engine(2, zero_latency()).run(prog)
@@ -160,11 +160,11 @@ def test_rma_counters_and_memory():
 
 def test_get_out_of_bounds():
     def prog(ctx):
-        win = ctx.win_allocate(4)
-        ctx.barrier()
+        win = yield from ctx.win_allocate_g(4)
+        yield from ctx.barrier_g()
         if ctx.rank == 1:
-            win.get(0, 2, 10)
-        ctx.barrier()
+            yield from win.get_g(0, 2, 10)
+        yield from ctx.barrier_g()
 
     with pytest.raises(RankFailure):
         Engine(2, zero_latency()).run(prog)
@@ -175,18 +175,18 @@ def test_get_sees_arrived_pending_without_consuming():
     target's own sync_local later applies them normally)."""
 
     def prog(ctx):
-        win = ctx.win_allocate(2)
+        win = yield from ctx.win_allocate_g(2)
         if ctx.rank == 1:
-            win.put(0, np.array([7]), 0)
-            win.flush_all()
-        ctx.barrier()
+            yield from win.put_g(0, np.array([7]), 0)
+            yield from win.flush_all_g()
+        yield from ctx.barrier_g()
         out = None
         if ctx.rank == 1:
-            seen = win.get(0, 0, 1).tolist()
+            seen = (yield from win.get_g(0, 0, 1)).tolist()
             out = ("get", seen)
-        ctx.barrier()
+        yield from ctx.barrier_g()
         if ctx.rank == 0:
-            applied = win.sync_local()
+            applied = yield from win.sync_local_g()
             out = ("sync", applied, win.local.tolist())
         return out
 
@@ -197,15 +197,15 @@ def test_get_sees_arrived_pending_without_consuming():
 
 def test_accumulate_then_get_combined():
     def prog(ctx):
-        win = ctx.win_allocate(1, fill=10)
+        win = yield from ctx.win_allocate_g(1, fill=10)
         if ctx.rank == 1:
-            win.accumulate(0, np.array([5]), 0)
-            win.flush_all()
-        ctx.barrier()
+            yield from win.accumulate_g(0, np.array([5]), 0)
+            yield from win.flush_all_g()
+        yield from ctx.barrier_g()
         out = None
         if ctx.rank == 1:
-            out = int(win.get(0, 0, 1)[0])
-        ctx.barrier()
+            out = int((yield from win.get_g(0, 0, 1))[0])
+        yield from ctx.barrier_g()
         return out
 
     res = Engine(2, zero_latency()).run(prog)
