@@ -149,11 +149,14 @@ def edge_balanced_distribution(g: CSRGraph, nprocs: int) -> BlockDistribution:
     total = float(g.xadj[-1])
     targets = np.arange(1, nprocs, dtype=np.float64) * (total / nprocs)
     cuts = np.searchsorted(g.xadj[1:], targets, side="left") + 1
-    # Enforce at least one vertex per rank (degenerate graphs/hubs).
+    # Enforce at least one vertex per rank (degenerate graphs/hubs): a
+    # hub's degree can put several targets inside one vertex, so every
+    # cut must clear the one before it, and leave a vertex for every
+    # later rank.
     cuts = np.maximum.accumulate(np.clip(cuts, 1, n - 1))
+    prev = 0
     for i in range(len(cuts)):
-        cuts[i] = max(cuts[i], i + 1)
-        cuts[i] = min(cuts[i], n - (nprocs - 1 - i))
+        prev = cuts[i] = min(max(cuts[i], prev + 1), n - (nprocs - 1 - i))
     starts = np.concatenate(([0], cuts, [n])).astype(np.int64)
     return BlockDistribution(n, nprocs, starts=starts)
 

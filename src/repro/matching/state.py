@@ -27,10 +27,39 @@ REJECT, or INVALID. A rank is locally quiescent when both are zero and
 its work queue is empty; Send-Recv exits on that local predicate (paper
 §V-D), while RMA/NCL combine it through a global reduction each
 iteration, exactly as the paper describes.
+
+Representation
+--------------
+Every transition touches one vertex at a time, so per-vertex state is
+held in plain Python containers indexed by local id ``i = v - lo``:
+``status`` and ``processed`` are ``bytearray``s, ``mate``, ``pointer``
+and ``ptr_idx`` are lists, and ownership is the range test
+``lo <= v < hi`` on locals. The candidate order and the CSR row are two
+flat ``array('q')`` buffers addressed through ``xadj`` (8 bytes a slot,
+like the numpy CSR they are copied from). numpy lost here because each
+scalar read or write through it costs a conversion and a call — a numpy
+scalar per ``status[i]``, a view per ``row(v)`` — which made this module
+half of the engine's self time on a locality-bound graph; lists were
+kept over ``array('q')`` for the per-vertex fields because an array
+boxes a new int on every read. ``evicted`` / ``pending`` slots share one
+immutable empty sentinel until their first write, which replaces it
+with the slot's own ``set``; a set once created is only ever modified in
+place.
+
+Snapshot layout (a contract)
+----------------------------
+:meth:`snapshot` returns the layout the numpy representation had:
+``status`` int8, ``mate`` / ``pointer`` / ``ptr_idx`` int64, and
+``processed`` bool arrays, and for ``evicted`` / ``pending`` a list of
+one *distinct* ``set`` per owned vertex. Recovery charges virtual time
+for the pickled size of a cut, so the pickle of a snapshot must not
+depend on how the state is held; ``tests/matching/test_snapshot_layout.py``
+pins it byte for byte.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from types import GeneratorType
@@ -55,7 +84,24 @@ COST_MSG = 4.0  #: decoding + dispatching one incoming message
 COST_PUSH = 2.0  #: staging one outgoing message
 COST_NEIGHBOR = 1.5  #: one neighbor step in PROCESSNEIGHBORS
 
+#: ``evicted`` / ``pending`` slot never written; immutable, so a write
+#: that forgets to replace it fails loudly instead of sharing state
+_EMPTY: frozenset[int] = frozenset()
+
 PushFn = Callable[[Ctx, int, int, int], None]
+
+
+def _flat(a: np.ndarray) -> array:
+    return array("q", np.ascontiguousarray(a, dtype=np.int64).tobytes())
+
+
+def _add(slots: list, i: int, y: int) -> None:
+    """``slots[i].add(y)``, giving slot ``i`` its own set on first write."""
+    s = slots[i]
+    if s is _EMPTY:
+        slots[i] = {y}
+    else:
+        s.add(y)
 
 
 @dataclass
@@ -87,6 +133,7 @@ class MatchingState:
         push_fast: Callable[[Ctx, int, int, int], bool] | None = None,
     ):
         self.lg = lg
+        self.lo, self.hi = lg.lo, lg.hi
         self.push_fn = push
         # Vector-engine fused push: a plain callable returning True when
         # it sent (bit-identically to push_fn), False when the caller
@@ -104,13 +151,13 @@ class MatchingState:
         self.stats = MatchStats()
 
         n_local = lg.num_owned
-        self.status = np.full(n_local, FREE, dtype=np.int8)
-        self.mate = np.full(n_local, NO_MATE, dtype=np.int64)
-        self.pointer = np.full(n_local, NO_MATE, dtype=np.int64)
-        self.ptr_idx = np.zeros(n_local, dtype=np.int64)  # scan position
-        self.evicted: list[set[int]] = [set() for _ in range(n_local)]
-        self.pending: list[set[int]] = [set() for _ in range(n_local)]
-        self.processed = np.zeros(n_local, dtype=bool)  # PROCESSNEIGHBORS ran
+        self.status = bytearray(n_local)  # all FREE
+        self.mate = [NO_MATE] * n_local
+        self.pointer = [NO_MATE] * n_local
+        self.ptr_idx = [0] * n_local  # scan position within the candidates
+        self.evicted: list[set[int] | frozenset[int]] = [_EMPTY] * n_local
+        self.pending: list[set[int] | frozenset[int]] = [_EMPTY] * n_local
+        self.processed = bytearray(n_local)  # PROCESSNEIGHBORS ran
 
         # Candidate order: per owned vertex, neighbors sorted descending by
         # the total order (weight, edge_hash) — the paper's hash tie-break.
@@ -142,10 +189,11 @@ class MatchingState:
             sorted_adj = lg.adjncy[perm]
         else:
             sorted_adj = lg.adjncy
-        xadj = lg.xadj
-        self.cand: list[np.ndarray] = [
-            sorted_adj[int(xadj[i]):int(xadj[i + 1])] for i in range(n_local)
-        ]
+        # Two flat arrays addressed by xadj: candidate order (FINDMATE)
+        # and CSR row order (PROCESSNEIGHBORS, whose sends follow it).
+        self.xadj: list[int] = lg.xadj.tolist()
+        self.cand = _flat(sorted_adj)
+        self.adj = _flat(lg.adjncy)
 
         # Cross-pair activity: (local_idx, ghost_global) -> active?
         # The ownership test is vectorized, but the adds stay one by one
@@ -161,24 +209,22 @@ class MatchingState:
         for i, y in zip(src_local[ghost_idx].tolist(), ys):
             _add_pair((i, y))
         self.nghosts = len(self.active_pairs)
-        # Every message goes to the owner of a ghost: look the owners up
-        # once here, not once per push.
+        # Every message goes to, and every message comes from, the owner
+        # of a ghost: look the owners up once here, not once per message.
         self.ghost_owner: dict[int, int] = dict(
             zip(ys, lg.dist.owner_array(ghost_ys).tolist()))
         self.awaiting = 0
         self.dead_ranks: set[int] = set()  # crashed peers we have renounced
         self.work: deque[int] = deque()  # local indices awaiting PROCESSNEIGHBORS
-        # Ghost neighbors per owned vertex, for broadcast-style walks.
-        self.ghosts_of: list[list[int]] = [[] for _ in range(n_local)]
+        # Ghost neighbors of the owned vertices that have any, for
+        # broadcast-style walks (in active_pairs iteration order).
+        self.ghosts_of: dict[int, list[int]] = {}
         for (i, y) in self.active_pairs:
-            self.ghosts_of[i].append(y)
+            self.ghosts_of.setdefault(i, []).append(y)
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _li(self, v: int) -> int:
-        return v - self.lg.lo
-
     def _push_g(self, ctx_id: Ctx, y: int, x_payload: int, y_payload: int):
         """Send (ctx, x, y) to owner(y)."""
         self.charge(COST_PUSH)
@@ -207,43 +253,47 @@ class MatchingState:
     # ------------------------------------------------------------------
     def find_mate_g(self, v: int):
         """Point owned vertex ``v`` at its best available neighbor."""
-        lg = self.lg
-        i = self._li(v)
-        if self.status[i] != FREE:
+        lo, hi = self.lo, self.hi
+        i = v - lo
+        status = self.status
+        if status[i] != FREE:
             return
         self.stats.findmate_calls += 1
-        cand = self.cand[i]
-        scanned = 0
+        cand = self.cand
+        start = self.xadj[i]
+        end = self.xadj[i + 1]
+        k = first = start + self.ptr_idx[i]
+        evicted = self.evicted[i]
         y = NO_MATE
-        while self.ptr_idx[i] < len(cand):
-            c = int(cand[self.ptr_idx[i]])
-            scanned += 1
-            if lg.owns(c):
-                if self.status[self._li(c)] == FREE:
+        while k < end:
+            c = cand[k]
+            if lo <= c < hi:
+                if status[c - lo] == FREE:
                     y = c
                     break
-            else:
-                if c not in self.evicted[i]:
-                    y = c
-                    break
-            self.ptr_idx[i] += 1
-        self.charge(COST_SCAN * max(1, scanned))
+            elif c not in evicted:
+                y = c
+                break
+            k += 1
+        # the scan counts the slot it stopped on, and at least one
+        scanned = k - first + (y != NO_MATE)
+        self.ptr_idx[i] = k - start
+        self.charge(COST_SCAN * (scanned or 1))
 
         if y == NO_MATE:
             yield from self._invalidate_g(v)
             return
 
         self.pointer[i] = y
-        if lg.owns(y):
-            j = self._li(y)
-            if self.pointer[j] == v:
+        if lo <= y < hi:
+            if self.pointer[y - lo] == v:
                 self._match_local(v, y)
         else:
             # Commit to the ghost: deactivate the pair, evict it from the
             # candidate set (a later REJECT must not re-propose it), send
             # the proposal.
             self._deactivate(i, y)
-            self.evicted[i].add(y)
+            _add(self.evicted, i, y)
             self.ptr_idx[i] += 1  # never reconsider y
             if y in self.pending[i]:
                 # y proposed first: mutual pointing, match immediately;
@@ -256,33 +306,38 @@ class MatchingState:
 
     def _invalidate_g(self, v: int):
         """No candidate remains for ``v``: broadcast INVALID (case #5)."""
-        i = self._li(v)
+        i = v - self.lo
         assert not self.pending[i], "dead vertex cannot hold proposals"
         self.status[i] = DEAD
         self.pointer[i] = NO_MATE
-        for y in self.ghosts_of[i]:
+        for y in self.ghosts_of.get(i, ()):
             if self._deactivate(i, y):
                 yield from self._push_g(Ctx.INVALID, y, y, v)
 
     # ------------------------------------------------------------------
     # matches
     # ------------------------------------------------------------------
+    def _clear_pending(self, i: int) -> None:
+        p = self.pending[i]
+        if p is not _EMPTY:
+            p.clear()
+
     def _match_local(self, x: int, y: int) -> None:
-        ix, iy = self._li(x), self._li(y)
+        ix, iy = x - self.lo, y - self.lo
         self.status[ix] = self.status[iy] = MATCHED
         self.mate[ix] = y
         self.mate[iy] = x
-        self.pending[ix].clear()
-        self.pending[iy].clear()
+        self._clear_pending(ix)
+        self._clear_pending(iy)
         self.stats.matched_local += 1
         self.work.append(ix)
         self.work.append(iy)
 
     def _match_remote(self, x: int, y_ghost: int) -> None:
-        ix = self._li(x)
+        ix = x - self.lo
         self.status[ix] = MATCHED
         self.mate[ix] = y_ghost
-        self.pending[ix].clear()
+        self._clear_pending(ix)
         self.stats.matched_remote += 1
         self.work.append(ix)
 
@@ -293,23 +348,23 @@ class MatchingState:
         """Resolve the neighborhood of newly matched owned vertex (idx i)."""
         if self.processed[i]:
             return
-        self.processed[i] = True
-        lg = self.lg
-        v = lg.lo + i
-        mate_v = int(self.mate[i])
-        nbrs, _ = lg.row(v)
-        self.charge(COST_NEIGHBOR * max(1, len(nbrs)))
-        for u in nbrs:
-            u = int(u)
+        self.processed[i] = 1
+        lo, hi = self.lo, self.hi
+        v = lo + i
+        mate_v = self.mate[i]
+        start = self.xadj[i]
+        end = self.xadj[i + 1]
+        self.charge(COST_NEIGHBOR * (end - start or 1))
+        status, pointer = self.status, self.pointer
+        for u in self.adj[start:end]:
             if u == mate_v:
                 continue
-            if lg.owns(u):
-                j = self._li(u)
-                if self.status[j] == FREE and self.pointer[j] == v:
+            if lo <= u < hi:
+                j = u - lo
+                if status[j] == FREE and pointer[j] == v:
                     yield from self.find_mate_g(u)
-            else:
-                if self._deactivate(i, u):
-                    yield from self._push_g(Ctx.REJECT, u, u, v)
+            elif self._deactivate(i, u):
+                yield from self._push_g(Ctx.REJECT, u, u, v)
 
     def drain_work_g(self):
         """Run PROCESSNEIGHBORS for every queued matched vertex."""
@@ -326,41 +381,41 @@ class MatchingState:
         """Process one incoming (ctx, x, y): x is ours, y is the sender's."""
         self.charge(COST_MSG * self.handle_scale)
         self.stats.received[Ctx(ctx_id).name] += 1
-        lg = self.lg
-        if not lg.owns(x):
-            raise ValueError(f"rank {lg.rank} received message for foreign vertex {x}")
-        if self.dead_ranks and lg.dist.owner(y) in self.dead_ranks:
+        lo = self.lo
+        if not lo <= x < self.hi:
+            raise ValueError(
+                f"rank {self.lg.rank} received message for foreign vertex {x}")
+        if self.dead_ranks and self.ghost_owner.get(y) in self.dead_ranks:
             # Late message from a peer we have since renounced: its pairs
             # are already deactivated/evicted, so every branch below would
             # be a no-op — except REQUEST, which would park a proposal
             # from a ghost that can never confirm. Drop it outright.
             return
-        i = self._li(x)
+        i = x - lo
 
         if ctx_id == Ctx.REQUEST:
-            if self.status[i] == FREE and self.pointer[i] == y and not lg.owns(y):
+            free = self.status[i] == FREE
+            if free and self.pointer[i] == y and not lo <= y < self.hi:
                 # Mutual pointing: our own REQUEST to y is in flight or
                 # delivered; this crossing REQUEST resolves it.
                 self.awaiting -= 1
                 self._match_remote(x, y)
-            elif self.status[i] == FREE:
+            elif free:
                 if self.eager_reject:
                     # Paper Algorithm 6 as printed: refuse proposals that do
                     # not match the current pointer, even while unmatched.
                     if self._deactivate(i, y):
-                        self.evicted[i].add(y)
+                        _add(self.evicted, i, y)
                         yield from self._push_g(Ctx.REJECT, y, y, x)
                 else:
-                    self.pending[i].add(y)  # deferred proposal
+                    _add(self.pending, i, y)  # deferred proposal
             else:
                 # Already matched elsewhere or dead: refuse, unless this
                 # pair was already deactivated (our REJECT/INVALID is in
                 # flight to the proposer).
                 if self._deactivate(i, y):
                     yield from self._push_g(Ctx.REJECT, y, y, x)
-        elif ctx_id == Ctx.REJECT:
-            yield from self._resolution_g(i, x, y)
-        elif ctx_id == Ctx.INVALID:
+        elif ctx_id == Ctx.REJECT or ctx_id == Ctx.INVALID:
             yield from self._resolution_g(i, x, y)
         elif ctx_id == Ctx.ACK:
             pass  # MBP baseline chatter; no algorithmic content
@@ -385,7 +440,7 @@ class MatchingState:
             self.pointer[i] = NO_MATE
             yield from self.find_mate_g(x)
         elif self._deactivate(i, y):
-            self.evicted[i].add(y)
+            _add(self.evicted, i, y)
 
     # ------------------------------------------------------------------
     # fault tolerance (ULFM-style graceful degradation)
@@ -408,36 +463,37 @@ class MatchingState:
 
         Idempotent per rank; returns the number of affected pairs/vertices.
         """
-        lg = self.lg
         if dead in self.dead_ranks:
             return 0
         self.dead_ranks.add(dead)
-        owner = lg.dist.owner
+        # every vertex below that can be dead-owned is a ghost
+        owner = self.ghost_owner
+        lo, hi = self.lo, self.hi
 
-        doomed = [(i, y) for (i, y) in self.active_pairs if owner(y) == dead]
+        doomed = [(i, y) for (i, y) in self.active_pairs if owner[y] == dead]
         for i, y in doomed:
             self._deactivate(i, y)
-            self.evicted[i].add(y)
+            _add(self.evicted, i, y)
         self.stats.renounced_pairs += len(doomed)
 
         retarget: list[int] = []
-        for i in range(lg.num_owned):
+        for i in range(len(self.status)):
             if self.pending[i]:
-                stale = {y for y in self.pending[i] if owner(y) == dead}
+                stale = {y for y in self.pending[i] if owner[y] == dead}
                 self.pending[i] -= stale
-            st = int(self.status[i])
+            st = self.status[i]
             if st == FREE:
-                p = int(self.pointer[i])
-                if p != NO_MATE and not lg.owns(p) and owner(p) == dead:
+                p = self.pointer[i]
+                if p != NO_MATE and not lo <= p < hi and owner[p] == dead:
                     # Outstanding REQUEST into the void: resolve it the
                     # way a REJECT would have (p is already evicted —
                     # proposing deactivates and evicts the pair).
                     self.awaiting -= 1
                     self.pointer[i] = NO_MATE
-                    retarget.append(lg.lo + i)
+                    retarget.append(lo + i)
             elif st == MATCHED:
-                m = int(self.mate[i])
-                if m != NO_MATE and not lg.owns(m) and owner(m) == dead:
+                m = self.mate[i]
+                if m != NO_MATE and not lo <= m < hi and owner[m] == dead:
                     self.mate[i] = NO_MATE
                     self.stats.widowed += 1
         for v in retarget:
@@ -467,13 +523,22 @@ class MatchingState:
     )
 
     def snapshot(self) -> dict:
-        """Mutable protocol state for a coordinated checkpoint.
+        """Mutable protocol state for a coordinated checkpoint, in the
+        numpy layout the module docstring pins.
 
-        Returns live references — the engine pickles the tree immediately
-        at the capture instant, which both isolates it from further
-        mutation and keeps the copy cost off the simulated clock.
+        The arrays are copies; everything else is a live reference — the
+        engine pickles the tree immediately at the capture instant, which
+        both isolates it from further mutation and keeps the copy cost
+        off the simulated clock.
         """
-        return {f: getattr(self, f) for f in self._SNAPSHOT_FIELDS}
+        blob = {f: getattr(self, f) for f in self._SNAPSHOT_FIELDS}
+        blob["status"] = np.frombuffer(self.status, dtype=np.int8).copy()
+        blob["processed"] = np.frombuffer(self.processed, dtype=bool).copy()
+        for f in ("mate", "pointer", "ptr_idx"):
+            blob[f] = np.array(blob[f], dtype=np.int64)
+        for f in ("evicted", "pending"):
+            blob[f] = [set() if s is _EMPTY else s for s in blob[f]]
+        return blob
 
     def restore(self, blob: dict) -> None:
         """Adopt a snapshot taken by :meth:`snapshot` (resume path).
@@ -483,14 +548,20 @@ class MatchingState:
         """
         for f in self._SNAPSHOT_FIELDS:
             setattr(self, f, blob[f])
+        self.status = bytearray(blob["status"].tobytes())
+        self.processed = bytearray(blob["processed"].tobytes())
+        for f in ("mate", "pointer", "ptr_idx"):
+            setattr(self, f, blob[f].tolist())
 
     # ------------------------------------------------------------------
     # phases / termination
     # ------------------------------------------------------------------
     def start_g(self):
         """Phase 1: initial FINDMATE sweep over owned vertices."""
-        for v in range(self.lg.lo, self.lg.hi):
-            yield from self.find_mate_g(v)
+        lo, status = self.lo, self.status
+        for v in range(lo, self.hi):
+            if status[v - lo] == FREE:  # else a local match took it already
+                yield from self.find_mate_g(v)
 
     def remaining(self) -> int:
         """Local progress debt; globally zero means the algorithm is done."""
@@ -501,4 +572,4 @@ class MatchingState:
 
     def mate_global(self) -> np.ndarray:
         """Owned slice of the global mate array."""
-        return self.mate.copy()
+        return np.array(self.mate, dtype=np.int64)

@@ -588,6 +588,10 @@ class Engine:
                 res = yield from res
             rs.result = res
             rs.state = _DONE
+            # A finished rank is never captured again; dropping its hook
+            # frees the application state it closes over now, instead of
+            # with the engine's reference cycles at the next GC pass.
+            self._ckpt_providers.pop(rs.rank, None)
         except SimAbort:
             if rs.state not in (_FAILED, _CRASHED):
                 rs.state = _DONE

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.distribution import (
     BlockDistribution,
@@ -169,3 +171,60 @@ def test_matching_correct_under_edge_balanced_distribution():
     for model in ("nsr", "ncl"):
         res = run_matching(g, 4, model, config=RunConfig(machine=zero_latency(), dist=edge_balanced_distribution(g, 4)))
         assert np.array_equal(res.mate, ref.mate)
+
+
+def star_graph(n=20, hub=5):
+    from repro.graph.build import build_graph
+
+    rest = np.array([v for v in range(n) if v != hub], dtype=np.int64)
+    return build_graph(n, np.full(n - 1, hub, dtype=np.int64), rest, seed=1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 8, 20])
+def test_edge_balanced_distribution_star_gives_every_rank_a_vertex(p):
+    from repro.graph.distribution import edge_balanced_distribution
+
+    dist = edge_balanced_distribution(star_graph(), p)
+    assert np.all(np.diff(dist.starts) >= 1)
+    assert dist.starts[-1] == 20
+
+
+def _clamped_cuts(g, p):
+    """The cut clamp before hubs were handled: right wherever it gave
+    every rank a vertex."""
+    n = g.num_vertices
+    targets = np.arange(1, p, dtype=np.float64) * (float(g.xadj[-1]) / p)
+    cuts = np.searchsorted(g.xadj[1:], targets, side="left") + 1
+    cuts = np.maximum.accumulate(np.clip(cuts, 1, n - 1))
+    for i in range(len(cuts)):
+        cuts[i] = min(max(cuts[i], i + 1), n - (p - 1 - i))
+    return np.concatenate(([0], cuts, [n]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_balanced_distribution_on_hub_graphs(data):
+    from repro.graph.build import build_graph
+    from repro.graph.distribution import edge_balanced_distribution
+
+    n = data.draw(st.integers(2, 40), label="n")
+    hubs = data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="hubs")
+    u, v = [], []
+    for h in hubs:  # a hub reaches a random share of the graph
+        for x in data.draw(st.sets(st.integers(0, n - 1)), label="spokes"):
+            u.append(h)
+            v.append(x)
+    for a, b in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   max_size=2 * n), label="edges"):
+        u.append(a)
+        v.append(b)
+    g = build_graph(n, np.array(u, dtype=np.int64), np.array(v, dtype=np.int64),
+                    seed=0)
+    p = data.draw(st.integers(1, n), label="p")
+    starts = edge_balanced_distribution(g, p).starts
+    assert starts[0] == 0 and starts[-1] == n
+    assert np.all(np.diff(starts) >= 1)
+    old = _clamped_cuts(g, p)
+    if np.all(np.diff(old) >= 1):
+        assert np.array_equal(starts, old)

@@ -1,0 +1,12 @@
+"""Hypothesis profiles for the property tests beside this file.
+
+``pytest tests/matching/test_properties.py --hypothesis-profile=deep``
+runs every test that does not fix its own example count with ten times
+the default number of examples.
+"""
+
+from hypothesis import settings
+
+settings.register_profile(
+    "deep", max_examples=10 * settings.get_profile("default").max_examples
+)
