@@ -28,5 +28,13 @@ class Ctx(IntEnum):
     ACK = 4
 
 
+#: ``CTX_NAME[c] == Ctx(c).name`` for a context's int value (slot 0 is
+#: unused). Wire decodes hand plain ints to the state machine, which
+#: names them through this tuple: building an enum member per message
+#: costs more than handling it.
+CTX_NAME: tuple[str, ...] = ("",) + tuple(c.name for c in Ctx)
+assert all(CTX_NAME[c] == c.name for c in Ctx)
+
+
 #: wire size of one (context, x, y) triple: three 64-bit words
 TRIPLE_BYTES = 24

@@ -18,10 +18,9 @@ nonblocking collectives on irregular workloads.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
+from repro.matching.ncl import handle_lanes_g, ship_lanes, stage
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
 
@@ -46,12 +45,14 @@ class INCLBackend:
         self._needs_setup = False
         self.topo = yield from self.ctx.dist_graph_create_adjacent_g(
             self.lg.neighbor_ranks)
-        self.nbr_index = {q: k for k, q in enumerate(self.topo.neighbors)}
+        self.nbr_index = self.topo.neighbor_index
         self.send_bufs: list[list[int]] = [[] for _ in self.topo.neighbors]
+        self._active: list[int] = []  # non-empty send buffers
 
     # ------------------------------------------------------------------
     def push(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> None:
-        self.send_bufs[self.nbr_index[target_rank]].extend((int(ctx_id), x, y))
+        stage(self.send_bufs, self._active, self.nbr_index[target_rank],
+              (int(ctx_id), x, y))
         self.ctx.alloc(TRIPLE_BYTES, "ncl-sendbuf")
         self._staged_bytes += TRIPLE_BYTES
 
@@ -63,22 +64,17 @@ class INCLBackend:
         iterations = 0
         while True:
             iterations += 1
-            # Counts first (cheap, blocking — receivers must size buffers).
-            counts = [len(b) // 3 for b in self.send_bufs]
-            recv_counts = yield from self.topo.neighbor_alltoall_g(
-                counts, nbytes_per_item=8)
-            payloads = [np.array(b, dtype=np.int64) for b in self.send_bufs]
-            nbytes_each = [c * TRIPLE_BYTES for c in counts]
-            staged = self._staged_bytes
-
-            recv_bytes_est = sum(int(c) * TRIPLE_BYTES for c in recv_counts)
-            self.ctx.alloc(recv_bytes_est, "ncl-recvbuf")
-            req = self.topo.ineighbor_alltoallv(payloads, nbytes_each=nbytes_each)
-
             # Swap buffers: pushes generated during the overlap window and
             # the processing below belong to the *next* exchange.
-            for b in self.send_bufs:
-                b.clear()
+            counts, lanes, nbytes_each = ship_lanes(self.send_bufs, self._active)
+            # Counts first (cheap, blocking — receivers must size buffers).
+            recv_counts = yield from self.topo.neighbor_alltoall_g(
+                counts, nbytes_per_item=8)
+            staged = self._staged_bytes
+
+            recv_bytes_est = sum(recv_counts) * TRIPLE_BYTES
+            self.ctx.alloc(recv_bytes_est, "ncl-recvbuf")
+            req = self.topo.ineighbor_alltoallv(lanes, nbytes_each=nbytes_each)
             self._staged_bytes = 0
 
             # Overlap window: PROCESSNEIGHBORS work deferred from the
@@ -89,10 +85,7 @@ class INCLBackend:
 
             items, _ = yield from req.wait_g()
             self.ctx.free(staged, "ncl-sendbuf")
-            for arr in items:
-                for s in range(0, len(arr), 3):
-                    yield from state.handle_g(
-                        Ctx(int(arr[s])), int(arr[s + 1]), int(arr[s + 2]))
+            yield from handle_lanes_g(state, items)
             self.ctx.free(recv_bytes_est, "ncl-recvbuf")
             # Matches found above stay queued; they are the next overlap
             # window's work. remaining() counts them, so termination is

@@ -60,7 +60,7 @@ class MBPBackend:
             msg = yield from ctx.recv_g(source=src, tag=tag)
             x, y = msg.payload
             ctx.compute(_MBP_EXTRA_WORK)
-            yield from state.handle_g(Ctx(tag), x, y)
+            yield from state.handle_g(tag, x, y)
             if tag == int(Ctx.REQUEST):
                 # Protocol acknowledgment: pure overhead traffic.
                 yield from ctx.isend_g(src, (y, x), tag=int(Ctx.ACK),

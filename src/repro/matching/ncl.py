@@ -28,14 +28,61 @@ original backend.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
 from repro.mpisim.errors import RankCrashed
 from repro.mpisim.topology import DistGraphTopology
+
+#: the lane shipped to a neighbor with nothing staged. Immutable and
+#: shared: the sender keeps pushing into its own (still empty) buffer
+#: after the exchange, while a receiver may read the lane later.
+NO_TRIPLES: tuple[int, ...] = ()
+
+
+def stage(bufs: list[list[int]], active: list[int], k: int, triple) -> None:
+    """Append ``triple`` to lane ``k``, noting the lane's first write."""
+    b = bufs[k]
+    if not b:
+        active.append(k)
+    b.extend(triple)
+
+
+def ship_lanes(
+    bufs: list[list[int]], active: list[int]
+) -> tuple[list[int], list, list[int]]:
+    """Hand each staged buffer over as its neighbor's lane.
+
+    Returns ``(counts, lanes, nbytes)``, aligned with ``bufs``: triples,
+    lanes and wire bytes per neighbor. Only the ``active`` lanes (those
+    :func:`stage` wrote since the last shipment) cost a step here; each
+    is handed over as is and replaced by a fresh list in ``bufs``, so the
+    sender's next pushes cannot reach a lane in flight.
+    """
+    n = len(bufs)
+    counts, lanes, nbytes = [0] * n, [NO_TRIPLES] * n, [0] * n
+    for k in active:
+        b = lanes[k] = bufs[k]
+        bufs[k] = []
+        counts[k] = c = len(b) // 3
+        nbytes[k] = c * TRIPLE_BYTES
+    active.clear()
+    return counts, lanes, nbytes
+
+
+def handle_lanes_g(state: MatchingState, lanes):
+    """Feed every received ``(ctx, x, y)`` triple to the state machine,
+    lane by lane in neighbor order; returns how many were handled."""
+    handle = state.handle_g
+    handled = 0
+    for lane in lanes:
+        if lane:
+            it = iter(lane)
+            for c, x, y in zip(it, it, it):
+                yield from handle(c, x, y)
+            handled += len(lane) // 3
+    return handled
 
 
 class NCLBackend:
@@ -85,8 +132,10 @@ class NCLBackend:
         self._needs_setup = False
         self.topo = yield from self.ctx.dist_graph_create_adjacent_g(
             self.lg.neighbor_ranks)
-        self.nbr_index = {q: k for k, q in enumerate(self.topo.neighbors)}
+        self.nbr_index = self.topo.neighbor_index
         self.send_bufs: list[list[int]] = [[] for _ in self.topo.neighbors]
+        #: indices of the non-empty send buffers (see :func:`stage`)
+        self._active: list[int] = []
 
     # ------------------------------------------------------------------
     def push(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> None:
@@ -94,7 +143,8 @@ class NCLBackend:
         if self.fault_aware:
             self.sent_log[target_rank].extend((int(ctx_id), x, y))
         else:
-            self.send_bufs[self.nbr_index[target_rank]].extend((int(ctx_id), x, y))
+            stage(self.send_bufs, self._active, self.nbr_index[target_rank],
+                  (int(ctx_id), x, y))
         self.ctx.alloc(TRIPLE_BYTES, "ncl-sendbuf")
         self._staged_bytes += TRIPLE_BYTES
 
@@ -102,28 +152,19 @@ class NCLBackend:
         """One aggregated exchange: counts alltoall, then payload alltoallv."""
         self.ctx.prof_stage("evoke")
         topo = self.topo
-        counts = [len(b) // 3 for b in self.send_bufs]
+        counts, lanes, nbytes_each = ship_lanes(self.send_bufs, self._active)
         recv_counts = yield from topo.neighbor_alltoall_g(counts, nbytes_per_item=8)
-        payloads = [np.array(b, dtype=np.int64) for b in self.send_bufs]
-        nbytes_each = [c * TRIPLE_BYTES for c in counts]
         # Receive buffers are sized from the counts exchange; account them
         # for the duration of processing.
-        recv_bytes = sum(int(c) * TRIPLE_BYTES for c in recv_counts)
+        recv_bytes = sum(recv_counts) * TRIPLE_BYTES
         self.ctx.alloc(recv_bytes, "ncl-recvbuf")
         items, _ = yield from topo.neighbor_alltoallv_g(
-            payloads, nbytes_each=nbytes_each)
+            lanes, nbytes_each=nbytes_each)
         # Send buffers are free once the blocking collective returns.
         self.ctx.free(self._staged_bytes, "ncl-sendbuf")
         self._staged_bytes = 0
-        for b in self.send_bufs:
-            b.clear()
         self.ctx.prof_stage("process")
-        handled = 0
-        for arr in items:
-            for s in range(0, len(arr), 3):
-                yield from state.handle_g(
-                    Ctx(int(arr[s])), int(arr[s + 1]), int(arr[s + 2]))
-                handled += 1
+        handled = yield from handle_lanes_g(state, items)
         self.ctx.free(recv_bytes, "ncl-recvbuf")
         return handled
 
@@ -146,9 +187,8 @@ class NCLBackend:
         items = []
         for q in nbrs:
             start = self.sent_mark[q]
-            chunk = np.array(self.sent_log[q][start:], dtype=np.int64)
-            items.append((start // 3, chunk))
-        nbytes_each = [8 + int(arr.nbytes) for _, arr in items]
+            items.append((start // 3, self.sent_log[q][start:]))
+        nbytes_each = [8 + 8 * len(chunk) for _, chunk in items]
         recv_bytes = 0
         recv, _ = yield from topo.neighbor_alltoallv_g(
             items, nbytes_each=nbytes_each)
@@ -156,21 +196,16 @@ class NCLBackend:
             self.sent_mark[q] = len(self.sent_log[q])
         self.ctx.prof_stage("process")
         handled = 0
-        for q, (start, arr) in zip(nbrs, recv):
+        for q, (start, chunk) in zip(nbrs, recv):
             have = self.consumed[q]
             if start > have:
                 raise RuntimeError(
                     f"NCL log gap from rank {q}: chunk starts at triple "
                     f"{start} but only {have} consumed"
                 )
-            skip = (have - start) * 3
-            fresh = arr[skip:]
-            recv_bytes += int(fresh.nbytes)
-            for s in range(0, len(fresh), 3):
-                yield from state.handle_g(
-                    Ctx(int(fresh[s])), int(fresh[s + 1]), int(fresh[s + 2])
-                )
-                handled += 1
+            fresh = chunk[(have - start) * 3:]
+            recv_bytes += 8 * len(fresh)
+            handled += yield from handle_lanes_g(state, (fresh,))
             self.consumed[q] = have + len(fresh) // 3
         if recv_bytes:
             self.ctx.alloc(recv_bytes, "ncl-recvbuf")
@@ -311,9 +346,8 @@ class NCLBackend:
             self.consumed = blob["consumed"]
         else:
             self.send_bufs = blob["send_bufs"]
-            self.nbr_index = {
-                q: k for k, q in enumerate(self.topo.neighbors)
-            }
+            self._active = [k for k, b in enumerate(self.send_bufs) if b]
+            self.nbr_index = self.topo.neighbor_index
         self._resumed = True
 
     def finalize(self, state: MatchingState) -> None:

@@ -138,7 +138,7 @@ class NSRBackend:
                 _, src, tag = out
                 msg = yield from ctx.recv_g(source=src, tag=tag)
             x, y = msg.payload
-            yield from state.handle_g(Ctx(msg.tag), x, y)
+            yield from state.handle_g(msg.tag, x, y)
             handled += 1
 
     # ------------------------------------------------------------------
@@ -201,7 +201,7 @@ class NSRBackend:
 
         def deliver(src: int, user_tag: int, payload):
             x, y = payload
-            yield from state.handle_g(Ctx(user_tag), x, y)
+            yield from state.handle_g(user_tag, x, y)
 
         while True:
             yield from ctx.checkpoint_tick_g()

@@ -129,7 +129,7 @@ class NSRAggBackend:
     def _deliver(self, src: int, user_tag: int, payload):
         # Generator handler: the aggregator's poll path drives it.
         x, y = payload
-        yield from self._state.handle_g(Ctx(user_tag), x, y)
+        yield from self._state.handle_g(user_tag, x, y)
 
     # ------------------------------------------------------------------
     def _flush_boundary_g(self):

@@ -152,93 +152,83 @@ class RMABackend:
             )
         cur = self.write_cursor[target_rank]
         offset = self.remote_base[target_rank] + cur * self._slot
+        c = int(ctx_id)
         if self.put_verify:
-            words = [slot_checksum(int(ctx_id), x, y), int(ctx_id), x, y]
-            self.sent_log[target_rank].append((int(ctx_id), x, y))
+            words = (slot_checksum(c, x, y), c, x, y)
+            self.sent_log[target_rank].append((c, x, y))
         else:
-            words = [int(ctx_id), x, y]
-        yield from self.win.put_g(target_rank, np.array(words, dtype=np.int64),
-                                  offset)
+            words = (c, x, y)
+        yield from self.win.put_g(target_rank, words, offset)
         self.write_cursor[target_rank] = cur + 1
 
     # ------------------------------------------------------------------
     def _exchange_counts_g(self):
-        """Flush, then trade cumulative counts (+ bad-slot reports)."""
+        """Flush, then trade cumulative counts (+ bad-slot reports).
+
+        Returns ``(counts, reported)``: ``counts`` is a list aligned with
+        ``topo.neighbors``, ``reported`` maps a neighbor to the slots it
+        found bad in its region of our puts.
+        """
         yield from self.win.flush_all_g()
         nbrs = self.topo.neighbors
+        wc = self.write_cursor
         if self.put_verify:
-            items = [
-                (int(self.write_cursor[q]), self._my_bad.get(q, ()))
-                for q in nbrs
-            ]
+            items = [(wc[q], self._my_bad.get(q, ())) for q in nbrs]
             nbytes_each = [8 + 8 * len(b) for _, b in items]
             recv, _ = yield from self.topo.neighbor_alltoallv_g(
                 items, nbytes_each=nbytes_each)
-            counts = {q: int(c) for q, (c, _) in zip(nbrs, recv)}
+            counts = [c for c, _ in recv]
             reported = {q: b for q, (_, b) in zip(nbrs, recv) if b}
             return counts, reported
-        recv = yield from self.topo.neighbor_alltoall_g(
-            [int(self.write_cursor[q]) for q in nbrs], nbytes_per_item=8
-        )
-        return {q: int(c) for q, c in zip(nbrs, recv)}, {}
+        counts = yield from self.topo.neighbor_alltoall_g(
+            [wc[q] for q in nbrs], nbytes_per_item=8)
+        return counts, {}
 
     def _scan_region_g(self, state: MatchingState, buf, q: int, avail: int):
         """Consume newly advertised slots from sender ``q`` in order.
 
+        The region's unread slots are decoded with one ``tolist()``.
         Under put-fate verification, consumption stalls at the first slot
         whose checksum fails (zero = dropped, mismatch = corrupted); the
         remainder of the advertised range is still scanned so every bad
         slot is reported — and re-put — in one round.
         """
         slot = self._slot
-        base = self.region_start[q]
-        handled = 0
         cur = self.read_cursor[q]
-        if self.put_verify:
-            bad: list[int] = []
-            while cur < avail:
-                s = base + cur * slot
-                chk = int(buf[s])
-                ctx_id, x, y = int(buf[s + 1]), int(buf[s + 2]), int(buf[s + 3])
-                if chk != slot_checksum(ctx_id, x, y):
-                    bad.append(cur)
-                    break
-                yield from state.handle_g(Ctx(ctx_id), x, y)
-                cur += 1
-                handled += 1
-            self.read_cursor[q] = cur
-            # report every remaining bad slot in the range, not just the
-            # first, so the origin repairs them all in one retry round
-            for probe in range(cur + 1, avail):
-                s = base + probe * slot
-                chk = int(buf[s])
-                ctx_id, x, y = int(buf[s + 1]), int(buf[s + 2]), int(buf[s + 3])
-                if chk != slot_checksum(ctx_id, x, y):
-                    bad.append(probe)
-            if bad:
-                self._my_bad[q] = tuple(bad)
-            else:
-                self._my_bad.pop(q, None)
+        base = self.region_start[q]
+        it = iter(buf[base + cur * slot: base + avail * slot].tolist())
+        handle = state.handle_g
+        if not self.put_verify:
+            for c, x, y in zip(it, it, it):
+                yield from handle(c, x, y)
+            self.read_cursor[q] = avail
+            return avail - cur
+        bad: list[int] = []
+        first = cur
+        for k, (chk, c, x, y) in enumerate(zip(it, it, it, it), cur):
+            if chk != slot_checksum(c, x, y):
+                # report every bad slot in the range, not just the
+                # first, so the origin repairs them all in one retry round
+                bad.append(k)
+            elif not bad:
+                yield from handle(c, x, y)
+                cur = k + 1
+        self.read_cursor[q] = cur
+        if bad:
+            self._my_bad[q] = tuple(bad)
         else:
-            while cur < avail:
-                s = base + cur * slot
-                yield from state.handle_g(
-                    Ctx(int(buf[s])), int(buf[s + 1]), int(buf[s + 2]))
-                cur += 1
-                handled += 1
-            self.read_cursor[q] = cur
-        return handled
+            self._my_bad.pop(q, None)
+        return cur - first
 
     def _repair_slots_g(self, reported: dict[int, tuple[int, ...]]):
         """Re-put slots a neighbor reported bad (fresh fate per retry)."""
         rc = self.ctx.counters()
         for q, bads in reported.items():
             for sidx in bads:
-                ctx_id, x, y = self.sent_log[q][sidx]
-                words = [slot_checksum(ctx_id, x, y), ctx_id, x, y]
+                c, x, y = self.sent_log[q][sidx]
                 yield from self.win.put_g(
                     q,
-                    np.array(words, dtype=np.int64),
+                    (slot_checksum(c, x, y), c, x, y),
                     self.remote_base[q] + sidx * self._slot,
                 )
                 rc.put_retries += 1
@@ -251,8 +241,12 @@ class RMABackend:
         buf = self.win.local
         self.ctx.prof_stage("process")
         handled = 0
-        for q in self.topo.neighbors:
-            handled += yield from self._scan_region_g(state, buf, q, counts[q])
+        read = self.read_cursor
+        # Only regions with unread slots: a stalled (bad) slot keeps its
+        # region unread, so skipping the rest skips no report either.
+        for q, avail in zip(self.topo.neighbors, counts):
+            if avail != read[q]:
+                handled += yield from self._scan_region_g(state, buf, q, avail)
         if reported:
             yield from self._repair_slots_g(reported)
         return handled

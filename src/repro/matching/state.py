@@ -68,7 +68,7 @@ from typing import Callable
 import numpy as np
 
 from repro.graph.distribution import LocalGraph
-from repro.matching.contexts import Ctx
+from repro.matching.contexts import CTX_NAME, Ctx
 from repro.util.hashing import edge_hash_array
 
 NO_MATE = -1
@@ -83,6 +83,10 @@ COST_SCAN = 1.0  #: examining one candidate slot
 COST_MSG = 4.0  #: decoding + dispatching one incoming message
 COST_PUSH = 2.0  #: staging one outgoing message
 COST_NEIGHBOR = 1.5  #: one neighbor step in PROCESSNEIGHBORS
+
+# Context members as module globals: a class-attribute read of an enum
+# member costs more than the comparison it feeds.
+REQUEST, REJECT, INVALID, ACK = Ctx.REQUEST, Ctx.REJECT, Ctx.INVALID, Ctx.ACK
 
 #: ``evicted`` / ``pending`` slot never written; immutable, so a write
 #: that forgets to replace it fails loudly instead of sharing state
@@ -228,7 +232,7 @@ class MatchingState:
     def _push_g(self, ctx_id: Ctx, y: int, x_payload: int, y_payload: int):
         """Send (ctx, x, y) to owner(y)."""
         self.charge(COST_PUSH)
-        self.stats.sent[ctx_id.name] += 1
+        self.stats.sent[CTX_NAME[ctx_id]] += 1
         pf = self.push_fast
         owner = self.ghost_owner[y]
         if pf is not None and pf(ctx_id, owner, x_payload, y_payload):
@@ -298,10 +302,10 @@ class MatchingState:
             if y in self.pending[i]:
                 # y proposed first: mutual pointing, match immediately;
                 # the REQUEST we send lets y's owner detect the same.
-                yield from self._push_g(Ctx.REQUEST, y, y, v)
+                yield from self._push_g(REQUEST, y, y, v)
                 self._match_remote(v, y)
             else:
-                yield from self._push_g(Ctx.REQUEST, y, y, v)
+                yield from self._push_g(REQUEST, y, y, v)
                 self.awaiting += 1
 
     def _invalidate_g(self, v: int):
@@ -312,7 +316,7 @@ class MatchingState:
         self.pointer[i] = NO_MATE
         for y in self.ghosts_of.get(i, ()):
             if self._deactivate(i, y):
-                yield from self._push_g(Ctx.INVALID, y, y, v)
+                yield from self._push_g(INVALID, y, y, v)
 
     # ------------------------------------------------------------------
     # matches
@@ -364,7 +368,7 @@ class MatchingState:
                 if status[j] == FREE and pointer[j] == v:
                     yield from self.find_mate_g(u)
             elif self._deactivate(i, u):
-                yield from self._push_g(Ctx.REJECT, u, u, v)
+                yield from self._push_g(REJECT, u, u, v)
 
     def drain_work_g(self):
         """Run PROCESSNEIGHBORS for every queued matched vertex."""
@@ -377,10 +381,14 @@ class MatchingState:
     # ------------------------------------------------------------------
     # PROCESSINCOMINGDATA (paper Algorithm 6, deferred variant)
     # ------------------------------------------------------------------
-    def handle_g(self, ctx_id: Ctx, x: int, y: int):
-        """Process one incoming (ctx, x, y): x is ours, y is the sender's."""
+    def handle_g(self, ctx_id: int, x: int, y: int):
+        """Process one incoming (ctx, x, y): x is ours, y is the sender's.
+
+        ``ctx_id`` is the context's int value as it came off the wire (a
+        :class:`Ctx` member works too).
+        """
         self.charge(COST_MSG * self.handle_scale)
-        self.stats.received[Ctx(ctx_id).name] += 1
+        self.stats.received[CTX_NAME[ctx_id]] += 1
         lo = self.lo
         if not lo <= x < self.hi:
             raise ValueError(
@@ -393,7 +401,7 @@ class MatchingState:
             return
         i = x - lo
 
-        if ctx_id == Ctx.REQUEST:
+        if ctx_id == REQUEST:
             free = self.status[i] == FREE
             if free and self.pointer[i] == y and not lo <= y < self.hi:
                 # Mutual pointing: our own REQUEST to y is in flight or
@@ -406,7 +414,7 @@ class MatchingState:
                     # not match the current pointer, even while unmatched.
                     if self._deactivate(i, y):
                         _add(self.evicted, i, y)
-                        yield from self._push_g(Ctx.REJECT, y, y, x)
+                        yield from self._push_g(REJECT, y, y, x)
                 else:
                     _add(self.pending, i, y)  # deferred proposal
             else:
@@ -414,10 +422,10 @@ class MatchingState:
                 # pair was already deactivated (our REJECT/INVALID is in
                 # flight to the proposer).
                 if self._deactivate(i, y):
-                    yield from self._push_g(Ctx.REJECT, y, y, x)
-        elif ctx_id == Ctx.REJECT or ctx_id == Ctx.INVALID:
+                    yield from self._push_g(REJECT, y, y, x)
+        elif ctx_id == REJECT or ctx_id == INVALID:
             yield from self._resolution_g(i, x, y)
-        elif ctx_id == Ctx.ACK:
+        elif ctx_id == ACK:
             pass  # MBP baseline chatter; no algorithmic content
         else:  # pragma: no cover
             raise ValueError(f"unknown context {ctx_id}")

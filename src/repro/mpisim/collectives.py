@@ -20,7 +20,7 @@ the exchange cost itself is charged as communication time after resume.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Sequence
 
 from repro.mpisim.errors import CommMismatchError
 
@@ -233,9 +233,22 @@ class NeighborhoodCollective:
     """One in-flight neighborhood collective over a graph topology.
 
     ``adjacency`` maps every rank to its (sorted) neighbor list; the
-    topology layer guarantees symmetry. ``datas`` are per-rank sequences
-    aligned with the caller's neighbor list (MPI neighbor_alltoall(v)
-    buffer order).
+    topology layer guarantees symmetry. A rank enters with its *lanes*:
+    one item per neighbor, aligned with its own neighbor list (MPI
+    neighbor_alltoall(v) buffer order), plus, for the ``v`` variant, the
+    byte count of each lane.
+
+    Host cost. An entry does the O(degree) integer readiness update and
+    drops each lane (and byte count) straight into the receiver's inbox,
+    at the sender's position in the receiver's list — positions the
+    topology handle computed once (:attr:`DistGraphTopology.peer_slots`).
+    A receiver's inbox *is* its result, so collecting costs nothing per
+    lane, and no lane's contents are ever touched: a lane costs the same
+    whether it carries a thousand triples or none.
+
+    ``members`` is how many ranks take part: all of them, less the ranks
+    of the topology's failure epoch, which have no neighborhood and never
+    enter. The op is retired once every member has collected.
     """
 
     __slots__ = (
@@ -246,9 +259,11 @@ class NeighborhoodCollective:
         "params",
         "entries",
         "done",
-        "_slot_of",
+        "members",
         "_pending",
         "_latest",
+        "_inbox",
+        "_inbytes",
     )
 
     def __init__(
@@ -258,6 +273,7 @@ class NeighborhoodCollective:
         nprocs: int,
         adjacency: list[list[int]],
         params: dict,
+        members: int | None = None,
     ):
         if kind not in ("neighbor_alltoall", "neighbor_alltoallv"):
             raise ValueError(kind)
@@ -266,22 +282,33 @@ class NeighborhoodCollective:
         self.nprocs = nprocs
         self.adjacency = adjacency
         self.params = params
-        self.entries: dict[int, tuple[float, Any]] = {}
+        #: rank -> entry time
+        self.entries: dict[int, float] = {}
         self.done: set[int] = set()
-        # lazy per-sender cache: rank -> position of each peer in that
-        # rank's neighbor list (avoids repeated list.index in result_for)
-        self._slot_of: dict[int, dict[int, int]] = {}
+        self.members = nprocs if members is None else members
         # Readiness, kept incrementally: per rank r, how many members of
         # {r} ∪ N(r) have yet to enter, and the latest entry time among
         # those that have (max is exact, so this is the scan's float).
         self._pending = [len(ns) + 1 for ns in adjacency]
         self._latest = [float("-inf")] * nprocs
+        # Per receiver, what each neighbor sent it, aligned with its list.
+        self._inbox = [[None] * len(ns) for ns in adjacency]
+        self._inbytes = (
+            [[0] * len(ns) for ns in adjacency]
+            if kind == "neighbor_alltoallv" else None
+        )
 
     def enter(
-        self, rank: int, time: float, data: Any, kind: str, params: dict
+        self, rank: int, time: float, data: Any, kind: str, params: dict,
+        slots: Sequence[int] = (), nbytes: Sequence[int] | None = None,
     ) -> list[int]:
         """Record ``rank``'s entry; returns the neighbors whose rendezvous
-        this entry completed (the only ranks whose wake potential moved)."""
+        this entry completed (the only ranks whose wake potential moved).
+
+        ``data`` is ``rank``'s lanes (``None``: nothing to deliver) and
+        ``nbytes`` their byte counts; lane ``i`` goes to neighbor
+        ``adjacency[rank][i]``, whose inbox keeps it at ``slots[i]``.
+        """
         if kind != self.kind:
             raise CommMismatchError(
                 f"collective mismatch at {self.key}: rank {rank} called {kind}, "
@@ -289,19 +316,29 @@ class NeighborhoodCollective:
             )
         if rank in self.entries:
             raise CommMismatchError(f"rank {rank} entered {self.key} twice")
-        self.entries[rank] = (time, data)
+        self.entries[rank] = time
         pending = self._pending
         latest = self._latest
         pending[rank] -= 1
         if time > latest[rank]:
             latest[rank] = time
         completed = []
-        for q in self.adjacency[rank]:
+        nbrs = self.adjacency[rank]
+        for q in nbrs:
             if time > latest[q]:
                 latest[q] = time
             pending[q] -= 1
             if not pending[q]:
                 completed.append(q)
+        inbox = self._inbox
+        if nbytes is not None:
+            inbytes = self._inbytes
+            for q, s, x, n in zip(nbrs, slots, data, nbytes):
+                inbox[q][s] = x
+                inbytes[q][s] = n
+        elif data is not None:
+            for q, s, x in zip(nbrs, slots, data):
+                inbox[q][s] = x
         return completed
 
     def ready_for(self, rank: int) -> bool:
@@ -315,27 +352,23 @@ class NeighborhoodCollective:
         (smallest rank on ties). Only valid once ``ready_for(rank)``."""
         base = self.wake_potential(rank)
         group = [rank, *self.adjacency[rank]]
-        return min(q for q in group if self.entries[q][0] == base), base
+        return min(q for q in group if self.entries[q] == base), base
 
     def result_for(self, rank: int) -> list[Any]:
-        """Received items, aligned with ``adjacency[rank]`` order.
+        """Received items, aligned with ``adjacency[rank]`` order: item
+        ``i`` is the lane ``adjacency[rank][i]`` sent to ``rank``. Valid
+        once ``ready_for(rank)``; the list is the caller's to keep."""
+        return self._inbox[rank]
 
-        Neighbor q's contribution to ``rank`` is the element of q's send
-        sequence at the position of ``rank`` within q's neighbor list.
-        """
-        out = []
-        for q in self.adjacency[rank]:
-            q_data = self.entries[q][1]
-            slots = self._slot_of.get(q)
-            if slots is None:
-                slots = {r: i for i, r in enumerate(self.adjacency[q])}
-                self._slot_of[q] = slots
-            out.append(q_data[slots[rank]])
-        return out
+    def nbytes_for(self, rank: int) -> list[int]:
+        """Received lane byte counts (``v`` variant), aligned like
+        :meth:`result_for`."""
+        return self._inbytes[rank]
 
     def mark_done(self, rank: int) -> bool:
+        """Record pickup; returns True once every member has collected."""
         self.done.add(rank)
-        return len(self.done) == self.nprocs
+        return len(self.done) == self.members
 
     def missing_for(self, rank: int) -> list[int]:
         """Members of ``rank``'s rendezvous set that have not entered."""
@@ -394,10 +427,11 @@ def get_or_create_neighborhood(
     nprocs: int,
     adjacency: list[list[int]],
     params: dict,
+    members: int | None = None,
 ) -> NeighborhoodCollective:
     op = ops.get(key)
     if op is None:
-        op = NeighborhoodCollective(key, kind, nprocs, adjacency, params)
+        op = NeighborhoodCollective(key, kind, nprocs, adjacency, params, members)
         ops[key] = op
     elif not isinstance(op, NeighborhoodCollective):
         raise CommMismatchError(f"collective kind clash at {key}")

@@ -1755,9 +1755,6 @@ class Engine:
 
             self.trace.append(TraceEvent(t, rank, op, detail))
 
-    def set_describe(self, rank: int, what: str) -> None:
-        self._ranks[rank].describe = what
-
     # ------------------------------------------------------------------
     # collective bookkeeping (generic; semantics live in collectives.py)
     # ------------------------------------------------------------------

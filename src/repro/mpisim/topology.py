@@ -7,6 +7,7 @@ sharing) plus ``MPI_Neighbor_alltoall`` / ``MPI_Neighbor_alltoallv``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Sequence
 
 import numpy as np
@@ -82,7 +83,14 @@ class DistGraphTopology:
     Created collectively via
     :meth:`repro.mpisim.context.RankContext.dist_graph_create_adjacent_g`;
     every rank passes its neighbor list and the constructor validates that
-    the resulting process graph is symmetric.
+    the resulting process graph is symmetric. Every neighbor list is
+    sorted.
+
+    The exchanges take and return *lanes*: sequences aligned with
+    :attr:`neighbors`, item ``i`` for (or from) ``neighbors[i]``. A lane
+    is handed over by reference when the sender enters, so a sender must
+    not mutate a lane it has shipped: its receiver may read it after the
+    sender has moved on.
     """
 
     def __init__(self, ctx, scope_id, adjacency: list[list[int]],
@@ -90,20 +98,25 @@ class DistGraphTopology:
         self._ctx = ctx
         self.scope_id = scope_id
         self.adjacency = adjacency
-        self.rank = ctx.rank
-        self.neighbors: list[int] = adjacency[ctx.rank]
+        self.rank = rank = ctx.rank
+        self.neighbors: list[int] = adjacency[rank]
         self.degree = len(self.neighbors)
         # O(1) lookup from neighbor rank to buffer slot, as in real codes.
         self.neighbor_index = {q: i for i, q in enumerate(self.neighbors)}
+        #: this rank's position in each neighbor's list, aligned with
+        #: :attr:`neighbors`: the lane of a neighbor's send that is ours.
+        #: Computed once here instead of once per exchange.
+        self.peer_slots: list[int] = [
+            bisect_left(adjacency[q], rank) for q in self.neighbors
+        ]
         # Column index of the lane-accounting row add (CommMatrix.record_row).
         self._neighbor_arr = np.array(self.neighbors, dtype=np.intp)
         #: ranks known dead when this topology was built — failure
         #: notifications for them do not abort its collectives
         self.epoch: tuple[int, ...] = tuple(epoch)
         self._epoch_set = frozenset(self.epoch)
-
-    def _crash_aware(self, eng) -> bool:
-        return eng.faults is not None and eng.faults.has_crashes()
+        plan = ctx.fault_plan
+        self._crash_aware = plan is not None and plan.has_crashes()
 
     def _check_revoked(self, eng) -> None:
         rev = eng.scope_revocation(self.scope_id)
@@ -140,7 +153,7 @@ class DistGraphTopology:
         if nbytes_per_item is None:
             nbytes_per_item = max((payload_nbytes(x) for x in items), default=8)
         return (yield from self._exchange_g(
-            "neighbor_alltoall", list(items), int(nbytes_per_item)))
+            "neighbor_alltoall", items, int(nbytes_per_item)))
 
     def neighbor_alltoallv_g(
         self,
@@ -152,17 +165,8 @@ class DistGraphTopology:
         Returns ``(received_items, received_nbytes)``, both aligned with
         :attr:`neighbors`.
         """
-        if len(items) != self.degree:
-            raise ValueError(
-                f"neighbor_alltoallv: {len(items)} items for degree {self.degree}"
-            )
-        if nbytes_each is None:
-            nbytes_each = [payload_nbytes(x) for x in items]
-        payload = [(x, int(n)) for x, n in zip(items, nbytes_each)]
-        received = yield from self._exchange_g("neighbor_alltoallv", payload, None)
-        recv_items = [x for x, _ in received]
-        recv_bytes = [n for _, n in received]
-        return recv_items, recv_bytes
+        nbytes = self._lane_bytes("neighbor_alltoallv", items, nbytes_each)
+        return (yield from self._exchange_g("neighbor_alltoallv", items, nbytes))
 
     def ineighbor_alltoallv(
         self,
@@ -177,89 +181,109 @@ class DistGraphTopology:
         background" and is only waited for — and therefore potentially
         hidden behind local computation — at :meth:`PendingNeighborExchange.wait_g`.
         """
-        if len(items) != self.degree:
-            raise ValueError(
-                f"ineighbor_alltoallv: {len(items)} items for degree {self.degree}"
-            )
-        if nbytes_each is None:
-            nbytes_each = [payload_nbytes(x) for x in items]
-        payload = [(x, int(n)) for x, n in zip(items, nbytes_each)]
-
-        ctx = self._ctx
-        eng = ctx._engine
-        rank = self.rank
-        if self._crash_aware(eng):
+        nbytes = self._lane_bytes("ineighbor_alltoallv", items, nbytes_each)
+        eng = self._ctx._engine
+        if self._crash_aware:
             self._check_revoked(eng)
-        key, op = self._enter(eng, "neighbor_alltoallv", payload)
+        key, op = self._enter(eng, "neighbor_alltoallv", items, nbytes)
         # CPU posting happens now (it cannot be overlapped).
         m = eng.machine
-        active_out = sum(1 for _, n in payload if n > 0)
+        active_out = self.degree - nbytes.count(0)
         eng.charge_comm(
-            rank, m.o_ncl_setup + active_out * m.o_ncl_per_neighbor,
+            self.rank, m.o_ncl_setup + active_out * m.o_ncl_per_neighbor,
             phase="collective",
         )
-        return PendingNeighborExchange(self, key, op, [n for _, n in payload])
+        return PendingNeighborExchange(self, key, op, nbytes)
 
     # ------------------------------------------------------------------
-    def _enter(self, eng, kind: str, data: list[Any]):
+    def _lane_bytes(self, name: str, items, nbytes_each) -> list[int]:
+        """The ``v`` variants' byte count per lane, as a list (totals are
+        taken as ``int``; a count is never negative)."""
+        if len(items) != self.degree:
+            raise ValueError(
+                f"{name}: {len(items)} items for degree {self.degree}"
+            )
+        if nbytes_each is None:
+            return [payload_nbytes(x) for x in items]
+        if len(nbytes_each) != self.degree:
+            raise ValueError(
+                f"{name}: {len(nbytes_each)} byte counts for degree {self.degree}"
+            )
+        return list(nbytes_each)
+
+    def _enter(self, eng, kind: str, lanes: Sequence[Any], nbytes):
         """Enter this scope's next neighborhood collective; ``(key, op)``."""
         rank = self.rank
         key = eng.next_coll_key(self.scope_id, rank)
         op = get_or_create_neighborhood(
-            eng.coll_ops(), key, kind, eng.nprocs, self.adjacency, params={}
+            eng.coll_ops(), key, kind, eng.nprocs, self.adjacency, params={},
+            members=eng.nprocs - len(self.epoch),
         )
         # Re-index the parked neighbors whose rendezvous ({q} ∪ N(q) all
         # present) this entry completed; the call itself, even with an
         # empty list, drops the token-retention guard.
-        eng.notify_ranks(op.enter(rank, eng.clock_of(rank), data, kind, {}))
+        eng.notify_ranks(op.enter(
+            rank, eng.clock_of(rank), lanes, kind, {}, self.peer_slots,
+            None if kind == "neighbor_alltoall" else nbytes))
         return key, op
 
-    def _exchange_g(self, kind: str, data: list[Any], nbytes_per_item: int | None):
+    def _await_g(self, op, label: str):
+        """Park until ``op``'s rendezvous for this rank is complete."""
         ctx = self._ctx
         eng = ctx._engine
         rank = self.rank
-        crash_aware = self._crash_aware(eng)
-        if crash_aware:
-            self._check_revoked(eng)
-        key, op = self._enter(eng, kind, data)
-        eng.set_describe(rank, f"{kind}#{key[1]}")
-        if crash_aware:
+        if self._crash_aware:
             yield from _block_neighborhood_g(
-                eng, ctx, op, self.scope_id, self._epoch_set, f"{kind}#{key[1]}"
-            )
+                eng, ctx, op, self.scope_id, self._epoch_set, label)
         else:
             yield from eng.block_on_g(
-                rank, lambda: op.wake_potential(rank), f"{kind}#{key[1]}",
+                rank, lambda: op.wake_potential(rank), label,
                 wait_phase="collective-wait")
         if eng.profiler is not None:
             sq, st = op.straggler_for(rank)
             if sq != rank:
                 eng.profiler.attach_dep(rank, sq, st, "neighbor-collective")
 
-        received = op.result_for(rank)
-        m = eng.machine
+    def _finish(self, eng, key, op, send_bytes, send_total: int) -> None:
+        """Count a collected exchange and retire ``op`` after its last
+        member. ``send_bytes`` is one count per lane, or one for all."""
+        rank = self.rank
         rc = eng.rank_counters(rank)
-        if kind == "neighbor_alltoall":
-            send_bytes = [nbytes_per_item] * self.degree
-            recv_total = nbytes_per_item * self.degree
-            cost = m.neighbor_alltoall_cost(self.degree, nbytes_per_item)
-        else:
-            send_bytes = [n for _, n in data]
-            recv_bytes = [n for _, n in received]
-            recv_total = sum(recv_bytes)
-            active = sum(1 for n in send_bytes if n > 0) + sum(
-                1 for n in recv_bytes if n > 0
-            )
-            cost = m.neighbor_alltoallv_cost(
-                self.degree, sum(send_bytes), recv_total, active_lanes=active
-            )
-        eng.charge_comm(rank, cost, phase="collective")
         rc.neighbor_collectives += 1
-        rc.bytes_collective += sum(send_bytes)
+        rc.bytes_collective += send_total
         eng.counters.ncl.record_row(rank, self._neighbor_arr, send_bytes)
-        eng.trace_event(rank, kind, degree=self.degree, nbytes=sum(send_bytes))
         if op.mark_done(rank):
             eng.coll_ops().pop(key, None)
+
+    def _exchange_g(self, kind: str, lanes: Sequence[Any], nbytes):
+        """One blocking exchange; ``nbytes`` is an int per item for
+        ``neighbor_alltoall``, a list per lane for ``neighbor_alltoallv``."""
+        eng = self._ctx._engine
+        rank = self.rank
+        if self._crash_aware:
+            self._check_revoked(eng)
+        key, op = self._enter(eng, kind, lanes, nbytes)
+        yield from self._await_g(op, f"{kind}#{key[1]}")
+
+        received = op.result_for(rank)
+        m = eng.machine
+        degree = self.degree
+        if kind == "neighbor_alltoall":
+            send_total = nbytes * degree
+            cost = m.neighbor_alltoall_cost(degree, nbytes)
+        else:
+            recv_bytes = op.nbytes_for(rank)
+            send_total = int(sum(nbytes))
+            # Lanes with data on either side, counted without a pass in
+            # Python.
+            active = 2 * degree - nbytes.count(0) - recv_bytes.count(0)
+            cost = m.neighbor_alltoallv_cost(
+                degree, send_total, int(sum(recv_bytes)), active_lanes=active
+            )
+            received = (received, recv_bytes)
+        eng.charge_comm(rank, cost, phase="collective")
+        eng.trace_event(rank, kind, degree=degree, nbytes=send_total)
+        self._finish(eng, key, op, nbytes, send_total)
         return received
 
 
@@ -287,47 +311,27 @@ class PendingNeighborExchange:
             raise RuntimeError("PendingNeighborExchange.wait() called twice")
         self._done = True
         topo = self._topo
-        ctx = topo._ctx
-        eng = ctx._engine
+        eng = topo._ctx._engine
         rank = topo.rank
         op = self._op
-        if topo._crash_aware(eng):
-            yield from _block_neighborhood_g(
-                eng, ctx, op, topo.scope_id, topo._epoch_set,
-                f"ineighbor_wait#{self._key[1]}",
-            )
-        else:
-            yield from eng.block_on_g(
-                rank, lambda: op.wake_potential(rank), f"ineighbor_wait#{self._key[1]}",
-                wait_phase="collective-wait",
-            )
-        if eng.profiler is not None:
-            sq, st = op.straggler_for(rank)
-            if sq != rank:
-                eng.profiler.attach_dep(rank, sq, st, "neighbor-collective")
-        received = op.result_for(rank)
-        recv_items = [x for x, _ in received]
-        recv_bytes = [n for _, n in received]
+        yield from topo._await_g(op, f"ineighbor_wait#{self._key[1]}")
+        recv_items = op.result_for(rank)
+        recv_bytes = op.nbytes_for(rank)
 
         m = eng.machine
         # Wire time measured from issue: the latency walk plus payload
         # serialization plus the receive-side unpack posting. Whatever the
         # caller's clock already covers is hidden (overlapped).
-        active_in = sum(1 for n in recv_bytes if n > 0)
+        active_in = topo.degree - recv_bytes.count(0)
+        send_total = int(sum(self._send_bytes))
         wire = (
             topo.degree * m.neighbor_alpha()
             + active_in * m.o_ncl_per_neighbor
-            + (sum(self._send_bytes) + sum(recv_bytes))
-            * (m.beta + m.pack_byte_cost)
+            + (send_total + int(sum(recv_bytes))) * (m.beta + m.pack_byte_cost)
         )
         ready_at = max(op.wake_potential(rank), self._issue_time + wire)
         now = eng.clock_of(rank)
         if ready_at > now:
             eng.charge_comm(rank, ready_at - now, phase="collective")
-        rc = eng.rank_counters(rank)
-        rc.neighbor_collectives += 1
-        rc.bytes_collective += sum(self._send_bytes)
-        eng.counters.ncl.record_row(rank, topo._neighbor_arr, self._send_bytes)
-        if op.mark_done(rank):
-            eng.coll_ops().pop(self._key, None)
+        topo._finish(eng, self._key, op, self._send_bytes, send_total)
         return recv_items, recv_bytes

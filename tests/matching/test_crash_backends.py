@@ -11,9 +11,13 @@ re-record and say so in the commit message.
 import numpy as np
 import pytest
 
+from repro.graph.distribution import partition_graph
 from repro.graph.generators import rgg_graph, rmat_graph
 from repro.matching import run_matching, RunConfig
+from repro.matching.driver import MatchingOptions, matching_rank_main
 from repro.matching.verify import check_matching_valid
+from repro.mpisim.collectives import NeighborhoodCollective
+from repro.mpisim.engine import Engine
 from repro.mpisim.faults import FaultPlan
 from repro.mpisim.machine import cori_aries
 
@@ -79,6 +83,20 @@ class TestCrashRecovery:
         null = run_matching(rgg, 4, model, config=RunConfig(faults=FaultPlan(seed=99)))
         assert null.makespan == clean.makespan
         assert np.array_equal(null.mate, clean.mate)
+
+    def test_survivor_topology_retires_its_collectives(self, model):
+        # The ranks of a survivor topology's failure epoch never enter its
+        # neighbourhood collectives; an op whose survivors have all
+        # collected must still leave the engine, or every later
+        # checkpoint cut carries it.
+        eng = Engine(8, cori_aries(), faults=CRASH_PLAN)
+        res = eng.run(matching_rank_main, args=(
+            partition_graph(rmat_graph(9, seed=3), 8), model, MatchingOptions()))
+        assert res.crashed_ranks == (1,)
+        assert max(rr["recoveries"] for rr in res.rank_results if rr) >= 1
+        leaked = [op.key for op in eng.coll_ops().values()
+                  if isinstance(op, NeighborhoodCollective)]
+        assert leaked == []
 
 
 class TestRMAPutFates:

@@ -65,6 +65,32 @@ def test_golden_pins(graph, model, scheduler, engine):
         assert res.engine.scheduler_switches == switches
 
 
+# Many empty lanes: R-MAT scale 9, seed 3 over P=64 (8 vertices a rank).
+# Close to nine lanes in ten of every ncl payload exchange carry nothing,
+# the shape where a neighbourhood superstep's host work must follow the
+# lanes with data. Recorded before that work went in.
+# model -> (makespan, weight, heap-scheduler switches, total ops,
+#           total messages)
+SPARSE_LANES_GOLDEN = {
+    "rma": (0.0025480959999999763, 118.6372479397408, 9237, 16398, 41817),
+    "ncl": (0.004009104299999996, 118.6372479397408, 2112, 2048, 63800),
+    "incl": (0.0059065511999999995, 118.6372479397408, 3264, 4045, 102080),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SPARSE_LANES_GOLDEN))
+def test_sparse_lanes_pins(model):
+    makespan, weight, switches, ops, messages = SPARSE_LANES_GOLDEN[model]
+    res = run_matching(
+        rmat_graph(9, seed=3), 64, model, config=RunConfig(machine=cori_aries())
+    )
+    assert res.makespan == makespan
+    assert res.weight == weight
+    assert res.engine.scheduler_switches == switches
+    assert res.engine.total_ops == ops
+    assert res.total_messages() == messages
+
+
 def test_all_backends_agree_on_weight(graph):
     # Every backend computes the same half-approximate matching here —
     # a cross-backend consistency pin on top of the per-backend ones.

@@ -9,7 +9,7 @@ Random graphs are drawn edge-by-edge; the core invariants:
 * the half-approximation bound holds against the exact optimum;
 * matching weight is invariant under vertex relabeling.
 
-``conftest.py`` registers a ``deep`` profile (``--hypothesis-profile=deep``)
+``tests/conftest.py`` registers a ``deep`` profile (``--hypothesis-profile=deep``)
 that runs the tests without a fixed example count ten times longer.
 """
 

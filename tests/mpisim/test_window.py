@@ -1,9 +1,12 @@
 """RMA window semantics: puts, visibility, flush, accumulate, get."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.mpisim import Engine, RankFailure, cori_aries, zero_latency
+from repro.mpisim.faults import FaultPlan
 
 
 def test_put_visible_after_flush_and_barrier():
@@ -210,3 +213,44 @@ def test_accumulate_then_get_combined():
 
     res = Engine(2, zero_latency()).run(prog)
     assert res.rank_results[1] == 15
+
+
+@pytest.mark.parametrize("fate", ["ok", "drop", "corrupt"])
+def test_tuple_and_array_payloads_are_one_transfer(fate):
+    """A put of a tuple and a put of an int64 array with the same words
+    are the same transfer under every fate: the same target buffer, and
+    a window store that pickles to the same bytes (recovery charges
+    virtual time by a cut's pickled size)."""
+    plan = {
+        "ok": None,
+        "drop": FaultPlan(seed=1, rma_drop_rate=1.0),
+        "corrupt": FaultPlan(seed=1, rma_corrupt_rate=1.0),
+    }[fate]
+    words = (7, -8, 2**40)
+
+    def run(payload):
+        def prog(ctx):
+            win = yield from ctx.win_allocate_g(4)
+            if ctx.rank == 1:
+                yield from win.put_g(0, payload, 1)
+                yield from win.flush_all_g()
+            yield from ctx.barrier_g()
+            if ctx.rank == 0:
+                store = pickle.dumps(win._store)
+                yield from win.sync_local_g()
+                return store, win.local.tolist()
+
+        return Engine(2, cori_aries(), faults=plan).run(prog).rank_results[0]
+
+    array = np.array(words, dtype=np.int64)
+    store, buf = run(words)
+    assert (store, buf) == run(array)
+    assert array.tolist() == list(words)  # the caller's array is untouched
+    pending = pickle.loads(store).pending[0]
+    if fate == "drop":
+        assert pending == [] and buf == [0, 0, 0, 0]
+        return
+    (update,) = pending
+    assert update.data.dtype == np.int64 and update.data.shape == (3,)
+    flipped = sum(a != b for a, b in zip(buf, [0, *words]))
+    assert flipped == (1 if fate == "corrupt" else 0)
