@@ -8,19 +8,11 @@ Commands
 - ``report [path] [--full]`` — regenerate EXPERIMENTS.md;
 - ``match <dataset> [-p N] [-m MODEL] [--machine NAME]`` — one matching
   run with a results summary;
-- ``bench [--quick]`` — engine microbenchmarks (heap vs reference
-  scheduler) plus a small end-to-end run, persisted to
-  ``BENCH_engine.json``;
 - ``chaos [dataset] [--plans N] [--seed S]`` — deterministically sample
   fault plans (crashes, message/RMA faults, NIC degradation), run each
   backend under them with survivor-subgraph verification and
   determinism checks, and shrink any failure to a minimal reproducing
   ``repro match`` invocation;
-
-The ``match`` / ``profile`` / ``chaos`` commands accept
-``--config FILE.toml``: a named run profile whose values fill in any
-flag the command line left at its default (explicit CLI flags always
-win). See ``examples/profiles/`` and docs/api.md.
 - ``profile [dataset] [-p N] [-b BACKEND] [--out DIR]`` — one span-
   profiled run: per-rank phase breakdown, critical-path analysis, and
   (with ``--out``) the full artifact bundle including a Perfetto-
@@ -30,6 +22,11 @@ win). See ``examples/profiles/`` and docs/api.md.
   request batching, artifact store (docs/service.md);
 - ``submit <dataset> [-p N] [-m MODEL] [--url URL]`` — submit one job to
   a running server and print the (possibly cached) result.
+
+The ``match`` / ``profile`` / ``chaos`` commands accept
+``--config FILE.toml``: a named run profile whose values fill in any
+flag the command line left at its default (explicit CLI flags always
+win). See ``examples/profiles/`` and docs/api.md.
 
 Every subcommand is a thin client of the library facade
 :mod:`repro.api`; the server executes through the same facade, so CLI,
@@ -125,16 +122,6 @@ def _cmd_bundle(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.harness.bench import render_report, run_bench
-
-    report = run_bench(quick=args.quick, repeats=args.repeats, out_path=args.out)
-    print(render_report(report))
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _load_toml(path: str) -> dict:
     # One TOML decode path for the whole system: the service wire schema
     # module owns it (shared with request bodies and `repro submit`).
@@ -184,6 +171,19 @@ def _apply_config_file(args, parser) -> None:
                 setattr(args, dest, [str(v) for v in items])
         elif current == default:
             setattr(args, dest, value)
+
+
+def _legacy_engine(name: str) -> str:
+    """``--engine``: a retired engine choice, accepted and ignored. The
+    names live next to ``RunConfig``; importing them only when the flag
+    is given keeps ``serve`` / ``submit`` start-up free of the simulator."""
+    from repro.matching.config import LEGACY_ENGINES
+
+    if name not in LEGACY_ENGINES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(LEGACY_ENGINES)})"
+        )
+    return name
 
 
 def _parse_crashes(specs: list[str]) -> dict[int, float]:
@@ -368,8 +368,7 @@ def _cmd_match(args) -> int:
                 restore=restore,
                 spares=args.spares,
                 replicas=args.replicas,
-                # None → RunConfig's default ($REPRO_ENGINE or coroutine)
-                **({"engine": args.engine} if args.engine else {}),
+                engine=args.engine,
             ),
         )
     except RecoveryFailed as e:
@@ -617,20 +616,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bundle.add_argument("--full", action="store_true")
     p_bundle.set_defaults(fn=_cmd_bundle)
 
-    p_bench = sub.add_parser(
-        "bench", help="engine microbenchmarks + e2e, writes BENCH_engine.json"
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="smaller sizes (CI smoke mode)"
-    )
-    p_bench.add_argument(
-        "--repeats", type=int, default=3, help="best-of-N wall-time repeats"
-    )
-    p_bench.add_argument(
-        "--out", default="BENCH_engine.json", help="output JSON path ('' to skip)"
-    )
-    p_bench.set_defaults(fn=_cmd_bench)
-
     p_match = sub.add_parser("match", help="run one matching configuration")
     p_match.add_argument("dataset")
     p_match.add_argument("-p", "--nprocs", type=int, default=16)
@@ -640,10 +625,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_match.add_argument("--machine", default="cori-aries")
     p_match.add_argument(
-        "--engine", default=None, choices=["threaded", "coroutine", "vector"],
-        help="execution engine (bit-identical results; vector adds the "
-        "fused fast paths, threaded is an alias of coroutine). "
-        "Default: $REPRO_ENGINE or coroutine",
+        "--engine", default=None, type=_legacy_engine,
+        help="accepted and ignored (one execution engine): coroutine, "
+        "threaded or vector",
     )
     p_match.add_argument(
         "--config", default="", metavar="FILE.toml",
@@ -898,8 +882,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_submit.add_argument("--machine", default="cori-aries")
     p_submit.add_argument(
-        "--engine", default=None, choices=["threaded", "coroutine", "vector"],
-        help="execution engine (cache-neutral: results are bit-identical)",
+        "--engine", default=None, type=_legacy_engine,
+        help="accepted and ignored (one execution engine): coroutine, "
+        "threaded or vector",
     )
     p_submit.add_argument("--seed", type=int, default=None,
                           help="graph generator seed (default: registry seed)")

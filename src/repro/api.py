@@ -89,12 +89,10 @@ def _build_config(
                 f"argument(s) {sorted(extras)}; fold them into the RunConfig"
             )
         return config
-    cfg = RunConfig(
-        machine=machine, options=options, faults=faults, compute_weight=True
+    return RunConfig(
+        machine=machine, options=options, faults=faults, engine=engine,
+        compute_weight=True,
     )
-    if engine is not None:
-        cfg = cfg.evolve(engine=engine)
-    return cfg
 
 
 def run(
@@ -119,7 +117,8 @@ def run(
     when no explicit one is passed (mixing the two styles raises).
     ``power`` and ``keep_result`` are measurement-side knobs: they shape
     the returned :class:`RunRecord`, not the simulation, so they combine
-    freely with ``config=``. Results are bit-identical across engines.
+    freely with ``config=``. ``engine`` names a retired engine choice:
+    it is validated against ``LEGACY_ENGINES`` and otherwise ignored.
     """
     cfg = _build_config(config, machine, options, faults, engine)
     res = run_matching(g, nprocs, model=model, config=cfg)

@@ -189,7 +189,6 @@ def run_matching(
         checkpoint=config.checkpoint,
         kill_at=config.kill_at,
         restore=config.restore,
-        engine=config.engine,
         recovery=recovery,
     )
     result = engine.run(matching_rank_main, args=(parts, model, options))

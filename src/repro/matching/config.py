@@ -16,25 +16,19 @@ results (the shim only repackages the values).
 from __future__ import annotations
 
 import dataclasses
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.matching.driver import MatchingOptions
 from repro.mpisim.checkpoint import CheckpointConfig, EngineSnapshot
-from repro.mpisim.engine import ENGINES
 from repro.mpisim.faults import FaultPlan
 from repro.mpisim.machine import MachineModel
 
-
-def _default_engine() -> str:
-    """``$REPRO_ENGINE`` (set-but-empty counts as unset), else coroutine."""
-    name = os.environ.get("REPRO_ENGINE") or "coroutine"
-    if name not in ENGINES:
-        raise ValueError(
-            f"unknown engine {name!r} (from $REPRO_ENGINE); pick from {ENGINES}"
-        )
-    return name
+#: Engine names still accepted, and ignored, wherever a run is configured
+#: (``RunConfig``, ``api.run``, the wire schema, ``--engine``): there is
+#: one execution engine, but stored requests, profiles and scripts name
+#: one of these. Any other name is an error.
+LEGACY_ENGINES = ("coroutine", "threaded", "vector")
 
 
 @dataclass(frozen=True)
@@ -60,12 +54,8 @@ class RunConfig:
     compute_weight: bool = True  #: weigh the matching (skip for timing
     #: sweeps that only need the makespan)
     scheduler: str = "heap"  #: engine scheduler ("heap" or "reference")
-    engine: str = field(default_factory=_default_engine)  #: "coroutine"
-    #: (generator ranks stepped one operation at a time; "threaded" is an
-    #: accepted alias) or "vector" (the same plus fused guard-checked
-    #: fast paths); bit-identical (docs/engine_scheduling.md). Default
-    #: comes from $REPRO_ENGINE so CI can run the whole suite under
-    #: either without code changes.
+    engine: str | None = None  #: accepted and ignored: None or one of
+    #: LEGACY_ENGINES (there is one engine; docs/engine_scheduling.md)
 
     # -- checkpoint/restart (docs/fault_model.md) ---------------------
     checkpoint: CheckpointConfig | None = None  #: take coordinated
@@ -83,6 +73,12 @@ class RunConfig:
     #: topology stay constant across recovery epochs
     replicas: int = 2  #: buddy-replication degree k for the diskless
     #: replicated checkpoint store (only meaningful with ``spares > 0``)
+
+    def __post_init__(self) -> None:
+        if self.engine is not None and self.engine not in LEGACY_ENGINES:
+            raise ValueError(
+                f"unknown engine {self.engine!r}; pick from {LEGACY_ENGINES}"
+            )
 
     def evolve(self, **changes) -> "RunConfig":
         """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""

@@ -125,10 +125,6 @@ def matching_rank_main(
         eager_reject=options.eager_reject,
         handle_scale=getattr(backend, "handle_scale", 1.0),
         tie_break=options.tie_break,
-        # Vector-engine fused push (plain method, guard-checked); falls
-        # back to push/push_g per call when the guard cannot prove
-        # minimality, and is simply absent on most backends.
-        push_fast=getattr(backend, "push_fast", None),
     )
     # Candidate-order arrays, eviction/pending sets, pair table — all
     # O(local edges); register them with the memory model.

@@ -27,8 +27,7 @@ from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.reliable import ReliableChannel
 from repro.matching.state import MatchingState
-from repro.mpisim.context import FUSED_FALLBACK, RankContext
-from repro.mpisim.message import Message
+from repro.mpisim.context import RankContext
 
 
 class NSRBackend:
@@ -100,43 +99,16 @@ class NSRBackend:
         yield from self.ctx.isend_g(target_rank, (x, y), tag=int(ctx_id),
                                     nbytes=TRIPLE_BYTES)
 
-    def push_fast(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> bool:
-        """Vector-engine fused push; False = caller must use :meth:`push_g`.
-
-        Only the plain transport qualifies: the reliable channel and the
-        crash-aware path have their own bookkeeping around every send.
-        """
-        if self.channel is not None or self.fault_aware:
-            return False
-        return self.ctx.isend_fast(
-            target_rank, (x, y), tag=int(ctx_id), nbytes=TRIPLE_BYTES
-        ) is not FUSED_FALLBACK
-
     def _drain_incoming_g(self, state: MatchingState):
-        """Probe-and-receive until the queue is (momentarily) empty.
-
-        The hot pair (Iprobe + Recv of one triple) goes through the
-        vector engine's fused fast path when its guard allows, falling
-        back — wholly or, after a charged probe, partially — to the
-        generator primitives, which are the exact scalar sequence.
-        """
+        """Probe-and-receive until the queue is (momentarily) empty."""
         ctx = self.ctx
         handled = 0
         while True:
-            out = ctx.try_probe_recv()
-            if isinstance(out, Message):
-                msg = out
-            elif out is None:
+            hdr = yield from ctx.iprobe_g()
+            if hdr is None:
                 return handled
-            elif out is FUSED_FALLBACK:
-                hdr = yield from ctx.iprobe_g()
-                if hdr is None:
-                    return handled
-                src, tag, _ = hdr
-                msg = yield from ctx.recv_g(source=src, tag=tag)
-            else:  # ("recv", src, tag): probe charged, receive scalar
-                _, src, tag = out
-                msg = yield from ctx.recv_g(source=src, tag=tag)
+            src, tag, _ = hdr
+            msg = yield from ctx.recv_g(source=src, tag=tag)
             x, y = msg.payload
             yield from state.handle_g(msg.tag, x, y)
             handled += 1

@@ -134,15 +134,10 @@ class MatchingState:
         eager_reject: bool = False,
         handle_scale: float = 1.0,
         tie_break: str = "hash",
-        push_fast: Callable[[Ctx, int, int, int], bool] | None = None,
     ):
         self.lg = lg
         self.lo, self.hi = lg.lo, lg.hi
         self.push_fn = push
-        # Vector-engine fused push: a plain callable returning True when
-        # it sent (bit-identically to push_fn), False when the caller
-        # must drive push_fn instead. None on backends without one.
-        self.push_fast = push_fast
         self.charge = charge
         self.eager_reject = eager_reject
         # Per-message application-side dispatch cost multiplier. Backends
@@ -233,10 +228,7 @@ class MatchingState:
         """Send (ctx, x, y) to owner(y)."""
         self.charge(COST_PUSH)
         self.stats.sent[CTX_NAME[ctx_id]] += 1
-        pf = self.push_fast
         owner = self.ghost_owner[y]
-        if pf is not None and pf(ctx_id, owner, x_payload, y_payload):
-            return
         # Backends hand in either a plain callable (a push that never
         # parks) or a generator function — drive whichever we got.
         res = self.push_fn(ctx_id, owner, x_payload, y_payload)

@@ -10,8 +10,7 @@ Every operation that can block is a generator, spelled with a ``_g``
 suffix (``recv_g``, ``barrier_g``, ...): a rank program delegates into it
 (``msg = yield from ctx.recv_g(...)``) and the park points inside suspend
 the whole ``yield from`` chain back to the scheduler. Operations that
-never block (``compute``, ``alloc``, ``irecv``, the fused fast paths) are
-plain methods.
+never block (``compute``, ``alloc``, ``irecv``) are plain methods.
 """
 
 from __future__ import annotations
@@ -27,18 +26,11 @@ from repro.mpisim.aggregate import (
     RecvRequest,
     waitall_g as _waitall_g,
 )
-from repro.mpisim.engine import _BLOCKED
 from repro.mpisim.collectives import get_or_create_agreement, get_or_create_full
 from repro.mpisim.errors import CommMismatchError, RankCrashed
-from repro.mpisim.message import ANY_SOURCE, ANY_TAG, Message
+from repro.mpisim.message import ANY_SOURCE, ANY_TAG
 from repro.mpisim.topology import DistGraphTopology, payload_nbytes
 from repro.mpisim.window import Window, _WindowStore
-
-#: Returned by the fused fast-path methods (:meth:`RankContext.isend_fast`,
-#: :meth:`RankContext.try_probe_recv`) when the engine's token-retention
-#: guard is not armed or does not cover the operation: nothing was charged
-#: or traced, and the caller must take the exact generator path instead.
-FUSED_FALLBACK = object()
 
 
 class RankContext:
@@ -358,293 +350,6 @@ class RankContext:
             return None
         m = q.peek(idx)
         return (m.src, m.tag, m.nbytes)
-
-    # ------------------------------------------------------------------
-    # fused fast paths (vector engine)
-    #
-    # Plain (non-generator) twins of the hot send / probe+recv sequences.
-    # They run only while the engine's token-retention guard proves the
-    # calling rank would pass every park-point minimality check on the
-    # scalar path, so no scheduler decision — and no generator frame —
-    # is needed; the charging/counter/trace sequence is replicated
-    # statement for statement from the generator forms, which keeps the
-    # run bit-identical (proved by the engine-differential suite). When
-    # the guard cannot prove it, they return FUSED_FALLBACK having done
-    # nothing, and the caller yields through the exact generator path.
-    # ------------------------------------------------------------------
-    def isend_fast(
-        self, dest: int, payload: Any, *, tag: int = 0, nbytes: int | None = None
-    ):
-        """Fused :meth:`isend_g`: the arrival time, or ``FUSED_FALLBACK``."""
-        eng = self._engine
-        rank = self.rank
-        rs = eng._ranks[rank]
-        g = eng._guard
-        if g is None:
-            # Lazy arm: after a token switch the guard is unarmed; if
-            # this rank is provably minimal, arming covers this op.
-            if not eng.try_arm_guard(rank):
-                return FUSED_FALLBACK
-        elif (rs.clock, rank) > g:
-            return FUSED_FALLBACK
-        # _post_send_g body (persistent=False), minus the park points the
-        # guard already decided.
-        if nbytes is None:
-            nbytes = payload_nbytes(payload)
-        machine = self.machine
-        eng.charge_comm(rank, machine.send_origin_cost(nbytes), phase="send")
-        arrival = eng.post_message(
-            rank, dest, tag, payload, nbytes, matrix=eng.counters.p2p
-        )
-        rc = eng.counters.ranks[rank]
-        rc.sends += 1
-        rc.bytes_sent += nbytes
-        rc.note_inflight(+1)
-        rc.alloc(machine.send_request_bytes, "send-requests")
-        if eng.trace is not None:
-            eng.trace_event(rank, "send", dest=dest, tag=tag, nbytes=nbytes)
-        return arrival
-
-    def try_probe_recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Fused :meth:`iprobe_g` + :meth:`recv_g` (the Send-Recv drain
-        loop's hot pair).
-
-        Returns ``FUSED_FALLBACK`` (nothing charged; take the generator
-        path), ``None`` (probe charged, no message — as ``iprobe_g``),
-        ``("recv", src, tag)`` (probe charged and matched, but the probe
-        cost moved the clock past the guard: finish with
-        ``recv_g(source=src, tag=tag)``), or the received
-        :class:`Message` (probe and receive fully charged).
-        """
-        eng = self._engine
-        rank = self.rank
-        rs = eng._ranks[rank]
-        g = eng._guard
-        if g is None:
-            if not eng.try_arm_guard(rank):
-                return FUSED_FALLBACK
-        elif (rs.clock, rank) > g:
-            return FUSED_FALLBACK
-        # iprobe_g body: probe overhead, then match against arrivals.
-        machine = self.machine
-        eng.charge_comm(rank, machine.o_probe, phase="probe")
-        rc = eng.counters.ranks[rank]
-        rc.probes += 1
-        q = rs.queue
-        idx = q.match_index(source, tag, before=rs.clock)
-        if idx is None:
-            return None
-        m = q.peek(idx)
-        # recv_g's park decision happens after the probe advanced the
-        # clock; the guard may no longer cover it. The directed earliest
-        # match equals the probed message (it is the globally earliest
-        # arrival), so a partial fallback replays the receive exactly.
-        g = eng._guard
-        if g is None or (rs.clock, rank) > g:
-            return ("recv", m.src, m.tag)
-        # recv_g body: pop the match, charge delivery, release buffers.
-        # (recv_g would re-match on (m.src, m.tag); that directed earliest
-        # is this same message at this same index.)
-        msg = q.pop(idx)
-        eng.charge_comm(rank, machine.o_recv, phase="recv")
-        rc.recvs += 1
-        rc.bytes_received += msg.nbytes
-        rc.free(msg.nbytes + machine.p2p_msg_overhead_bytes, "unexpected-queue")
-        src_rc = eng.counters.ranks[msg.src]
-        src_rc.note_inflight(-1)
-        src_rc.free(machine.send_request_bytes, "send-requests")
-        if eng.trace is not None:
-            eng.trace_event(rank, "recv", src=msg.src, tag=msg.tag,
-                            nbytes=msg.nbytes)
-        return msg
-
-    def isend_burst(
-        self, dest: int, payloads: Sequence[Any], *, tag: int = 0, nbytes: int = 0
-    ) -> int:
-        """Batched :meth:`isend_fast`: send a burst of equal-size messages
-        to one destination in a single call.
-
-        Returns how many messages of ``payloads`` were sent (a prefix);
-        the caller sends the rest through the per-message paths. The
-        burst replays the exact per-message charging sequence — the
-        float additions that advance the clock and the comm-time split
-        are performed one message at a time on hoisted locals, and the
-        guard is re-checked before every message — so the simulated
-        state after ``k`` burst sends is bit-identical to ``k``
-        individual ``isend_g`` calls. Integer-valued instrumentation
-        (op counts, byte volumes, memory accounting, the comm matrix)
-        is applied as exact aggregate updates. Requires explicit
-        ``nbytes`` (homogeneity is the point) and declines (returns 0)
-        whenever any feature needs per-event hooks: guard unarmed,
-        tracing, op/vtime budgets, kill switches, or self-sends.
-        """
-        eng = self._engine
-        rank = self.rank
-        if (
-            not nbytes
-            or dest == rank
-            or eng.trace is not None
-            or eng.max_ops is not None
-            or eng.max_vtime is not None
-            or eng.kill_at is not None
-        ):
-            return 0
-        g = eng._guard
-        if g is None:
-            if not eng.try_arm_guard(rank):
-                return 0
-            g = eng._guard
-        rs = eng._ranks[rank]
-        drs = eng._ranks[dest]
-        machine = self.machine
-        cost = machine.send_origin_cost(nbytes)
-        inject = machine.injection_time(nbytes, False)
-        alpha = machine.alpha
-        nic_ser = machine.nic_serialization
-        drain_ser = machine.drain_serialization
-        gt, gr = g
-        clock = rs.clock
-        ct = eng.counters.ranks[rank].comm_time
-        nic_out = rs.nic_out_free
-        nic_in = drs.nic_in_free
-        pair = (rank, dest)
-        pair_prev = eng._pair_arrival.get(pair, 0.0)
-        seq = eng._send_seq
-        push = drs.queue.push
-        dst_blocked = drs.state == _BLOCKED
-        sent = 0
-        for payload in payloads:
-            if clock > gt or (clock == gt and rank > gr):
-                break
-            # charge_comm(send_origin_cost) then post_message's no-fault
-            # body, statement for statement on the hoisted locals.
-            clock += cost
-            ct += cost
-            start = clock
-            if nic_ser:
-                if nic_out > start:
-                    start = nic_out
-                nic_out = start + inject
-            arrival = start + inject + alpha
-            if drain_ser:
-                if nic_in > arrival:
-                    arrival = nic_in
-                nic_in = arrival + inject
-            if pair_prev > arrival:
-                arrival = pair_prev
-            pair_prev = arrival
-            seq += 1
-            push(Message(rank, dest, tag, payload, nbytes, clock, arrival, seq))
-            if dst_blocked:
-                b = arrival if arrival > drs.clock else drs.clock
-                if b < gt or (b == gt and dest < gr):
-                    gt, gr = b, dest
-                    eng._guard = (b, dest)
-            sent += 1
-        if not sent:
-            return 0
-        rs.clock = clock
-        rs.nic_out_free = nic_out
-        drs.nic_in_free = nic_in
-        eng._pair_arrival[pair] = pair_prev
-        eng._send_seq = seq
-        eng._op_count += 2 * sent  # one charge_comm + one post_message each
-        if dst_blocked:
-            eng._stale.add(dest)
-        eng.counters.p2p.record(rank, dest, nbytes, sent)
-        rc = eng.counters.ranks[rank]
-        rc.comm_time = ct
-        rc.sends += sent
-        rc.bytes_sent += sent * nbytes
-        rc.note_inflight(+sent)
-        rc.alloc(sent * machine.send_request_bytes, "send-requests")
-        eng.counters.ranks[dest].alloc(
-            sent * (nbytes + machine.p2p_msg_overhead_bytes), "unexpected-queue"
-        )
-        return sent
-
-    def recv_burst(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *, limit: int = 2**30
-    ) -> list[Message]:
-        """Batched :meth:`try_probe_recv`: drain up to ``limit`` matching
-        already-arrived messages in a single call.
-
-        Returns the received messages in order (possibly empty); the
-        caller finishes through the per-message paths once the burst
-        stops — at ``limit``, at the first probe that would find no
-        arrived message, or at the first probe+receive the guard no
-        longer covers. Only probe+receive pairs the scalar path would
-        execute identically are committed (clock advances replayed
-        per-message on hoisted locals, guard re-checked before each
-        pair including its post-probe partial point, integer counters
-        aggregated exactly), so the simulation state is bit-identical
-        to the equivalent ``iprobe_g``/``recv_g`` sequence.
-        """
-        eng = self._engine
-        rank = self.rank
-        out: list[Message] = []
-        if (
-            eng.trace is not None
-            or eng.max_ops is not None
-            or eng.max_vtime is not None
-            or eng.kill_at is not None
-        ):
-            return out
-        g = eng._guard
-        if g is None:
-            if not eng.try_arm_guard(rank):
-                return out
-            g = eng._guard
-        rs = eng._ranks[rank]
-        machine = self.machine
-        o_probe = machine.o_probe
-        o_recv = machine.o_recv
-        overhead = machine.p2p_msg_overhead_bytes
-        gt, gr = g
-        clock = rs.clock
-        rc = eng.counters.ranks[rank]
-        ct = rc.comm_time
-        q = rs.queue
-        nbytes_total = 0
-        by_src: dict[int, int] = {}
-        while len(out) < limit:
-            if clock > gt or (clock == gt and rank > gr):
-                break
-            next_clock = clock + o_probe
-            if next_clock > gt or (next_clock == gt and rank > gr):
-                # The probe charge would move past the guard and the
-                # scalar pair would partial-fallback mid-way; stop
-                # before it so the caller replays it whole.
-                break
-            idx = q.match_index(source, tag, before=next_clock)
-            if idx is None:
-                break
-            # Commit the pair: probe charge, receive charge, delivery.
-            clock = next_clock
-            ct += o_probe
-            msg = q.pop(idx)
-            clock += o_recv
-            ct += o_recv
-            nbytes_total += msg.nbytes
-            by_src[msg.src] = by_src.get(msg.src, 0) + 1
-            out.append(msg)
-        n = len(out)
-        if not n:
-            return out
-        rs.clock = clock
-        rc.comm_time = ct
-        rc.probes += n
-        rc.recvs += n
-        rc.bytes_received += nbytes_total
-        rc.free(nbytes_total + n * overhead, "unexpected-queue")
-        eng._op_count += 2 * n  # one probe + one recv charge each
-        ranks_c = eng.counters.ranks
-        req = machine.send_request_bytes
-        for src, k in by_src.items():
-            src_rc = ranks_c[src]
-            src_rc.note_inflight(-k)
-            src_rc.free(k * req, "send-requests")
-        return out
 
     def recv_g(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive of the earliest matching message.

@@ -90,10 +90,6 @@ _CRASHED = "crashed"  # killed by the fault plan at its scheduled time
 _INF = float("inf")
 
 SCHEDULERS = ("heap", "reference")
-#: ``"threaded"`` is an accepted name for the scalar generator engine
-#: (stored request files and ``REPRO_ENGINE=threaded`` shells carry it);
-#: it selects exactly what ``"coroutine"`` selects.
-ENGINES = ("threaded", "coroutine", "vector")
 
 #: Sentinel yielded by the engine's park points. The generator driver
 #: rejects anything else surfacing from a rank program — a stray
@@ -211,16 +207,6 @@ class Engine:
         ``"heap"`` (default, indexed candidate heap with lazy
         invalidation) or ``"reference"`` (the original linear scan, kept
         as the executable specification for differential tests).
-    engine:
-        ``"coroutine"`` (default: one generator per rank, stepped
-        directly by the scheduler; ``"threaded"`` is an accepted alias)
-        or ``"vector"`` (the same plus a token-retention guard enabling
-        the fused batched fast paths in :class:`RankContext` — required
-        for P in the tens of thousands). Both make identical scheduling
-        decisions and produce bit-identical traces, clocks, counters,
-        and checkpoints. The vector fast paths disarm automatically
-        under fault plans, profiling, or recovery (exact coroutine
-        behaviour).
     audit:
         Heap mode only: cross-check every scheduling decision against a
         fresh reference scan (slow; used by the property test suite to
@@ -238,7 +224,6 @@ class Engine:
         profile: bool = False,
         faults: FaultPlan | None = None,
         scheduler: str = "heap",
-        engine: str = "coroutine",
         audit: bool = False,
         checkpoint: CheckpointConfig | None = None,
         kill_at: float | None = None,
@@ -251,8 +236,6 @@ class Engine:
             raise ValueError("machine.alpha must be strictly positive (DES safety)")
         if scheduler not in SCHEDULERS:
             raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; pick from {ENGINES}")
         if faults is not None:
             if faults.is_null():
                 faults = None  # a null plan is behaviourally absent
@@ -296,36 +279,6 @@ class Engine:
         self.faults = faults
         self.scheduler = scheduler
         self._use_heap = scheduler == "heap"
-        # Deliberately NOT part of checkpoint snapshots: a cut taken
-        # under one engine must restore (and hash) identically under
-        # the other.
-        self.engine = engine
-        # Vector engine: coroutine mechanics plus a token-retention
-        # guard that lets the running rank batch whole message rounds
-        # without bouncing through the scheduler (see yield_ready_g).
-        self._vector = engine == "vector"
-        # Conservative lower bound on the minimal candidate key
-        # (t, rank) among all *other* wakeable ranks, valid while the
-        # current token holder runs. None = unknown (fall back to the
-        # exact scalar decision). Armed lazily under _vector_fast by the
-        # running rank's first exact minimality check (yield_ready_g's
-        # scalar fast return, where the drained heap top is the exact
-        # minimum over the others); cleared on every token switch; every
-        # event that can lower another rank's candidate while a rank
-        # runs must lower (post_message) or invalidate (notify_ranks)
-        # it.
-        self._guard: tuple[float, int] | None = None
-        # Fast paths stay off whenever any feature needs to observe the
-        # exact scalar event interleaving (fault fates, span profiling,
-        # rollback-recovery): the guard then never arms and the vector
-        # engine degenerates to the coroutine engine exactly.
-        self._vector_fast = (
-            self._vector
-            and self._use_heap
-            and faults is None
-            and not profile
-            and recovery is None
-        )
         self._audit = audit
         self._heap: list[tuple[float, int, int]] = []
         # Blocked ranks whose wake potential may have changed since their
@@ -716,10 +669,6 @@ class Engine:
         no-op under the reference scheduler, which re-evaluates
         everything on every decision anyway.
         """
-        # A collective completion can wake peers at times at or below
-        # any previously indexed candidate; the token-retention guard's
-        # bound no longer holds, so drop it (exact scalar path resumes).
-        self._guard = None
         if not self._use_heap:
             return
         states = self._ranks
@@ -751,28 +700,6 @@ class Engine:
                 continue
             return (t, rank)
         return None
-
-    def try_arm_guard(self, rank: int) -> bool:
-        """Arm the token-retention guard if ``rank`` is provably minimal.
-
-        Replays exactly the decision :meth:`yield_ready_g`'s heap fast
-        path would make — drain the stale marks, peek the valid heap
-        top, compare against this rank's key — without building a
-        generator. Returns True with the guard armed to the exact
-        minimum over the other wakeable ranks, or False (guard left
-        unarmed) when the rank is not minimal and only a real park can
-        decide. Scheduler bookkeeping only: no clock, counter, or
-        switch-count effect either way.
-        """
-        if not self._vector_fast:
-            return False
-        rs = self._ranks[rank]
-        self._drain_stale()
-        top = self._heap_min()
-        if top is None or top >= (rs.clock, rank):
-            self._guard = top if top is not None else (_INF, self.nprocs)
-            return True
-        return False
 
     def _scheduler_loop_heap(self) -> None:
         faults = self.faults
@@ -840,10 +767,6 @@ class Engine:
         self._switches += 1
         rs.state = _RUNNING
         rs.wake_potential = None
-        # A guard armed during the previous grant bounds the wrong
-        # rank's competitors; it is re-armed lazily by the new token
-        # holder's first fast-path minimality check (yield_ready_g).
-        self._guard = None
         # Step the rank's generator until its next park (it yields the
         # park marker) or its completion (the _gen_main envelope has
         # already recorded result/error and final state).
@@ -1430,14 +1353,6 @@ class Engine:
         if self.faults is not None:
             self._check_self_crash(rank)
         rs = self._ranks[rank]
-        g = self._guard
-        if g is not None and (rs.clock, rank) <= g:
-            # Token-retention guard (vector engine): the bound proves
-            # the heap top is >= our key, so the scalar fast path below
-            # would also return without a switch — skip the stale drain
-            # (deferred to the next real decision, unobservable) and
-            # the heap peek entirely.
-            return
         if self._use_heap:
             # Drain stale marks first: a collective this rank completed
             # can wake a peer at a time <= our current clock (rendezvous
@@ -1448,14 +1363,6 @@ class Engine:
             self._drain_stale()
             top = self._heap_min()
             if top is None or top >= (rs.clock, rank):
-                if self._vector_fast:
-                    # Re-arm the token-retention guard: the stale set is
-                    # drained and this rank's entries are skipped (it is
-                    # _RUNNING), so top is the exact minimum over the
-                    # other wakeable ranks — the arm-time invariant. This
-                    # heals the conservative lowering done by this rank's
-                    # own sends, so a long drain keeps its fast path.
-                    self._guard = top if top is not None else (_INF, self.nprocs)
                 return  # still minimal; no switch needed
         else:
             my_key = (rs.clock, rank)
@@ -1510,11 +1417,6 @@ class Engine:
         if not force_park:
             t = wake_potential()
             if t is not None and t <= rs.clock:
-                g = self._guard
-                if g is not None and (rs.clock, rank) <= g:
-                    # Token-retention guard: same decision yield_ready_g
-                    # would reach, without building its generator frame.
-                    return
                 yield from self.yield_ready_g(rank)
                 return
         rs.state = _BLOCKED
@@ -1635,19 +1537,6 @@ class Engine:
             )
             if self._use_heap and drs.state == _BLOCKED:
                 self._stale.add(dst)
-                # Token-retention guard: this delivery may lower a
-                # *blocked* dst's candidate, but never below
-                # (max(arrival, dst.clock), dst) — a recv cannot
-                # complete before the payload arrives or before the
-                # receiver's own clock. A READY dst's candidate is its
-                # (frozen, already-bounded) clock and a DONE/FAILED
-                # rank has none, so only this branch must lower the
-                # bound. Guard is only armed under _use_heap.
-                g = self._guard
-                if g is not None:
-                    b = arrival if arrival > drs.clock else drs.clock
-                    if (b, dst) < g:
-                        self._guard = (b, dst)
             return arrival
 
         plan = self.faults

@@ -6,7 +6,7 @@ eligible message (deterministic: ties broken by global send sequence number).
 
 Both classes are ``__slots__``-based: a simulated run creates one
 :class:`Message` per delivered copy and probes queues on every receive, so
-attribute storage and matching are engine hot paths (see ``repro bench``).
+attribute storage and matching are engine hot paths.
 """
 
 from __future__ import annotations

@@ -220,8 +220,7 @@ class DistGraphTopology:
             members=eng.nprocs - len(self.epoch),
         )
         # Re-index the parked neighbors whose rendezvous ({q} ∪ N(q) all
-        # present) this entry completed; the call itself, even with an
-        # empty list, drops the token-retention guard.
+        # present) this entry completed.
         eng.notify_ranks(op.enter(
             rank, eng.clock_of(rank), lanes, kind, {}, self.peer_slots,
             None if kind == "neighbor_alltoall" else nbytes))

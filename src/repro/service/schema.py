@@ -14,9 +14,8 @@ Design rules:
   tunable must fail loudly, not silently run the default configuration
   and poison the cache under the wrong key;
 * the cache key is a pure function of (graph, nprocs, model, config,
-  code_version) — minus the ``engine`` field: the engines are proven
-  bit-identical and must therefore *share* cache entries
-  (docs/service.md).
+  code_version) — minus the ``engine`` field, a retired engine choice
+  that is accepted and ignored (docs/service.md).
 
 Bodies may be JSON or TOML (the same shape); :func:`parse_request` and
 :func:`loads_toml` are the single decoding path for the HTTP server, the
@@ -33,7 +32,6 @@ SCHEMA_VERSION = 1
 
 #: models the service will execute (mirrors the `repro match` choices)
 MODELS = ("nsr", "rma", "ncl", "mbp", "incl", "nsr-agg")
-ENGINES = ("threaded", "coroutine", "vector")
 SCHEDULERS = ("heap", "reference")
 
 
@@ -137,12 +135,12 @@ class WireConfig:
     """The JSON/TOML-serializable slice of :class:`RunConfig`.
 
     ``None`` means "the library default". ``engine`` is the one field
-    excluded from the cache key: the execution engines are bit-identical
-    by contract, so it only selects *how* a miss is computed.
+    excluded from the cache key: it names a retired engine choice, is
+    checked against ``RunConfig``'s legacy names, and changes nothing.
     """
 
     machine: str = "cori-aries"  #: machine-model preset name
-    engine: str | None = None  #: coroutine/vector (threaded = coroutine); cache-neutral
+    engine: str | None = None  #: accepted and ignored; cache-neutral
     scheduler: str = "heap"
     max_ops: int | None = None
     compute_weight: bool = True
@@ -161,10 +159,16 @@ class WireConfig:
                 f"config.machine {self.machine!r} unknown; have "
                 f"{sorted(PRESETS)}"
             )
-        if self.engine is not None and self.engine not in ENGINES:
-            raise SchemaError(
-                f"config.engine {self.engine!r} unknown; have {list(ENGINES)}"
-            )
+        if self.engine is not None:
+            # Only a request that still names an engine pays for this
+            # import; the default path stays free of the simulator.
+            from repro.matching.config import LEGACY_ENGINES
+
+            if self.engine not in LEGACY_ENGINES:
+                raise SchemaError(
+                    f"config.engine {self.engine!r} unknown; have "
+                    f"{list(LEGACY_ENGINES)}"
+                )
         if self.scheduler not in SCHEDULERS:
             raise SchemaError(
                 f"config.scheduler {self.scheduler!r} unknown; have "
@@ -204,7 +208,7 @@ class WireConfig:
             opt_kwargs["agg_flush_bytes"] = self.agg_flush_bytes or None
         if self.agg_flush_count is not None:
             opt_kwargs["agg_flush_count"] = self.agg_flush_count or None
-        cfg = RunConfig(
+        return RunConfig(
             machine=get_machine(self.machine),
             options=MatchingOptions(**opt_kwargs),
             max_ops=self.max_ops,
@@ -213,9 +217,6 @@ class WireConfig:
             trace=self.trace,
             scheduler=self.scheduler,
         )
-        if self.engine is not None:
-            cfg = cfg.evolve(engine=self.engine)
-        return cfg
 
 
 _WIRE_FIELDS = tuple(f.name for f in fields(WireConfig))

@@ -9,8 +9,6 @@ from repro.cc import (
     run_cc,
     validate_components,
 )
-from repro.cc.distributed import cc_rank_main
-from repro.graph.distribution import partition_graph
 from repro.graph.csr import from_edges
 from repro.graph.generators import (
     grid2d_graph,
@@ -19,7 +17,7 @@ from repro.graph.generators import (
     rgg_graph,
     rmat_graph,
 )
-from repro.mpisim import Engine, cori_aries, zero_latency
+from repro.mpisim import zero_latency
 
 FAST = zero_latency()
 
@@ -118,6 +116,3 @@ def test_golden_pins(model):
     g = rmat_graph(8, seed=3)
     res = run_cc(g, 4, model)
     assert (res.makespan, res.rounds, res.num_components) == GOLDEN[model]
-    vec = Engine(4, cori_aries(), engine="vector").run(
-        cc_rank_main, args=(partition_graph(g, 4), model))
-    assert vec.makespan == res.makespan

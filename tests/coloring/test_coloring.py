@@ -11,9 +11,7 @@ from repro.coloring import (
     num_colors,
     run_coloring,
 )
-from repro.coloring.distributed import coloring_rank_main
 from repro.graph.csr import from_edges
-from repro.graph.distribution import partition_graph
 from repro.graph.generators import (
     complete_graph,
     grid2d_graph,
@@ -22,7 +20,7 @@ from repro.graph.generators import (
     rmat_graph,
     star_graph,
 )
-from repro.mpisim import Engine, cori_aries, zero_latency
+from repro.mpisim import zero_latency
 
 FAST = zero_latency()
 
@@ -154,6 +152,3 @@ def test_golden_pins(model):
     g = rmat_graph(8, seed=3)
     res = run_coloring(g, 4, model)
     assert (res.makespan, res.rounds, res.num_colors) == GOLDEN[model]
-    vec = Engine(4, cori_aries(), engine="vector").run(
-        coloring_rank_main, args=(partition_graph(g, 4), model))
-    assert vec.makespan == res.makespan

@@ -21,6 +21,7 @@ def test_fig1_invariants(fig1):
     assert "prefix sums" in fig1.text
 
 
+# Legacy engine names, kept as test ids: both legs run the one engine.
 @pytest.mark.parametrize("engine", ["coroutine", "vector"])
 def test_fig1_layout_pin(engine):
     # Rank 0's layout and the makespan as the thread-per-rank engine
@@ -31,8 +32,7 @@ def test_fig1_layout_pin(engine):
     from repro.mpisim import Engine, zero_latency
 
     parts = partition_graph(rmat_graph(7, seed=3), 4)
-    res = Engine(4, zero_latency(), engine=engine).run(
-        _layout_rank_main, args=(parts,))
+    res = Engine(4, zero_latency()).run(_layout_rank_main, args=(parts,))
     assert res.makespan == 1.71645e-08
     assert res.rank_results[0] == {
         "neighbors": [1, 2, 3],

@@ -25,8 +25,8 @@ from repro.mpisim.machine import cori_aries
 # model -> (makespan, weight, matched edges, iterations,
 #           heap-scheduler switches, total ops, total messages)
 # The last three columns were recorded by the thread-per-rank engine in
-# its final commit, so the generator engines are held to every
-# scheduling decision it made, not only to the clocks.
+# its final commit, so the generator engine is held to every scheduling
+# decision it made, not only to the clocks.
 GOLDEN = {
     "nsr": (0.0011927654999999962, 33.23161028286712, 40, 51, 2073, 3583, 867),
     "rma": (0.00040368000000000055, 33.23161028286712, 40, 8, 916, 2190, 1127),
@@ -45,9 +45,8 @@ def graph():
 @pytest.mark.parametrize("model", sorted(GOLDEN))
 @pytest.mark.parametrize("scheduler", ["heap", "reference"])
 def test_golden_pins(graph, model, scheduler, engine):
-    # Every engine name must hit the very same pins: the constants are
-    # engine-independent by contract (the vector engine's batching is
-    # scheduling-invisible; "threaded" is an alias of "coroutine").
+    # The legacy engine names stay test ids: RunConfig accepts and
+    # ignores them, so every leg must hit the very same pins.
     makespan, weight, edges, iters, switches, ops, messages = GOLDEN[model]
     res = run_matching(
         graph, 4, model,
@@ -103,11 +102,9 @@ def test_all_backends_agree_on_weight(graph):
 # ----------------------------------------------------------------------
 # Weak scaling in the Fig. 4 sense: the per-rank problem is held fixed
 # (R-MAT scale 13 over 1024 ranks, 14 over 4096, 15 over 16384 — eight
-# vertices per rank) while P quadruples. The vector engine must
-# reproduce the coroutine engine's pins exactly (its batching is
-# scheduling-invisible); P=16384 is vector-only — the scalar coroutine engine takes tens of
-# minutes there, the vector engine a few. Deselected by default via the
-# `scale` marker — CI's scale-smoke job and `pytest -m scale` opt in.
+# vertices per rank) while P quadruples. P=16384 took 46 s on a
+# 2-core x86-64 box. Deselected by default via the `scale` marker — CI's
+# scale-smoke job and `pytest -m scale` opt in.
 #
 # nprocs -> (rmat scale, makespan, weight, matched edges, iterations,
 #            wall-clock smoke budget in seconds)
@@ -118,14 +115,13 @@ SCALE_GOLDEN = {
 }
 
 
-def _check_scale_pin(nprocs, engine):
+@pytest.mark.scale
+@pytest.mark.parametrize("nprocs", sorted(SCALE_GOLDEN))
+def test_weak_scaling_pins(nprocs):
     scale, makespan, weight, edges, iters, budget = SCALE_GOLDEN[nprocs]
     g = rmat_graph(scale, seed=3)
     t0 = time.perf_counter()
-    res = run_matching(
-        g, nprocs, "nsr",
-        config=RunConfig(machine=cori_aries(), engine=engine),
-    )
+    res = run_matching(g, nprocs, "nsr", config=RunConfig(machine=cori_aries()))
     wall = time.perf_counter() - t0
     assert res.makespan == makespan
     assert res.weight == weight
@@ -134,15 +130,3 @@ def _check_scale_pin(nprocs, engine):
     # Smoke budget: generous vs what these take on a laptop, tight enough
     # that an accidental O(P^2) in the engine core blows it.
     assert wall < budget, f"P={nprocs} took {wall:.1f}s (budget {budget}s)"
-
-
-@pytest.mark.scale
-@pytest.mark.parametrize("nprocs", [1024, 4096])
-def test_weak_scaling_pins_coroutine(nprocs):
-    _check_scale_pin(nprocs, "coroutine")
-
-
-@pytest.mark.scale
-@pytest.mark.parametrize("nprocs", sorted(SCALE_GOLDEN))
-def test_weak_scaling_pins_vector(nprocs):
-    _check_scale_pin(nprocs, "vector")

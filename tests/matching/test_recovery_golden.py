@@ -26,8 +26,8 @@ from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import FaultPlan, PartitionWindow
 
 BACKENDS = ["nsr", "nsr-agg", "rma", "ncl"]
-# "threaded" is an accepted alias of "coroutine"; it stays a leg so the
-# alias is held to the same pins.
+# Legacy engine names, kept as test ids: RunConfig accepts and ignores
+# them, so every leg runs the one engine against the same pins.
 ENGINES = ["threaded", "coroutine"]
 
 # Same reference instance as tests/matching/test_restart.py: rmat scale
@@ -68,7 +68,7 @@ def clean(graph):
     return out
 
 
-def recovered_run(graph, backend, faults, engine="coroutine", spares=4,
+def recovered_run(graph, backend, faults, engine=None, spares=4,
                   replicas=2, interval=None):
     return run_matching(
         g=graph, nprocs=4, model=backend,

@@ -242,7 +242,7 @@ def test_neighborhood_double_entry_raises():
     assert op.wake_potential(0) == op.wake_potential(1) == 1.0
 
 
-# "threaded" is an accepted alias of "coroutine"; kept as a leg.
+# Legacy engine names, kept as test ids: every leg runs the one engine.
 @pytest.mark.parametrize("engine", ["threaded", "coroutine"])
 @pytest.mark.parametrize("neighbors", [
     {0: [1]},            # asymmetric: 0 -> 1 but not 1 -> 0
@@ -261,11 +261,12 @@ def test_bad_adjacency_raises_on_every_rank(neighbors, engine):
             return str(exc)
         return None
 
-    res = Engine(4, zero_latency(), engine=engine).run(prog)
+    res = Engine(4, zero_latency()).run(prog)
     assert res.rank_results[0] is not None
     assert res.rank_results == [res.rank_results[0]] * 4
 
 
+# Legacy engine names, kept as test ids: every leg runs the one engine.
 @pytest.mark.parametrize("engine", ["threaded", "coroutine", "vector"])
 def test_checkpoint_with_neighborhood_collective_in_flight(engine):
     """A coordinated cut taken while a neighborhood exchange is half
@@ -306,7 +307,7 @@ def test_checkpoint_with_neighborhood_collective_in_flight(engine):
         return (yield from req.wait_g()), ctx.now
 
     def run_prog(store, **kw):
-        eng = Engine(4, cori_aries(), engine=engine,
+        eng = Engine(4, cori_aries(),
                      checkpoint=CheckpointConfig(interval=interval, store=store),
                      **kw)
         return eng.run(prog)

@@ -106,25 +106,25 @@ def test_max_vtime_limit():
 
 
 # ----------------------------------------------------------------------
-# diagnostic parity: both engines fail the same way with the same dump
+# diagnostic parity: every run fails the same way with the same dump
 # ----------------------------------------------------------------------
 class TestEngineFailureParity:
-    """Deadlock dumps and budget aborts must be engine-independent: the
-    vector engine reports exactly the stall info the coroutine one does."""
+    """Deadlock dumps and budget aborts are deterministic: two runs of
+    the same failing program report exactly the same stall info."""
 
     @staticmethod
-    def _deadlock_dump(engine):
+    def _deadlock_dump():
         def prog(ctx):  # two-rank recv/recv: classic head-to-head deadlock
             yield from ctx.recv_g(source=(ctx.rank + 1) % 2, tag=9)
 
-        eng = Engine(2, zero_latency(), trace=True, engine=engine)
+        eng = Engine(2, zero_latency(), trace=True)
         with pytest.raises(DeadlockError) as ei:
             eng.run(prog)
         return ei.value
 
     def test_recv_recv_deadlock_dump_identical(self):
-        a = self._deadlock_dump("coroutine")
-        b = self._deadlock_dump("vector")
+        a = self._deadlock_dump()
+        b = self._deadlock_dump()
         assert a.rank_states == b.rank_states
         assert a.details == b.details
         assert a.collectives == b.collectives
@@ -137,12 +137,12 @@ class TestEngineFailureParity:
             if ctx.rank != 2:
                 yield from ctx.barrier_g()
 
-        dumps = {}
-        for mode in ("coroutine", "vector"):
+        dumps = []
+        for _ in range(2):
             with pytest.raises(DeadlockError) as ei:
-                Engine(3, zero_latency(), trace=True, engine=mode).run(prog)
-            dumps[mode] = ei.value
-        a, b = dumps["coroutine"], dumps["vector"]
+                Engine(3, zero_latency(), trace=True).run(prog)
+            dumps.append(ei.value)
+        a, b = dumps
         assert a.collectives == b.collectives
         assert a.collectives and a.collectives[0]["missing"] == [2]
         assert str(a) == str(b)
@@ -158,12 +158,12 @@ class TestEngineFailureParity:
                 yield from ctx.isend_g(peer, 0)
                 yield from ctx.recv_g()
 
-        msgs = {}
-        for mode in ("coroutine", "vector"):
+        msgs = []
+        for _ in range(2):
             with pytest.raises(SimLimitExceeded) as ei:
-                Engine(2, cori_aries(), engine=mode, **limits).run(prog)
-            msgs[mode] = str(ei.value)
-        assert msgs["coroutine"] == msgs["vector"]
+                Engine(2, cori_aries(), **limits).run(prog)
+            msgs.append(str(ei.value))
+        assert msgs[0] == msgs[1]
 
 
 def test_engine_single_use():

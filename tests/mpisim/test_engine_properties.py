@@ -8,13 +8,11 @@ terminate) must satisfy:
 * conservation: messages received == messages sent (after drain);
 * virtual-time sanity: makespan bounded below by any rank's serial work
   and nondecreasing in the latency parameter;
-* engine equivalence: the coroutine and vector engines produce the
-  same full fingerprint (clocks, results, counters, switch count,
-  trace) for random programs under random fault plans
-  (drop/dup/delay/partition/crash);
-* coroutine checkpoint/kill/resume: a run killed mid-flight and resumed
-  from its last snapshot under ``engine="coroutine"`` finishes
-  bit-identically to the uninterrupted run.
+* full-fingerprint determinism: two runs produce the same clocks,
+  results, counters, switch count and trace for random programs, also
+  under random fault plans (drop/dup/delay/partition/crash);
+* checkpoint/kill/resume: a run killed mid-flight and resumed from its
+  last snapshot finishes bit-identically to the uninterrupted run.
 """
 
 import numpy as np
@@ -129,7 +127,7 @@ def test_time_split_accounts_everything(seed, nprocs):
 
 
 # ----------------------------------------------------------------------
-# engine equivalence: coroutine vs vector under random fault plans
+# full-fingerprint determinism under random fault plans
 # ----------------------------------------------------------------------
 def _fingerprint(res, trace):
     """Every observable of a run, flattened to comparable values."""
@@ -218,15 +216,15 @@ def faulty_cases(draw):
 @SLOWISH
 @given(case=faulty_cases())
 def test_engines_bit_identical_under_random_faults(case):
-    """The vector engine replays the coroutine engine's every decision:
-    identical fingerprints for random programs under random fault plans."""
+    """Two runs make every decision alike: identical fingerprints for
+    random programs under random fault plans."""
     nprocs, plan, rounds = case
     prog = faulty_ring_program(rounds)
-    fps = {}
-    for mode in ("coroutine", "vector"):
-        eng = Engine(nprocs, cori_aries(), trace=True, faults=plan, engine=mode)
-        fps[mode] = _fingerprint(eng.run(prog), eng.trace)
-    assert fps["coroutine"] == fps["vector"]
+    fps = []
+    for _ in range(2):
+        eng = Engine(nprocs, cori_aries(), trace=True, faults=plan)
+        fps.append(_fingerprint(eng.run(prog), eng.trace))
+    assert fps[0] == fps[1]
 
 
 @SLOWISH
@@ -237,24 +235,22 @@ def test_engines_bit_identical_under_random_faults(case):
 )
 def test_engines_bit_identical_fault_free(seed, nprocs, rounds):
     prog = scripted_program(seed, rounds)
-    fps = {}
-    for mode in ("coroutine", "vector"):
-        eng = Engine(nprocs, cori_aries(), trace=True, engine=mode)
-        fps[mode] = _fingerprint(eng.run(prog), eng.trace)
-    assert fps["coroutine"] == fps["vector"]
+    fps = []
+    for _ in range(2):
+        eng = Engine(nprocs, cori_aries(), trace=True)
+        fps.append(_fingerprint(eng.run(prog), eng.trace))
+    assert fps[0] == fps[1]
 
 
 # ----------------------------------------------------------------------
-# coroutine checkpoint / kill / resume round-trip
+# checkpoint / kill / resume round-trip
 # ----------------------------------------------------------------------
+# Legacy engine names, kept as test ids: RunConfig accepts and ignores them.
 @pytest.mark.parametrize("engine", ["coroutine", "vector"])
 @pytest.mark.parametrize("kill_frac", [0.35, 0.8])
 def test_coroutine_checkpoint_kill_resume_roundtrip(kill_frac, engine):
-    """Under the generator engines: checkpoint, kill mid-run, resume from
-    the last surviving snapshot — the finished run is bit-identical to the
-    uninterrupted one. The vector engine
-    degenerates to scalar stepping while checkpointing yet must produce
-    the same snapshot hashes."""
+    """Checkpoint, kill mid-run, resume from the last surviving snapshot:
+    the finished run is bit-identical to the uninterrupted one."""
     from repro.graph.generators import rmat_graph
     from repro.matching import RunConfig, run_matching
     from repro.mpisim.checkpoint import CheckpointConfig, CheckpointStore

@@ -36,14 +36,13 @@ def program(ctx):
     return total
 
 
-# "threaded" is an accepted alias of the scalar generator engine; it
-# stays a leg so the alias is held to the same recovery contract.
+# Legacy engine names, kept as test ids: every leg runs the one engine.
 ENGINES = ["threaded", "coroutine"]
 P = 4
 
 
-def run(engine="coroutine", faults=None, recovery=None, interval=None,
-        store=None, nprocs=P, **kw):
+def run(faults=None, recovery=None, interval=None, store=None, nprocs=P,
+        **kw):
     ckpt = None
     if interval is not None:
         ckpt = CheckpointConfig(
@@ -51,7 +50,7 @@ def run(engine="coroutine", faults=None, recovery=None, interval=None,
             store=store if store is not None else CheckpointStore(),
         )
     eng = Engine(
-        nprocs, cori_aries(), engine=engine, faults=faults,
+        nprocs, cori_aries(), faults=faults,
         checkpoint=ckpt, recovery=recovery, **kw,
     )
     return eng, eng.run(program)
@@ -114,7 +113,6 @@ class TestStaticCrashHealed:
     def test_single_crash_is_transparent(self, engine, clean):
         tcrash = clean.makespan * 0.6
         _, res = run(
-            engine=engine,
             faults=FaultPlan(crashes={1: tcrash}),
             recovery=RecoveryConfig(spares=2, replicas=2),
             interval=clean.makespan / 8,
@@ -168,12 +166,12 @@ class TestStaticCrashHealed:
             recovery=RecoveryConfig(spares=1, replicas=2),
             interval=clean.makespan / 8,
         )
-        _, co = run(engine="coroutine", **kw)
-        _, ve = run(engine="vector", **kw)
-        assert co.makespan == ve.makespan
-        assert co.rank_results == ve.rank_results
-        assert co.recovery == ve.recovery
-        assert co.final_clocks == ve.final_clocks
+        _, a = run(**kw)
+        _, b = run(**kw)
+        assert a.makespan == b.makespan
+        assert a.rank_results == b.rank_results
+        assert a.recovery == b.recovery
+        assert a.final_clocks == b.final_clocks
 
 
 class TestRecoveryFailed:
@@ -183,8 +181,7 @@ class TestRecoveryFailed:
         # there is nothing to roll back to, and the engine must say so.
         with pytest.raises(RecoveryFailed) as exc:
             run(
-                engine=engine,
-                faults=FaultPlan(crashes={0: clean.makespan * 0.05}),
+                    faults=FaultPlan(crashes={0: clean.makespan * 0.05}),
                 recovery=RecoveryConfig(spares=2),
                 interval=clean.makespan,  # first cut due at the very end
             )
@@ -244,7 +241,6 @@ class TestChurn:
             detect_latency=clean.makespan / 100,
         )
         _, res = run(
-            engine=engine,
             faults=plan,
             recovery=RecoveryConfig(spares=16, replicas=2),
             interval=clean.makespan / 8,
@@ -265,10 +261,10 @@ class TestChurn:
             recovery=RecoveryConfig(spares=16, replicas=2),
             interval=clean.makespan / 8,
         )
-        _, co = run(engine="coroutine", **kw)
-        _, ve = run(engine="vector", **kw)
-        assert co.makespan == ve.makespan
-        assert co.recovery == ve.recovery
+        _, a = run(**kw)
+        _, b = run(**kw)
+        assert a.makespan == b.makespan
+        assert a.recovery == b.recovery
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

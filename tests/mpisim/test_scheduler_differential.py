@@ -1,14 +1,11 @@
-"""Differential tests: schedulers AND engine names are bit-identical.
+"""Differential tests: the two schedulers are bit-identical.
 
 The engine ships two scheduler implementations (``scheduler="heap"``, the
 indexed candidate-time heap, and ``scheduler="reference"``, the original
-O(P)-scan executable specification) and steps generator ranks either one
-operation at a time (``engine="coroutine"``, also reachable under its
-alias ``"threaded"``) or with the token-retention fast paths
-(``engine="vector"``) — see docs/engine_scheduling.md. This suite runs a
-matrix of (program x machine x seed x fault plan) under both schedulers,
-parametrized over the engine names, and asserts that every *virtual*
-observable agrees exactly:
+O(P)-scan executable specification) — see docs/engine_scheduling.md.
+This suite runs a matrix of (program x machine x seed x fault plan)
+under both schedulers and asserts that every *virtual* observable agrees
+exactly:
 
 * the canonically ordered event trace, byte-for-byte as CSV;
 * per-rank final clocks and the makespan;
@@ -20,10 +17,11 @@ observable agrees exactly:
 ``scheduler_switches`` is deliberately excluded from the cross-scheduler
 comparison: the two implementations take different keep-running shortcuts
 in ``yield_ready``, which changes how often the token physically moves but
-nothing a rank program can observe in virtual time. Across *engines* with
-the scheduler held fixed, however, the switch count IS asserted: the
-vector engine must make exactly the scheduling decisions the coroutine
-engine makes.
+nothing a rank program can observe in virtual time.
+
+The matrix is still parametrized over the legacy engine names, which
+``RunConfig`` accepts and ignores for one release: the ids stay, and
+every leg runs the one engine.
 """
 
 import dataclasses
@@ -50,24 +48,13 @@ def _counters_dict(rc) -> dict:
     return dataclasses.asdict(rc)
 
 
-def assert_equivalent(a, ta, b, tb, check_switches=False,
-                      check_rank_results=True) -> None:
-    """Assert two (EngineResult, trace) pairs agree on every virtual fact.
-
-    ``check_switches=True`` additionally asserts the physical scheduling
-    decision count — valid when the scheduler is held fixed and only the
-    execution engine varies. ``check_rank_results=False`` skips the raw
-    rank-result comparison for payloads ``==`` can't handle (numpy arrays
-    inside dicts); callers then compare the assembled results themselves.
-    """
+def assert_equivalent(a, ta, b, tb) -> None:
+    """Assert two (EngineResult, trace) pairs agree on every virtual fact."""
     assert a.makespan == b.makespan
     assert a.final_clocks == b.final_clocks
-    if check_rank_results:
-        assert a.rank_results == b.rank_results
+    assert a.rank_results == b.rank_results
     assert a.total_ops == b.total_ops
     assert a.crashed_ranks == b.crashed_ranks
-    if check_switches:
-        assert a.scheduler_switches == b.scheduler_switches
     # Canonical order: (time, rank) with a stable sort, so each rank's
     # same-time events keep program order. Physical append order may
     # differ (the schedulers park at different moments), virtual order
@@ -82,38 +69,20 @@ def assert_equivalent(a, ta, b, tb, check_switches=False,
         np.testing.assert_array_equal(ma.bytes, mb.bytes)
 
 
-# "threaded" is an accepted alias of "coroutine": it stays a leg so the
-# alias is held to the whole matrix.
+# Legacy engine names, kept as test ids: every leg runs the one engine.
 ENGINES = ["threaded", "coroutine", "vector"]
 
 
-def run_both(prog, nprocs, machine, faults=None, expect_crashes=False,
-             engine="coroutine"):
-    """Run under both schedulers with the given engine; assert equivalence.
-
-    When ``engine="vector"`` (which only engages its fast paths under the
-    heap scheduler) a third run (heap scheduler, coroutine engine) closes
-    the cross-engine leg of the differential: same scheduler, different
-    engine must agree on everything *including* the switch count.
-    """
+def run_both(prog, nprocs, machine, faults=None, expect_crashes=False):
+    """Run under both schedulers; assert equivalence."""
     out = {}
     for sched in ("reference", "heap"):
-        eng = Engine(
-            nprocs, machine, trace=True, faults=faults, scheduler=sched,
-            engine=engine,
-        )
+        eng = Engine(nprocs, machine, trace=True, faults=faults, scheduler=sched)
         out[sched] = (eng.run(prog), eng.trace)
     (a, ta), (b, tb) = out["reference"], out["heap"]
     if expect_crashes:
         assert a.crashed_ranks  # the plan must actually bite
     assert_equivalent(a, ta, b, tb)
-    if engine == "vector":
-        eng = Engine(
-            nprocs, machine, trace=True, faults=faults, scheduler="heap",
-            engine="coroutine",
-        )
-        c, tc = eng.run(prog), eng.trace
-        assert_equivalent(b, tb, c, tc, check_switches=True)
     return out["heap"][0]
 
 
@@ -225,13 +194,13 @@ def crash_survivor(ctx):
 @pytest.mark.parametrize("seed", [0, 7, 123])
 @pytest.mark.parametrize("nprocs", [2, 5, 9])
 def test_scripted_matrix(machine, seed, nprocs, engine):
-    run_both(scripted(seed, rounds=4), nprocs, get_machine(machine), engine=engine)
+    run_both(scripted(seed, rounds=4), nprocs, get_machine(machine))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("machine", MACHINES)
 def test_rma_mix(machine, engine):
-    res = run_both(rma_mix, 4, get_machine(machine), engine=engine)
+    res = run_both(rma_mix, 4, get_machine(machine))
     # sanity: every rank saw both incoming one-sided ops after the barrier
     for applied, _, _ in res.rank_results:
         assert applied == 2
@@ -240,7 +209,7 @@ def test_rma_mix(machine, engine):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("nprocs", [3, 8])
 def test_neighborhood_collectives(nprocs, engine):
-    run_both(neighbor_ring(5), nprocs, cori_aries(), engine=engine)
+    run_both(neighbor_ring(5), nprocs, cori_aries())
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -250,7 +219,7 @@ def test_single_rank_degenerate(engine):
         yield from ctx.barrier_g()
         return (yield from ctx.allreduce_g(ctx.rank))
 
-    run_both(prog, 1, cori_aries(), engine=engine)
+    run_both(prog, 1, cori_aries())
 
 
 # ----------------------------------------------------------------------
@@ -270,7 +239,7 @@ def test_single_rank_degenerate(engine):
 )
 def test_message_fault_plans(fault_seed, rates, engine):
     plan = FaultPlan(seed=fault_seed, **rates)
-    run_both(tolerant_ring(10), 4, cori_aries(), faults=plan, engine=engine)
+    run_both(tolerant_ring(10), 4, cori_aries(), faults=plan)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -280,17 +249,14 @@ def test_nic_degradation_plan(engine):
     plan = FaultPlan(
         degradations=(NicDegradation(rank=1, t_start=0.0, t_end=1e-3, factor=8.0),)
     )
-    run_both(tolerant_ring(8), 4, cori_aries(), faults=plan, engine=engine)
+    run_both(tolerant_ring(8), 4, cori_aries(), faults=plan)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("crash_rank,crash_t", [(1, 5e-5), (0, 1e-4)])
 def test_crash_plans(crash_rank, crash_t, engine):
     plan = FaultPlan(crashes={crash_rank: crash_t})
-    run_both(
-        crash_survivor, 4, cori_aries(), faults=plan, expect_crashes=True,
-        engine=engine,
-    )
+    run_both(crash_survivor, 4, cori_aries(), faults=plan, expect_crashes=True)
 
 
 # ----------------------------------------------------------------------
@@ -352,8 +318,14 @@ def test_unknown_scheduler_rejected():
 
 
 def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="unknown engine"):
-        Engine(2, cori_aries(), engine="fibers")
+    # The engine name is checked where a run is configured; the Engine
+    # itself has no engine choice left to make.
+    with pytest.raises(ValueError, match="unknown engine 'fibers'"):
+        RunConfig(engine="fibers")
+    with pytest.raises(ValueError, match="unknown engine 'fibers'"):
+        RunConfig().evolve(engine="fibers")
+    with pytest.raises(TypeError):
+        Engine(2, cori_aries(), engine="vector")
 
 
 def test_plain_blocking_call_rejected_under_coroutine():
@@ -381,27 +353,33 @@ def test_plain_target_that_never_parks_still_runs():
     assert res.makespan == 3e-6
 
 
-def test_default_engine_is_coroutine_and_threaded_is_its_alias(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert RunConfig().engine == "coroutine"
-    assert Engine(2, cori_aries()).engine == "coroutine"
-    runs = {}
-    for name in ("coroutine", "threaded"):
-        eng = Engine(5, cori_aries(), trace=True, engine=name)
-        runs[name] = (eng.run(scripted(7, rounds=4)), eng.trace)
-    assert_equivalent(*runs["coroutine"], *runs["threaded"], check_switches=True)
+def _small_matching(config):
+    from repro.graph.generators import rmat_graph
+    from repro.matching import run_matching
+
+    res = run_matching(rmat_graph(6, seed=2), 4, "nsr", config=config)
+    return (res.makespan, res.weight, res.engine.total_ops,
+            res.engine.scheduler_switches, res.engine.final_clocks)
+
+
+def test_default_engine_is_coroutine_and_threaded_is_its_alias():
+    # One engine: no name is the default, and every legacy name is
+    # accepted and runs exactly what no name runs.
+    assert RunConfig().engine is None
+    base = _small_matching(RunConfig())
+    for name in ("coroutine", "threaded", "vector"):
+        assert RunConfig(engine=name).engine == name
+        assert _small_matching(RunConfig(engine=name)) == base
 
 
 def test_repro_engine_env(monkeypatch):
-    # set-but-empty means unset; a bad value is attributed to the variable
-    monkeypatch.setenv("REPRO_ENGINE", "")
-    assert RunConfig().engine == "coroutine"
-    monkeypatch.setenv("REPRO_ENGINE", "vector")
-    assert RunConfig().engine == "vector"
-    monkeypatch.setenv("REPRO_ENGINE", "fibers")
-    with pytest.raises(ValueError, match=r"unknown engine 'fibers'.*\$REPRO_ENGINE"):
-        RunConfig()
-    assert RunConfig(engine="coroutine").engine == "coroutine"
+    # $REPRO_ENGINE is not read: no value, "fibers" included, changes
+    # the default config or a run.
+    base_cfg, base_run = RunConfig(), _small_matching(RunConfig())
+    for value in ("", "vector", "threaded", "fibers"):
+        monkeypatch.setenv("REPRO_ENGINE", value)
+        assert RunConfig() == base_cfg
+        assert _small_matching(RunConfig()) == base_run
 
 
 def test_machines_importable():

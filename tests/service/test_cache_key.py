@@ -2,9 +2,9 @@
 
 The contract under test (ISSUE: matching-as-a-service):
 
-* same (graph spec, config, code_version) → same key, **across engines** —
-  the execution engines are proven bit-identical, so they must share
-  cache entries;
+* same (graph spec, config, code_version) → same key, whatever legacy
+  engine name the config carries (accepted and ignored), so stored
+  results stay valid;
 * changing *any other* RunConfig-visible field, the problem (graph /
   nprocs / model), or the code version → a different key.
 """
@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from repro.service.schema import GraphRef, JobRequest, WireConfig
+from repro.service.schema import GraphRef, JobRequest, SchemaError, WireConfig
 
 CODE = "deadbeef0123"
 
@@ -47,7 +47,11 @@ def test_roundtripped_request_same_key():
 def test_engine_choice_shares_the_key(engine):
     base = make_request().cache_key(CODE)
     req = make_request(config=WireConfig(machine="zero-latency", engine=engine))
+    req.validate()
     assert req.cache_key(CODE) == base
+    unknown = make_request(config=WireConfig(machine="zero-latency", engine="turbo"))
+    with pytest.raises(SchemaError, match="engine"):
+        unknown.validate()
 
 
 # -- every other WireConfig field is key-relevant --------------------------

@@ -62,6 +62,25 @@ def test_engine_choice_hits_the_same_entry(orch):
     second = orch.submit(make_request(engine="vector"))
     assert second.cache == "hit"
     assert second.result.to_json() == first.result.to_json()
+    # an unknown name is refused before it can reach the queue or the key
+    from repro.service.schema import SchemaError
+
+    with pytest.raises(SchemaError, match="engine"):
+        orch.submit(make_request(engine="turbo"))
+    assert orch.stats()["jobs_submitted"] == 2
+
+
+def test_host_repro_engine_cannot_poison_the_store(orch, monkeypatch):
+    # The server's own environment is not part of the request or the
+    # key: a stray $REPRO_ENGINE must not fail the miss and cache that
+    # failure for every server sharing the store.
+    monkeypatch.setenv("REPRO_ENGINE", "turbo")
+    job = orch.submit(make_request())
+    assert job.cache == "miss"
+    assert job.wait(WAIT)
+    assert job.state == "done" and job.result.status == "ok"
+    stored = orch.store.peek(job.key)
+    assert stored is not None and stored.status == "ok" and not stored.error
 
 
 def test_coalesced_fanout_all_waiters_get_the_result(orch):

@@ -196,7 +196,7 @@ def test_wire_config_to_run_config():
         tie_break="id",
         agg_flush_bytes=4096,
     ).to_run_config()
-    assert cfg.engine == "vector"
+    assert cfg.engine is None  # accepted on the wire, dropped before the run
     assert cfg.scheduler == "reference"
     assert cfg.max_ops == 1000
     assert cfg.profile is True
