@@ -177,11 +177,11 @@ def _legacy_engine(name: str) -> str:
     """``--engine``: a retired engine choice, accepted and ignored. The
     names live next to ``RunConfig``; importing them only when the flag
     is given keeps ``serve`` / ``submit`` start-up free of the simulator."""
-    from repro.matching.config import LEGACY_ENGINES
+    from repro.matching.config import RETIRED
 
-    if name not in LEGACY_ENGINES:
+    if name not in RETIRED["engine"]:
         raise argparse.ArgumentTypeError(
-            f"invalid choice: {name!r} (choose from {', '.join(LEGACY_ENGINES)})"
+            f"invalid choice: {name!r} (choose from {', '.join(RETIRED['engine'])})"
         )
     return name
 

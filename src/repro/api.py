@@ -10,10 +10,8 @@ harness (`repro.harness.*`), and the matching-as-a-service job server
   (phase tables, critical path, optional artifact bundle on disk);
 * :func:`chaos` — a seeded fault-plan sweep → ``ChaosReport``.
 
-The historical entry points ``repro.harness.runner.run_one`` /
-``run_models`` and ``repro.harness.sweep.scaling_sweep`` /
-``best_speedup_over_baseline`` still work as ``DeprecationWarning``
-shims that delegate here bit-identically (see docs/api.md).
+This module is the only entry point: the old ``repro.harness.runner``
+and ``repro.harness.sweep`` modules are gone (docs/api.md).
 
 >>> from repro import api
 >>> rec = api.run(g, 16, "ncl")                     # doctest: +SKIP
@@ -69,8 +67,7 @@ def _build_config(
 ) -> RunConfig:
     """Fold the convenience kwargs into a RunConfig.
 
-    Passing ``config=`` together with any convenience kwarg is an error,
-    mirroring :func:`repro.matching.api.run_matching`'s shim rule.
+    Passing ``config=`` together with any convenience kwarg is an error.
     """
     extras = {
         k: v
@@ -118,7 +115,7 @@ def run(
     ``power`` and ``keep_result`` are measurement-side knobs: they shape
     the returned :class:`RunRecord`, not the simulation, so they combine
     freely with ``config=``. ``engine`` names a retired engine choice:
-    it is validated against ``LEGACY_ENGINES`` and otherwise ignored.
+    it is validated against ``RETIRED["engine"]`` and otherwise ignored.
     """
     cfg = _build_config(config, machine, options, faults, engine)
     res = run_matching(g, nprocs, model=model, config=cfg)

@@ -21,11 +21,7 @@ from repro.graph.generators.classic import (
     star_graph,
 )
 from repro.graph.generators.kmer import KMER_PRESETS, kmer_graph, kmer_preset_graph
-from repro.graph.generators.matrices import (
-    banded_block_graph,
-    cage15_proxy,
-    hv15r_proxy,
-)
+from repro.graph.generators.matrices import cage15_proxy, hv15r_proxy
 from repro.graph.generators.rgg import rgg_graph
 from repro.graph.generators.rmat import GRAPH500_PARAMS, rmat_edges, rmat_graph
 from repro.graph.generators.sbm import sbm_hilo_graph
@@ -46,7 +42,6 @@ __all__ = [
     "kmer_graph",
     "kmer_preset_graph",
     "KMER_PRESETS",
-    "banded_block_graph",
     "cage15_proxy",
     "hv15r_proxy",
     "powerlaw_graph",

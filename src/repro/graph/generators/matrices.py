@@ -130,10 +130,6 @@ def comb_mesh_graph(
                        distinct_weights=distinct_weights)
 
 
-# Backwards-friendly alias used in earlier drafts and docs.
-banded_block_graph = comb_mesh_graph
-
-
 def cage15_proxy(n: int = 12_000, *, seed: int = 0, **overrides) -> CSRGraph:
     """Cage15-shaped proxy (paper: 5.15M vertices, 99M edges, |E|/|V|~19)."""
     kwargs = dict(branches=4, width=10, extra_degree=14.0, local_span=3,

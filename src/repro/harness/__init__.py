@@ -20,9 +20,7 @@ from repro.harness.profiler import (
     profile_from_chrome,
     write_profile_bundle,
 )
-from repro.harness.runner import RunRecord, run_models, run_one
 from repro.harness.spec import DEFAULT_SEED, GraphSpec, all_specs, get_graph, get_spec
-from repro.harness.sweep import best_speedup_over_baseline, scaling_sweep
 
 __all__ = [
     "ExperimentOutput",
@@ -40,14 +38,9 @@ __all__ = [
     "phase_table",
     "profile_from_chrome",
     "write_profile_bundle",
-    "RunRecord",
-    "run_one",
-    "run_models",
     "GraphSpec",
     "get_graph",
     "get_spec",
     "all_specs",
     "DEFAULT_SEED",
-    "scaling_sweep",
-    "best_speedup_over_baseline",
 ]

@@ -11,7 +11,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
-from repro.harness.runner import RunRecord
+from repro.api import RunRecord
 from repro.mpisim.power import EnergyReport
 
 

@@ -9,7 +9,6 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +20,7 @@ from repro.matching.driver import MatchingOptions, matching_rank_main
 from repro.matching.serial import matching_weight
 from repro.mpisim.counters import RunCounters
 from repro.mpisim.engine import Engine, EngineResult
-from repro.mpisim.faults import FaultPlan
-from repro.mpisim.machine import MachineModel, cori_aries
+from repro.mpisim.machine import cori_aries
 from repro.mpisim.recovery import RecoveryConfig
 
 
@@ -68,50 +66,18 @@ class MatchingRunResult:
         return self.engine.profile
 
 
-class _Unset:
-    """Sentinel distinguishing "kwarg not passed" from an explicit None."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
-
-#: legacy run_matching kwargs and their RunConfig field names (identical)
-_LEGACY_KWARGS = (
-    "machine",
-    "options",
-    "dist",
-    "max_ops",
-    "faults",
-    "trace",
-    "profile",
-    "compute_weight",
-    "scheduler",
-)
-
-
 def run_matching(
     g: CSRGraph,
     nprocs: int,
     model: str = "nsr",
-    machine: MachineModel | None | _Unset = _UNSET,
-    options: MatchingOptions | None | _Unset = _UNSET,
     *,
     config: RunConfig | None = None,
-    dist=_UNSET,
-    max_ops: int | None | _Unset = _UNSET,
-    faults: FaultPlan | None | _Unset = _UNSET,
-    trace: bool | _Unset = _UNSET,
-    profile: bool | _Unset = _UNSET,
-    compute_weight: bool | _Unset = _UNSET,
-    scheduler: str | _Unset = _UNSET,
 ) -> MatchingRunResult:
     """Partition ``g`` over ``nprocs`` simulated ranks and match it.
 
     ``model`` is one of ``nsr`` / ``rma`` / ``ncl`` / ``mbp`` / ``incl``
     / ``nsr-agg``; everything else about the run lives in ``config``, a
-    :class:`~repro.matching.config.RunConfig`:
+    :class:`~repro.matching.config.RunConfig` (``None`` = all defaults):
 
     * ``config.dist`` overrides the 1D block distribution (e.g.
       :func:`repro.graph.distribution.edge_balanced_distribution`).
@@ -119,52 +85,13 @@ def run_matching(
       faults require ``model="nsr"``, whose reliable-delivery shim masks
       them — see docs/fault_model.md). When ranks crash, the returned
       mate array is projected onto the surviving subgraph.
-    * ``config.scheduler`` selects the engine scheduling implementation
-      (``"heap"`` or ``"reference"``; see docs/engine_scheduling.md) —
-      both are bit-identical in virtual time.
     * ``config.profile=True`` turns on the span profiler
       (docs/profiling.md): the result's
       :attr:`MatchingRunResult.profile` then carries a phase-attributed
       :class:`~repro.mpisim.tracing.RunProfile`.
-
-    The pre-RunConfig keyword arguments (``machine=``, ``options=``,
-    ``dist=``, ...) still work and produce bit-identical results — the
-    shim just packs them into a :class:`RunConfig` — but emit a
-    :class:`DeprecationWarning`; see docs/api.md for the migration
-    guide. Mixing them with ``config=`` is an error.
     """
-    passed = {
-        name: value
-        for name, value in (
-            ("machine", machine),
-            ("options", options),
-            ("dist", dist),
-            ("max_ops", max_ops),
-            ("faults", faults),
-            ("trace", trace),
-            ("profile", profile),
-            ("compute_weight", compute_weight),
-            ("scheduler", scheduler),
-        )
-        if value is not _UNSET
-    }
-    if passed:
-        if config is not None:
-            raise TypeError(
-                "run_matching: cannot mix config= with legacy keyword "
-                f"argument(s) {sorted(passed)}; fold them into the RunConfig"
-            )
-        warnings.warn(
-            "run_matching keyword arguments "
-            f"{sorted(passed)} are deprecated; pass "
-            "config=RunConfig(...) instead (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        config = RunConfig(**passed)
-    elif config is None:
+    if config is None:
         config = RunConfig()
-
     machine = config.machine or cori_aries()
     options = config.options or MatchingOptions()
     recovery = None
@@ -185,7 +112,6 @@ def run_matching(
         trace=config.trace,
         profile=config.profile,
         faults=config.faults,
-        scheduler=config.scheduler,
         checkpoint=config.checkpoint,
         kill_at=config.kill_at,
         restore=config.restore,

@@ -1,11 +1,9 @@
 """Run configuration for :func:`repro.matching.api.run_matching`.
 
-One frozen dataclass replaces the historical kwarg sprawl
-(``machine/options/dist/max_ops/faults/trace/profile/...``): build a
-:class:`RunConfig` once, pass it everywhere, derive variants with
-:meth:`RunConfig.evolve`. The old keyword arguments still work through a
-``DeprecationWarning`` shim in ``run_matching`` and produce bit-identical
-results (the shim only repackages the values).
+One frozen dataclass holds everything about a run but the problem:
+build a :class:`RunConfig` once, pass it everywhere, derive variants
+with :meth:`RunConfig.evolve`. ``run_matching`` takes it as ``config=``
+and no other keyword.
 
 >>> from repro.matching import RunConfig, run_matching
 >>> cfg = RunConfig(machine=cori_aries(), profile=True)    # doctest: +SKIP
@@ -24,11 +22,15 @@ from repro.mpisim.checkpoint import CheckpointConfig, EngineSnapshot
 from repro.mpisim.faults import FaultPlan
 from repro.mpisim.machine import MachineModel
 
-#: Engine names still accepted, and ignored, wherever a run is configured
-#: (``RunConfig``, ``api.run``, the wire schema, ``--engine``): there is
-#: one execution engine, but stored requests, profiles and scripts name
-#: one of these. Any other name is an error.
-LEGACY_ENGINES = ("coroutine", "threaded", "vector")
+#: Retired configuration fields and the values each still accepts, and
+#: ignores, wherever a run is configured (``RunConfig``, ``api.run``, the
+#: wire schema, ``--engine``). There is one execution engine and one
+#: scheduler, but stored requests, profiles and scripts name one of
+#: these. ``None`` is always accepted; any other value is an error.
+RETIRED = {
+    "engine": ("coroutine", "threaded", "vector"),
+    "scheduler": ("heap", "reference"),
+}
 
 
 @dataclass(frozen=True)
@@ -53,9 +55,8 @@ class RunConfig:
     profile: bool = False  #: span profiler (docs/profiling.md)
     compute_weight: bool = True  #: weigh the matching (skip for timing
     #: sweeps that only need the makespan)
-    scheduler: str = "heap"  #: engine scheduler ("heap" or "reference")
-    engine: str | None = None  #: accepted and ignored: None or one of
-    #: LEGACY_ENGINES (there is one engine; docs/engine_scheduling.md)
+    scheduler: str | None = None  #: retired (see RETIRED); ignored
+    engine: str | None = None  #: retired (see RETIRED); ignored
 
     # -- checkpoint/restart (docs/fault_model.md) ---------------------
     checkpoint: CheckpointConfig | None = None  #: take coordinated
@@ -75,10 +76,12 @@ class RunConfig:
     #: replicated checkpoint store (only meaningful with ``spares > 0``)
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in LEGACY_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; pick from {LEGACY_ENGINES}"
-            )
+        for name, accepted in RETIRED.items():
+            value = getattr(self, name)
+            if value is not None and value not in accepted:
+                raise ValueError(
+                    f"unknown {name} {value!r}; pick from {accepted}"
+                )
 
     def evolve(self, **changes) -> "RunConfig":
         """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""

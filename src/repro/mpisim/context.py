@@ -15,7 +15,6 @@ never block (``compute``, ``alloc``, ``irecv``) are plain methods.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Sequence
 
 import numpy as np
@@ -449,21 +448,6 @@ class RankContext:
             # semantics (failed_ranks recomputes from the plan, so the
             # application still observes every failure).
             eng.consume_failure_notifications(self.rank)
-
-    def probe_block(
-        self,
-        source: int = ANY_SOURCE,
-        tag: int = ANY_TAG,
-        *,
-        deadline: float | None = None,
-    ):
-        """Deprecated alias for :meth:`probe_g` (the MPI-style name)."""
-        warnings.warn(
-            "RankContext.probe_block is deprecated; use RankContext.probe_g",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.probe_g(source, tag, deadline=deadline)
 
     def pending_message_count(self) -> int:
         """Messages queued for this rank (arrived or still in flight)."""

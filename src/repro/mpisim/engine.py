@@ -17,22 +17,17 @@ rank acting at time >= t and arrives at time >= t + alpha with alpha > 0
 "should have been there by t" can still be missing when a rank inspects its
 queue at local time t.
 
-Two scheduler implementations share that invariant (see
-docs/engine_scheduling.md for the full argument):
-
-* ``scheduler="heap"`` (default) — an indexed candidate-time heap with
-  lazy invalidation. Every event that can create or lower a blocked
-  rank's wake-up time (message delivery, collective completion,
-  neighborhood-collective entry) re-evaluates that rank's candidate and
-  pushes a fresh ``(t, rank, version)`` key; stale keys are skipped on
-  pop. Because a blocked rank's wake potential can only *appear or
-  decrease* while it is parked, and every such change is caused by an
-  action of the (single) running rank at an instrumented call site, the
-  valid heap minimum always equals the reference scan's minimum — a fact
-  the differential and property test suites machine-check.
-* ``scheduler="reference"`` — the original O(P)-scan-per-decision
-  scheduler, kept as the executable specification for differential
-  testing.
+The scheduler keeps that invariant with an indexed candidate-time heap
+and lazy invalidation (docs/engine_scheduling.md has the full argument).
+Every event that can create or lower a blocked rank's wake-up time
+(message delivery, collective completion, neighborhood-collective entry)
+re-evaluates that rank's candidate and pushes a fresh ``(t, rank,
+version)`` key; stale keys are skipped on pop. Because a blocked rank's
+wake potential can only *appear or decrease* while it is parked, and
+every such change is caused by an action of the (single) running rank at
+an instrumented call site, the valid heap minimum always equals the
+minimum of an O(P) scan over every rank — a fact the test suite's scan
+oracle machine-checks.
 
 Rank programs interact with the engine only through
 :class:`repro.mpisim.context.RankContext`; every communication call yields
@@ -88,8 +83,6 @@ _FAILED = "failed"
 _CRASHED = "crashed"  # killed by the fault plan at its scheduled time
 
 _INF = float("inf")
-
-SCHEDULERS = ("heap", "reference")
 
 #: Sentinel yielded by the engine's park points. The generator driver
 #: rejects anything else surfacing from a rank program — a stray
@@ -203,14 +196,6 @@ class Engine:
         :class:`~repro.mpisim.tracing.RunProfile` is returned on
         ``EngineResult.profile``. Off by default (zero cost, and the
         differential suite proves the disabled path bit-identical).
-    scheduler:
-        ``"heap"`` (default, indexed candidate heap with lazy
-        invalidation) or ``"reference"`` (the original linear scan, kept
-        as the executable specification for differential tests).
-    audit:
-        Heap mode only: cross-check every scheduling decision against a
-        fresh reference scan (slow; used by the property test suite to
-        prove no wake-up is ever lost and no non-minimal rank ever runs).
     """
 
     def __init__(
@@ -223,8 +208,6 @@ class Engine:
         trace: bool = False,
         profile: bool = False,
         faults: FaultPlan | None = None,
-        scheduler: str = "heap",
-        audit: bool = False,
         checkpoint: CheckpointConfig | None = None,
         kill_at: float | None = None,
         restore: EngineSnapshot | None = None,
@@ -234,8 +217,6 @@ class Engine:
             raise ValueError("nprocs must be >= 1")
         if machine.alpha <= 0.0:
             raise ValueError("machine.alpha must be strictly positive (DES safety)")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r}; pick from {SCHEDULERS}")
         if faults is not None:
             if faults.is_null():
                 faults = None  # a null plan is behaviourally absent
@@ -277,9 +258,6 @@ class Engine:
         self.max_ops = max_ops
         self.max_vtime = max_vtime
         self.faults = faults
-        self.scheduler = scheduler
-        self._use_heap = scheduler == "heap"
-        self._audit = audit
         self._heap: list[tuple[float, int, int]] = []
         # Blocked ranks whose wake potential may have changed since their
         # last indexing. Drained (re-evaluated + re-pushed) once per
@@ -415,12 +393,9 @@ class Engine:
         self._launch_ranks(restore)
 
         try:
-            if self._use_heap:
-                for rs in self._ranks:
-                    self._push_candidate(rs)
-                self._scheduler_loop_heap()
-            else:
-                self._scheduler_loop()
+            for rs in self._ranks:
+                self._push_candidate(rs)
+            self._scheduler_loop()
         finally:
             self._abort = True
             self._unwind_ranks()
@@ -577,68 +552,7 @@ class Engine:
                     rs.state = _DONE
 
     # ------------------------------------------------------------------
-    # scheduler (reference implementation: full scan per decision)
-    # ------------------------------------------------------------------
-    def _candidate_time(self, rs: _RankState) -> float | None:
-        """Earliest virtual time at which ``rs`` could act, or None."""
-        if rs.state == _READY:
-            return rs.clock
-        if rs.state == _BLOCKED:
-            assert rs.wake_potential is not None
-            t = rs.wake_potential()
-            if t is None:
-                return None
-            return max(rs.clock, t)
-        return None
-
-    def _scheduler_loop(self) -> None:
-        while True:
-            if self._recovery_due is not None:
-                self._perform_recovery()
-                continue
-            best: tuple[float, int] | None = None
-            all_done = True
-            for rs in self._ranks:
-                if rs.state in (_DONE, _CRASHED):
-                    continue
-                if rs.state == _FAILED:
-                    return  # abort the run; run() raises
-                all_done = False
-                t = self._candidate_time(rs)
-                if t is None:
-                    continue
-                key = (t, rs.rank)
-                if best is None or key < best:
-                    best = key
-            if self._ckpt is not None and self._ckpt_poll(best):
-                continue
-            if best is None:
-                if all_done:
-                    return
-                # No rank is wakeable by a message; a scheduled crash can
-                # still fire (killing a blocked rank whose wait would
-                # otherwise never be satisfied).
-                if self._crash_next_pending():
-                    continue
-                self._raise_deadlock()
-            t, rank = best
-            rs = self._ranks[rank]
-            # Crash event: the rank dies at its scheduled time instead of
-            # acting at or after it.
-            tc = self._scheduled_crash(rank)
-            if tc is not None and t >= tc:
-                self._crash_rank(rs, tc)
-                continue
-            if t > rs.clock:
-                self.counters.ranks[rank].idle_time += t - rs.clock
-                if self.profiler is not None:
-                    self.profiler.add(rank, rs.wait_phase, rs.clock, t,
-                                      is_wait=True)
-                rs.clock = t
-            self._switch_to(rs)
-
-    # ------------------------------------------------------------------
-    # scheduler (heap implementation: indexed candidates, lazy invalidation)
+    # scheduler: indexed candidates, lazy invalidation
     # ------------------------------------------------------------------
     def _push_candidate(self, rs: _RankState) -> None:
         """(Re)index ``rs``'s candidate time.
@@ -665,12 +579,8 @@ class Engine:
         collective completion, neighborhood-collective entry). The marks
         are drained lazily — once per scheduler decision and once per
         rank-side yield — so a burst of deliveries to one parked rank
-        costs one wake-potential evaluation, not one per message. A
-        no-op under the reference scheduler, which re-evaluates
-        everything on every decision anyway.
+        costs one wake-potential evaluation, not one per message.
         """
-        if not self._use_heap:
-            return
         states = self._ranks
         stale = self._stale
         for r in ranks:
@@ -701,7 +611,7 @@ class Engine:
             return (t, rank)
         return None
 
-    def _scheduler_loop_heap(self) -> None:
+    def _scheduler_loop(self) -> None:
         faults = self.faults
         while True:
             if self._recovery_due is not None:
@@ -720,12 +630,14 @@ class Engine:
                 if self._crash_next_pending():
                     continue
                 self._raise_deadlock()
+            # The chosen key stays in the heap: from here on its rank is
+            # running, crashed, finished or re-indexed, so _heap_min
+            # discards the key like any other stale entry.
             t, rank = best
-            heappop(self._heap)
             rs = ranks[rank]
-            if self._audit:
-                self._audit_decision(t, rank)
             if faults is not None:
+                # Crash event: the rank dies at its scheduled time instead
+                # of acting at or after it.
                 tc = self._scheduled_crash(rank)
                 if tc is not None and t >= tc:
                     self._crash_rank(rs, tc)
@@ -739,29 +651,6 @@ class Engine:
             self._switch_to(rs)
             if rs.state == _FAILED:
                 return
-
-    def _audit_decision(self, t: float, rank: int) -> None:
-        """Cross-check a heap decision against a fresh reference scan.
-
-        Proves, per decision, that (a) the chosen rank's indexed candidate
-        time is exact (no stale wake-up) and (b) no other rank has a
-        smaller candidate (no lost wake-up, no non-minimal execution).
-        """
-        best: tuple[float, int] | None = None
-        for rs in self._ranks:
-            if rs.state in (_DONE, _CRASHED, _FAILED):
-                continue
-            tc = self._candidate_time(rs)
-            if tc is None:
-                continue
-            key = (tc, rs.rank)
-            if best is None or key < best:
-                best = key
-        if best != (t, rank):
-            raise AssertionError(
-                f"heap scheduler chose ({t}, {rank}) but a reference scan "
-                f"says the minimal candidate is {best}"
-            )
 
     def _switch_to(self, rs: _RankState) -> None:
         self._switches += 1
@@ -836,8 +725,7 @@ class Engine:
             rs.ckpt_tick = False
             rs.state = _READY
             rs.wake_potential = None
-            if self._use_heap:
-                self._push_candidate(rs)
+            self._push_candidate(rs)
 
     def _take_checkpoint(self, due: float) -> None:
         """Capture one coordinated cut and append it to the store.
@@ -877,7 +765,6 @@ class Engine:
             "nprocs": self.nprocs,
             "machine": self.machine,
             "faults": self.faults,
-            "scheduler": self.scheduler,
             "vtime": due,
             "ranks": ranks_state,
             "send_seq": self._send_seq,
@@ -944,11 +831,8 @@ class Engine:
             self._ranks[r].clock += cost
             stats["replica_msgs"] += k
             stats["replica_bytes"] += k * nb
-        if self._use_heap:
-            # Parked owners' candidate times moved with their clocks.
-            self._stale.update(
-                r for r in sizes if self._ranks[r].state == _BLOCKED
-            )
+        # Parked owners' candidate times moved with their clocks.
+        self._stale.update(r for r in sizes if self._ranks[r].state == _BLOCKED)
 
     def _apply_restore_globals(self, st: dict) -> None:
         """Adopt the snapshot's engine-global state (restore path).
@@ -1051,9 +935,8 @@ class Engine:
         for rs in self._ranks:
             if rs.state not in (_DONE, _CRASHED):
                 rs.clock += delta
-        if self._use_heap:
-            for rs in self._ranks:
-                self._push_candidate(rs)
+        for rs in self._ranks:
+            self._push_candidate(rs)
 
         stats["recoveries"] += 1
         stats["spares_used"] += 1
@@ -1089,10 +972,9 @@ class Engine:
         rs.state = _BLOCKED
         rs.wake_potential = _never_wake
         rs.ckpt_tick = True
-        if self._use_heap:
-            # Invalidate any stale heap entry for this rank: a tick park
-            # must only be released by the checkpoint assembly itself.
-            rs.heap_ver += 1
+        # Invalidate any stale heap entry for this rank: a tick park
+        # must only be released by the checkpoint assembly itself.
+        rs.heap_ver += 1
         yield _PARK
         if self._abort:
             raise SimAbort()
@@ -1163,10 +1045,7 @@ class Engine:
         # A kill is an event, not a plan-derived time: wake predicates
         # that consult the confirmed-dead set (survivor agreements) must
         # be re-evaluated, so conservatively re-index every parked rank.
-        if self._use_heap:
-            self._stale.update(
-                r.rank for r in self._ranks if r.state == _BLOCKED
-            )
+        self._stale.update(r.rank for r in self._ranks if r.state == _BLOCKED)
 
     def _check_self_crash(self, rank: int) -> None:
         """Called from rank programs at every communication yield point:
@@ -1251,10 +1130,7 @@ class Engine:
         if scope_id in self._revoked_scopes:
             return
         self._revoked_scopes[scope_id] = (t, dead_rank)
-        if self._use_heap:
-            self._stale.update(
-                r.rank for r in self._ranks if r.state == _BLOCKED
-            )
+        self._stale.update(r.rank for r in self._ranks if r.state == _BLOCKED)
 
     def scope_revocation(self, scope_id: Any) -> tuple[float, int] | None:
         """(revoke time, triggering dead rank) for a revoked scope, or None."""
@@ -1345,37 +1221,25 @@ class Engine:
         """Yield the token; resume when this rank is next in clock order.
 
         Fast path: if this rank is already guaranteed minimal, keep
-        running without a switch — this removes ~70-90% of switches. The
-        heap scheduler decides minimality with one O(1) peek at the
-        valid heap top (every other wakeable rank is indexed); the
-        reference scheduler scans all ranks' clock lower bounds.
+        running without a switch — this removes ~70-90% of switches.
+        Minimality is one O(1) peek at the valid heap top (every other
+        wakeable rank is indexed).
         """
         if self.faults is not None:
             self._check_self_crash(rank)
         rs = self._ranks[rank]
-        if self._use_heap:
-            # Drain stale marks first: a collective this rank completed
-            # can wake a peer at a time <= our current clock (rendezvous
-            # = max entry times), so the heap top is only a valid lower
-            # bound once every marked rank is re-indexed. Draining is a
-            # single branch when the set is empty and batches all marks
-            # accumulated since the last yield.
-            self._drain_stale()
-            top = self._heap_min()
-            if top is None or top >= (rs.clock, rank):
-                return  # still minimal; no switch needed
-        else:
-            my_key = (rs.clock, rank)
-            for other in self._ranks:
-                if other.rank == rank or other.state in (_DONE, _FAILED, _CRASHED):
-                    continue
-                if (other.clock, other.rank) < my_key:
-                    break
-            else:
-                return  # still minimal; no switch needed
+        # Drain stale marks first: a collective this rank completed can
+        # wake a peer at a time <= our current clock (rendezvous = max
+        # entry times), so the heap top is only a valid lower bound once
+        # every marked rank is re-indexed. Draining is a single branch
+        # when the set is empty and batches all marks accumulated since
+        # the last yield.
+        self._drain_stale()
+        top = self._heap_min()
+        if top is None or top >= (rs.clock, rank):
+            return  # still minimal; no switch needed
         rs.state = _READY
-        if self._use_heap:
-            self._push_candidate(rs)
+        self._push_candidate(rs)
         yield _PARK
         if self._abort:
             raise SimAbort()
@@ -1422,8 +1286,7 @@ class Engine:
         rs.state = _BLOCKED
         rs.wake_potential = wake_potential
         rs.safepoint = safepoint
-        if self._use_heap:
-            self._push_candidate(rs)
+        self._push_candidate(rs)
         yield _PARK
         if self._abort:
             raise SimAbort()
@@ -1535,7 +1398,7 @@ class Engine:
             self.counters.ranks[dst].alloc(
                 nbytes + m.p2p_msg_overhead_bytes, "unexpected-queue"
             )
-            if self._use_heap and drs.state == _BLOCKED:
+            if drs.state == _BLOCKED:
                 self._stale.add(dst)
             return arrival
 
@@ -1618,9 +1481,8 @@ class Engine:
                 self.counters.ranks[dst].alloc(
                     nbytes + m.p2p_msg_overhead_bytes, "unexpected-queue"
                 )
-            if delivered and self._use_heap:
-                if self._ranks[dst].state == _BLOCKED:
-                    self._stale.add(dst)
+            if delivered and self._ranks[dst].state == _BLOCKED:
+                self._stale.add(dst)
         return arrival
 
     def queue_of(self, rank: int) -> ReceiveQueue:

@@ -14,8 +14,8 @@ Design rules:
   tunable must fail loudly, not silently run the default configuration
   and poison the cache under the wrong key;
 * the cache key is a pure function of (graph, nprocs, model, config,
-  code_version) — minus the ``engine`` field, a retired engine choice
-  that is accepted and ignored (docs/service.md).
+  code_version) — minus the retired ``engine`` and ``scheduler`` fields,
+  which are accepted and ignored (docs/service.md).
 
 Bodies may be JSON or TOML (the same shape); :func:`parse_request` and
 :func:`loads_toml` are the single decoding path for the HTTP server, the
@@ -32,11 +32,20 @@ SCHEMA_VERSION = 1
 
 #: models the service will execute (mirrors the `repro match` choices)
 MODELS = ("nsr", "rma", "ncl", "mbp", "incl", "nsr-agg")
-SCHEDULERS = ("heap", "reference")
+
+#: config fields that must be a JSON/TOML boolean, not merely truthy
+_BOOL_FIELDS = ("compute_weight", "profile", "trace", "eager_reject")
+#: optional integer config fields and the least value each accepts
+_INT_FIELDS = (("max_ops", 1), ("agg_flush_bytes", 0), ("agg_flush_count", 0))
 
 
 class SchemaError(ValueError):
     """A request/result body that does not speak this schema."""
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an ``int`` but not a ``bool``, which subclasses it."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_toml_module():
@@ -134,14 +143,15 @@ class GraphRef:
 class WireConfig:
     """The JSON/TOML-serializable slice of :class:`RunConfig`.
 
-    ``None`` means "the library default". ``engine`` is the one field
-    excluded from the cache key: it names a retired engine choice, is
-    checked against ``RunConfig``'s legacy names, and changes nothing.
+    ``None`` means "the library default". ``engine`` and ``scheduler``
+    name retired choices: they are checked against ``RunConfig``'s
+    ``RETIRED`` table, left out of the cache key, and change nothing.
+    Requests stored before their retirement carry ``"scheduler": "heap"``.
     """
 
     machine: str = "cori-aries"  #: machine-model preset name
-    engine: str | None = None  #: accepted and ignored; cache-neutral
-    scheduler: str = "heap"
+    engine: str | None = None  #: retired: accepted and ignored
+    scheduler: str | None = None  #: retired: accepted and ignored
     max_ops: int | None = None
     compute_weight: bool = True
     profile: bool = False  #: span profiler + artifact bundle in the store
@@ -152,6 +162,7 @@ class WireConfig:
     agg_flush_count: int | None = None
 
     def validate(self) -> None:
+        from repro.matching.config import RETIRED
         from repro.mpisim.machine import PRESETS
 
         if self.machine not in PRESETS:
@@ -159,23 +170,24 @@ class WireConfig:
                 f"config.machine {self.machine!r} unknown; have "
                 f"{sorted(PRESETS)}"
             )
-        if self.engine is not None:
-            # Only a request that still names an engine pays for this
-            # import; the default path stays free of the simulator.
-            from repro.matching.config import LEGACY_ENGINES
-
-            if self.engine not in LEGACY_ENGINES:
+        for name, accepted in RETIRED.items():
+            value = getattr(self, name)
+            if value is not None and value not in accepted:
                 raise SchemaError(
-                    f"config.engine {self.engine!r} unknown; have "
-                    f"{list(LEGACY_ENGINES)}"
+                    f"config.{name} {value!r} unknown; have {list(accepted)}"
                 )
-        if self.scheduler not in SCHEDULERS:
-            raise SchemaError(
-                f"config.scheduler {self.scheduler!r} unknown; have "
-                f"{list(SCHEDULERS)}"
-            )
         if self.tie_break not in ("hash", "id"):
             raise SchemaError(f"config.tie_break {self.tie_break!r} unknown")
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise SchemaError(f"config.{name} must be a boolean, got {value!r}")
+        for name, least in _INT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and (not _is_int(value) or value < least):
+                raise SchemaError(
+                    f"config.{name} must be an integer >= {least}, got {value!r}"
+                )
 
     def to_dict(self) -> dict:
         # every field is a scalar: no recursive asdict/deepcopy needed
@@ -189,10 +201,10 @@ class WireConfig:
         return cls(**d)
 
     def cache_dict(self) -> dict:
-        """The key-relevant fields: everything but the engine."""
-        d = self.to_dict()
-        del d["engine"]
-        return d
+        """The key-relevant fields: everything but the retired ones."""
+        from repro.matching.config import RETIRED
+
+        return {k: v for k, v in self.to_dict().items() if k not in RETIRED}
 
     def to_run_config(self):
         """Materialize the full :class:`RunConfig` for execution."""
@@ -215,7 +227,6 @@ class WireConfig:
             compute_weight=self.compute_weight,
             profile=self.profile,
             trace=self.trace,
-            scheduler=self.scheduler,
         )
 
 
@@ -238,7 +249,7 @@ class JobRequest:
                 f"schema_version {self.schema_version!r} not supported; "
                 f"this build speaks version {SCHEMA_VERSION}"
             )
-        if not isinstance(self.nprocs, int) or self.nprocs < 1:
+        if not _is_int(self.nprocs) or self.nprocs < 1:
             raise SchemaError(f"nprocs must be a positive integer, got {self.nprocs!r}")
         if self.model not in MODELS:
             raise SchemaError(

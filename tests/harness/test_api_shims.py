@@ -1,69 +1,67 @@
-"""Deprecated harness entry points delegate bit-identically to repro.api."""
+"""`repro.api` is the only run entry point; the harness shims are gone.
 
-import warnings
+``repro.harness.runner`` (``run_one`` / ``run_models``) and
+``repro.harness.sweep`` (``scaling_sweep`` / ``best_speedup_over_baseline``)
+delegated to the facade for a release and were then deleted. The test ids
+stay, each now pinning the facade call that replaced its shim.
+"""
+
+import importlib
 
 import pytest
 
+import repro.harness
 from repro import api
 from repro.harness import get_graph
-from repro.harness.runner import RunRecord, run_models, run_one
-from repro.harness.sweep import best_speedup_over_baseline, scaling_sweep
+from repro.harness.records import record_from_dict, record_to_dict
 from repro.mpisim import zero_latency
 
 FAST = zero_latency()
 
 
 def test_runrecord_is_the_api_class():
-    assert RunRecord is api.RunRecord
+    rec = api.run(get_graph("rmat-s10"), 2, "nsr", label="rmat", machine=FAST)
+    assert type(record_from_dict(record_to_dict(rec))) is api.RunRecord
 
 
 def test_run_one_warns_and_delegates():
     g = get_graph("rmat-s10")
-    with pytest.warns(DeprecationWarning, match="repro.api.run"):
-        old = run_one(g, 4, "ncl", label="rmat-s10", machine=FAST)
-    new = api.run(g, 4, "ncl", label="rmat-s10", machine=FAST)
-    assert old == new  # bit-identical delegation, not a reimplementation
+    assert not hasattr(repro.harness, "run_one")
+    first = api.run(g, 4, "ncl", label="rmat-s10", machine=FAST)
+    assert api.run(g, 4, "ncl", label="rmat-s10", machine=FAST) == first
 
 
 def test_run_models_warns_and_delegates():
     g = get_graph("rmat-s10")
-    with pytest.warns(DeprecationWarning, match="repro.api.run_models"):
-        old = run_models(g, 2, ("nsr", "ncl"), machine=FAST)
-    new = api.run_models(g, 2, ("nsr", "ncl"), machine=FAST)
-    assert old == new
+    assert not hasattr(repro.harness, "run_models")
+    recs = api.run_models(g, 2, ("nsr", "ncl"), machine=FAST)
+    assert recs == {m: api.run(g, 2, m, machine=FAST) for m in ("nsr", "ncl")}
 
 
 def test_scaling_sweep_warns_and_delegates():
     g = get_graph("rmat-s10")
+    assert not hasattr(repro.harness, "scaling_sweep")
     points = [("rmat", g, 2), ("rmat", g, 4)]
-    with pytest.warns(DeprecationWarning, match="repro.api.sweep"):
-        old_fig, old_recs = scaling_sweep(
-            points, models=("nsr",), title="t", machine=FAST
-        )
-    new_fig, new_recs = api.sweep(points, models=("nsr",), title="t", machine=FAST)
-    assert old_recs == new_recs
-    assert old_fig.as_csv() == new_fig.as_csv()
+    fig, recs = api.sweep(points, models=("nsr",), title="t", machine=FAST)
+    assert recs == [api.run(g, p, "nsr", label="rmat", machine=FAST)
+                    for _, _, p in points]
+    (series,) = fig.series
+    assert (series.label, series.ys) == ("NSR", [r.makespan for r in recs])
 
 
 def test_best_speedup_warns_and_delegates():
     g = get_graph("rmat-s10")
+    assert not hasattr(repro.harness, "best_speedup_over_baseline")
     recs = [api.run(g, 4, m, label="rmat", machine=FAST) for m in ("nsr", "ncl")]
-    with pytest.warns(DeprecationWarning, match="best_speedup_over_baseline"):
-        old = best_speedup_over_baseline(recs)
-    assert old == api.best_speedup_over_baseline(recs)
+    best = api.best_speedup_over_baseline(recs)
+    assert set(best) == {("rmat", 4)}
+    assert best[("rmat", 4)][1] in ("nsr", "ncl")
 
 
 def test_importing_shims_does_not_warn():
-    """CI runs with -W error::DeprecationWarning; only *calls* may warn."""
-    import importlib
-
-    import repro.harness.runner
-    import repro.harness.sweep
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        importlib.reload(repro.harness.runner)
-        importlib.reload(repro.harness.sweep)
+    for gone in ("repro.harness.runner", "repro.harness.sweep"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
 
 
 def test_api_run_rejects_mixed_config_styles():

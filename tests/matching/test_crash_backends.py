@@ -43,9 +43,10 @@ def rgg():
 
 @pytest.mark.parametrize("model", sorted(GOLDEN_CRASH))
 @pytest.mark.parametrize("scheduler", ["heap", "reference"])
-def test_golden_crash_pins(graph, model, scheduler):
+def test_golden_crash_pins(graph, model, scheduler, use_scheduler):
     makespan, weight, edges, crashed = GOLDEN_CRASH[model]
-    res = run_matching(graph, 4, model, config=RunConfig(machine=cori_aries(), faults=CRASH_PLAN, scheduler=scheduler))
+    use_scheduler(scheduler)
+    res = run_matching(graph, 4, model, config=RunConfig(machine=cori_aries(), faults=CRASH_PLAN))
     check_matching_valid(graph, res.mate)
     assert sorted(res.crashed_ranks) == crashed
     assert res.makespan == makespan
@@ -71,10 +72,11 @@ class TestCrashRecovery:
         assert sorted(res.crashed_ranks) == [1, 2, 5]
         check_matching_valid(rgg, res.mate)
 
-    def test_crash_run_deterministic_across_schedulers(self, rgg, model):
+    def test_crash_run_deterministic_across_schedulers(self, rgg, model, use_scheduler):
         plan = FaultPlan(seed=4, crashes={0: 3e-5, 3: 9e-5}, detect_latency=2e-6)
-        a = run_matching(rgg, 6, model, config=RunConfig(faults=plan, scheduler="heap"))
-        b = run_matching(rgg, 6, model, config=RunConfig(faults=plan, scheduler="reference"))
+        a = run_matching(rgg, 6, model, config=RunConfig(faults=plan))
+        use_scheduler("reference")
+        b = run_matching(rgg, 6, model, config=RunConfig(faults=plan))
         assert a.makespan == b.makespan
         assert np.array_equal(a.mate, b.mate)
 

@@ -44,14 +44,14 @@ def graph():
 @pytest.mark.parametrize("engine", ["threaded", "coroutine", "vector"])
 @pytest.mark.parametrize("model", sorted(GOLDEN))
 @pytest.mark.parametrize("scheduler", ["heap", "reference"])
-def test_golden_pins(graph, model, scheduler, engine):
+def test_golden_pins(graph, model, scheduler, engine, use_scheduler):
     # The legacy engine names stay test ids: RunConfig accepts and
-    # ignores them, so every leg must hit the very same pins.
+    # ignores them, so every leg must hit the very same pins. The
+    # "reference" legs run on the test-side scan oracle.
     makespan, weight, edges, iters, switches, ops, messages = GOLDEN[model]
+    use_scheduler(scheduler)
     res = run_matching(
-        graph, 4, model,
-        config=RunConfig(machine=cori_aries(), scheduler=scheduler,
-                         engine=engine),
+        graph, 4, model, config=RunConfig(machine=cori_aries(), engine=engine)
     )
     assert res.makespan == makespan
     assert res.weight == weight
@@ -60,7 +60,7 @@ def test_golden_pins(graph, model, scheduler, engine):
     assert res.engine.total_ops == ops
     assert res.total_messages() == messages
     if scheduler == "heap":
-        # the reference scan takes different keep-running shortcuts
+        # the scan oracle takes different keep-running shortcuts
         assert res.engine.scheduler_switches == switches
 
 

@@ -52,9 +52,10 @@ def test_p64_identical_matching_5x_fewer_messages():
 
 
 @pytest.mark.parametrize("scheduler", ["heap", "reference"])
-def test_small_instance_matches_nsr(scheduler):
+def test_small_instance_matches_nsr(scheduler, use_scheduler):
     g = rmat_graph(7, seed=3)
-    cfg = RunConfig(machine=cori_aries(), scheduler=scheduler)
+    use_scheduler(scheduler)
+    cfg = RunConfig(machine=cori_aries())
     base = run_matching(g, 4, "nsr", config=cfg)
     agg = run_matching(g, 4, "nsr-agg", config=cfg)
     assert np.array_equal(base.mate, agg.mate)

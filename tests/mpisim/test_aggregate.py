@@ -1,7 +1,5 @@
 """Persistent requests, irecv/waitall, and the message aggregator:
-flush-policy edge cases, crash handling, wire accounting, deprecation."""
-
-import warnings
+flush-policy edge cases, crash handling, wire accounting."""
 
 import pytest
 
@@ -302,20 +300,14 @@ def test_aggregated_run_is_deterministic():
 
 
 def test_probe_block_alias_warns_and_works():
-    caught = []
-
+    # The deprecated alias is gone; probe_g is the one blocking probe.
     def prog(ctx):
+        assert not hasattr(ctx, "probe_block")
         if ctx.rank == 0:
             yield from ctx.isend_g(1, "x")
         else:
-            with warnings.catch_warnings(record=True) as w:
-                warnings.simplefilter("always")
-                yield from ctx.probe_block()
-            caught.extend(w)
+            yield from ctx.probe_g()
             return (yield from ctx.recv_g(source=0)).payload
 
     res = Engine(2, cori_aries()).run(prog)
     assert res.rank_results[1] == "x"
-    assert len(caught) == 1
-    assert issubclass(caught[0].category, DeprecationWarning)
-    assert "probe_block is deprecated" in str(caught[0].message)

@@ -1,11 +1,10 @@
-"""Differential tests: the two schedulers are bit-identical.
+"""Differential tests: the heap scheduler and the scan oracle agree.
 
-The engine ships two scheduler implementations (``scheduler="heap"``, the
-indexed candidate-time heap, and ``scheduler="reference"``, the original
-O(P)-scan executable specification) — see docs/engine_scheduling.md.
-This suite runs a matrix of (program x machine x seed x fault plan)
-under both schedulers and asserts that every *virtual* observable agrees
-exactly:
+The engine has one scheduler, an indexed candidate-time heap; the O(P)
+scan it replaced lives on in ``tests/mpisim/scan_oracle.py`` as the
+executable specification (see docs/engine_scheduling.md). This suite runs
+a matrix of (program x machine x seed x fault plan) on both and asserts
+that every *virtual* observable agrees exactly:
 
 * the canonically ordered event trace, byte-for-byte as CSV;
 * per-rank final clocks and the makespan;
@@ -14,10 +13,10 @@ exactly:
 * the communication matrices;
 * rank results and crashed-rank sets.
 
-``scheduler_switches`` is deliberately excluded from the cross-scheduler
-comparison: the two implementations take different keep-running shortcuts
-in ``yield_ready``, which changes how often the token physically moves but
-nothing a rank program can observe in virtual time.
+``scheduler_switches`` is deliberately excluded from the comparison: the
+two take different keep-running shortcuts in ``yield_ready_g``, which
+changes how often the token physically moves but nothing a rank program
+can observe in virtual time.
 
 The matrix is still parametrized over the legacy engine names, which
 ``RunConfig`` accepts and ignores for one release: the ids stay, and
@@ -36,6 +35,8 @@ from repro.mpisim.machine import commodity_cluster, get_machine, zero_latency
 from repro.mpisim.tracing import time_ordered
 from repro.util.rng import make_rng
 from repro.matching.config import RunConfig
+
+from tests.mpisim.scan_oracle import ScanEngine
 
 MACHINES = ["cori-aries", "commodity", "zero-latency"]
 
@@ -74,16 +75,16 @@ ENGINES = ["threaded", "coroutine", "vector"]
 
 
 def run_both(prog, nprocs, machine, faults=None, expect_crashes=False):
-    """Run under both schedulers; assert equivalence."""
-    out = {}
-    for sched in ("reference", "heap"):
-        eng = Engine(nprocs, machine, trace=True, faults=faults, scheduler=sched)
-        out[sched] = (eng.run(prog), eng.trace)
-    (a, ta), (b, tb) = out["reference"], out["heap"]
+    """Run on the scan oracle and on the engine; assert equivalence."""
+    out = []
+    for engine in (ScanEngine, Engine):
+        eng = engine(nprocs, machine, trace=True, faults=faults)
+        out.append((eng.run(prog), eng.trace))
+    (a, ta), (b, tb) = out
     if expect_crashes:
         assert a.crashed_ranks  # the plan must actually bite
     assert_equivalent(a, ta, b, tb)
-    return out["heap"][0]
+    return b
 
 
 # ----------------------------------------------------------------------
@@ -264,18 +265,17 @@ def test_crash_plans(crash_rank, crash_t, engine):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("model", ["nsr", "rma", "ncl", "mbp", "incl", "nsr-agg"])
-def test_matching_backends_bit_identical(model, engine):
+def test_matching_backends_bit_identical(model, engine, use_scheduler):
     from repro.graph.generators import rmat_graph
     from repro.matching import run_matching
 
     g = rmat_graph(7, seed=2)
-    runs = {
-        sched: run_matching(
-            g, 4, model,
-            config=RunConfig(scheduler=sched, trace=True, engine=engine),
+    runs = {}
+    for sched in ("reference", "heap"):
+        use_scheduler(sched)
+        runs[sched] = run_matching(
+            g, 4, model, config=RunConfig(trace=True, engine=engine)
         )
-        for sched in ("reference", "heap")
-    }
     a, b = runs["reference"], runs["heap"]
     assert a.makespan == b.makespan
     assert a.weight == b.weight
@@ -290,19 +290,18 @@ def test_matching_backends_bit_identical(model, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES)
-def test_matching_under_faults_bit_identical(engine):
+def test_matching_under_faults_bit_identical(engine, use_scheduler):
     from repro.graph.generators import rmat_graph
     from repro.matching import run_matching
 
     g = rmat_graph(7, seed=2)
     plan = FaultPlan(seed=5, drop_rate=0.05, dup_rate=0.05)
-    runs = {
-        sched: run_matching(
-            g, 4, "nsr",
-            config=RunConfig(faults=plan, scheduler=sched, engine=engine),
+    runs = {}
+    for sched in ("reference", "heap"):
+        use_scheduler(sched)
+        runs[sched] = run_matching(
+            g, 4, "nsr", config=RunConfig(faults=plan, engine=engine)
         )
-        for sched in ("reference", "heap")
-    }
     a, b = runs["reference"], runs["heap"]
     assert (a.makespan, a.weight) == (b.makespan, b.weight)
     assert a.fault_totals() == b.fault_totals()
@@ -313,8 +312,13 @@ def test_matching_under_faults_bit_identical(engine):
 # engine API guards
 # ----------------------------------------------------------------------
 def test_unknown_scheduler_rejected():
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        Engine(2, cori_aries(), scheduler="banana")
+    # The scheduler is no longer a choice: the Engine has no such
+    # parameter, and RunConfig checks the retired name and ignores it.
+    with pytest.raises(TypeError):
+        Engine(2, cori_aries(), scheduler="heap")
+    with pytest.raises(ValueError, match="unknown scheduler 'banana'"):
+        RunConfig(scheduler="banana")
+    assert RunConfig(scheduler="reference").scheduler == "reference"
 
 
 def test_unknown_engine_rejected():

@@ -1,8 +1,9 @@
 """Property-based proofs of the heap scheduler's core invariants.
 
-``Engine(..., audit=True)`` cross-checks every heap scheduling decision
-against a fresh reference scan and raises if the popped candidate is not
-the global minimum — i.e. it machine-checks, per decision, that
+``AuditedEngine`` (tests/mpisim/scan_oracle.py) checks every answer of
+the heap — each scheduling decision and each keep-running peek in
+``yield_ready_g`` — against a fresh O(P) scan and raises if they differ,
+i.e. it machine-checks, per decision, that
 
 * no wake-up is ever lost (a rank whose wake potential appeared or
   decreased is always re-indexed before it matters), and
@@ -10,17 +11,20 @@ the global minimum — i.e. it machine-checks, per decision, that
 
 Hypothesis drives randomized SPMD programs, machine variations, and
 fault plans through audited runs, and additionally asserts the heap and
-reference schedulers agree on every virtual outcome and that per-rank
-trace times are monotone (a rank's clock never goes backwards).
+the scan oracle agree on every virtual outcome and that per-rank trace
+times are monotone (a rank's clock never goes backwards).
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.mpisim import Engine, FaultPlan, cori_aries
+from repro.mpisim import FaultPlan, cori_aries
 from repro.mpisim.tracing import events_for_rank
 from repro.util.rng import make_rng
+
+from tests.mpisim.scan_oracle import AuditedEngine, ScanEngine
 
 SLOWISH = settings(
     max_examples=20,
@@ -75,13 +79,10 @@ def drain_prog(seed: int, rounds: int):
 
 
 def run_audited(prog, nprocs, machine, faults=None):
-    """Run under the audited heap and the reference; assert agreement."""
-    heap = Engine(
-        nprocs, machine, trace=True, faults=faults, scheduler="heap", audit=True
-    )
+    """Run under the audited heap and the scan oracle; assert agreement."""
+    heap = AuditedEngine(nprocs, machine, trace=True, faults=faults)
     rh = heap.run(prog)
-    ref = Engine(nprocs, machine, trace=True, faults=faults, scheduler="reference")
-    rr = ref.run(prog)
+    rr = ScanEngine(nprocs, machine, trace=True, faults=faults).run(prog)
     assert rh.makespan == rr.makespan
     assert rh.final_clocks == rr.final_clocks
     assert rh.rank_results == rr.rank_results
@@ -161,3 +162,20 @@ def test_audited_under_crashes(seed, crash_rank, crash_t):
     # A rank that finishes before its scheduled crash time never dies;
     # either way both schedulers agreed (checked in run_audited).
     assert res.crashed_ranks in ((), (crash_rank,))
+
+
+def test_audit_catches_a_lost_wake_up(monkeypatch):
+    # Rank 0 runs first, enters the barrier at t=1e-3 and parks with no
+    # wake time; rank 1's entry (at t=0) completes it, and only
+    # notify_ranks re-indexes rank 0. With that call gone the heap misses
+    # the wake-up, and the audit must say so.
+    def prog(ctx):
+        if ctx.rank == 0:
+            ctx.compute(seconds=1e-3)
+        yield from ctx.barrier_g()
+        ctx.compute(seconds=1e-6)
+        yield from ctx.allreduce_g(ctx.rank)
+
+    monkeypatch.setattr(AuditedEngine, "notify_ranks", lambda self, ranks: None)
+    with pytest.raises(AssertionError, match="scan minimum"):
+        AuditedEngine(2, cori_aries()).run(prog)

@@ -1,4 +1,4 @@
-"""The drain storm: bursty pairwise traffic under both schedulers.
+"""The drain storm: bursty pairwise traffic on the heap and the scan oracle.
 
 Ranks pair up (``rank ^ 1``). An initial per-rank stagger spreads the
 clocks into a ladder with spacing ``stagger``; each round a rank sends
@@ -11,8 +11,8 @@ whenever the partner's next message is still in flight. This is the
 drain-after-compute pattern of the paper's Send-Recv matching backend,
 distilled, and it pins:
 
-* the heap scheduler and the reference scan agree on every virtual
-  observable of the storm;
+* the heap scheduler and the scan oracle (tests/mpisim/scan_oracle.py)
+  agree on every virtual observable of the storm;
 * tracing is pure instrumentation: a traced storm is the untraced one,
   switch count included, and both schedulers trace it identically.
 
@@ -24,6 +24,8 @@ import pytest
 
 from repro.mpisim import Engine, cori_aries
 from repro.mpisim.tracing import time_ordered, trace_to_csv
+
+from tests.mpisim.scan_oracle import ScanEngine
 
 
 def drain_storm(rounds: int, fan: int, stagger: float):
@@ -50,8 +52,8 @@ def drain_storm(rounds: int, fan: int, stagger: float):
     return prog
 
 
-def _run(prog, nprocs, **kw):
-    eng = Engine(nprocs, cori_aries(), **kw)
+def _run(prog, nprocs, engine=Engine, **kw):
+    eng = engine(nprocs, cori_aries(), **kw)
     return eng.run(prog), eng.trace
 
 
@@ -67,13 +69,13 @@ def _observables(res):
     )
 
 
-# The ids keep the legacy wording: "across engines" now means across the
-# two scheduler implementations.
+# The ids keep the legacy wording: "across engines" now means the heap
+# and the scan oracle.
 @pytest.mark.parametrize("nprocs", [2, 4, 8])
 def test_drain_storm_bit_identical_across_engines(nprocs):
     prog = drain_storm(rounds=3, fan=16, stagger=4e-4)
     heap, _ = _run(prog, nprocs)
-    ref, _ = _run(prog, nprocs, scheduler="reference")
+    ref, _ = _run(prog, nprocs, engine=ScanEngine)
     assert _observables(heap) == _observables(ref)
     assert heap.counters.total("recvs") == nprocs * 3 * 16
 
@@ -84,7 +86,7 @@ def test_drain_storm_traced_identical_across_engines():
     traced, trace = _run(prog, 4, trace=True)
     assert _observables(traced) == _observables(plain)
     assert traced.scheduler_switches == plain.scheduler_switches
-    ref, ref_trace = _run(prog, 4, trace=True, scheduler="reference")
+    ref, ref_trace = _run(prog, 4, engine=ScanEngine, trace=True)
     assert _observables(ref) == _observables(plain)
     assert trace_to_csv(time_ordered(ref_trace)) == trace_to_csv(
         time_ordered(trace)

@@ -2,9 +2,9 @@
 
 The contract under test (ISSUE: matching-as-a-service):
 
-* same (graph spec, config, code_version) → same key, whatever legacy
-  engine name the config carries (accepted and ignored), so stored
-  results stay valid;
+* same (graph spec, config, code_version) → same key, whatever retired
+  engine or scheduler name the config carries (accepted and ignored), so
+  stored results stay valid;
 * changing *any other* RunConfig-visible field, the problem (graph /
   nprocs / model), or the code version → a different key.
 """
@@ -41,7 +41,7 @@ def test_roundtripped_request_same_key():
     assert JobRequest.from_json(req.to_json()).cache_key(CODE) == req.cache_key(CODE)
 
 
-# -- the engine is the one cache-neutral config field ----------------------
+# -- the retired engine and scheduler are the cache-neutral config fields --
 
 @pytest.mark.parametrize("engine", [None, "threaded", "coroutine", "vector"])
 def test_engine_choice_shares_the_key(engine):
@@ -54,12 +54,24 @@ def test_engine_choice_shares_the_key(engine):
         unknown.validate()
 
 
+@pytest.mark.parametrize("scheduler", [None, "heap", "reference"])
+def test_scheduler_choice_shares_the_key(scheduler):
+    # Every request stored before the scheduler retired says "heap".
+    base = make_request().cache_key(CODE)
+    config = WireConfig(machine="zero-latency", scheduler=scheduler)
+    req = make_request(config=config)
+    req.validate()
+    assert req.cache_key(CODE) == base
+    unknown = make_request(config=WireConfig(scheduler="fifo"))
+    with pytest.raises(SchemaError, match="scheduler"):
+        unknown.validate()
+
+
 # -- every other WireConfig field is key-relevant --------------------------
 
 #: a value different from the field default, per field
 _FLIPPED = {
     "machine": "commodity",
-    "scheduler": "reference",
     "max_ops": 12345,
     "compute_weight": False,
     "profile": True,
@@ -74,7 +86,7 @@ _FLIPPED = {
 def test_flip_table_covers_every_config_field():
     """If WireConfig grows a field, this table (and the key) must decide it."""
     names = {f.name for f in dataclasses.fields(WireConfig)}
-    assert names == set(_FLIPPED) | {"engine"}
+    assert names == set(_FLIPPED) | {"engine", "scheduler"}
 
 
 @pytest.mark.parametrize("field", sorted(_FLIPPED))

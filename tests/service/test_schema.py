@@ -116,6 +116,12 @@ def test_future_schema_version_rejected():
         (dict(config=WireConfig(engine="gpu")), "engine"),
         (dict(config=WireConfig(scheduler="fifo")), "scheduler"),
         (dict(config=WireConfig(tie_break="random")), "tie_break"),
+        (dict(config=WireConfig(max_ops="12")), "max_ops"),
+        (dict(config=WireConfig(max_ops=0)), "max_ops"),
+        (dict(config=WireConfig(compute_weight="no")), "compute_weight"),
+        (dict(config=WireConfig(profile=1)), "profile"),
+        (dict(config=WireConfig(agg_flush_bytes=-5)), "agg_flush_bytes"),
+        (dict(nprocs=True), "nprocs"),
     ],
 )
 def test_validate_rejects(over, match):
@@ -196,8 +202,8 @@ def test_wire_config_to_run_config():
         tie_break="id",
         agg_flush_bytes=4096,
     ).to_run_config()
-    assert cfg.engine is None  # accepted on the wire, dropped before the run
-    assert cfg.scheduler == "reference"
+    # retired names are accepted on the wire and dropped before the run
+    assert cfg.engine is None and cfg.scheduler is None
     assert cfg.max_ops == 1000
     assert cfg.profile is True
     assert cfg.options.tie_break == "id"
@@ -231,10 +237,13 @@ def test_result_remembers_the_bytes_it_was_decoded_from():
 
 
 def test_cache_dict_drops_engine_only():
-    cfg = WireConfig(engine="vector")
+    # "engine only" is history: the cache key drops every retired name.
+    cfg = WireConfig(engine="vector", scheduler="heap")
     d = cfg.cache_dict()
-    assert "engine" not in d
-    assert set(d) | {"engine"} == {f.name for f in dataclasses.fields(WireConfig)}
+    assert "engine" not in d and "scheduler" not in d
+    assert set(d) | {"engine", "scheduler"} == {
+        f.name for f in dataclasses.fields(WireConfig)
+    }
 
 
 def test_canonical_json_key_ordering():
