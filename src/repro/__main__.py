@@ -152,25 +152,59 @@ def _apply_config_file(args, parser) -> None:
     if not isinstance(section, dict):
         raise SystemExit(f"[{args.command}] in {args.config} must be a table")
     flat.update(section)
-    known = {a.dest for a in parser._actions}
+    actions = {a.dest: a for a in parser._actions}
     for key, value in flat.items():
         dest = key.replace("-", "_")
-        if dest not in known or dest in ("config", "fn", "command"):
+        if dest not in actions or dest in ("config", "fn", "command"):
             raise SystemExit(
                 f"unknown key {key!r} in {args.config} for command "
                 f"{args.command!r}"
             )
+        where = f"{args.config}: {key} = {value!r}"
         current = getattr(args, dest)
         default = parser.get_default(dest)
         if isinstance(current, list):
             # Repeatable flags (--crash/--degrade): the parser default
             # list is mutated in place by append actions, so "explicit"
             # means non-empty, and file values only fill an empty list.
+            items = value if isinstance(value, list) else [value]
+            items = [_file_value(actions[dest], v, where) for v in items]
             if not current:
-                items = value if isinstance(value, list) else [value]
-                setattr(args, dest, [str(v) for v in items])
-        elif current == default:
+                setattr(args, dest, items)
+            continue
+        value = _file_value(actions[dest], value, where)
+        if current == default:
             setattr(args, dest, value)
+
+
+def _file_value(action, value, where: str):
+    """A config-file ``value`` held to its flag's ``type=`` / ``choices=``.
+
+    TOML values arrive typed, so they must already be what the flag
+    parses to: an integer flag takes an integer (``"4"`` is a string), a
+    switch a boolean, any other flag a string, which then goes through
+    the flag's own conversion. A mismatch ends the command with one
+    stderr line naming the file and key, and exit status 2 — argparse's
+    own status for a bad flag.
+    """
+    if action.nargs == 0:
+        kind, name = bool, "true or false"
+    else:
+        kind, name = {
+            int: (int, "an integer"), float: ((int, float), "a number"),
+        }.get(action.type, (str, "a string"))
+    try:
+        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
+            raise TypeError(f"expected {name}")
+        if action.type is not None:
+            value = action.type(value)
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(
+                f"invalid choice (choose from {', '.join(action.choices)})")
+    except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
+        print(f"{where}: {e}", file=sys.stderr)
+        raise SystemExit(2) from None
+    return value
 
 
 def _legacy_engine(name: str) -> str:
@@ -313,17 +347,6 @@ def _cmd_match(args) -> int:
             )
         except ValueError as e:
             raise SystemExit(str(e)) from None
-        if faults.needs_reliability() and args.model not in ("nsr", "nsr-agg"):
-            raise SystemExit(
-                "message faults and partitions (drop/dup/delay/--partition) "
-                "require -m nsr or -m nsr-agg — only the Send-Recv backends "
-                "carry a reliable-delivery shim"
-            )
-        if faults.has_rma_faults() and args.model != "rma":
-            raise SystemExit(
-                "put fates (--rma-drop-rate/--rma-corrupt-rate) require "
-                "-m rma — only the one-sided backend uses windows"
-            )
 
     checkpoint = None
     if args.checkpoint_interval:
@@ -371,6 +394,10 @@ def _cmd_match(args) -> int:
                 engine=args.engine,
             ),
         )
+    except ValueError as e:
+        # A configuration run_matching rejects before it starts, e.g. a
+        # fault plan the model cannot honour.
+        raise SystemExit(str(e)) from None
     except RecoveryFailed as e:
         print(f"recovery failed: {e.reason} (rank {e.rank} died at "
               f"t={e.t:.6e})")

@@ -53,6 +53,7 @@ from typing import Callable
 from repro.mpisim.faults import ChurnPlan, FaultPlan, NicDegradation, PartitionWindow
 from repro.util.rng import derive_seed
 from repro.matching.config import RunConfig
+from repro.matching.driver import SEND_RECV_BACKENDS
 
 _U63 = float(1 << 63)
 
@@ -82,9 +83,10 @@ def sample_plan(
 
     ``t_scale`` anchors crash times and degradation windows to the
     fault-free makespan of the backend under test, so faults land while
-    the algorithm is actually running. Message-fault rates are only
-    drawn for NSR (the backend with the reliable-delivery shim); RMA
-    put fates only for the one-sided backend.
+    the algorithm is actually running. Message-fault rates and
+    partitions are only drawn for the Send-Recv backends
+    (``SEND_RECV_BACKENDS``, the ones with a reliable channel); RMA put
+    fates only for the one-sided backend.
 
     ``churn=True`` samples a pure crash-churn plan instead (per-rank
     Poisson crashes with an MTBF anchored to ``t_scale``, no message or
@@ -135,7 +137,7 @@ def sample_plan(
         )
 
     drop = dup = delay = rma_drop = rma_corrupt = 0.0
-    if backend in ("nsr", "nsr-agg") and u("msg?") < 0.6:
+    if backend in SEND_RECV_BACKENDS and u("msg?") < 0.6:
         drop = 0.10 * u("drop")
         dup = 0.05 * u("dup")
         delay = 0.20 * u("delay")
@@ -147,7 +149,7 @@ def sample_plan(
     # that masks them (retry deferral across the window); a partition is
     # sampled as a random 2-coloring of the ranks over a mid-run window.
     partitions: tuple[PartitionWindow, ...] = ()
-    if backend in ("nsr", "nsr-agg") and nprocs >= 2 and u("part?") < 0.35:
+    if backend in SEND_RECV_BACKENDS and nprocs >= 2 and u("part?") < 0.35:
         g0 = tuple(r for r in range(nprocs) if u("pside", r) < 0.5)
         g1 = tuple(r for r in range(nprocs) if r not in g0)
         if g0 and g1:
@@ -271,8 +273,7 @@ def restart_matching_runner(
             "kills": 0,
             "rollback_vtime": 0.0,
             "from_scratch": 0,
-            "retries": ref_totals["retransmits"]
-            + ref_totals["agg_batch_retries"],
+            "retries": ref_totals["retransmits"],
             "spurious_detections": ref_totals["spurious_detections"],
         }
         for k in range(kills):

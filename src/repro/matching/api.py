@@ -16,7 +16,11 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.graph.distribution import partition_graph
 from repro.matching.config import RunConfig
-from repro.matching.driver import MatchingOptions, matching_rank_main
+from repro.matching.driver import (
+    SEND_RECV_BACKENDS,
+    MatchingOptions,
+    matching_rank_main,
+)
 from repro.matching.serial import matching_weight
 from repro.mpisim.counters import RunCounters
 from repro.mpisim.engine import Engine, EngineResult
@@ -81,10 +85,12 @@ def run_matching(
 
     * ``config.dist`` overrides the 1D block distribution (e.g.
       :func:`repro.graph.distribution.edge_balanced_distribution`).
-    * ``config.faults`` injects a deterministic fault plan (message
-      faults require ``model="nsr"``, whose reliable-delivery shim masks
-      them — see docs/fault_model.md). When ranks crash, the returned
-      mate array is projected onto the surviving subgraph.
+    * ``config.faults`` injects a deterministic fault plan — see
+      docs/fault_model.md. Message faults and partitions require a
+      Send-Recv model (``nsr`` / ``nsr-agg``, whose reliable channel
+      masks them) and put fates require ``rma``; any other pairing
+      raises ``ValueError`` before the run starts. When ranks crash, the
+      returned mate array is projected onto the surviving subgraph.
     * ``config.profile=True`` turns on the span profiler
       (docs/profiling.md): the result's
       :attr:`MatchingRunResult.profile` then carries a phase-attributed
@@ -92,6 +98,19 @@ def run_matching(
     """
     if config is None:
         config = RunConfig()
+    faults = config.faults
+    if faults is not None:
+        if faults.needs_reliability() and model not in SEND_RECV_BACKENDS:
+            raise ValueError(
+                "message faults and partitions (drop/dup/delay/--partition) "
+                "require -m nsr or -m nsr-agg — only the Send-Recv backends "
+                "carry a reliable-delivery shim"
+            )
+        if faults.has_rma_faults() and model != "rma":
+            raise ValueError(
+                "put fates (--rma-drop-rate/--rma-corrupt-rate) require "
+                "-m rma — only the one-sided backend uses windows"
+            )
     machine = config.machine or cori_aries()
     options = config.options or MatchingOptions()
     recovery = None

@@ -33,6 +33,9 @@ BACKENDS = {
     # ablation point between nsr and ncl (repro/matching/nsr_agg.py)
     "nsr-agg": NSRAggBackend,
 }
+#: the backends whose transport is a reliable channel: the only ones that
+#: can honour message faults and partitions
+SEND_RECV_BACKENDS = ("nsr", "nsr-agg")
 
 
 @dataclass(frozen=True)
@@ -48,9 +51,10 @@ class MatchingOptions:
     #: memory model (identical across models; off to isolate buffers)
 
     # -- fault tolerance (docs/fault_model.md) ------------------------
-    reliable: bool | None = None  #: force the ack/retry delivery shim on
-    #: (True) or off (False); None = auto, on exactly when the engine's
-    #: fault plan injects message faults. NSR only.
+    reliable: bool | None = None  #: force the ack/retry delivery channel
+    #: on (True) or off (False); None = auto, on exactly when the engine's
+    #: fault plan injects message faults or partitions. Read by the
+    #: Send-Recv backends (nsr, nsr-agg) only.
     rto: float | None = None  #: initial retransmission timeout (s,
     #: virtual); None derives ~4x RTT from the machine model
     rto_max: float | None = None  #: backoff cap (s); None = 64x rto

@@ -9,25 +9,28 @@ Termination is purely local (paper §V-D): a rank leaves the loop when its
 messages addressed to it are then algorithmically irrelevant (their
 senders were already informed by this rank's final REJECT/INVALID).
 
-Fault tolerance (extension; see docs/fault_model.md): when the engine
-carries a :class:`~repro.mpisim.faults.FaultPlan`, this backend switches
-to a hardened event loop. Message faults (drop/dup/delay) are masked by
-the :class:`~repro.matching.reliable.ReliableChannel` ack/retry shim, so
+Fault tolerance (extension; see docs/fault_model.md): message faults
+(drop/dup/delay) and partitions are masked by the
+:class:`~repro.mpisim.reliable.ReliableChannel` ack/retry transport, so
 the state machine still sees exactly-once in-order delivery and computes
 the same matching as the fault-free run. Rank crashes are handled
 ULFM-style: on detection the survivors renounce all cross edges into the
 dead rank (``MatchingState.renounce_rank``) and finish the matching on
-the surviving subgraph. The fault-free path is byte-identical to the
-original backend.
+the surviving subgraph. One event loop serves every case; without a
+channel or crashes its extra steps are skipped.
+
+:class:`NSRBackend` also holds the Send-Recv policy ``nsr-agg``
+inherits: the fixed p2p-table footprint, the reliability decision and
+its channel, the post-quiescence linger, and crash renouncement.
 """
 
 from __future__ import annotations
 
 from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
-from repro.matching.reliable import ReliableChannel
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
+from repro.mpisim.reliable import ReliableChannel
 
 
 class NSRBackend:
@@ -115,28 +118,16 @@ class NSRBackend:
 
     # ------------------------------------------------------------------
     def run_g(self, state: MatchingState):
-        if self.channel is not None or self.fault_aware:
-            return (yield from self._run_hardened_g(state))
-        return (yield from self._run_plain_g(state))
-
-    def _renounce_g(self, state: MatchingState, r: int):
-        """ULFM-style recovery for detected-dead rank ``r``."""
-        if self._plan is None or self._plan.crash_time(r) is None:
-            # Detection is plan-driven, so this cannot happen for a merely
-            # partitioned peer — the counter proves it stayed that way.
-            self.ctx.counters().spurious_detections += 1
-        yield from state.renounce_rank_g(r)
-        if self.channel is not None:
-            self.channel.on_rank_failed(r)
-
-    def _run_plain_g(self, state: MatchingState):
         """Algorithm 3's main loop, event-driven."""
         ctx = self.ctx
-        if self._resumed:
-            self._resumed = False
-            yield from ctx.reissue_parked_wait_g()
-        else:
-            yield from state.start_g()
+        chan = self.channel
+        rc = ctx.counters()
+        yield from self._start_g(state)
+
+        def deliver(src: int, user_tag: int, payload):
+            x, y = payload
+            yield from state.handle_g(user_tag, x, y)
+
         while True:
             # Coordinated-checkpoint boundary: charge-free no-op until a
             # cut is due, then parks so the scheduler can assemble the
@@ -145,87 +136,87 @@ class NSRBackend:
             yield from ctx.checkpoint_tick_g()
             self._iterations += 1
             ctx.prof_iteration(self._iterations)
-            ctx.prof_stage("evoke")
-            progressed = (yield from self._drain_incoming_g(state)) > 0
-            if state.work:
-                ctx.prof_stage("push")
-                yield from state.drain_work_g()
-                progressed = True
-            if state.locally_done():
-                break
-            if not progressed:
-                # Nothing local to do: the next change must arrive on the
-                # wire. Real codes spin on Iprobe; we model the blocking
-                # probe (fast-forwarding the clock) and account the wait.
-                yield from self.ctx.probe_g()
-        return {"iterations": self._iterations}
-
-    def _run_hardened_g(self, state: MatchingState):
-        """Event loop with reliable delivery and/or crash handling."""
-        ctx = self.ctx
-        chan = self.channel
-        rc = ctx.counters()
-        if self._resumed:
-            self._resumed = False
-            yield from ctx.reissue_parked_wait_g()
-        else:
-            yield from state.start_g()
-
-        def deliver(src: int, user_tag: int, payload):
-            x, y = payload
-            yield from state.handle_g(user_tag, x, y)
-
-        while True:
-            yield from ctx.checkpoint_tick_g()
-            self._iterations += 1
-            ctx.prof_iteration(self._iterations)
             if self.fault_aware:
-                ctx.prof_stage("recovery")
-                for r in ctx.failed_ranks():
-                    if r not in state.dead_ranks:
-                        yield from self._renounce_g(state, r)
-            progressed = False
+                yield from self._recover_g(state)
             ctx.prof_stage("evoke")
-            if chan is not None:
+            if chan is None:
+                progressed = (yield from self._drain_incoming_g(state)) > 0
+            else:
                 acks_before = rc.acks_sent
-                if (yield from chan.poll_g(deliver)) > 0:
-                    progressed = True
+                progressed = (yield from chan.poll_g(deliver)) > 0
                 if rc.acks_sent > acks_before:
                     # Any receipt (dups included) restarts the linger
                     # clock: the sender clearly had not seen our ack yet.
                     self._quiet_until = None
                 yield from chan.service_g(ctx.now,
                                           may_abandon=state.locally_done())
-            else:
-                if (yield from self._drain_incoming_g(state)) > 0:
-                    progressed = True
             if state.work:
                 ctx.prof_stage("push")
                 yield from state.drain_work_g()
                 progressed = True
-
             if state.locally_done() and (chan is None or chan.idle()):
-                if chan is None:
+                if (yield from self._linger_g()):
                     break
-                # Quiescent, all sends acked. Linger for a quiet period,
-                # still acking retransmissions, so peers can retire their
-                # pending tables before we disappear. The clock starts no
-                # earlier than the last partition heal — a deferred
-                # retransmission cannot reach us before then.
-                if self._quiet_until is None:
-                    self._quiet_until = (
-                        max(ctx.now, self._quiet_floor) + self._linger
-                    )
-                if ctx.now >= self._quiet_until:
-                    break
-                yield from ctx.probe_g(deadline=self._quiet_until)
                 continue
             self._quiet_until = None
-
             if not progressed:
-                deadline = chan.next_deadline() if chan is not None else None
-                yield from ctx.probe_g(deadline=deadline)
+                # Nothing local to do: the next change must arrive on the
+                # wire (or a retransmission fall due). Real codes spin on
+                # Iprobe; we model the blocking probe (fast-forwarding the
+                # clock) and account the wait.
+                yield from ctx.probe_g(deadline=self._next_deadline())
         return {"iterations": self._iterations}
+
+    # ------------------------------------------------------------------
+    # Send-Recv policy shared with nsr-agg
+    # ------------------------------------------------------------------
+    def _start_g(self, state: MatchingState):
+        """Begin the matching, or re-enter a resumed run's parked wait."""
+        if self._resumed:
+            self._resumed = False
+            yield from self.ctx.reissue_parked_wait_g()
+        else:
+            yield from state.start_g()
+
+    def _recover_g(self, state: MatchingState):
+        """ULFM-style recovery: renounce every newly detected dead rank."""
+        ctx = self.ctx
+        ctx.prof_stage("recovery")
+        for r in ctx.failed_ranks():
+            if r not in state.dead_ranks:
+                yield from self._renounce_g(state, r)
+
+    def _renounce_g(self, state: MatchingState, r: int):
+        if self._plan is None or self._plan.crash_time(r) is None:
+            # Detection is plan-driven, so this cannot happen for a merely
+            # partitioned peer — the counter proves it stayed that way.
+            self.ctx.counters().spurious_detections += 1
+        yield from state.renounce_rank_g(r)
+        if self.channel is not None:
+            self.channel.on_rank_failed(r)
+
+    def _next_deadline(self) -> float | None:
+        """When a blocking probe must wake for a retransmission, if ever."""
+        return None if self.channel is None else self.channel.next_deadline()
+
+    def _linger_g(self):
+        """Locally done with every send acked: True once the rank may leave.
+
+        Without a channel that is at once. With one the rank lingers for
+        a quiet period, still acking retransmissions, so peers can retire
+        their pending tables before it disappears; the clock starts no
+        earlier than the last partition heal — a deferred retransmission
+        cannot reach it before then.
+        """
+        if self.channel is None:
+            return True
+        ctx = self.ctx
+        if self._quiet_until is None:
+            self._quiet_until = max(ctx.now, self._quiet_floor) + self._linger
+        if ctx.now >= self._quiet_until:
+            return True
+        yield from ctx.probe_g(deadline=self._quiet_until)
+        return False
 
     # ------------------------------------------------------------------
     # checkpoint capture/restore

@@ -23,23 +23,25 @@ NCL's advantage (paper Tables III/IV, Fig. 4) is *pure aggregation*
 versus the collective machinery itself — the question the
 ``ablate-aggregation`` experiment quantifies.
 
-Fault tolerance: rank crashes are handled NSR-style (renounce the dead
-rank's cross edges and finish on the survivor subgraph), and messages
-still buffered for a detected-dead destination are dropped and reported
-via the ``agg_dropped_dead`` counter. Message-fault plans (drop/dup/
-delay) and network partitions are masked by the aggregator's own
-batch-level ack/retry protocol (``reliable=True`` on the
-:class:`~repro.mpisim.aggregate.MessageAggregator`): a lost batch is
-retransmitted whole, a duplicated batch is suppressed by its sequence
-number, and a batch trapped behind a partition is re-sent after the
-heal — so the backend computes the identical matching to ``nsr`` under
-the same fault plan.
+Fault tolerance: everything but the batching is NSR's
+(:class:`~repro.matching.nsr.NSRBackend`, which this backend extends).
+Rank crashes are handled NSR-style (renounce the dead rank's cross edges
+and finish on the survivor subgraph), and messages still buffered for a
+detected-dead destination are dropped and reported via the
+``agg_dropped_dead`` counter. Message-fault plans (drop/dup/delay) and
+network partitions are masked by NSR's reliable channel, which carries
+each flushed batch as one DATA message: a lost batch is retransmitted
+whole, a duplicated batch is suppressed by its sequence number, and a
+batch trapped behind a partition is re-sent after the heal — so the
+backend computes the identical matching to ``nsr`` under the same fault
+plan.
 """
 
 from __future__ import annotations
 
 from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
+from repro.matching.nsr import NSRBackend
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
 
@@ -55,7 +57,7 @@ DEFAULT_FLUSH_COUNT = None
 DEFAULT_FLUSH_DELAY = 5e-6
 
 
-class NSRAggBackend:
+class NSRAggBackend(NSRBackend):
     """Send-Recv with same-destination message coalescing."""
 
     name = "nsr-agg"
@@ -65,58 +67,17 @@ class NSRAggBackend:
     handle_scale = 2.0
 
     def __init__(self, ctx: RankContext, lg: LocalGraph, options=None):
-        self.ctx = ctx
-        self.lg = lg
-        self.options = options
-        plan = ctx.fault_plan
-        self._plan = plan
-        self.fault_aware = plan is not None and plan.has_crashes()
-        want_reliable = getattr(options, "reliable", None)
-        if want_reliable is None:
-            want_reliable = plan is not None and plan.needs_reliability()
-        self.reliable = bool(want_reliable)
-        # Same fixed per-peer footprint as NSR (request tables + eager
-        # pool), so nsr vs nsr-agg memory differences are transport-only.
-        deg = max(1, len(lg.neighbor_ranks))
-        self._fixed_bytes = (
-            64 * deg + ctx.machine.eager_pool_per_peer_bytes * len(lg.neighbor_ranks)
-        )
-        if not ctx.resuming:
-            # Resume: the restored counters already carry this allocation.
-            ctx.alloc(self._fixed_bytes, "p2p-tables")
-
-        flush_bytes = getattr(options, "agg_flush_bytes", DEFAULT_FLUSH_BYTES)
-        flush_count = getattr(options, "agg_flush_count", DEFAULT_FLUSH_COUNT)
+        # NSR's fixed per-peer footprint too, so nsr vs nsr-agg memory
+        # differences are transport-only.
+        super().__init__(ctx, lg, options)
         self.flush_delay = getattr(options, "agg_flush_delay", DEFAULT_FLUSH_DELAY)
         self.agg = ctx.aggregator(
-            flush_bytes=flush_bytes,
-            flush_count=flush_count,
-            reliable=self.reliable,
-            rto=getattr(options, "rto", None),
-            rto_max=getattr(options, "rto_max", None),
-            max_retries=getattr(options, "max_retries", 25),
+            flush_bytes=getattr(options, "agg_flush_bytes", DEFAULT_FLUSH_BYTES),
+            flush_count=getattr(options, "agg_flush_count", DEFAULT_FLUSH_COUNT),
+            channel=self.channel,
         )
         self._staged_bytes = 0
-
-        # Same post-quiescence linger policy as NSR's reliable channel:
-        # outlive a peer's worst-case backed-off retransmission (plus its
-        # injected delay), and never start the clock before the last
-        # partition heals — deferred retransmissions arrive only after it.
-        if self.reliable:
-            delay_max = plan.delay_max if plan is not None else 0.0
-            self._linger = 3.0 * self.agg.rto_max + delay_max
-        self._quiet_floor = (
-            max((w.t_end for w in plan.partitions), default=0.0)
-            if plan is not None
-            else 0.0
-        )
-
-        # Loop state lives on the instance so a checkpoint provider can
-        # capture it while the rank is parked inside a probe.
-        self._iterations = 0
         self._lingered = False
-        self._quiet_until: float | None = None
-        self._resumed = False
 
     # ------------------------------------------------------------------
     def push_g(self, ctx_id: Ctx, target_rank: int, x: int, y: int):
@@ -131,6 +92,10 @@ class NSRAggBackend:
         x, y = payload
         yield from self._state.handle_g(user_tag, x, y)
 
+    def _renounce_g(self, state: MatchingState, r: int):
+        yield from super()._renounce_g(state, r)
+        self.agg.drop_rank(r)
+
     # ------------------------------------------------------------------
     def _flush_boundary_g(self):
         """Ship every lane; runs before any block or loop exit."""
@@ -143,35 +108,26 @@ class NSRAggBackend:
         """NSR's event loop with batch transport and boundary flushes."""
         ctx = self.ctx
         agg = self.agg
+        chan = self.channel
         rc = ctx.counters()
         self._state = state
-        if self._resumed:
-            self._resumed = False
-            yield from ctx.reissue_parked_wait_g()
-        else:
-            yield from state.start_g()
+        yield from self._start_g(state)
         while True:
             yield from ctx.checkpoint_tick_g()
             self._iterations += 1
             ctx.prof_iteration(self._iterations)
             if self.fault_aware:
-                ctx.prof_stage("recovery")
-                for r in ctx.failed_ranks():
-                    if r not in state.dead_ranks:
-                        if self._plan is None or self._plan.crash_time(r) is None:
-                            # Detection is plan-driven: a partitioned-but-
-                            # alive peer can never land here; prove it.
-                            rc.spurious_detections += 1
-                        yield from state.renounce_rank_g(r)
-                        agg.drop_rank(r)
+                yield from self._recover_g(state)
             ctx.prof_stage("evoke")
-            acks_before = rc.agg_acks_sent
+            acks_before = rc.acks_sent
             progressed = (yield from agg.poll_g(self._deliver)) > 0
-            if rc.agg_acks_sent > acks_before:
+            if rc.acks_sent > acks_before:
                 # Any batch receipt (dups included) restarts the linger
                 # clock: the sender clearly had not seen our ack yet.
                 self._quiet_until = None
-            yield from agg.service_g(ctx.now, may_abandon=state.locally_done())
+            if chan is not None:
+                yield from chan.service_g(ctx.now,
+                                          may_abandon=state.locally_done())
             if state.work:
                 ctx.prof_stage("push")
                 yield from state.drain_work_g()
@@ -183,25 +139,14 @@ class NSRAggBackend:
                 # Final responses (REJECT/INVALID to peers still waiting
                 # on us) must go on the wire before this rank leaves.
                 yield from self._flush_boundary_g()
-                if not self.reliable:
-                    break
-                if agg.idle():
-                    # Quiescent, every batch acked. Linger (still acking
-                    # retransmissions) so peers can retire their pending
-                    # tables; the clock starts no earlier than the last
-                    # partition heal.
-                    if self._quiet_until is None:
-                        self._quiet_until = (
-                            max(ctx.now, self._quiet_floor) + self._linger
-                        )
-                    if ctx.now >= self._quiet_until:
+                if chan is None or chan.idle():
+                    if (yield from self._linger_g()):
                         break
-                    yield from ctx.probe_g(deadline=self._quiet_until)
                     continue
                 # Unacked batches remain: wait for their acks or the
                 # retransmission timer, whichever first.
                 self._quiet_until = None
-                yield from ctx.probe_g(deadline=agg.next_deadline())
+                yield from ctx.probe_g(deadline=chan.next_deadline())
                 continue
             self._quiet_until = None
             # Out of local work. If messages are staged, linger one timer
@@ -217,34 +162,27 @@ class NSRAggBackend:
                 continue
             # Timer expired (or nothing staged): ship everything — nothing
             # may stay buffered while peers wait on us — then fast-forward
-            # to the next arrival (bounded by the retransmission timer in
-            # reliable mode; next_deadline() is None otherwise).
+            # to the next arrival (bounded by the retransmission timer
+            # when reliable).
             yield from self._flush_boundary_g()
             self._lingered = False
-            yield from ctx.probe_g(deadline=agg.next_deadline())
+            yield from ctx.probe_g(deadline=self._next_deadline())
         return {"iterations": self._iterations}
 
     # ------------------------------------------------------------------
     # checkpoint capture/restore
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Backend loop/transport state for a coordinated checkpoint."""
-        return {
-            "iterations": self._iterations,
-            "lingered": self._lingered,
-            "quiet_until": self._quiet_until,
-            "staged_bytes": self._staged_bytes,
-            "agg": self.agg.snapshot(),
-        }
+        """NSR's loop/channel state plus the lanes and the flush timer."""
+        blob = super().snapshot()
+        blob["lingered"] = self._lingered
+        blob["staged_bytes"] = self._staged_bytes
+        blob["agg"] = self.agg.snapshot()
+        return blob
 
     def restore_checkpoint(self, blob: dict) -> None:
         """Adopt a snapshot; the next :meth:`run_g` resumes mid-loop."""
-        self._iterations = blob["iterations"]
+        super().restore_checkpoint(blob)
         self._lingered = blob["lingered"]
-        self._quiet_until = blob["quiet_until"]
         self._staged_bytes = blob["staged_bytes"]
         self.agg.restore(blob["agg"])
-        self._resumed = True
-
-    def finalize(self, state: MatchingState) -> None:
-        self.ctx.free(self._fixed_bytes, "p2p-tables")

@@ -258,10 +258,10 @@ class RMABackend:
     # ------------------------------------------------------------------
     def run_g(self, state: MatchingState):
         if not self.fault_aware:
-            return (yield from self._run_plain_g(state))
+            return (yield from self._run_fault_free_g(state))
         return (yield from self._run_survivable_g(state))
 
-    def _run_plain_g(self, state: MatchingState):
+    def _run_fault_free_g(self, state: MatchingState):
         ctx = self.ctx
         if self._needs_setup:
             yield from self._setup_comm_g()

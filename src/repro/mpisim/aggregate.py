@@ -25,40 +25,31 @@ Everything is crash-aware: messages buffered for a destination whose
 failure has been detected are dropped and reported in the per-rank
 ``agg_dropped_dead`` counter instead of raising mid-flush.
 
-With ``reliable=True`` the aggregator additionally runs its own
-batch-level ack/retry protocol (per-destination sequence numbers, batch
-acknowledgments under ``AGG_ACK_TAG``, timeout + capped-exponential
-retransmission in virtual time, and receiver-side duplicate suppression
-with in-order release) — the batched analogue of
-:class:`~repro.matching.reliable.ReliableChannel`. This is what lets the
+Reliability is composed, not reimplemented: an aggregator built with a
+:class:`~repro.mpisim.reliable.ReliableChannel` ships each flushed batch
+as one DATA message of that channel, which sequences, acknowledges,
+retransmits and deduplicates it like any other. That is what lets the
 ``nsr-agg`` backend accept drop/duplicate/delay fault plans: a lost
 batch is retransmitted whole, a duplicated batch is delivered once.
 
 All batching decisions are deterministic (thresholds in virtual-time
-order, ``flush_all`` in sorted destination order, retransmission
-deadlines in pure virtual time), so aggregated runs are bit-reproducible
-like everything else in the simulator.
+order, ``flush_all`` in sorted destination order), so aggregated runs
+are bit-reproducible like everything else in the simulator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import GeneratorType
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-from repro.mpisim.errors import RetryExhausted
 from repro.mpisim.message import ANY_SOURCE, ANY_TAG, Message
 
-#: default MPI tag carrying aggregated batches (chosen clear of the
-#: matching contexts 1..4 and the reliable-channel tags 100/101)
-AGG_TAG = 140
-#: MPI tag carrying batch acknowledgments in reliable mode
-AGG_ACK_TAG = 141
+if TYPE_CHECKING:
+    from repro.mpisim.reliable import ReliableChannel
 
-#: wire size of one batch ack: acknowledged seq + minimal envelope
-AGG_ACK_BYTES = 16
-#: extra per-batch header in reliable mode: the lane sequence number
-AGG_SEQ_HEADER_BYTES = 8
+#: MPI tag carrying aggregated batches (chosen clear of the matching
+#: contexts 1..4 and the reliable-channel tags 100/101)
+AGG_TAG = 140
 
 
 class PersistentSendRequest:
@@ -154,31 +145,10 @@ class _Lane:
         self.request: PersistentSendRequest | None = None
 
 
-@dataclass
-class _PendingBatch:
-    """One sent-but-unacknowledged batch (reliable mode)."""
-
-    dest: int
-    seq: int
-    entries: tuple[tuple[int, Any], ...]
-    nbytes: int  # wire bytes (payloads + framing + seq header)
-    deadline: float  # virtual time of the next retransmission
-    attempt: int = 0
-
-
-@dataclass
-class _BatchPeer:
-    """Receive-side per-sender batch state (reliable mode)."""
-
-    next_expected: int = 0
-    #: out-of-order buffer: seq -> (entries, wire nbytes)
-    held: dict[int, tuple[tuple, int]] = field(default_factory=dict)
-
-
 class MessageAggregator:
     """Coalesce same-destination small messages into batched wire messages.
 
-    Owner-driven, like :class:`~repro.matching.reliable.ReliableChannel`::
+    Owner-driven, like :class:`~repro.mpisim.reliable.ReliableChannel`::
 
         agg = ctx.aggregator(flush_count=64)
         yield from agg.append_g(dst, tag, payload, nbytes)  # not isend_g
@@ -200,6 +170,13 @@ class MessageAggregator:
     protocol switch see exactly what a real packed buffer would present.
     Packing and unpacking charge ``machine.pack_byte_cost`` per payload
     byte under the ``pack`` profiler phase.
+
+    Without a ``channel`` a batch is started on the lane's persistent
+    request under :data:`AGG_TAG`. With one, it is one DATA message of
+    ``channel.send_g`` carrying ``(entries, payload_bytes)``; the channel
+    adds its sequence header and owns acks, retransmission (its
+    ``service_g``) and duplicate suppression, and :meth:`poll_g` receives
+    through ``channel.poll_g``.
     """
 
     def __init__(
@@ -208,12 +185,7 @@ class MessageAggregator:
         *,
         flush_bytes: int | None = None,
         flush_count: int | None = None,
-        tag: int = AGG_TAG,
-        use_persistent: bool = True,
-        reliable: bool = False,
-        rto: float | None = None,
-        rto_max: float | None = None,
-        max_retries: int = 25,
+        channel: ReliableChannel | None = None,
     ):
         if flush_bytes is not None and flush_bytes <= 0:
             raise ValueError("flush_bytes must be positive or None")
@@ -222,22 +194,8 @@ class MessageAggregator:
         self.ctx = ctx
         self.flush_bytes = flush_bytes
         self.flush_count = flush_count
-        self.tag = tag
-        self.ack_tag = AGG_ACK_TAG
-        self.use_persistent = use_persistent
+        self.channel = channel
         self._lanes: dict[int, _Lane] = {}
-
-        # Batch-level reliability (ack/retry/dedup) — same timeout policy
-        # as ReliableChannel: comfortably above one data+ack round trip.
-        self.reliable = reliable
-        m = ctx.machine
-        rtt = 2.0 * m.alpha + m.o_send + m.o_recv + m.o_probe + 2.0 * m.o_send
-        self.rto = rto if rto is not None else 4.0 * rtt
-        self.rto_max = rto_max if rto_max is not None else 64.0 * self.rto
-        self.max_retries = max_retries
-        self._next_seq: dict[int, int] = {}
-        self._unacked: dict[tuple[int, int], _PendingBatch] = {}
-        self._peers: dict[int, _BatchPeer] = {}
 
     # ------------------------------------------------------------------
     # send side
@@ -285,29 +243,17 @@ class MessageAggregator:
             return 0
         m = ctx.machine
         wire = payload_bytes + k * m.agg_submsg_header_bytes
-        body: Any = entries
-        if self.reliable:
-            wire += AGG_SEQ_HEADER_BYTES
-            seq = self._next_seq.get(dest, 0)
-            self._next_seq[dest] = seq + 1
-            body = (seq, entries)
-            self._unacked[(dest, seq)] = _PendingBatch(
-                dest=dest,
-                seq=seq,
-                entries=entries,
-                nbytes=wire,
-                deadline=ctx.now + self.rto,
-            )
         # Packing the batch buffer is real sender-side work.
         if m.pack_byte_cost > 0.0:
             eng.charge_comm(ctx.rank, m.pack_byte_cost * payload_bytes,
                             phase="pack")
-        if self.use_persistent:
-            if lane.request is None:
-                lane.request = yield from ctx.send_init_g(dest, tag=self.tag)
-            yield from lane.request.start_g(body, nbytes=wire)
+        if self.channel is not None:
+            yield from self.channel.send_g(
+                dest, AGG_TAG, (entries, payload_bytes), wire)
         else:
-            yield from ctx.isend_g(dest, body, tag=self.tag, nbytes=wire)
+            if lane.request is None:
+                lane.request = yield from ctx.send_init_g(dest, tag=AGG_TAG)
+            yield from lane.request.start_g(entries, nbytes=wire)
         rc.agg_msgs_coalesced += k
         rc.agg_batches += 1
         rc.agg_batch_bytes += wire
@@ -329,11 +275,9 @@ class MessageAggregator:
     def drop_rank(self, rank: int) -> int:
         """Discard the lane for a crashed peer; returns messages dropped.
 
-        In reliable mode this also discards unacknowledged batches to the
-        dead peer — retrying into a black hole forever would otherwise
-        prevent quiescence.
+        Unacknowledged batches to the peer are the channel's to discard
+        (its ``on_rank_failed``).
         """
-        self.on_rank_failed(rank)
         lane = self._lanes.pop(rank, None)
         if lane is None or not lane.entries:
             return 0
@@ -344,80 +288,6 @@ class MessageAggregator:
         return k
 
     # ------------------------------------------------------------------
-    # batch-level reliability (reliable=True)
-    # ------------------------------------------------------------------
-    def service_g(self, now: float, *, may_abandon: bool = False):
-        """Retransmit every overdue unacked batch; returns the count.
-
-        Mirrors :meth:`ReliableChannel.service_g`: a destination that is
-        unreachable through an active network partition gets its deadline
-        deferred to the heal time *without* burning a retry attempt, so a
-        healed partition can never be mistaken for a death. ``may_abandon``
-        permits giving up after ``max_retries`` (the caller asserts its
-        protocol no longer depends on delivery); otherwise exhaustion
-        raises :class:`RetryExhausted`. No-op when ``reliable`` is off.
-        """
-        if not self.reliable:
-            return 0
-        fired = 0
-        ctx = self.ctx
-        rc = ctx.counters()
-        plan = ctx.fault_plan
-        for key in list(self._unacked):
-            p = self._unacked.get(key)
-            if p is None or p.deadline > now:
-                continue
-            if ctx.is_failed(p.dest):
-                del self._unacked[key]
-                continue
-            if (
-                plan is not None and plan.partitions
-                and plan.partitioned(ctx.rank, p.dest, now)
-            ):
-                p.deadline = plan.partition_clear_time(ctx.rank, p.dest, now)
-                rc.partition_deferrals += 1
-                continue
-            if p.attempt >= self.max_retries:
-                if may_abandon:
-                    rc.abandoned += 1
-                    del self._unacked[key]
-                    continue
-                raise RetryExhausted(
-                    f"aggregated batch seq={p.seq} to rank {p.dest} unacked "
-                    f"after {p.attempt} retransmissions"
-                )
-            p.attempt += 1
-            p.deadline = now + min(self.rto * (2.0 ** p.attempt), self.rto_max)
-            rc.agg_batch_retries += 1
-            # Retransmissions are exceptional: pay the full (non-persistent)
-            # send path instead of threading them through the lane request.
-            yield from ctx.isend_g(p.dest, (p.seq, p.entries), tag=self.tag,
-                                   nbytes=p.nbytes)
-            fired += 1
-        return fired
-
-    def next_deadline(self) -> float | None:
-        """Earliest pending batch-retransmission deadline, or None."""
-        if not self._unacked:
-            return None
-        return min(p.deadline for p in self._unacked.values())
-
-    def idle(self) -> bool:
-        """True when every shipped batch has been acknowledged (always
-        true in unreliable mode)."""
-        return not self._unacked
-
-    def unacked_count(self) -> int:
-        return len(self._unacked)
-
-    def on_rank_failed(self, rank: int) -> int:
-        """Discard unacked batches to a crashed peer; returns the count."""
-        doomed = [k for k in self._unacked if k[0] == rank]
-        for k in doomed:
-            del self._unacked[k]
-        return len(doomed)
-
-    # ------------------------------------------------------------------
     # checkpoint capture/restore (engine pickles the returned tree)
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -426,7 +296,8 @@ class MessageAggregator:
         Lanes are captured without their :class:`PersistentSendRequest`
         (it holds a context reference); the request's amortization state
         ``(starts, last_arrival)`` rides along so restore can rebuild it
-        without re-charging ``o_send_init``.
+        without re-charging ``o_send_init``. A channel is its owner's to
+        capture.
         """
         lanes = {
             dest: {
@@ -438,12 +309,7 @@ class MessageAggregator:
             }
             for dest, lane in self._lanes.items()
         }
-        return {
-            "lanes": lanes,
-            "next_seq": self._next_seq,
-            "unacked": self._unacked,
-            "peers": self._peers,
-        }
+        return {"lanes": lanes}
 
     def restore(self, blob: dict) -> None:
         """Adopt a snapshot taken by :meth:`snapshot` (resume path)."""
@@ -453,13 +319,10 @@ class MessageAggregator:
             lane.entries = list(ls["entries"])
             lane.payload_bytes = ls["payload_bytes"]
             if ls["request"] is not None:
-                req = PersistentSendRequest(self.ctx, dest, self.tag)
+                req = PersistentSendRequest(self.ctx, dest, AGG_TAG)
                 req.starts, req.last_arrival = ls["request"]
                 lane.request = req
             self._lanes[dest] = lane
-        self._next_seq = blob["next_seq"]
-        self._unacked = blob["unacked"]
-        self._peers = blob["peers"]
 
     # ------------------------------------------------------------------
     # introspection
@@ -489,61 +352,36 @@ class MessageAggregator:
         """
         ctx = self.ctx
         rc = ctx.counters()
-        delivered = 0
+        before = rc.agg_msgs_delivered
+        if self.channel is not None:
+            yield from self.channel.poll_g(
+                lambda src, _tag, batch: self._deliver_g(src, *batch, handler))
+            return rc.agg_msgs_delivered - before
+        framing = ctx.machine.agg_submsg_header_bytes
         while True:
-            if self.reliable:
-                ahdr = yield from ctx.iprobe_g(tag=self.ack_tag)
-                if ahdr is not None:
-                    asrc, _, _ = ahdr
-                    amsg = yield from ctx.recv_g(source=asrc, tag=self.ack_tag)
-                    self._unacked.pop((asrc, amsg.payload), None)
-                    continue
-            hdr = yield from ctx.iprobe_g(tag=self.tag)
+            hdr = yield from ctx.iprobe_g(tag=AGG_TAG)
             if hdr is None:
-                return delivered
+                return rc.agg_msgs_delivered - before
             src, _, _ = hdr
-            msg = yield from ctx.recv_g(source=src, tag=self.tag)
-            if not self.reliable:
-                delivered += yield from self._deliver_g(
-                    src, msg.payload, msg.nbytes, handler
-                )
-                continue
-            seq, entries = msg.payload
-            # Always ack, even duplicates: the original ack may be the
-            # thing the network ate.
-            if not ctx.is_failed(src):
-                yield from ctx.isend_g(src, seq, tag=self.ack_tag,
-                                       nbytes=AGG_ACK_BYTES)
-                rc.agg_acks_sent += 1
-            peer = self._peers.setdefault(src, _BatchPeer())
-            if seq < peer.next_expected or seq in peer.held:
-                rc.agg_dup_batches += 1
-                continue
-            peer.held[seq] = (entries, msg.nbytes)
-            while peer.next_expected in peer.held:
-                ent, nb = peer.held.pop(peer.next_expected)
-                peer.next_expected += 1
-                delivered += yield from self._deliver_g(
-                    src, ent, nb - AGG_SEQ_HEADER_BYTES, handler
-                )
+            msg = yield from ctx.recv_g(source=src, tag=AGG_TAG)
+            entries = msg.payload
+            yield from self._deliver_g(
+                src, entries, msg.nbytes - len(entries) * framing, handler)
 
     def _deliver_g(
         self,
         src: int,
         entries: Sequence[tuple[int, Any]],
-        nbytes: int,
+        payload_bytes: int,
         handler: Callable[[int, int, Any], None],
     ):
-        """Unpack one batch (``nbytes`` = payloads + framing, seq header
-        already stripped) and hand each coalesced message up."""
+        """Unpack one batch and hand each coalesced message up."""
         ctx = self.ctx
-        eng = ctx._engine
-        rc = ctx.counters()
         m = ctx.machine
-        payload_bytes = nbytes - len(entries) * m.agg_submsg_header_bytes
         if m.pack_byte_cost > 0.0 and payload_bytes > 0:
-            eng.charge_comm(ctx.rank, m.pack_byte_cost * payload_bytes,
-                            phase="pack")
+            ctx._engine.charge_comm(ctx.rank, m.pack_byte_cost * payload_bytes,
+                                    phase="pack")
+        rc = ctx.counters()
         rc.agg_batches_received += 1
         rc.agg_msgs_delivered += len(entries)
         for user_tag, payload in entries:
@@ -552,4 +390,3 @@ class MessageAggregator:
             res = handler(src, user_tag, payload)
             if isinstance(res, GeneratorType):
                 yield from res
-        return len(entries)

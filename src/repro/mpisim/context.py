@@ -15,7 +15,7 @@ never block (``compute``, ``alloc``, ``irecv``) are plain methods.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -30,6 +30,9 @@ from repro.mpisim.errors import CommMismatchError, RankCrashed
 from repro.mpisim.message import ANY_SOURCE, ANY_TAG
 from repro.mpisim.topology import DistGraphTopology, payload_nbytes
 from repro.mpisim.window import Window, _WindowStore
+
+if TYPE_CHECKING:
+    from repro.mpisim.reliable import ReliableChannel
 
 
 class RankContext:
@@ -308,33 +311,20 @@ class RankContext:
         *,
         flush_bytes: int | None = None,
         flush_count: int | None = None,
-        tag: int | None = None,
-        use_persistent: bool = True,
-        reliable: bool = False,
-        rto: float | None = None,
-        rto_max: float | None = None,
-        max_retries: int = 25,
+        channel: ReliableChannel | None = None,
     ) -> MessageAggregator:
         """Create a :class:`~repro.mpisim.aggregate.MessageAggregator`
         that coalesces this rank's small same-destination messages into
-        batched wire messages. With ``reliable=True`` every batch carries
-        a per-destination sequence number and is acked, retransmitted on
-        timeout, and deduplicated at the receiver — the aggregated
-        analogue of the NSR reliable-delivery shim, required under
-        drop/dup/delay fault plans. See the class docstring for the flush
-        policy and charging model."""
-        kwargs: dict[str, Any] = dict(
-            flush_bytes=flush_bytes,
-            flush_count=flush_count,
-            use_persistent=use_persistent,
-            reliable=reliable,
-            rto=rto,
-            rto_max=rto_max,
-            max_retries=max_retries,
+        batched wire messages. With a ``channel`` (a
+        :class:`~repro.mpisim.reliable.ReliableChannel` of this rank)
+        every batch is one reliable DATA message — acked, retransmitted
+        on timeout and deduplicated — as drop/dup/delay fault plans
+        require. See the class docstring for the flush policy and
+        charging model."""
+        return MessageAggregator(
+            self, flush_bytes=flush_bytes, flush_count=flush_count,
+            channel=channel,
         )
-        if tag is not None:
-            kwargs["tag"] = tag
-        return MessageAggregator(self, **kwargs)
 
     def iprobe_g(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Nonblocking probe: ``(src, tag, nbytes)`` if a matching message

@@ -57,6 +57,7 @@ class RankCounters:
     msgs_delayed: int = 0  #: message copies that picked up extra delay
     crash_blackholed: int = 0  #: sends addressed to an already-dead rank
     retransmits: int = 0  #: reliable-channel resends after an ack timeout
+    #: (a triple under nsr, a whole batch under nsr-agg)
     dup_suppressed: int = 0  #: duplicate deliveries discarded by dedup
     acks_sent: int = 0  #: reliable-channel acknowledgment messages
     abandoned: int = 0  #: unacked messages given up after max retries
@@ -68,9 +69,6 @@ class RankCounters:
     #: destination was unreachable through a partition
     spurious_detections: int = 0  #: ranks renounced as dead that the fault
     #: plan never crashed (must stay zero: a healed partition is not a death)
-    agg_batch_retries: int = 0  #: aggregated batches retransmitted on timeout
-    agg_acks_sent: int = 0  #: batch acknowledgments sent (reliable agg mode)
-    agg_dup_batches: int = 0  #: duplicate batch deliveries suppressed by seq
 
     # message aggregation (repro.mpisim.aggregate; zero when unused)
     agg_msgs_coalesced: int = 0  #: small messages that rode in a batch
@@ -306,9 +304,6 @@ class RunCounters:
                 "msgs_partitioned",
                 "partition_deferrals",
                 "spurious_detections",
-                "agg_batch_retries",
-                "agg_acks_sent",
-                "agg_dup_batches",
             )
         }
 

@@ -95,7 +95,8 @@ def run_inline(gen):
     """Drive a simulator-call generator to completion without a scheduler.
 
     For code that runs off-engine — unit tests of ``MatchingState`` or
-    ``ReliableChannel`` against scripted transports — where a ``*_g``
+    :class:`~repro.mpisim.reliable.ReliableChannel` against scripted
+    transports — where a ``*_g``
     call never reaches a park point, so one ``next`` runs it to
     ``StopIteration`` and the return value is exact. Reaching a park
     means non-generator code tried to block, which cannot be suspended;

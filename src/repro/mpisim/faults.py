@@ -26,7 +26,7 @@ plan (the engine skips every draw).
 The plan is *schedule*, not *mechanism*: the engine consults it in
 ``post_message`` and in the scheduler loop; recovery (ack/retry,
 renouncing edges to dead ranks) lives with the rank programs — see
-``repro.matching.reliable`` and ``docs/fault_model.md``.
+``repro.mpisim.reliable`` and ``docs/fault_model.md``.
 """
 
 from __future__ import annotations

@@ -141,3 +141,22 @@ def test_cli_match_unrecoverable_run_reports_reason(capsys):
     assert rc == 1
     assert "recovery failed: no-complete-cut" in out
     assert "slice 1 lost" in out
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['model = "banana"', 'nprocs = "4"', 'engine = "turbo"'],
+    ids=["model", "nprocs", "engine"],
+)
+def test_cli_config_value_checked_like_its_flag(line, tmp_path, capsys):
+    """A --config value meets its flag's type= / choices=: a bad one is
+    one stderr line naming the file and key, exit status 2 — not a
+    traceback from deep inside the run."""
+    path = tmp_path / "bad.toml"
+    path.write_text(f"[match]\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["match", "rmat-s10", "--config", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: {line.split()[0]} = ")
+    assert err.count("\n") == 1

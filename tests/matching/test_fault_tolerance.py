@@ -14,6 +14,7 @@ from repro.matching.verify import (
     restrict_mate_to_survivors,
 )
 from repro.mpisim import FaultPlan, SimLimitExceeded
+from repro.mpisim.faults import PartitionWindow
 from repro.mpisim.machine import cori_aries
 
 
@@ -137,3 +138,27 @@ class TestBudgets:
     def test_generous_budgets_pass(self, graph, clean):
         r = run_matching(graph, 4, "nsr", config=RunConfig(options=MatchingOptions(max_ops=10**9, max_vtime=1e6)))
         assert np.array_equal(r.mate, clean.mate)
+
+
+@pytest.mark.parametrize(
+    "model, plan",
+    [
+        ("mbp", FaultPlan(seed=1, drop_rate=0.05)),
+        ("ncl", FaultPlan(seed=1, drop_rate=0.05)),
+        ("rma", FaultPlan(seed=1, partitions=(
+            PartitionWindow(t_start=1e-5, t_end=5e-5, groups=((0, 1), (2, 3))),
+        ))),
+        ("ncl", FaultPlan(seed=1, rma_drop_rate=0.05)),
+    ],
+    ids=["mbp-drop", "ncl-drop", "rma-partition", "ncl-putfate"],
+)
+def test_fault_plan_backend_mismatch_rejected(model, plan):
+    """A plan the backend cannot honour is refused before the run starts.
+    Message faults and partitions need a reliable channel (nsr, nsr-agg
+    only): under drops mbp would retry forever — the small budget turns
+    that into SimLimitExceeded — and ncl / rma would inject nothing.
+    Put fates need rma's windows."""
+    g = rmat_graph(7, seed=3)
+    with pytest.raises(ValueError, match="require -m"):
+        run_matching(g, 4, model,
+                     config=RunConfig(faults=plan, max_ops=20_000))

@@ -94,9 +94,10 @@ def test_crash_yields_valid_survivor_matching():
 
 
 def test_message_fault_plan_masked_by_reliable_batches():
-    """Drop/dup/delay plans are masked by the aggregator's batch-level
-    ack/retry protocol: the matching equals nsr's under the same plan
-    (and the fault-free one), with retransmissions actually exercised."""
+    """Drop/dup/delay plans are masked by the reliable channel, which
+    carries each batch as one DATA message: the matching equals nsr's
+    under the same plan (and the fault-free one), with retransmissions
+    actually exercised and counted where nsr counts them."""
     g = rmat_graph(7, seed=3)
     plan = FaultPlan(seed=1, drop_rate=0.05)
     res = run_matching(g, 4, "nsr-agg", config=RunConfig(faults=plan))
@@ -107,5 +108,5 @@ def test_message_fault_plan_masked_by_reliable_batches():
     assert res.weight == clean.weight
     totals = res.fault_totals()
     assert totals["msgs_dropped"] > 0
-    assert totals["agg_batch_retries"] > 0
+    assert totals["retransmits"] > 0
     assert totals["spurious_detections"] == 0

@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.matching.reliable import ACK_BYTES, TAG_ACK, ReliableChannel
+from repro.mpisim.reliable import ACK_BYTES, TAG_ACK, ReliableChannel
 from repro.mpisim import Engine, FaultPlan, RetryExhausted, cori_aries
 
 

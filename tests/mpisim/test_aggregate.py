@@ -5,6 +5,7 @@ import pytest
 
 from repro.mpisim import Engine, FaultPlan, MessageAggregator, cori_aries
 from repro.mpisim.machine import zero_latency
+from repro.mpisim.reliable import SEQ_HEADER_BYTES, ReliableChannel
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +275,84 @@ class TestCrashHandling:
                 ctx.compute(seconds=1.0)
 
         Engine(2, cori_aries(), faults=plan).run(prog)
+
+
+# ----------------------------------------------------------------------
+# batches over the reliable channel
+# ----------------------------------------------------------------------
+class TestReliableBatches:
+    def test_dup_faults_deliver_each_message_once_in_order(self):
+        """Every rank sends ten messages to every other through lanes
+        that flush every three; with nine in ten messages duplicated,
+        each still arrives exactly once and in per-source append order,
+        and every channel quiesces."""
+        plan = FaultPlan(seed=13, dup_rate=0.9)
+
+        def prog(ctx):
+            chan = ReliableChannel(ctx)
+            agg = ctx.aggregator(flush_count=3, channel=chan)
+            peers = [r for r in range(ctx.nprocs) if r != ctx.rank]
+            for i in range(10):
+                for peer in peers:
+                    yield from agg.append_g(peer, 7, i, 24)
+            yield from agg.flush_all_g()
+            got = {peer: [] for peer in peers}
+            for _ in range(200):
+                yield from agg.poll_g(
+                    lambda src, tag, p: got[src].append((tag, p)))
+                yield from chan.service_g(ctx.now)
+                if sum(map(len, got.values())) == 10 * len(peers) \
+                        and chan.idle():
+                    return got
+                yield from ctx.probe_g(deadline=chan.next_deadline())
+            return ("spun-out", got)
+
+        res = Engine(3, cori_aries(), faults=plan).run(prog)
+        for rank, got in enumerate(res.rank_results):
+            assert got == {peer: [(7, i) for i in range(10)]
+                           for peer in range(3) if peer != rank}
+        c = res.counters
+        assert c.total("dup_suppressed") > 0
+        # Four batches per lane (3+3+3+1), each unpacked once.
+        assert c.total("agg_batches") == c.total("agg_batches_received") == 24
+
+    def test_total_loss_then_crash_quiesces(self):
+        """A batch retransmitted into a network that loses everything,
+        until its destination crashes: the owner reaps the pending batch
+        and the dead rank's lane, and the channel goes idle. Each
+        retransmission resends the whole batch at its original size."""
+        plan = FaultPlan(seed=2, drop_rate=1.0, crashes={1: 5e-5},
+                         detect_latency=1e-6)
+
+        def prog(ctx):
+            if ctx.rank == 1:
+                ctx.compute(seconds=1.0)  # killed at 5e-5
+                return None
+            chan = ReliableChannel(ctx, rto=1e-5, max_retries=50)
+            agg = ctx.aggregator(channel=chan)
+            for i in range(3):
+                yield from agg.append_g(1, 0, i, 24)
+            yield from agg.flush_all_g()
+            yield from agg.append_g(1, 0, "buffered", 24)  # never flushed
+            reaped = 0
+            while not chan.idle():
+                if 1 in ctx.failed_ranks():
+                    reaped = chan.on_rank_failed(1)
+                    agg.drop_rank(1)
+                    continue
+                yield from chan.service_g(ctx.now)
+                yield from ctx.probe_g(deadline=chan.next_deadline())
+            return reaped
+
+        res = Engine(2, cori_aries(), faults=plan).run(prog)
+        assert res.rank_results[0] == 1
+        rc = res.counters.ranks[0]
+        assert rc.agg_batches == 1 and rc.agg_dropped_dead == 1
+        assert 0 < rc.retransmits < 50  # some fired before detection
+        batch = 3 * 24 + 3 * cori_aries().agg_submsg_header_bytes
+        assert rc.agg_batch_bytes == batch
+        assert rc.bytes_sent == (1 + rc.retransmits) * (batch + SEQ_HEADER_BYTES)
+        assert res.counters.ranks[1].agg_msgs_delivered == 0
 
 
 # ----------------------------------------------------------------------

@@ -308,6 +308,26 @@ def test_matching_under_faults_bit_identical(engine, use_scheduler):
     np.testing.assert_array_equal(a.mate, b.mate)
 
 
+def test_nsr_agg_matching_under_faults_bit_identical(use_scheduler):
+    """The batch path under lossy plans: reliable batches retransmitted
+    and deduplicated by the channel schedule identically under both
+    schedulers."""
+    from repro.graph.generators import rmat_graph
+    from repro.matching import run_matching
+
+    g = rmat_graph(7, seed=2)
+    plan = FaultPlan(seed=5, drop_rate=0.05, dup_rate=0.05)
+    runs = {}
+    for sched in ("reference", "heap"):
+        use_scheduler(sched)
+        runs[sched] = run_matching(g, 4, "nsr-agg", config=RunConfig(faults=plan))
+    a, b = runs["reference"], runs["heap"]
+    assert (a.makespan, a.weight) == (b.makespan, b.weight)
+    assert a.fault_totals() == b.fault_totals()
+    assert a.fault_totals()["retransmits"] > 0
+    np.testing.assert_array_equal(a.mate, b.mate)
+
+
 # ----------------------------------------------------------------------
 # engine API guards
 # ----------------------------------------------------------------------
