@@ -155,12 +155,12 @@ def _apply_config_file(args, parser) -> None:
     actions = {a.dest: a for a in parser._actions}
     for key, value in flat.items():
         dest = key.replace("-", "_")
-        if dest not in actions or dest in ("config", "fn", "command"):
-            raise SystemExit(
-                f"unknown key {key!r} in {args.config} for command "
-                f"{args.command!r}"
-            )
         where = f"{args.config}: {key} = {value!r}"
+        if dest not in actions or dest in ("config", "fn", "command"):
+            # argparse's own status for an unrecognized flag
+            print(f"{where}: unknown key for command {args.command!r}",
+                  file=sys.stderr)
+            raise SystemExit(2)
         current = getattr(args, dest)
         default = parser.get_default(dest)
         if isinstance(current, list):
@@ -205,19 +205,6 @@ def _file_value(action, value, where: str):
         print(f"{where}: {e}", file=sys.stderr)
         raise SystemExit(2) from None
     return value
-
-
-def _legacy_engine(name: str) -> str:
-    """``--engine``: a retired engine choice, accepted and ignored. The
-    names live next to ``RunConfig``; importing them only when the flag
-    is given keeps ``serve`` / ``submit`` start-up free of the simulator."""
-    from repro.matching.config import RETIRED
-
-    if name not in RETIRED["engine"]:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {name!r} (choose from {', '.join(RETIRED['engine'])})"
-        )
-    return name
 
 
 def _parse_crashes(specs: list[str]) -> dict[int, float]:
@@ -391,7 +378,6 @@ def _cmd_match(args) -> int:
                 restore=restore,
                 spares=args.spares,
                 replicas=args.replicas,
-                engine=args.engine,
             ),
         )
     except ValueError as e:
@@ -571,7 +557,6 @@ def _cmd_submit(args) -> int:
                 model=args.model,
                 config=WireConfig(
                     machine=args.machine,
-                    engine=args.engine,
                     profile=args.profile,
                 ),
             )
@@ -651,11 +636,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["nsr", "rma", "ncl", "mbp", "incl", "nsr-agg"],
     )
     p_match.add_argument("--machine", default="cori-aries")
-    p_match.add_argument(
-        "--engine", default=None, type=_legacy_engine,
-        help="accepted and ignored (one execution engine): coroutine, "
-        "threaded or vector",
-    )
     p_match.add_argument(
         "--config", default="", metavar="FILE.toml",
         help="run profile; fills in flags left at their defaults",
@@ -908,11 +888,6 @@ def main(argv: list[str] | None = None) -> int:
         choices=["nsr", "rma", "ncl", "mbp", "incl", "nsr-agg"],
     )
     p_submit.add_argument("--machine", default="cori-aries")
-    p_submit.add_argument(
-        "--engine", default=None, type=_legacy_engine,
-        help="accepted and ignored (one execution engine): coroutine, "
-        "threaded or vector",
-    )
     p_submit.add_argument("--seed", type=int, default=None,
                           help="graph generator seed (default: registry seed)")
     p_submit.add_argument(

@@ -63,7 +63,6 @@ def _build_config(
     machine: MachineModel | None,
     options: MatchingOptions | None,
     faults: FaultPlan | None,
-    engine: str | None,
 ) -> RunConfig:
     """Fold the convenience kwargs into a RunConfig.
 
@@ -75,7 +74,6 @@ def _build_config(
             ("machine", machine),
             ("options", options),
             ("faults", faults),
-            ("engine", engine),
         )
         if v is not None
     }
@@ -87,8 +85,7 @@ def _build_config(
             )
         return config
     return RunConfig(
-        machine=machine, options=options, faults=faults, engine=engine,
-        compute_weight=True,
+        machine=machine, options=options, faults=faults, compute_weight=True,
     )
 
 
@@ -104,20 +101,18 @@ def run(
     options: MatchingOptions | None = None,
     faults: FaultPlan | None = None,
     keep_result: bool = False,
-    engine: str | None = None,
 ) -> RunRecord:
     """Execute one matching run and package its measurements.
 
     The run itself is entirely described by ``config`` (a
     :class:`~repro.matching.config.RunConfig`); ``machine`` / ``options``
-    / ``faults`` / ``engine`` are conveniences folded into a fresh config
+    / ``faults`` are conveniences folded into a fresh config
     when no explicit one is passed (mixing the two styles raises).
     ``power`` and ``keep_result`` are measurement-side knobs: they shape
     the returned :class:`RunRecord`, not the simulation, so they combine
-    freely with ``config=``. ``engine`` names a retired engine choice:
-    it is validated against ``RETIRED["engine"]`` and otherwise ignored.
+    freely with ``config=``.
     """
-    cfg = _build_config(config, machine, options, faults, engine)
+    cfg = _build_config(config, machine, options, faults)
     res = run_matching(g, nprocs, model=model, config=cfg)
     c = res.counters
     erep = energy_report(model.upper(), res.makespan, c, power)

@@ -31,7 +31,7 @@ from repro.util.tables import TextTable
 def _layout_rank_main(ctx, parts):
     lg = parts[ctx.rank]
     backend = RMABackend(ctx, lg)
-    yield from backend._setup_comm_g()  # the deferred construction collectives
+    yield from backend._setup_g(())  # the construction collectives
     nbrs = list(backend.topo.neighbors)
     layout = {
         "neighbors": nbrs,

@@ -17,6 +17,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.distribution import partition_graph
 from repro.matching.config import RunConfig
 from repro.matching.driver import (
+    CRASH_SURVIVING_BACKENDS,
     SEND_RECV_BACKENDS,
     MatchingOptions,
     matching_rank_main,
@@ -88,9 +89,12 @@ def run_matching(
     * ``config.faults`` injects a deterministic fault plan — see
       docs/fault_model.md. Message faults and partitions require a
       Send-Recv model (``nsr`` / ``nsr-agg``, whose reliable channel
-      masks them) and put fates require ``rma``; any other pairing
-      raises ``ValueError`` before the run starts. When ranks crash, the
-      returned mate array is projected onto the surviving subgraph.
+      masks them) and put fates require ``rma``. Crashes without
+      rollback-recovery (``config.spares == 0``) require a backend that
+      survives them (``nsr`` / ``nsr-agg`` / ``rma`` / ``ncl``). Any other
+      pairing raises ``ValueError`` before the run starts. When ranks
+      crash, the returned mate array is projected onto the surviving
+      subgraph.
     * ``config.profile=True`` turns on the span profiler
       (docs/profiling.md): the result's
       :attr:`MatchingRunResult.profile` then carries a phase-attributed
@@ -110,6 +114,13 @@ def run_matching(
             raise ValueError(
                 "put fates (--rma-drop-rate/--rma-corrupt-rate) require "
                 "-m rma — only the one-sided backend uses windows"
+            )
+        if (faults.has_crashes() and config.spares == 0
+                and model not in CRASH_SURVIVING_BACKENDS):
+            raise ValueError(
+                "rank crashes (--crash) require -m nsr, nsr-agg, rma or "
+                "ncl, or rollback-recovery (--spares) — "
+                f"{model} cannot finish the matching on the survivors"
             )
     machine = config.machine or cori_aries()
     options = config.options or MatchingOptions()

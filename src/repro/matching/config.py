@@ -22,17 +22,6 @@ from repro.mpisim.checkpoint import CheckpointConfig, EngineSnapshot
 from repro.mpisim.faults import FaultPlan
 from repro.mpisim.machine import MachineModel
 
-#: Retired configuration fields and the values each still accepts, and
-#: ignores, wherever a run is configured (``RunConfig``, ``api.run``, the
-#: wire schema, ``--engine``). There is one execution engine and one
-#: scheduler, but stored requests, profiles and scripts name one of
-#: these. ``None`` is always accepted; any other value is an error.
-RETIRED = {
-    "engine": ("coroutine", "threaded", "vector"),
-    "scheduler": ("heap", "reference"),
-}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything configurable about one matching run except the problem.
@@ -55,8 +44,6 @@ class RunConfig:
     profile: bool = False  #: span profiler (docs/profiling.md)
     compute_weight: bool = True  #: weigh the matching (skip for timing
     #: sweeps that only need the makespan)
-    scheduler: str | None = None  #: retired (see RETIRED); ignored
-    engine: str | None = None  #: retired (see RETIRED); ignored
 
     # -- checkpoint/restart (docs/fault_model.md) ---------------------
     checkpoint: CheckpointConfig | None = None  #: take coordinated
@@ -74,14 +61,6 @@ class RunConfig:
     #: topology stay constant across recovery epochs
     replicas: int = 2  #: buddy-replication degree k for the diskless
     #: replicated checkpoint store (only meaningful with ``spares > 0``)
-
-    def __post_init__(self) -> None:
-        for name, accepted in RETIRED.items():
-            value = getattr(self, name)
-            if value is not None and value not in accepted:
-                raise ValueError(
-                    f"unknown {name} {value!r}; pick from {accepted}"
-                )
 
     def evolve(self, **changes) -> "RunConfig":
         """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""

@@ -36,6 +36,9 @@ BACKENDS = {
 #: the backends whose transport is a reliable channel: the only ones that
 #: can honour message faults and partitions
 SEND_RECV_BACKENDS = ("nsr", "nsr-agg")
+#: the backends that finish the matching on the survivors of a rank crash
+#: (rma / ncl through the superstep loop's shrink-and-rebuild)
+CRASH_SURVIVING_BACKENDS = SEND_RECV_BACKENDS + ("rma", "ncl")
 
 
 @dataclass(frozen=True)

@@ -34,20 +34,7 @@ class INCLBackend:
         self.options = options
         self.ctx = ctx
         self.lg = lg
-        # Topology construction parks (it is a collective), so it is
-        # deferred to the first run() step; nothing in between touches
-        # the clock or the trace.
-        self.topo = None
         self._staged_bytes = 0
-        self._needs_setup = True
-
-    def _setup_comm_g(self):
-        self._needs_setup = False
-        self.topo = yield from self.ctx.dist_graph_create_adjacent_g(
-            self.lg.neighbor_ranks)
-        self.nbr_index = self.topo.neighbor_index
-        self.send_bufs: list[list[int]] = [[] for _ in self.topo.neighbors]
-        self._active: list[int] = []  # non-empty send buffers
 
     # ------------------------------------------------------------------
     def push(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> None:
@@ -58,8 +45,13 @@ class INCLBackend:
 
     # ------------------------------------------------------------------
     def run_g(self, state: MatchingState):
-        if self._needs_setup:
-            yield from self._setup_comm_g()
+        # Topology construction parks (it is a collective), so it is the
+        # first step of the run; nothing before it touches the clock.
+        self.topo = yield from self.ctx.dist_graph_create_adjacent_g(
+            self.lg.neighbor_ranks)
+        self.nbr_index = self.topo.neighbor_index
+        self.send_bufs: list[list[int]] = [[] for _ in self.topo.neighbors]
+        self._active: list[int] = []  # non-empty send buffers
         yield from state.start_g()
         iterations = 0
         while True:

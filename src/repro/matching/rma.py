@@ -30,15 +30,11 @@ Fault tolerance (extension; see docs/fault_model.md):
   retry) from its sent-slot log. The termination reduction includes the
   outstanding bad-slot debt so the loop cannot exit with holes.
 
-* **Crash recovery** — under a crash plan, setup moves inside the run
-  loop and every collective is survivor-safe (:meth:`RankContext.agree_g`
-  / epoch-keyed topology). One-sided data needs no resend on a crash:
-  pending window updates live in the store independent of any
-  collective, and counts are cumulative. Recovery renounces the dead
-  rank, revokes the stale topology scope, rebuilds the process graph
-  over the survivors, and resumes; the window itself is reused.
-
-The fault-free path is byte-identical to the original backend.
+* **Crash recovery** — the loop, its survivor-safe collectives and the
+  renounce-revoke-rebuild step are :mod:`repro.matching.superstep`'s.
+  One-sided data needs no resend on a crash: pending window updates
+  live in the store independent of any collective, and counts are
+  cumulative, so the window itself is allocated once and reused.
 """
 
 from __future__ import annotations
@@ -46,11 +42,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.distribution import LocalGraph
-from repro.matching.contexts import TRIPLE_BYTES, Ctx
+from repro.matching.contexts import Ctx
 from repro.matching.state import MatchingState
+from repro.matching.superstep import SuperstepBackend
 from repro.mpisim.context import RankContext
-from repro.mpisim.errors import RankCrashed
-from repro.mpisim.topology import DistGraphTopology
 from repro.mpisim.window import Window
 from repro.util.rng import derive_seed
 
@@ -65,24 +60,20 @@ def slot_checksum(ctx_id: int, x: int, y: int) -> int:
     return (derive_seed(0x5EED, ctx_id, x, y) & _CHK_MASK) | 1
 
 
-class RMABackend:
+class RMABackend(SuperstepBackend):
     """One-sided puts into per-neighbor window regions."""
 
     name = "rma"
 
     def __init__(self, ctx: RankContext, lg: LocalGraph, options=None):
-        self.options = options
-        self.ctx = ctx
-        self.lg = lg
-        plan = ctx.fault_plan
-        self.fault_aware = plan is not None and plan.has_crashes()
+        super().__init__(ctx, lg, options)
+        plan = self._plan
         self.put_verify = plan is not None and plan.has_rma_faults()
         self._slot = _VSLOT if self.put_verify else _SLOT
 
         # Window layout is fixed over the *original* neighbor set (a dead
         # neighbor's region simply goes unused after recovery), so region
         # offsets survive a topology rebuild unchanged.
-        self._all_nbrs = sorted(set(int(q) for q in lg.neighbor_ranks))
         caps = [2 * lg.ghost_counts[q] for q in self._all_nbrs]
         starts = np.zeros(len(self._all_nbrs) + 1, dtype=np.int64)
         np.cumsum(caps, out=starts[1:])
@@ -100,47 +91,35 @@ class RMABackend:
         )
         # slots of MY window I found bad on the last scan, per sender
         self._my_bad: dict[int, tuple[int, ...]] = {}
-        self.epoch: tuple[int, ...] = ()
-        self._plan = plan
-        self._recoveries = 0
         self._win_charged = False
-        # Loop state lives on the instance so a checkpoint provider can
-        # capture it while the rank is parked at a checkpoint tick.
-        self._iterations = 0
-        self._started = False
-        self._resumed = False
-
-        # Setup collectives are deferred to the first run_g() step: they
-        # park, which must happen through the yield protocol (nothing
-        # between here and run_g() touches the clock or trace, so the
-        # deferral is bit-invisible). The fault-aware path builds
-        # survivor-safe topology inside run_g() instead;
-        # on resume, window and topology come from the checkpoint
-        # (restore_checkpoint) — re-running the setup collectives would
-        # charge time the uninterrupted run never spent.
-        self.topo = None
+        # Window and region bases come from setup (the loop's first
+        # step) or, on resume, from the checkpoint.
         self.win = None
         self.remote_base: dict[int, int] = {}
-        self._needs_setup = not (self.fault_aware or ctx.resuming)
         if not ctx.resuming:
             # origin-side bookkeeping buffers (cursors + offsets), memory
             # model; a resume's restored counters already carry this.
             ctx.alloc(8 * 4 * max(1, len(self._all_nbrs)), "rma-bookkeeping")
 
-    def _setup_comm_g(self):
-        """The deferred setup collectives (run_g's first step)."""
+    def _setup_g(self, dead):
+        """Topology, then the window (once, survivor-safe under a crash
+        plan) and every neighbor's base offset of my region in its window."""
+        yield from super()._setup_g(dead)
         ctx = self.ctx
-        self._needs_setup = False
-        self.topo = yield from ctx.dist_graph_create_adjacent_g(
-            self.lg.neighbor_ranks)
-        self.win = yield from ctx.win_allocate_g(
-            self._total_slots * self._slot, dtype=np.int64, fill=0
-        )
+        size = self._total_slots * self._slot
+        if self.fault_aware:
+            for r in dead:
+                self._my_bad.pop(r, None)
+            self.win = yield from ctx.win_allocate_survivor_g(
+                size, dtype=np.int64, fill=0, epoch=self.epoch, tag="rma-data",
+                charge_memory=not self._win_charged,
+            )
+            self._win_charged = True
+        else:
+            self.win = yield from ctx.win_allocate_g(size, dtype=np.int64, fill=0)
         mine = [int(self.region_start[q]) for q in self.topo.neighbors]
         bases = yield from self.topo.neighbor_alltoall_g(mine, nbytes_per_item=8)
-        self.remote_base = {
-            q: int(b) for q, b in zip(self.topo.neighbors, bases)
-        }
+        self.remote_base = {q: int(b) for q, b in zip(self.topo.neighbors, bases)}
 
     # ------------------------------------------------------------------
     def push_g(self, ctx_id: Ctx, target_rank: int, x: int, y: int):
@@ -235,7 +214,6 @@ class RMABackend:
 
     def _evoke_and_process_g(self, state: MatchingState):
         """flush -> counts exchange -> read new window slots."""
-        self.ctx.prof_stage("evoke")
         counts, reported = yield from self._exchange_counts_g()
         yield from self.win.sync_local_g()
         buf = self.win.local
@@ -251,121 +229,10 @@ class RMABackend:
             yield from self._repair_slots_g(reported)
         return handled
 
-    def _verify_debt(self) -> int:
-        """Bad slots this rank is still waiting to have repaired."""
-        return sum(len(v) for v in self._my_bad.values())
-
-    # ------------------------------------------------------------------
-    def run_g(self, state: MatchingState):
-        if not self.fault_aware:
-            return (yield from self._run_fault_free_g(state))
-        return (yield from self._run_survivable_g(state))
-
-    def _run_fault_free_g(self, state: MatchingState):
-        ctx = self.ctx
-        if self._needs_setup:
-            yield from self._setup_comm_g()
-        if self._resumed:
-            self._resumed = False
-            yield from ctx.reissue_parked_wait_g()
-        else:
-            yield from state.start_g()
-        while True:
-            # Coordinated-checkpoint safepoint: parks here (charge-free)
-            # when a cut is due; a resumed run re-enters at this exact
-            # point and the tick no-ops (the next due time was advanced
-            # before the snapshot was taken).
-            yield from ctx.checkpoint_tick_g()
-            self._iterations += 1
-            ctx.prof_iteration(self._iterations)
-            yield from self._evoke_and_process_g(state)
-            ctx.prof_stage("push")
-            yield from state.drain_work_g()
-            ctx.prof_stage("terminate")
-            done = yield from ctx.allreduce_g(
-                state.remaining() + self._verify_debt())
-            if done == 0:
-                break
-        return {"iterations": self._iterations}
-
-    # -- crash-survivable path -----------------------------------------
-    def _setup_g(self, state: MatchingState):
-        """(Re)build survivor topology, window, and region bases.
-
-        SPMD-symmetric and idempotent per failure epoch: every survivor
-        runs the same agreement sequence even when (say) the window
-        already exists, so per-scope collective sequence numbers stay
-        aligned across ranks re-entering from different program points.
-        """
-        ctx = self.ctx
-        ctx.prof_stage("recovery")
-        self.epoch = tuple(sorted(state.dead_ranks))
-        live = [q for q in self._all_nbrs if q not in state.dead_ranks]
-        self.topo = yield from ctx.shrink_rebuild_topology_g(
-            live, epoch=self.epoch)
-        self.win = yield from ctx.win_allocate_survivor_g(
-            self._total_slots * self._slot,
-            dtype=np.int64,
-            fill=0,
-            epoch=self.epoch,
-            tag="rma-data",
-            charge_memory=not self._win_charged,
-        )
-        self._win_charged = True
-        mine = [int(self.region_start[q]) for q in self.topo.neighbors]
-        bases = yield from self.topo.neighbor_alltoall_g(mine, nbytes_per_item=8)
-        self.remote_base = {q: int(b) for q, b in zip(self.topo.neighbors, bases)}
-
-    def _recover_g(self, state: MatchingState, blame: int):
-        """Renounce newly detected failures and schedule a rebuild."""
-        ctx = self.ctx
-        ctx.prof_stage("recovery")
-        for r in sorted(ctx.failed_ranks()):
-            if r not in state.dead_ranks:
-                if self._plan is None or self._plan.crash_time(r) is None:
-                    # Detection is plan-driven: a partitioned-but-alive
-                    # peer can never land here; the counter proves it.
-                    ctx.counters().spurious_detections += 1
-                yield from state.renounce_rank_g(r)
-        if self.topo is not None:
-            # Strand-proof the abandoned scope: survivors still blocked in
-            # its collectives raise instead of waiting for us.
-            ctx.revoke_topology(self.topo, blame)
-        self.topo = None
-        for r in state.dead_ranks:
-            self._my_bad.pop(r, None)
-        self._recoveries += 1
-
-    def _run_survivable_g(self, state: MatchingState):
-        ctx = self.ctx
-        if self._resumed:
-            self._resumed = False
-            yield from ctx.reissue_parked_wait_g()
-        while True:
-            try:
-                if self.topo is None:
-                    yield from self._setup_g(state)
-                if not self._started:
-                    yield from state.start_g()
-                    self._started = True
-                while True:
-                    yield from ctx.checkpoint_tick_g()
-                    self._iterations += 1
-                    ctx.prof_iteration(self._iterations)
-                    yield from self._evoke_and_process_g(state)
-                    ctx.prof_stage("push")
-                    yield from state.drain_work_g()
-                    ctx.prof_stage("terminate")
-                    debt = state.remaining() + self._verify_debt()
-                    agreed = yield from ctx.agree_g(
-                        debt, epoch=self.epoch, label="loop")
-                    if int(agreed) == 0:
-                        return {
-                            "iterations": self._iterations,
-                            "recoveries": self._recoveries,
-                        }
-            except RankCrashed as e:
-                yield from self._recover_g(state, e.rank)
+    def _work_left(self, state: MatchingState) -> int:
+        """Remaining work plus the bad slots still awaiting repair, so the
+        loop cannot exit with holes."""
+        return state.remaining() + sum(len(v) for v in self._my_bad.values())
 
     # ------------------------------------------------------------------
     # checkpoint capture/restore
@@ -377,14 +244,9 @@ class RMABackend:
         by reference: the engine pickles the whole cut in one pass, so
         every rank's blob resolves to the *same* restored store object —
         window sharing survives the round trip by pickle memoization.
-        Topology handles are captured as ``(scope_id, adjacency, epoch)``
-        and rebuilt communication-free on resume.
         """
         return {
-            "iterations": self._iterations,
-            "started": self._started,
-            "recoveries": self._recoveries,
-            "epoch": self.epoch,
+            **self._loop_state(),
             "write_cursor": self.write_cursor,
             "read_cursor": self.read_cursor,
             "sent_log": self.sent_log,
@@ -392,17 +254,12 @@ class RMABackend:
             "win_charged": self._win_charged,
             "remote_base": self.remote_base,
             "win_store": None if self.win is None else self.win._store,
-            "topo": None
-            if self.topo is None
-            else (self.topo.scope_id, self.topo.adjacency, self.topo.epoch),
+            "topo": self._topo_ref(),
         }
 
     def restore_checkpoint(self, blob: dict) -> None:
         """Adopt a snapshot; the next :meth:`run_g` resumes mid-loop."""
-        self._iterations = blob["iterations"]
-        self._started = blob["started"]
-        self._recoveries = blob["recoveries"]
-        self.epoch = blob["epoch"]
+        self._restore_loop_state(blob)
         self.write_cursor = blob["write_cursor"]
         self.read_cursor = blob["read_cursor"]
         self.sent_log = blob["sent_log"]
@@ -411,12 +268,6 @@ class RMABackend:
         self.remote_base = blob["remote_base"]
         if blob["win_store"] is not None:
             self.win = Window(self.ctx, blob["win_store"])
-        if blob["topo"] is not None:
-            scope_id, adjacency, epoch = blob["topo"]
-            self.topo = DistGraphTopology(
-                self.ctx, scope_id, adjacency, epoch=epoch
-            )
-        self._resumed = True
 
     def finalize(self, state: MatchingState) -> None:
         self.win.free()

@@ -14,8 +14,7 @@ Design rules:
   tunable must fail loudly, not silently run the default configuration
   and poison the cache under the wrong key;
 * the cache key is a pure function of (graph, nprocs, model, config,
-  code_version) — minus the retired ``engine`` and ``scheduler`` fields,
-  which are accepted and ignored (docs/service.md).
+  code_version) (docs/service.md).
 
 Bodies may be JSON or TOML (the same shape); :func:`parse_request` and
 :func:`loads_toml` are the single decoding path for the HTTP server, the
@@ -143,15 +142,10 @@ class GraphRef:
 class WireConfig:
     """The JSON/TOML-serializable slice of :class:`RunConfig`.
 
-    ``None`` means "the library default". ``engine`` and ``scheduler``
-    name retired choices: they are checked against ``RunConfig``'s
-    ``RETIRED`` table, left out of the cache key, and change nothing.
-    Requests stored before their retirement carry ``"scheduler": "heap"``.
+    ``None`` means "the library default".
     """
 
     machine: str = "cori-aries"  #: machine-model preset name
-    engine: str | None = None  #: retired: accepted and ignored
-    scheduler: str | None = None  #: retired: accepted and ignored
     max_ops: int | None = None
     compute_weight: bool = True
     profile: bool = False  #: span profiler + artifact bundle in the store
@@ -162,7 +156,6 @@ class WireConfig:
     agg_flush_count: int | None = None
 
     def validate(self) -> None:
-        from repro.matching.config import RETIRED
         from repro.mpisim.machine import PRESETS
 
         if self.machine not in PRESETS:
@@ -170,12 +163,6 @@ class WireConfig:
                 f"config.machine {self.machine!r} unknown; have "
                 f"{sorted(PRESETS)}"
             )
-        for name, accepted in RETIRED.items():
-            value = getattr(self, name)
-            if value is not None and value not in accepted:
-                raise SchemaError(
-                    f"config.{name} {value!r} unknown; have {list(accepted)}"
-                )
         if self.tie_break not in ("hash", "id"):
             raise SchemaError(f"config.tie_break {self.tie_break!r} unknown")
         for name in _BOOL_FIELDS:
@@ -199,12 +186,6 @@ class WireConfig:
             raise SchemaError(f"config: expected a table/object, got {d!r}")
         _reject_unknown(cls, d, "config")
         return cls(**d)
-
-    def cache_dict(self) -> dict:
-        """The key-relevant fields: everything but the retired ones."""
-        from repro.matching.config import RETIRED
-
-        return {k: v for k, v in self.to_dict().items() if k not in RETIRED}
 
     def to_run_config(self):
         """Materialize the full :class:`RunConfig` for execution."""
@@ -311,7 +292,7 @@ class JobRequest:
             "graph": {"name": self.graph.name, "seed": self.graph.seed},
             "nprocs": self.nprocs,
             "model": self.model,
-            "config": self.config.cache_dict(),
+            "config": self.config.to_dict(),
             "code": code_version,
         }
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -16,8 +16,10 @@ from repro.graph.generators import rgg_graph, rmat_graph
 from repro.matching import run_matching, RunConfig
 from repro.matching.driver import MatchingOptions, matching_rank_main
 from repro.matching.verify import check_matching_valid
+from repro.mpisim.checkpoint import CheckpointConfig, CheckpointStore
 from repro.mpisim.collectives import NeighborhoodCollective
 from repro.mpisim.engine import Engine
+from repro.mpisim.errors import SimKilled
 from repro.mpisim.faults import FaultPlan
 from repro.mpisim.machine import cori_aries
 
@@ -99,6 +101,30 @@ class TestCrashRecovery:
         leaked = [op.key for op in eng.coll_ops().values()
                   if isinstance(op, NeighborhoodCollective)]
         assert leaked == []
+
+    def test_kill_resume_then_recover_bit_identical(self, graph, model):
+        # The last cut the killed run assembled precedes the crash's
+        # detection. It carries the survivor-safe topology and the loop
+        # state; resumed from it, the run detects the crash, recovers and
+        # finishes exactly as the uninterrupted one.
+        def cfg(store, **kw):
+            return RunConfig(faults=CRASH_PLAN, trace=True, checkpoint=CheckpointConfig(
+                interval=2e-5, store=store), **kw)
+
+        ref = run_matching(graph, 4, model, config=cfg(CheckpointStore()))
+        kill_t = 0.9 * ref.makespan
+        kstore = CheckpointStore()
+        with pytest.raises(SimKilled):
+            run_matching(graph, 4, model, config=cfg(kstore, kill_at=kill_t))
+        snap = kstore.latest_before(kill_t)
+        assert snap.vtime < CRASH_PLAN.crashes[1] + CRASH_PLAN.detect_latency
+        res = run_matching(graph, 4, model,
+                           config=cfg(CheckpointStore(), restore=snap))
+        assert res.makespan == ref.makespan
+        assert np.array_equal(res.mate, ref.mate)
+        assert res.engine.trace == ref.engine.trace[snap.state()["trace_len"]:]
+        assert [rr["recoveries"] for rr in res.rank_results] == [
+            rr["recoveries"] for rr in ref.rank_results] == [1, 1, 1]
 
 
 class TestRMAPutFates:

@@ -14,6 +14,8 @@ from repro.matching.verify import (
     restrict_mate_to_survivors,
 )
 from repro.mpisim import FaultPlan, SimLimitExceeded
+from repro.mpisim.checkpoint import CheckpointConfig
+from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import PartitionWindow
 from repro.mpisim.machine import cori_aries
 
@@ -162,3 +164,20 @@ def test_fault_plan_backend_mismatch_rejected(model, plan):
     with pytest.raises(ValueError, match="require -m"):
         run_matching(g, 4, model,
                      config=RunConfig(faults=plan, max_ops=20_000))
+
+
+@pytest.mark.parametrize("model", ["mbp", "incl"])
+def test_crash_plan_backend_mismatch_rejected(model):
+    """Without rollback-recovery a crash must be survived by the backend
+    itself, and mbp / incl cannot: the run used to end in a RankFailure
+    raised from inside a survivor. It is now refused before it starts.
+    With spares the
+    engine heals the crash instead, so the plan is accepted and ends in
+    a classified RecoveryFailed (neither backend takes checkpoint cuts)."""
+    g = rmat_graph(7, seed=3)
+    plan = FaultPlan(crashes={1: 1e-5})
+    with pytest.raises(ValueError, match="require -m"):
+        run_matching(g, 4, model, config=RunConfig(faults=plan))
+    with pytest.raises(RecoveryFailed, match="no-cut-taken"):
+        run_matching(g, 4, model, config=RunConfig(
+            faults=plan, spares=1, checkpoint=CheckpointConfig(interval=1e-5)))

@@ -45,14 +45,12 @@ def graph():
 @pytest.mark.parametrize("model", sorted(GOLDEN))
 @pytest.mark.parametrize("scheduler", ["heap", "reference"])
 def test_golden_pins(graph, model, scheduler, engine, use_scheduler):
-    # The legacy engine names stay test ids: RunConfig accepts and
-    # ignores them, so every leg must hit the very same pins. The
-    # "reference" legs run on the test-side scan oracle.
+    # The retired engine names stay test ids only: every leg runs the
+    # one engine and must hit the very same pins. The "reference" legs
+    # run on the test-side scan oracle.
     makespan, weight, edges, iters, switches, ops, messages = GOLDEN[model]
     use_scheduler(scheduler)
-    res = run_matching(
-        graph, 4, model, config=RunConfig(machine=cori_aries(), engine=engine)
-    )
+    res = run_matching(graph, 4, model, config=RunConfig(machine=cori_aries()))
     assert res.makespan == makespan
     assert res.weight == weight
     assert res.num_matched_edges == edges

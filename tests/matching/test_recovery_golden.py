@@ -26,8 +26,8 @@ from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import FaultPlan, PartitionWindow
 
 BACKENDS = ["nsr", "nsr-agg", "rma", "ncl"]
-# Legacy engine names, kept as test ids: RunConfig accepts and ignores
-# them, so every leg runs the one engine against the same pins.
+# Retired engine names, kept as test ids only: every leg runs the one
+# engine against the same pins.
 ENGINES = ["threaded", "coroutine"]
 
 # Same reference instance as tests/matching/test_restart.py: rmat scale
@@ -68,8 +68,8 @@ def clean(graph):
     return out
 
 
-def recovered_run(graph, backend, faults, engine=None, spares=4,
-                  replicas=2, interval=None):
+def recovered_run(graph, backend, faults, spares=4, replicas=2,
+                  interval=None):
     return run_matching(
         g=graph, nprocs=4, model=backend,
         config=RunConfig(
@@ -77,7 +77,7 @@ def recovered_run(graph, backend, faults, engine=None, spares=4,
             checkpoint=CheckpointConfig(
                 interval=INTERVAL[backend] if interval is None else interval
             ),
-            spares=spares, replicas=replicas, engine=engine,
+            spares=spares, replicas=replicas,
         ),
     )
 
@@ -104,25 +104,19 @@ class TestEpochBoundaryCrash:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bit_identical_recovery(self, graph, clean, backend, engine):
         tcrash = 3 * INTERVAL[backend]
-        res = recovered_run(
-            graph, backend,
-            FaultPlan(crashes={1: tcrash}),
-            engine=engine,
-        )
+        res = recovered_run(graph, backend, FaultPlan(crashes={1: tcrash}))
         assert_healed_to_clean(res, clean[backend])
         assert res.recovery["recoveries"] == 1
         assert res.recovery["spares_used"] == 1
         assert res.recovery["crashes_survived"] == ((1, tcrash),)
 
     def test_engines_agree_on_recovery_cost(self, graph, clean):
-        runs = {
-            e: recovered_run(
-                graph, "ncl", FaultPlan(crashes={1: 3 * INTERVAL["ncl"]}),
-                engine=e,
-            )
-            for e in ("coroutine", "vector")
-        }
-        co, ve = runs["coroutine"], runs["vector"]
+        # One engine: two runs of the same plan price recovery alike.
+        co, ve = (
+            recovered_run(
+                graph, "ncl", FaultPlan(crashes={1: 3 * INTERVAL["ncl"]}))
+            for _ in range(2)
+        )
         assert co.makespan == ve.makespan
         assert co.recovery == ve.recovery
         assert np.array_equal(co.mate, ve.mate)
@@ -148,11 +142,8 @@ class TestChurn:
         plan = FaultPlan.churn(
             mtbf=ref.makespan, horizon=ref.makespan * 4, seed=CHURN_SEED,
         )
-        runs = {
-            e: recovered_run(graph, backend, plan, spares=24, engine=e)
-            for e in ("coroutine", "vector")
-        }
-        co, ve = runs["coroutine"], runs["vector"]
+        co, ve = (recovered_run(graph, backend, plan, spares=24)
+                  for _ in range(2))
         assert co.makespan == ve.makespan
         assert co.recovery == ve.recovery
         assert np.array_equal(co.mate, ve.mate)

@@ -16,7 +16,6 @@ from repro.mpisim.machine import commodity_cluster, cori_aries
 LEGACY_KWARGS = dict(
     machine=cori_aries(), options=MatchingOptions(), dist=None, max_ops=None,
     faults=None, trace=False, profile=False, compute_weight=False,
-    scheduler="heap",
 )
 
 
@@ -36,7 +35,7 @@ class TestLegacyShim:
 
     def test_legacy_call_bit_identical_to_config_call(self):
         """Migration is mechanical: every legacy kwarg is a RunConfig
-        field of the same name, and the retired scheduler is ignored."""
+        field of the same name."""
         g = rmat_graph(7, seed=3)
         machine = commodity_cluster()
         options = MatchingOptions(eager_reject=False)
@@ -93,7 +92,7 @@ class TestRunConfig:
         assert cfg.faults is None
         assert cfg.trace is False and cfg.profile is False
         assert cfg.compute_weight is True
-        assert cfg.scheduler is None and cfg.engine is None  # retired
+        assert not hasattr(cfg, "scheduler") and not hasattr(cfg, "engine")
 
     def test_compute_weight_false_yields_nan(self):
         g = rmat_graph(6, seed=2)

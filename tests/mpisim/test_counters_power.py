@@ -193,8 +193,7 @@ def test_a_run_at_p256_holds_no_dense_matrix(model, monkeypatch):
     nprocs = 256
     with monkeypatch.context() as patched:
         patched.setattr(CommMatrix, "_dense", no_dense)
-        rec = api.run(rmat_graph(10, seed=1), nprocs, model,
-                      engine="coroutine", keep_result=True)
+        rec = api.run(rmat_graph(10, seed=1), nprocs, model, keep_result=True)
     c = rec.result.counters
     for mat in (c.p2p, c.rma, c.ncl):
         held = [2 * len(mat._messages)]

@@ -245,7 +245,7 @@ def test_engines_bit_identical_fault_free(seed, nprocs, rounds):
 # ----------------------------------------------------------------------
 # checkpoint / kill / resume round-trip
 # ----------------------------------------------------------------------
-# Legacy engine names, kept as test ids: RunConfig accepts and ignores them.
+# Retired engine names, kept as test ids only: both legs run the one engine.
 @pytest.mark.parametrize("engine", ["coroutine", "vector"])
 @pytest.mark.parametrize("kill_frac", [0.35, 0.8])
 def test_coroutine_checkpoint_kill_resume_roundtrip(kill_frac, engine):
@@ -260,7 +260,7 @@ def test_coroutine_checkpoint_kill_resume_roundtrip(kill_frac, engine):
 
     def cfg(**kw):
         return RunConfig(
-            engine=engine, trace=True,
+            trace=True,
             checkpoint=CheckpointConfig(interval=interval,
                                         store=kw.pop("store")),
             **kw,

@@ -18,9 +18,8 @@ two take different keep-running shortcuts in ``yield_ready_g``, which
 changes how often the token physically moves but nothing a rank program
 can observe in virtual time.
 
-The matrix is still parametrized over the legacy engine names, which
-``RunConfig`` accepts and ignores for one release: the ids stay, and
-every leg runs the one engine.
+The matrix is still parametrized over the retired engine names, as
+test ids only: every leg runs the one engine.
 """
 
 import dataclasses
@@ -70,7 +69,7 @@ def assert_equivalent(a, ta, b, tb) -> None:
         np.testing.assert_array_equal(ma.bytes, mb.bytes)
 
 
-# Legacy engine names, kept as test ids: every leg runs the one engine.
+# Retired engine names, kept as test ids: every leg runs the one engine.
 ENGINES = ["threaded", "coroutine", "vector"]
 
 
@@ -274,7 +273,7 @@ def test_matching_backends_bit_identical(model, engine, use_scheduler):
     for sched in ("reference", "heap"):
         use_scheduler(sched)
         runs[sched] = run_matching(
-            g, 4, model, config=RunConfig(trace=True, engine=engine)
+            g, 4, model, config=RunConfig(trace=True)
         )
     a, b = runs["reference"], runs["heap"]
     assert a.makespan == b.makespan
@@ -300,7 +299,7 @@ def test_matching_under_faults_bit_identical(engine, use_scheduler):
     for sched in ("reference", "heap"):
         use_scheduler(sched)
         runs[sched] = run_matching(
-            g, 4, "nsr", config=RunConfig(faults=plan, engine=engine)
+            g, 4, "nsr", config=RunConfig(faults=plan)
         )
     a, b = runs["reference"], runs["heap"]
     assert (a.makespan, a.weight) == (b.makespan, b.weight)
@@ -332,22 +331,27 @@ def test_nsr_agg_matching_under_faults_bit_identical(use_scheduler):
 # engine API guards
 # ----------------------------------------------------------------------
 def test_unknown_scheduler_rejected():
-    # The scheduler is no longer a choice: the Engine has no such
-    # parameter, and RunConfig checks the retired name and ignores it.
+    # The scheduler is no longer a choice: neither the Engine nor
+    # RunConfig has the field, so any name, a legacy one included, fails.
     with pytest.raises(TypeError):
         Engine(2, cori_aries(), scheduler="heap")
-    with pytest.raises(ValueError, match="unknown scheduler 'banana'"):
-        RunConfig(scheduler="banana")
-    assert RunConfig(scheduler="reference").scheduler == "reference"
+    for name in ("heap", "reference", "banana"):
+        with pytest.raises(TypeError, match="scheduler"):
+            RunConfig(scheduler=name)
 
 
 def test_unknown_engine_rejected():
-    # The engine name is checked where a run is configured; the Engine
-    # itself has no engine choice left to make.
-    with pytest.raises(ValueError, match="unknown engine 'fibers'"):
-        RunConfig(engine="fibers")
-    with pytest.raises(ValueError, match="unknown engine 'fibers'"):
-        RunConfig().evolve(engine="fibers")
+    # Nor is the engine: RunConfig, evolve(), api.run and the Engine
+    # refuse the retired keyword whatever it names.
+    from repro.api import run
+
+    for name in ("coroutine", "fibers"):
+        with pytest.raises(TypeError, match="engine"):
+            RunConfig(engine=name)
+        with pytest.raises(TypeError, match="engine"):
+            RunConfig().evolve(engine=name)
+    with pytest.raises(TypeError, match="engine"):
+        run(None, 2, "nsr", engine="coroutine")
     with pytest.raises(TypeError):
         Engine(2, cori_aries(), engine="vector")
 
@@ -387,13 +391,11 @@ def _small_matching(config):
 
 
 def test_default_engine_is_coroutine_and_threaded_is_its_alias():
-    # One engine: no name is the default, and every legacy name is
-    # accepted and runs exactly what no name runs.
-    assert RunConfig().engine is None
-    base = _small_matching(RunConfig())
-    for name in ("coroutine", "threaded", "vector"):
-        assert RunConfig(engine=name).engine == name
-        assert _small_matching(RunConfig(engine=name)) == base
+    # One engine and no name for it: the config carries no engine or
+    # scheduler field, and a run repeats exactly.
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    assert not names & {"engine", "scheduler"}
+    assert _small_matching(RunConfig()) == _small_matching(RunConfig())
 
 
 def test_repro_engine_env(monkeypatch):

@@ -2,11 +2,12 @@
 
 The contract under test (ISSUE: matching-as-a-service):
 
-* same (graph spec, config, code_version) → same key, whatever retired
-  engine or scheduler name the config carries (accepted and ignored), so
-  stored results stay valid;
-* changing *any other* RunConfig-visible field, the problem (graph /
-  nprocs / model), or the code version → a different key.
+* same (graph spec, config, code_version) → same key; the retired
+  ``engine`` and ``scheduler`` names are not config fields (a request
+  naming one is rejected), and the key never hashed them, so results
+  stored while they were accepted keep their keys;
+* changing *any* config field, the problem (graph / nprocs / model), or
+  the code version → a different key.
 """
 
 import dataclasses
@@ -41,30 +42,35 @@ def test_roundtripped_request_same_key():
     assert JobRequest.from_json(req.to_json()).cache_key(CODE) == req.cache_key(CODE)
 
 
-# -- the retired engine and scheduler are the cache-neutral config fields --
+# -- the retired engine and scheduler: no field, no key change --------------
+
+def _with_config_entry(name, value) -> dict:
+    d = make_request().to_dict()
+    if value is not None:
+        d["config"][name] = value
+    return d
+
 
 @pytest.mark.parametrize("engine", [None, "threaded", "coroutine", "vector"])
 def test_engine_choice_shares_the_key(engine):
-    base = make_request().cache_key(CODE)
-    req = make_request(config=WireConfig(machine="zero-latency", engine=engine))
-    req.validate()
-    assert req.cache_key(CODE) == base
-    unknown = make_request(config=WireConfig(machine="zero-latency", engine="turbo"))
-    with pytest.raises(SchemaError, match="engine"):
-        unknown.validate()
+    # A request without the name decodes to the very key it had while the
+    # name was accepted; one naming any engine is an unknown field.
+    d = _with_config_entry("engine", engine)
+    if engine is None:
+        assert JobRequest.from_dict(d).cache_key(CODE) == make_request().cache_key(CODE)
+        return
+    with pytest.raises(SchemaError, match="unknown field.*'engine'"):
+        JobRequest.from_dict(d)
 
 
 @pytest.mark.parametrize("scheduler", [None, "heap", "reference"])
 def test_scheduler_choice_shares_the_key(scheduler):
-    # Every request stored before the scheduler retired says "heap".
-    base = make_request().cache_key(CODE)
-    config = WireConfig(machine="zero-latency", scheduler=scheduler)
-    req = make_request(config=config)
-    req.validate()
-    assert req.cache_key(CODE) == base
-    unknown = make_request(config=WireConfig(scheduler="fifo"))
-    with pytest.raises(SchemaError, match="scheduler"):
-        unknown.validate()
+    d = _with_config_entry("scheduler", scheduler)
+    if scheduler is None:
+        assert JobRequest.from_dict(d).cache_key(CODE) == make_request().cache_key(CODE)
+        return
+    with pytest.raises(SchemaError, match="unknown field.*'scheduler'"):
+        JobRequest.from_dict(d)
 
 
 # -- every other WireConfig field is key-relevant --------------------------
@@ -86,7 +92,7 @@ _FLIPPED = {
 def test_flip_table_covers_every_config_field():
     """If WireConfig grows a field, this table (and the key) must decide it."""
     names = {f.name for f in dataclasses.fields(WireConfig)}
-    assert names == set(_FLIPPED) | {"engine", "scheduler"}
+    assert names == set(_FLIPPED)
 
 
 @pytest.mark.parametrize("field", sorted(_FLIPPED))

@@ -21,8 +21,7 @@ from repro.service.pool import execute_point
 from repro.service.schema import GraphRef, JobRequest, WireConfig
 
 for model in sys.argv[1:]:
-    request = JobRequest(GraphRef("rmat-s10"), 8, model,
-                         WireConfig(engine="coroutine"))
+    request = JobRequest(GraphRef("rmat-s10"), 8, model, WireConfig())
     out = execute_point({"key": model, "request": request.to_dict()})
     assert out["ok"], out
     print(json.dumps(out["record"]))

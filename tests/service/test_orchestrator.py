@@ -57,16 +57,20 @@ def test_miss_then_hit_bit_identical(orch):
 
 
 def test_engine_choice_hits_the_same_entry(orch):
-    first = orch.submit(make_request(engine="threaded"))
+    # There is no engine choice left: a request naming one is refused
+    # at decoding, before it can reach the queue or the key, and the
+    # same request without it is an ordinary miss, then a hit.
+    from repro.service.schema import JobRequest, SchemaError
+
+    d = make_request().to_dict()
+    for name in ("threaded", "turbo"):
+        with pytest.raises(SchemaError, match="engine"):
+            orch.submit(JobRequest.from_dict({**d, "config": {**d["config"], "engine": name}}))
+    first = orch.submit(JobRequest.from_dict(d))
     assert first.wait(WAIT)
-    second = orch.submit(make_request(engine="vector"))
+    second = orch.submit(make_request())
     assert second.cache == "hit"
     assert second.result.to_json() == first.result.to_json()
-    # an unknown name is refused before it can reach the queue or the key
-    from repro.service.schema import SchemaError
-
-    with pytest.raises(SchemaError, match="engine"):
-        orch.submit(make_request(engine="turbo"))
     assert orch.stats()["jobs_submitted"] == 2
 
 

@@ -113,8 +113,8 @@ def test_future_schema_version_rejected():
         (dict(nprocs="four"), "nprocs"),
         (dict(model="simplex"), "model"),
         (dict(config=WireConfig(machine="cray-xk7")), "machine"),
-        (dict(config=WireConfig(engine="gpu")), "engine"),
-        (dict(config=WireConfig(scheduler="fifo")), "scheduler"),
+        (dict(config={"engine": "gpu"}), "engine"),
+        (dict(config={"scheduler": "fifo"}), "scheduler"),
         (dict(config=WireConfig(tie_break="random")), "tie_break"),
         (dict(config=WireConfig(max_ops="12")), "max_ops"),
         (dict(config=WireConfig(max_ops=0)), "max_ops"),
@@ -126,6 +126,10 @@ def test_future_schema_version_rejected():
 )
 def test_validate_rejects(over, match):
     with pytest.raises(SchemaError, match=match):
+        if isinstance(over.get("config"), dict):
+            # a retired field is not a WireConfig argument: only a decoded
+            # request can carry it, and decoding refuses it
+            JobRequest.from_dict({**make_request().to_dict(), **over})
         make_request(**over).validate()
 
 
@@ -195,15 +199,11 @@ def test_toml_unknown_field_rejected():
 def test_wire_config_to_run_config():
     cfg = WireConfig(
         machine="zero-latency",
-        engine="vector",
-        scheduler="reference",
         max_ops=1000,
         profile=True,
         tie_break="id",
         agg_flush_bytes=4096,
     ).to_run_config()
-    # retired names are accepted on the wire and dropped before the run
-    assert cfg.engine is None and cfg.scheduler is None
     assert cfg.max_ops == 1000
     assert cfg.profile is True
     assert cfg.options.tie_break == "id"
@@ -219,7 +219,7 @@ def test_graph_ref_build_is_memoized_registry_graph():
 def test_wire_config_to_dict_is_asdict():
     """The flat comprehension must stay what `dataclasses.asdict` gave:
     same keys, same order, same values — cache keys hash this dict."""
-    cfg = WireConfig(engine="vector", max_ops=7, agg_flush_bytes=4096)
+    cfg = WireConfig(machine="zero-latency", max_ops=7, agg_flush_bytes=4096)
     assert list(cfg.to_dict().items()) == list(dataclasses.asdict(cfg).items())
 
 
@@ -237,13 +237,15 @@ def test_result_remembers_the_bytes_it_was_decoded_from():
 
 
 def test_cache_dict_drops_engine_only():
-    # "engine only" is history: the cache key drops every retired name.
-    cfg = WireConfig(engine="vector", scheduler="heap")
-    d = cfg.cache_dict()
-    assert "engine" not in d and "scheduler" not in d
-    assert set(d) | {"engine", "scheduler"} == {
-        f.name for f in dataclasses.fields(WireConfig)
-    }
+    # History: the key hashed every config field but the retired engine
+    # and scheduler. Both fields are gone, so the key hashes the whole
+    # wire config and no retired name can reach it.
+    cfg = WireConfig(max_ops=7)
+    names = {f.name for f in dataclasses.fields(WireConfig)}
+    assert not names & {"engine", "scheduler"}
+    assert set(cfg.to_dict()) == names
+    with pytest.raises(TypeError, match="engine"):
+        WireConfig(engine="vector")
 
 
 def test_canonical_json_key_ordering():

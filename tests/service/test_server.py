@@ -72,8 +72,15 @@ def test_submit_twice_second_is_bit_identical_hit(client):
 
 
 def test_engine_change_is_still_a_hit(client):
-    e1 = client.submit(make_request(nprocs=2, engine="threaded"))
-    e2 = client.submit(make_request(nprocs=2, engine="vector"))
+    # The retired engine field is a 400 like any unknown field; without
+    # it the request keys and hits as it always did.
+    named = make_request(nprocs=2).to_dict()
+    named["config"]["engine"] = "threaded"
+    with pytest.raises(ServiceError, match="unknown field.*'engine'") as ei:
+        client._json("POST", "/v1/jobs", json.dumps(named).encode())
+    assert ei.value.status == 400
+    e1 = client.submit(make_request(nprocs=2))
+    e2 = client.submit(make_request(nprocs=2))
     assert e2["key"] == e1["key"]
     assert e2["cache"] == "hit"
     assert e2["result"] == e1["result"]

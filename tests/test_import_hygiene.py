@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ONE_LINER = (
     "import sys, repro.api, repro.service, repro.client; "
     "from repro.graph.generators import rmat_graph, rgg_graph; "
-    "repro.api.run(rmat_graph(8, seed=1), 4, 'ncl', engine='coroutine'); "
+    "repro.api.run(rmat_graph(8, seed=1), 4, 'ncl'); "
     "assert 'scipy' not in sys.modules, 'scipy imported without an rgg graph'; "
     "rgg_graph(200, seed=1); assert 'scipy' in sys.modules"
 )
