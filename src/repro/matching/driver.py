@@ -124,9 +124,9 @@ def matching_rank_main(
     backend = make_backend(model, ctx, lg, options)
     state = MatchingState(
         lg,
-        # Parking pushes are generators (push_g: they must reach the
-        # scheduler via the yield protocol); non-parking pushes (ncl,
-        # incl) stay plain callables — MatchingState drives either.
+        # A push that may park returns a generator (push_g: it must reach
+        # the scheduler via the yield protocol); non-parking pushes (ncl,
+        # incl) return None — MatchingState drives either.
         push=backend.push_g if hasattr(backend, "push_g") else backend.push,
         charge=ctx.compute,
         eager_reject=options.eager_reject,

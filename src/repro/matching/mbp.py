@@ -53,11 +53,10 @@ class MBPBackend:
         ctx = self.ctx
         handled = 0
         while True:
-            hdr = yield from ctx.iprobe_g()
-            if hdr is None:
+            msg = yield from ctx.iprobe_g(receive=True)
+            if msg is None:
                 return handled
-            src, tag, _ = hdr
-            msg = yield from ctx.recv_g(source=src, tag=tag)
+            src, tag = msg.src, msg.tag
             x, y = msg.payload
             ctx.compute(_MBP_EXTRA_WORK)
             yield from state.handle_g(tag, x, y)

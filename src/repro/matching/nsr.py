@@ -89,29 +89,27 @@ class NSRBackend:
 
     # ------------------------------------------------------------------
     def push_g(self, ctx_id: Ctx, target_rank: int, x: int, y: int):
-        """Immediate nonblocking send; the context is the MPI tag."""
+        """Immediate nonblocking send; the context is the MPI tag. Returns
+        the send's generator rather than driving it in a frame of its own."""
         if self.channel is not None:
-            yield from self.channel.send_g(
+            return self.channel.send_g(
                 target_rank, int(ctx_id), (x, y), TRIPLE_BYTES)
-            return
         if self.fault_aware and self.ctx.is_failed(target_rank):
             # Detected-dead peer we have not renounced yet (detection can
             # land mid-iteration); the message would be blackholed anyway
             # and renounce_rank repairs the bookkeeping at the loop top.
-            return
-        yield from self.ctx.isend_g(target_rank, (x, y), tag=int(ctx_id),
-                                    nbytes=TRIPLE_BYTES)
+            return None
+        return self.ctx.isend_g(target_rank, (x, y), tag=int(ctx_id),
+                                nbytes=TRIPLE_BYTES)
 
     def _drain_incoming_g(self, state: MatchingState):
         """Probe-and-receive until the queue is (momentarily) empty."""
         ctx = self.ctx
         handled = 0
         while True:
-            hdr = yield from ctx.iprobe_g()
-            if hdr is None:
+            msg = yield from ctx.iprobe_g(receive=True)
+            if msg is None:
                 return handled
-            src, tag, _ = hdr
-            msg = yield from ctx.recv_g(source=src, tag=tag)
             x, y = msg.payload
             yield from state.handle_g(msg.tag, x, y)
             handled += 1

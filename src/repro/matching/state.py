@@ -62,7 +62,6 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from types import GeneratorType
 from typing import Callable
 
 import numpy as np
@@ -225,15 +224,12 @@ class MatchingState:
     # helpers
     # ------------------------------------------------------------------
     def _push_g(self, ctx_id: Ctx, y: int, x_payload: int, y_payload: int):
-        """Send (ctx, x, y) to owner(y)."""
+        """Send (ctx, x, y) to owner(y). Returns the push's generator (or
+        ``()`` for a push that never parks) for the caller to ``yield
+        from``, so this frame is not on the chain a parked send resumes."""
         self.charge(COST_PUSH)
         self.stats.sent[CTX_NAME[ctx_id]] += 1
-        owner = self.ghost_owner[y]
-        # Backends hand in either a plain callable (a push that never
-        # parks) or a generator function — drive whichever we got.
-        res = self.push_fn(ctx_id, owner, x_payload, y_payload)
-        if isinstance(res, GeneratorType):
-            yield from res
+        return self.push_fn(ctx_id, self.ghost_owner[y], x_payload, y_payload) or ()
 
     def _deactivate(self, i: int, y: int) -> bool:
         """Deactivate cross pair (local i, ghost y); True if it was active."""

@@ -33,8 +33,9 @@ retransmits and deduplicates it like any other. That is what lets the
 batch is retransmitted whole, a duplicated batch is delivered once.
 
 All batching decisions are deterministic (thresholds in virtual-time
-order, ``flush_all`` in sorted destination order), so aggregated runs
-are bit-reproducible like everything else in the simulator.
+order; ``flush_all_g`` ships every non-empty lane, in ascending
+destination order), so aggregated runs are bit-reproducible like
+everything else in the simulator.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class PersistentSendRequest:
 
     def start_g(self, payload: Any, nbytes: int | None = None):
         """Start the request with ``payload``; returns the arrival time."""
-        arrival = yield from self.ctx._post_send_g(
-            self.dest, payload, self.tag, nbytes, persistent=True
+        arrival = yield from self.ctx.isend_g(
+            self.dest, payload, tag=self.tag, nbytes=nbytes, _persistent=True
         )
         self.starts += 1
         self.last_arrival = arrival
@@ -196,6 +197,11 @@ class MessageAggregator:
         self.flush_count = flush_count
         self.channel = channel
         self._lanes: dict[int, _Lane] = {}
+        # non-empty lanes and their totals: flushes and counts pay for
+        # the lanes with data, not for every lane ever opened
+        self._dirty: set[int] = set()
+        self._pending_msgs = 0
+        self._pending_bytes = 0
 
     # ------------------------------------------------------------------
     # send side
@@ -209,8 +215,13 @@ class MessageAggregator:
         lane = self._lanes.get(dest)
         if lane is None:
             lane = self._lanes[dest] = _Lane()
+        if not lane.entries:
+            self._dirty.add(dest)
         lane.entries.append((tag, payload))
-        lane.payload_bytes += int(nbytes)
+        nbytes = int(nbytes)
+        lane.payload_bytes += nbytes
+        self._pending_msgs += 1
+        self._pending_bytes += nbytes
         if (
             self.flush_count is not None and len(lane.entries) >= self.flush_count
         ) or (
@@ -226,17 +237,13 @@ class MessageAggregator:
         destination's failure has been detected by now, the buffer is
         dropped and reported instead.
         """
-        lane = self._lanes.get(dest)
-        if lane is None or not lane.entries:
+        if dest not in self._dirty:
             return 0
+        entries, payload_bytes = self._take(dest)
         ctx = self.ctx
         eng = ctx._engine
         rc = ctx.counters()
-        k = len(lane.entries)
-        payload_bytes = lane.payload_bytes
-        entries = tuple(lane.entries)
-        lane.entries = []
-        lane.payload_bytes = 0
+        k = len(entries)
         if ctx.is_failed(dest):
             rc.agg_dropped_dead += k
             eng.trace_event(ctx.rank, "agg-drop", dest=dest, msgs=k)
@@ -251,6 +258,7 @@ class MessageAggregator:
             yield from self.channel.send_g(
                 dest, AGG_TAG, (entries, payload_bytes), wire)
         else:
+            lane = self._lanes[dest]
             if lane.request is None:
                 lane.request = yield from ctx.send_init_g(dest, tag=AGG_TAG)
             yield from lane.request.start_g(entries, nbytes=wire)
@@ -262,15 +270,29 @@ class MessageAggregator:
         # batches — honest accounting, not clamped).
         rc.agg_bytes_saved += (k - 1) * m.header_bytes \
             - k * m.agg_submsg_header_bytes
-        eng.trace_event(ctx.rank, "agg-flush", dest=dest, msgs=k, nbytes=wire)
+        if eng.trace is not None:
+            eng.trace_event(ctx.rank, "agg-flush", dest=dest, msgs=k, nbytes=wire)
         return k
 
     def flush_all_g(self):
-        """Explicit iteration-boundary flush of every lane (sorted order)."""
+        """Iteration-boundary flush of every non-empty lane, in ascending
+        destination order."""
         shipped = 0
-        for dest in sorted(self._lanes):
+        for dest in sorted(self._dirty):
             shipped += yield from self.flush_g(dest)
+        self._dirty.clear()  # empty already; this also frees its grown table
         return shipped
+
+    def _take(self, dest: int) -> tuple[tuple, int]:
+        """Empty ``dest``'s non-empty lane; returns its entries and bytes."""
+        lane = self._lanes[dest]
+        entries, nbytes = tuple(lane.entries), lane.payload_bytes
+        lane.entries = []
+        lane.payload_bytes = 0
+        self._dirty.discard(dest)
+        self._pending_msgs -= len(entries)
+        self._pending_bytes -= nbytes
+        return entries, nbytes
 
     def drop_rank(self, rank: int) -> int:
         """Discard the lane for a crashed peer; returns messages dropped.
@@ -278,10 +300,11 @@ class MessageAggregator:
         Unacknowledged batches to the peer are the channel's to discard
         (its ``on_rank_failed``).
         """
-        lane = self._lanes.pop(rank, None)
-        if lane is None or not lane.entries:
+        if rank not in self._dirty:
+            self._lanes.pop(rank, None)
             return 0
-        k = len(lane.entries)
+        k = len(self._take(rank)[0])
+        del self._lanes[rank]
         rc = self.ctx.counters()
         rc.agg_dropped_dead += k
         self.ctx._engine.trace_event(self.ctx.rank, "agg-drop", dest=rank, msgs=k)
@@ -296,8 +319,9 @@ class MessageAggregator:
         Lanes are captured without their :class:`PersistentSendRequest`
         (it holds a context reference); the request's amortization state
         ``(starts, last_arrival)`` rides along so restore can rebuild it
-        without re-charging ``o_send_init``. A channel is its owner's to
-        capture.
+        without re-charging ``o_send_init``. The non-empty set and the
+        totals are not captured: restore derives them from the lanes. A
+        channel is its owner's to capture.
         """
         lanes = {
             dest: {
@@ -314,10 +338,16 @@ class MessageAggregator:
     def restore(self, blob: dict) -> None:
         """Adopt a snapshot taken by :meth:`snapshot` (resume path)."""
         self._lanes = {}
+        self._dirty = set()
+        self._pending_msgs = self._pending_bytes = 0
         for dest, ls in blob["lanes"].items():
             lane = _Lane()
             lane.entries = list(ls["entries"])
             lane.payload_bytes = ls["payload_bytes"]
+            if lane.entries:
+                self._dirty.add(dest)
+                self._pending_msgs += len(lane.entries)
+                self._pending_bytes += lane.payload_bytes
             if ls["request"] is not None:
                 req = PersistentSendRequest(self.ctx, dest, AGG_TAG)
                 req.starts, req.last_arrival = ls["request"]
@@ -332,13 +362,13 @@ class MessageAggregator:
         if dest is not None:
             lane = self._lanes.get(dest)
             return 0 if lane is None else len(lane.entries)
-        return sum(len(lane.entries) for lane in self._lanes.values())
+        return self._pending_msgs
 
     def pending_bytes(self, dest: int | None = None) -> int:
         if dest is not None:
             lane = self._lanes.get(dest)
             return 0 if lane is None else lane.payload_bytes
-        return sum(lane.payload_bytes for lane in self._lanes.values())
+        return self._pending_bytes
 
     # ------------------------------------------------------------------
     # receive side
@@ -359,14 +389,12 @@ class MessageAggregator:
             return rc.agg_msgs_delivered - before
         framing = ctx.machine.agg_submsg_header_bytes
         while True:
-            hdr = yield from ctx.iprobe_g(tag=AGG_TAG)
-            if hdr is None:
+            msg = yield from ctx.iprobe_g(tag=AGG_TAG, receive=True)
+            if msg is None:
                 return rc.agg_msgs_delivered - before
-            src, _, _ = hdr
-            msg = yield from ctx.recv_g(source=src, tag=AGG_TAG)
             entries = msg.payload
             yield from self._deliver_g(
-                src, entries, msg.nbytes - len(entries) * framing, handler)
+                msg.src, entries, msg.nbytes - len(entries) * framing, handler)
 
     def _deliver_g(
         self,

@@ -47,6 +47,10 @@ class RankContext:
         self.rank = rank
         self.nprocs = engine.nprocs
         self.machine = engine.machine
+        # This rank's engine slot and counters, which live as long as this
+        # context: a rollback relaunches every rank with a new context.
+        self._rs = engine._ranks[rank]
+        self._rc = engine.counters.ranks[rank]
         # set by Engine.run on a restore: this rank's snapshot record
         self._resume: dict | None = None
         # set while resuming from a tick park: the next checkpoint_tick
@@ -62,7 +66,7 @@ class RankContext:
     @property
     def now(self) -> float:
         """Current virtual time on this rank (seconds)."""
-        return self._engine.clock_of(self.rank)
+        return self._rs.clock
 
     def compute(self, units: float = 0.0, *, seconds: float | None = None) -> None:
         """Advance local time by a compute burst.
@@ -71,24 +75,30 @@ class RankContext:
         ``machine.work_unit``; pass ``seconds`` to charge wall time
         directly.
         """
-        dt = self.machine.compute_time(units) if seconds is None else seconds
+        dt = float(units) * self.machine.work_unit if seconds is None else seconds
         if dt > 0.0:
-            self._engine.charge_compute(self.rank, dt)
-            if self._engine.faults is not None:
+            eng, rs = self._engine, self._rs
+            if eng.profiler is not None:
+                eng.profiler.add(self.rank, "compute", rs.clock, rs.clock + dt)
+            rs.clock += dt
+            self._rc.compute_time += dt
+            if rs.clock > eng._vtime_limit:
+                eng._check_vtime(rs)
+            if eng.faults is not None:
                 # A compute burst can carry the clock past this rank's
                 # scheduled crash; don't let it outrun death.
-                self._engine._check_self_crash(self.rank)
+                eng._check_self_crash(self.rank)
 
     def alloc(self, nbytes: int, label: str = "misc") -> None:
         """Register a memory allocation for the memory-usage model."""
-        self._engine.rank_counters(self.rank).alloc(nbytes, label)
+        self._rc.alloc(nbytes, label)
 
     def free(self, nbytes: int, label: str = "misc") -> None:
-        self._engine.rank_counters(self.rank).free(nbytes, label)
+        self._rc.free(nbytes, label)
 
     def counters(self):
         """This rank's :class:`~repro.mpisim.counters.RankCounters`."""
-        return self._engine.rank_counters(self.rank)
+        return self._rc
 
     # ------------------------------------------------------------------
     # span-profiler annotations (no-ops when profiling is disabled; they
@@ -158,7 +168,8 @@ class RankContext:
             # already sit past the *next* due point under clock skew).
             self._skip_tick = False
             return
-        yield from self._engine.checkpoint_tick_g(self.rank)
+        if self._engine._ckpt is not None:
+            yield from self._engine.checkpoint_tick_g(self.rank)
 
     def register_checkpoint_provider(self, fn) -> None:
         """Register this rank's application-state capture hook.
@@ -217,60 +228,57 @@ class RankContext:
     # ------------------------------------------------------------------
     # point-to-point
     # ------------------------------------------------------------------
-    def _post_send_g(
-        self,
-        dest: int,
-        payload: Any,
-        tag: int,
-        nbytes: int | None,
-        *,
-        persistent: bool = False,
-    ):
-        """Shared send path for :meth:`isend_g` and persistent ``start``.
-
-        The charging sequence (yield → origin overhead → wire posting →
-        counters → trace) is the bit-reproducibility contract: both entry
-        points must observe it identically, differing only in the origin
-        cost charged and the trace verb.
-        """
-        if nbytes is None:
-            nbytes = payload_nbytes(payload)
-        eng = self._engine
-        if eng.faults is not None and self.is_failed(dest):
-            # ULFM semantics: the library refuses communication with a
-            # peer it already knows to be dead (MPI_ERR_PROC_FAILED).
-            raise RankCrashed(dest)
-        yield from eng.yield_ready_g(self.rank)
-        if persistent:
-            cost = self.machine.persistent_start_cost(nbytes)
-        else:
-            cost = self.machine.send_origin_cost(nbytes)
-        eng.charge_comm(self.rank, cost, phase="send")
-        arrival = eng.post_message(
-            self.rank, dest, tag, payload, nbytes, matrix=eng.counters.p2p
-        )
-        rc = eng.rank_counters(self.rank)
-        rc.sends += 1
-        rc.bytes_sent += nbytes
-        rc.note_inflight(+1)
-        rc.alloc(self.machine.send_request_bytes, "send-requests")
-        if persistent:
-            rc.persistent_starts += 1
-            eng.trace_event(self.rank, "start", dest=dest, tag=tag, nbytes=nbytes)
-        else:
-            eng.trace_event(self.rank, "send", dest=dest, tag=tag, nbytes=nbytes)
-        return arrival
-
     def isend_g(
-        self, dest: int, payload: Any, *, tag: int = 0, nbytes: int | None = None
+        self, dest: int, payload: Any, *, tag: int = 0, nbytes: int | None = None,
+        _persistent: bool = False,
     ):
         """Nonblocking send; returns the (virtual) arrival time.
 
         Models eager-protocol completion: the send buffer is logically
         copied, so the operation completes locally once the origin overhead
         has been charged (rendezvous sends absorb the handshake cost).
+
+        A persistent request's ``start_g`` sends through here with
+        ``_persistent=True``: the charging sequence (yield → origin
+        overhead → wire posting → counters → trace) is the
+        bit-reproducibility contract, and the two differ only in the
+        origin cost charged and the trace verb.
         """
-        return (yield from self._post_send_g(dest, payload, tag, nbytes))
+        if nbytes is None:
+            nbytes = payload_nbytes(payload)
+        eng = self._engine
+        rank = self.rank
+        if eng.faults is not None and self.is_failed(dest):
+            # ULFM semantics: the library refuses communication with a
+            # peer it already knows to be dead (MPI_ERR_PROC_FAILED).
+            raise RankCrashed(dest)
+        if not eng.keep_running(rank):
+            yield from eng.yield_ready_g(rank)
+        m = self.machine
+        cost = m.persistent_start_cost if _persistent else m.send_origin_cost
+        eng.charge_comm(rank, cost(nbytes), phase="send")
+        arrival = eng.post_message(
+            rank, dest, tag, payload, nbytes, matrix=eng.counters.p2p
+        )
+        # RankCounters.note_inflight and .alloc, inlined
+        rc = self._rc
+        rc.sends += 1
+        rc.bytes_sent += nbytes
+        rc.pending_inflight += 1
+        if rc.pending_inflight > rc.peak_inflight:
+            rc.peak_inflight = rc.pending_inflight
+        nb = m.send_request_bytes
+        held = rc.allocations
+        held["send-requests"] = held.get("send-requests", 0) + nb
+        rc.current_bytes += nb
+        if rc.current_bytes > rc.peak_bytes:
+            rc.peak_bytes = rc.current_bytes
+        if _persistent:
+            rc.persistent_starts += 1
+        if eng.trace is not None:
+            eng.trace_event(rank, "start" if _persistent else "send",
+                            dest=dest, tag=tag, nbytes=nbytes)
+        return arrival
 
     def send_init_g(self, dest: int, *, tag: int = 0):
         """Build a persistent send request (``MPI_Send_init``).
@@ -282,7 +290,8 @@ class RankContext:
         partners (which is exactly what a matching rank's neighbor set is).
         """
         eng = self._engine
-        yield from eng.yield_ready_g(self.rank)
+        if not eng.keep_running(self.rank):
+            yield from eng.yield_ready_g(self.rank)
         eng.charge_comm(self.rank, self.machine.o_send_init, phase="send")
         eng.trace_event(self.rank, "send-init", dest=dest, tag=tag)
         return PersistentSendRequest(self, dest, tag)
@@ -326,19 +335,37 @@ class RankContext:
             channel=channel,
         )
 
-    def iprobe_g(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
+    def iprobe_g(
+        self, source: int = ANY_SOURCE, tag: int = ANY_TAG, *, receive: bool = False
+    ):
         """Nonblocking probe: ``(src, tag, nbytes)`` if a matching message
-        has physically arrived, else ``None``."""
+        has physically arrived, else ``None``.
+
+        ``receive=True`` goes on to receive that message, exactly as
+        ``recv_g(src, tag)`` would, and returns it instead of its header
+        (``MPI_Improbe`` + ``MPI_Mrecv``). The receive reuses the probe's
+        queue match unless the rank gave up the token in between.
+        """
         eng = self._engine
-        yield from eng.yield_ready_g(self.rank)
-        eng.charge_comm(self.rank, self.machine.o_probe, phase="probe")
-        eng.rank_counters(self.rank).probes += 1
-        q = eng.queue_of(self.rank)
-        idx = q.match_index(source, tag, before=eng.clock_of(self.rank))
+        rank = self.rank
+        if not eng.keep_running(rank):
+            yield from eng.yield_ready_g(rank)
+        eng.charge_comm(rank, self.machine.o_probe, phase="probe")
+        self._rc.probes += 1
+        rs = self._rs
+        q = rs.queue
+        idx = q.match_index(source, tag, rs.clock)
         if idx is None:
             return None
         m = q.peek(idx)
-        return (m.src, m.tag, m.nbytes)
+        if not receive:
+            return (m.src, m.tag, m.nbytes)
+        if eng.faults is not None:
+            return (yield from self.recv_g(m.src, m.tag))
+        if not eng.keep_running(rank):
+            yield from eng.yield_ready_g(rank)
+            idx = q.match_index(m.src, m.tag, rs.clock)
+        return self._receive(idx)
 
     def recv_g(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive of the earliest matching message.
@@ -349,23 +376,34 @@ class RankContext:
         (ULFM: a receive from a failed process must not hang forever).
         """
         eng = self._engine
-        q = eng.queue_of(self.rank)
+        rank = self.rank
+        rs = self._rs
+        q = rs.queue
+        if eng.faults is None:
+            # An already-arrived match is taken as block_on_g's satisfied
+            # fast path would take it, without building its wait closure.
+            idx = q.match_index(source, tag, rs.clock)
+            if idx is not None:
+                if not eng.keep_running(rank):
+                    yield from eng.yield_ready_g(rank)
+                    idx = q.match_index(source, tag, rs.clock)
+                return self._receive(idx)
 
         def potential() -> float | None:
             m = q.earliest_match(source, tag)
             t = None if m is None else m.arrival
-            tf = eng.failure_wake_potential(self.rank)
+            tf = eng.failure_wake_potential(rank)
             if tf is None:
                 return t
             return tf if t is None else min(t, tf)
 
         while True:
             yield from eng.block_on_g(
-                self.rank, potential, f"recv(src={source},tag={tag})",
+                rank, potential, f"recv(src={source},tag={tag})",
                 wait_phase="recv-wait")
-            idx = q.match_index(source, tag, before=eng.clock_of(self.rank))
+            idx = q.match_index(source, tag, rs.clock)
             if idx is not None:
-                break
+                return self._receive(idx)
             if eng.faults is None:
                 raise AssertionError("recv resumed without a matching message")
             # Woken by a failure notification, not a message.
@@ -373,20 +411,44 @@ class RankContext:
             if source != ANY_SOURCE and source in failed:
                 raise RankCrashed(source)
             # Unrelated failure (or wildcard receive): keep waiting.
-        msg = q.pop(idx)
+
+    def _receive(self, idx: int):
+        """Receive the queued message at logical index ``idx``: the
+        receive's cost, counters and trace event."""
+        eng = self._engine
+        rank = self.rank
+        msg = self._rs.queue.pop(idx)
         if eng.profiler is not None:
             # The wait (if any) ended because this message arrived: the
             # critical path continues at the sender's send time.
-            eng.profiler.attach_dep(self.rank, msg.src, msg.send_time, "message")
-        eng.charge_comm(self.rank, self.machine.o_recv, phase="recv")
-        rc = eng.rank_counters(self.rank)
+            eng.profiler.attach_dep(rank, msg.src, msg.send_time, "message")
+        m = self.machine
+        eng.charge_comm(rank, m.o_recv, phase="recv")
+        rc = self._rc
         rc.recvs += 1
         rc.bytes_received += msg.nbytes
-        rc.free(msg.nbytes + self.machine.p2p_msg_overhead_bytes, "unexpected-queue")
-        src_rc = eng.rank_counters(msg.src)
-        src_rc.note_inflight(-1)
-        src_rc.free(self.machine.send_request_bytes, "send-requests")
-        eng.trace_event(self.rank, "recv", src=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+        # RankCounters.free twice, inlined; an over-release still goes
+        # through it to be counted.
+        nb = int(msg.nbytes + m.p2p_msg_overhead_bytes)
+        held = rc.allocations
+        have = held.get("unexpected-queue", 0)
+        if nb > have:
+            rc.free(nb, "unexpected-queue")
+        else:
+            held["unexpected-queue"] = have - nb
+            rc.current_bytes -= nb
+        src_rc = eng.counters.ranks[msg.src]
+        src_rc.pending_inflight -= 1  # a decrement never moves the peak
+        nb = m.send_request_bytes
+        held = src_rc.allocations
+        have = held.get("send-requests", 0)
+        if nb > have:
+            src_rc.free(nb, "send-requests")
+        else:
+            held["send-requests"] = have - nb
+            src_rc.current_bytes -= nb
+        if eng.trace is not None:
+            eng.trace_event(rank, "recv", src=msg.src, tag=msg.tag, nbytes=msg.nbytes)
         return msg
 
     def probe_g(
@@ -410,7 +472,7 @@ class RankContext:
         and can inspect :meth:`failed_ranks`.
         """
         eng = self._engine
-        q = eng.queue_of(self.rank)
+        q = self._rs.queue
 
         def potential() -> float | None:
             m = q.earliest_match(source, tag)
@@ -431,7 +493,7 @@ class RankContext:
             force_park=force)
         if eng.profiler is not None:
             m = q.earliest_match(source, tag)
-            if m is not None and m.arrival <= eng.clock_of(self.rank):
+            if m is not None and m.arrival <= self._rs.clock:
                 eng.profiler.attach_dep(self.rank, m.src, m.send_time, "message")
         if eng.faults is not None and eng.faults.has_crashes():
             # Consume any notification we were woken for: wake-once
@@ -441,7 +503,7 @@ class RankContext:
 
     def pending_message_count(self) -> int:
         """Messages queued for this rank (arrived or still in flight)."""
-        return len(self._engine.queue_of(self.rank))
+        return len(self._rs.queue)
 
     # ------------------------------------------------------------------
     # classic collectives on COMM_WORLD (scope 0)
@@ -482,7 +544,7 @@ class RankContext:
         rank = self.rank
         key = eng.next_coll_key(0, rank)
         op = get_or_create_full(eng.coll_ops(), key, kind, self.nprocs, params)
-        op.enter(rank, eng.clock_of(rank), data, kind, params)
+        op.enter(rank, self._rs.clock, data, kind, params)
         if op.complete:
             # Last participant in: every parked peer's wake potential just
             # flipped from None to the rendezvous time — re-index them for
@@ -517,7 +579,7 @@ class RankContext:
         else:  # pragma: no cover - guarded by collectives module
             raise ValueError(kind)
         eng.charge_comm(rank, cost, phase="collective")
-        rc = eng.rank_counters(rank)
+        rc = self._rc
         rc.collectives += 1
         rc.bytes_collective += nbytes
         eng.trace_event(rank, kind, nbytes=nbytes)
@@ -587,7 +649,7 @@ class RankContext:
             eng.coll_ops(), key, kind, self.nprocs, {"op": op},
             eng.crashed_at_live(), detect,
         )
-        aop.enter(rank, eng.clock_of(rank), value, kind, {"op": op})
+        aop.enter(rank, self._rs.clock, value, kind, {"op": op})
         if aop.complete:
             eng.notify_ranks(aop.entries.keys())
 
@@ -620,7 +682,7 @@ class RankContext:
         nbytes = payload_nbytes(value)
         eng.charge_comm(rank, self.machine.allreduce_cost(self.nprocs, nbytes),
                         phase="recovery")
-        rc = eng.rank_counters(rank)
+        rc = self._rc
         rc.collectives += 1
         rc.bytes_collective += nbytes
         eng.trace_event(rank, kind, nbytes=nbytes)
@@ -701,7 +763,7 @@ class RankContext:
 
         store = eng.shared_object(("win", tag), build)
         if charge_memory:
-            eng.rank_counters(self.rank).alloc(
+            self._rc.alloc(
                 int(store.buffers[self.rank].size) * dtype.itemsize, "rma-window"
             )
         return Window(self, store)
@@ -749,7 +811,7 @@ class RankContext:
                 buffers=[np.full(s, fill, dtype=dtype) for s in sizes],
             )
         store = yield from self.bcast_g(store, root=0)
-        self._engine.rank_counters(self.rank).alloc(
+        self._rc.alloc(
             int(sizes[self.rank]) * dtype.itemsize, "rma-window"
         )
         return Window(self, store)

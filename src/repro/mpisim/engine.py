@@ -58,7 +58,7 @@ from repro.mpisim.checkpoint import (
     make_snapshot,
     save_checkpoint,
 )
-from repro.mpisim.counters import CommMatrix, RankCounters, RunCounters
+from repro.mpisim.counters import CommMatrix, RunCounters
 from repro.mpisim.errors import (
     DeadlockError,
     RankFailure,
@@ -258,6 +258,10 @@ class Engine:
         self.machine = machine
         self.max_ops = max_ops
         self.max_vtime = max_vtime
+        # The hot paths test one precomputed bound each (inf when off).
+        self._op_limit = _INF if max_ops is None else max_ops
+        self._vtime_limit = min(
+            (v for v in (max_vtime, kill_at) if v is not None), default=_INF)
         self.faults = faults
         self._heap: list[tuple[float, int, int]] = []
         # Blocked ranks whose wake potential may have changed since their
@@ -1218,27 +1222,32 @@ class Engine:
     # ------------------------------------------------------------------
     # rank-side yield primitives (called from rank generators)
     # ------------------------------------------------------------------
-    def yield_ready_g(self, rank: int):
-        """Yield the token; resume when this rank is next in clock order.
+    def keep_running(self, rank: int) -> bool:
+        """True when ``rank`` may act now without giving up the token.
 
-        Fast path: if this rank is already guaranteed minimal, keep
-        running without a switch — this removes ~70-90% of switches.
-        Minimality is one O(1) peek at the valid heap top (every other
-        wakeable rank is indexed).
+        Every communication call asks this first and enters
+        :meth:`yield_ready_g` only on False; keeping the token removes
+        ~70-90% of switches. Minimality is one O(1) peek at the valid heap
+        top (every other wakeable rank is indexed).
         """
         if self.faults is not None:
             self._check_self_crash(rank)
-        rs = self._ranks[rank]
         # Drain stale marks first: a collective this rank completed can
         # wake a peer at a time <= our current clock (rendezvous = max
         # entry times), so the heap top is only a valid lower bound once
-        # every marked rank is re-indexed. Draining is a single branch
-        # when the set is empty and batches all marks accumulated since
-        # the last yield.
-        self._drain_stale()
+        # every marked rank is re-indexed. The marks batch everything
+        # accumulated since the last test.
+        if self._stale:
+            self._drain_stale()
         top = self._heap_min()
-        if top is None or top >= (rs.clock, rank):
-            return  # still minimal; no switch needed
+        return top is None or top >= (self._ranks[rank].clock, rank)
+
+    def yield_ready_g(self, rank: int):
+        """Give up the token; resume when this rank is next in clock order.
+
+        Entered only after :meth:`keep_running` said False.
+        """
+        rs = self._ranks[rank]
         rs.state = _READY
         self._push_candidate(rs)
         yield _PARK
@@ -1282,7 +1291,8 @@ class Engine:
         if not force_park:
             t = wake_potential()
             if t is not None and t <= rs.clock:
-                yield from self.yield_ready_g(rank)
+                if not self.keep_running(rank):
+                    yield from self.yield_ready_g(rank)
                 return
         rs.state = _BLOCKED
         rs.wake_potential = wake_potential
@@ -1298,34 +1308,26 @@ class Engine:
     # ------------------------------------------------------------------
     # cost charging (called from the rank holding the token)
     # ------------------------------------------------------------------
-    def _tick(self, n: int = 1) -> None:
-        self._op_count += n
-        if self.max_ops is not None and self._op_count > self.max_ops:
-            raise SimLimitExceeded(
-                f"operation budget exceeded ({self.max_ops} ops)"
-            )
-
-    def charge_compute(self, rank: int, seconds: float) -> None:
-        rs = self._ranks[rank]
-        if self.profiler is not None and seconds > 0.0:
-            self.profiler.add(rank, "compute", rs.clock, rs.clock + seconds)
-        rs.clock += seconds
-        self.counters.ranks[rank].compute_time += seconds
-        self._check_vtime(rs)
+    def _over_budget(self) -> None:
+        raise SimLimitExceeded(f"operation budget exceeded ({self.max_ops} ops)")
 
     def charge_comm(self, rank: int, seconds: float, phase: str = "comm") -> None:
         # Ticking here (not just in post_message) lets the op budget
         # catch collective-only livelock — e.g. a recovery loop spinning
         # on agreements without ever posting a point-to-point message.
-        self._tick()
+        self._op_count += 1
+        if self._op_count > self._op_limit:
+            self._over_budget()
         rs = self._ranks[rank]
         if self.profiler is not None and seconds > 0.0:
             self.profiler.add(rank, phase, rs.clock, rs.clock + seconds)
         rs.clock += seconds
         self.counters.ranks[rank].comm_time += seconds
-        self._check_vtime(rs)
+        if rs.clock > self._vtime_limit:
+            self._check_vtime(rs)
 
     def _check_vtime(self, rs: _RankState) -> None:
+        """Raise for the budget a clock past ``_vtime_limit`` broke."""
         if self.max_vtime is not None and rs.clock > self.max_vtime:
             raise SimLimitExceeded(
                 f"virtual time budget exceeded ({self.max_vtime}s) on rank {rs.rank}"
@@ -1357,36 +1359,45 @@ class Engine:
         windows scale injection/latency, and delivered messages can be
         dropped, duplicated, delayed, or blackholed into a crashed rank
         — each outcome counted and traced at the sender. With no plan the
-        whole fate/degradation machinery is skipped (the no-fault fast
-        path), which the differential suite proves arithmetic-identical.
+        NIC factor is 1.0 and delivery skips the fate machinery (the
+        no-fault fast path), which the differential suite proves
+        arithmetic-identical.
         """
-        self._tick()
+        self._op_count += 1
+        if self._op_count > self._op_limit:
+            self._over_budget()
         m = self.machine
         srs = self._ranks[src]
-        if self.faults is None:
-            # No-fault fast path: factor == 1.0, exactly one copy, no
-            # fate draw, no crash blackholing, no per-post counter.
-            inject = m.injection_time(nbytes, one_sided)
-            start = srs.clock
-            if m.nic_serialization:
-                if srs.nic_out_free > start:
-                    start = srs.nic_out_free
-                srs.nic_out_free = start + inject
-            arrival = start + inject + m.alpha
-            if dst != src and m.drain_serialization:
-                drs = self._ranks[dst]
-                if drs.nic_in_free > arrival:
-                    arrival = drs.nic_in_free
-                drs.nic_in_free = arrival + inject
-            if matrix is not None:
-                matrix.record(src, dst, nbytes)
-            if not deliver:
-                return arrival
-            pair = (src, dst)
-            prev = self._pair_arrival.get(pair, 0.0)
-            if prev > arrival:
-                arrival = prev
-            self._pair_arrival[pair] = arrival
+        plan = self.faults
+        factor = 1.0 if plan is None else plan.nic_factor(src, srs.clock)
+        inject = m.injection_time(nbytes, one_sided, factor)
+        start = srs.clock
+        if m.nic_serialization:
+            if srs.nic_out_free > start:
+                start = srs.nic_out_free
+            srs.nic_out_free = start + inject
+        arrival = start + inject + (m.alpha * factor if factor != 1.0 else m.alpha)
+        if dst != src and m.drain_serialization:
+            drs = self._ranks[dst]
+            if drs.nic_in_free > arrival:
+                arrival = drs.nic_in_free
+            drs.nic_in_free = arrival + inject
+        if matrix is not None:
+            matrix.record(src, dst, nbytes)
+        if not deliver:
+            return arrival
+        # Non-overtaking (MPI point-to-point ordering guarantee). The clamp
+        # applies to the fault-free arrival; injected delays are added
+        # after it, so a delayed copy genuinely arrives late and can be
+        # overtaken by subsequent traffic.
+        pair = (src, dst)
+        prev = self._pair_arrival.get(pair, 0.0)
+        if prev > arrival:
+            arrival = prev
+        self._pair_arrival[pair] = arrival
+        if plan is None:
+            # No-fault fast path: exactly one copy, no fate draw, no crash
+            # blackholing, no per-post counter.
             self._send_seq += 1
             drs = self._ranks[dst]
             drs.queue.push(
@@ -1395,105 +1406,65 @@ class Engine:
             )
             # Unexpected-message-queue memory pressure at the receiver:
             # payload plus MPI-internal per-message metadata, released
-            # on receive (see RankContext.recv).
-            self.counters.ranks[dst].alloc(
-                nbytes + m.p2p_msg_overhead_bytes, "unexpected-queue"
-            )
+            # on receive (see RankContext.recv). RankCounters.alloc,
+            # inlined.
+            rc = self.counters.ranks[dst]
+            nb = int(nbytes + m.p2p_msg_overhead_bytes)
+            held = rc.allocations
+            held["unexpected-queue"] = held.get("unexpected-queue", 0) + nb
+            rc.current_bytes += nb
+            if rc.current_bytes > rc.peak_bytes:
+                rc.peak_bytes = rc.current_bytes
             if drs.state == _BLOCKED:
                 self._stale.add(dst)
             return arrival
-
-        plan = self.faults
-        factor = plan.nic_factor(src, srs.clock)
-        inject = m.injection_time(nbytes, one_sided, factor=factor)
-        start = srs.clock
-        if m.nic_serialization:
-            start = max(start, srs.nic_out_free)
-            srs.nic_out_free = start + inject
-        alpha = m.alpha * factor if factor != 1.0 else m.alpha
-        arrival = start + inject + alpha
-        if dst != src and m.drain_serialization:
-            drs = self._ranks[dst]
-            arrival = max(arrival, drs.nic_in_free)
-            drs.nic_in_free = arrival + inject
-        if matrix is not None:
-            matrix.record(src, dst, nbytes)
-        if deliver:
-            # Non-overtaking (MPI point-to-point ordering guarantee). The
-            # clamp applies to the fault-free arrival; injected delays are
-            # added after it, so a delayed copy genuinely arrives late and
-            # can be overtaken by subsequent traffic.
-            pair = (src, dst)
-            arrival = max(arrival, self._pair_arrival.get(pair, 0.0))
-            self._pair_arrival[pair] = arrival
-            src_rc = self.counters.ranks[src]
-            self._post_count += 1
-            if plan.partitions and plan.partitioned(src, dst, srs.clock):
-                # An active partition window swallows the send entirely
-                # (evaluated at send time; the fate stream is untouched —
-                # fates are pure functions of the post index).
-                src_rc.msgs_partitioned += 1
-                self.trace_event(src, "fault", kind="partition", dst=dst, tag=tag)
-                return arrival
-            fate = plan.message_fate(src, dst, self._post_count)
-            if fate.copies == 0:
-                src_rc.msgs_dropped += 1
-                self.trace_event(src, "fault", kind="drop", dst=dst, tag=tag)
-                return arrival
-            if fate.copies > 1:
-                src_rc.msgs_duplicated += 1
-                self.trace_event(src, "fault", kind="dup", dst=dst, tag=tag)
-            # Under recovery a crash is healed before anyone can observe
-            # it (the dead slot is re-occupied by a spare at the same
-            # rank id), so messages are never blackholed on a planned
-            # crash time — the destination will be alive to receive them.
-            dead_at = None if self._recovery is not None else plan.crash_time(dst)
-            delivered = False
-            for c in range(fate.copies):
-                extra = fate.delays[c]
-                arr = arrival + extra
-                if extra > 0.0:
-                    src_rc.msgs_delayed += 1
-                    self.trace_event(
-                        src, "fault", kind="delay", dst=dst, tag=tag, extra=extra
-                    )
-                if dead_at is not None and arr >= dead_at:
-                    # Receiver is dead on arrival: the message vanishes.
-                    src_rc.crash_blackholed += 1
-                    self.trace_event(src, "fault", kind="blackhole", dst=dst, tag=tag)
-                    continue
-                self._send_seq += 1
-                msg = Message(
-                    src=src,
-                    dst=dst,
-                    tag=tag,
-                    payload=payload,
-                    nbytes=nbytes,
-                    send_time=srs.clock,
-                    arrival=arr,
-                    seq=self._send_seq,
-                    fault=("dup" if c > 0 else ("delay" if extra > 0.0 else None)),
+        src_rc = self.counters.ranks[src]
+        self._post_count += 1
+        if plan.partitions and plan.partitioned(src, dst, srs.clock):
+            # An active partition window swallows the send entirely
+            # (evaluated at send time; the fate stream is untouched —
+            # fates are pure functions of the post index).
+            src_rc.msgs_partitioned += 1
+            self.trace_event(src, "fault", kind="partition", dst=dst, tag=tag)
+            return arrival
+        fate = plan.message_fate(src, dst, self._post_count)
+        if fate.copies == 0:
+            src_rc.msgs_dropped += 1
+            self.trace_event(src, "fault", kind="drop", dst=dst, tag=tag)
+            return arrival
+        if fate.copies > 1:
+            src_rc.msgs_duplicated += 1
+            self.trace_event(src, "fault", kind="dup", dst=dst, tag=tag)
+        # Under recovery a crash is healed before anyone can observe
+        # it (the dead slot is re-occupied by a spare at the same
+        # rank id), so messages are never blackholed on a planned
+        # crash time — the destination will be alive to receive them.
+        dead_at = None if self._recovery is not None else plan.crash_time(dst)
+        delivered = False
+        for c in range(fate.copies):
+            extra = fate.delays[c]
+            arr = arrival + extra
+            if extra > 0.0:
+                src_rc.msgs_delayed += 1
+                self.trace_event(
+                    src, "fault", kind="delay", dst=dst, tag=tag, extra=extra
                 )
-                self._ranks[dst].queue.push(msg)
-                delivered = True
-                # Unexpected-message-queue memory pressure at the receiver:
-                # payload plus MPI-internal per-message metadata, released
-                # on receive (see RankContext.recv).
-                self.counters.ranks[dst].alloc(
-                    nbytes + m.p2p_msg_overhead_bytes, "unexpected-queue"
-                )
-            if delivered and self._ranks[dst].state == _BLOCKED:
-                self._stale.add(dst)
+            if dead_at is not None and arr >= dead_at:
+                # Receiver is dead on arrival: the message vanishes.
+                src_rc.crash_blackholed += 1
+                self.trace_event(src, "fault", kind="blackhole", dst=dst, tag=tag)
+                continue
+            self._send_seq += 1
+            self._ranks[dst].queue.push(Message(
+                src, dst, tag, payload, nbytes, srs.clock, arr, self._send_seq,
+                "dup" if c > 0 else ("delay" if extra > 0.0 else None)))
+            delivered = True
+            self.counters.ranks[dst].alloc(
+                nbytes + m.p2p_msg_overhead_bytes, "unexpected-queue"
+            )
+        if delivered and self._ranks[dst].state == _BLOCKED:
+            self._stale.add(dst)
         return arrival
-
-    def queue_of(self, rank: int) -> ReceiveQueue:
-        return self._ranks[rank].queue
-
-    def clock_of(self, rank: int) -> float:
-        return self._ranks[rank].clock
-
-    def rank_counters(self, rank: int) -> RankCounters:
-        return self.counters.ranks[rank]
 
     def trace_event(self, rank: int, op: str, **detail: Any) -> None:
         """Record a trace event if tracing is enabled (cheap no-op otherwise)."""

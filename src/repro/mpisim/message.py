@@ -6,7 +6,11 @@ eligible message (deterministic: ties broken by global send sequence number).
 
 Both classes are ``__slots__``-based: a simulated run creates one
 :class:`Message` per delivered copy and probes queues on every receive, so
-attribute storage and matching are engine hot paths.
+attribute storage and matching are engine hot paths. :class:`Message` is
+not ``frozen`` for the same reason: a frozen dataclass sets every field
+through ``object.__setattr__``, which made construction several times
+slower, and nothing mutates a message after the engine builds it. Not
+being frozen also makes it unhashable; no code keys on messages.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ ANY_TAG = -1
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Message:
     """One in-flight or delivered point-to-point message."""
 
@@ -33,6 +37,16 @@ class Message:
     arrival: float  # virtual time the payload is available at the receiver
     seq: int  # global send sequence number (total order tie-break)
     fault: str | None = None  # injected-fault marker: "dup" / "delay" / None
+
+    # Pickled as a list of field values, as the frozen dataclass was: a
+    # checkpoint's bytes, and the replication cost charged on its size,
+    # must not change with the class's mutability.
+    def __getstate__(self):
+        return [getattr(self, f) for f in self.__slots__]
+
+    def __setstate__(self, state):
+        for f, v in zip(self.__slots__, state):
+            setattr(self, f, v)
 
 
 def _order_key(m: Message) -> tuple[float, int]:

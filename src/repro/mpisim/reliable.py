@@ -235,11 +235,10 @@ class ReliableChannel:
         rc = ctx.counters()
         delivered = 0
         while True:
-            hdr = yield from ctx.iprobe_g()
-            if hdr is None:
+            msg = yield from ctx.iprobe_g(receive=True)
+            if msg is None:
                 return delivered
-            src, tag, _ = hdr
-            msg = yield from ctx.recv_g(source=src, tag=tag)
+            src, tag = msg.src, msg.tag
             if tag == TAG_ACK:
                 self._unacked.pop((src, msg.payload), None)
                 continue

@@ -56,7 +56,7 @@ def _block_neighborhood_g(eng, ctx, op, scope_id, epoch_set, label: str):
             missing = op.missing_for(rank)
             dead_missing = sorted(q for q in missing if q in failed)
             blame = dead_missing[0] if dead_missing else fresh[0]
-            eng.revoke_scope(scope_id, eng.clock_of(rank), blame)
+            eng.revoke_scope(scope_id, ctx.now, blame)
             raise RankCrashed(blame)
         # Notification already accounted for by this topology's epoch:
         # keep waiting.
@@ -222,7 +222,7 @@ class DistGraphTopology:
         # Re-index the parked neighbors whose rendezvous ({q} ∪ N(q) all
         # present) this entry completed.
         eng.notify_ranks(op.enter(
-            rank, eng.clock_of(rank), lanes, kind, {}, self.peer_slots,
+            rank, self._ctx.now, lanes, kind, {}, self.peer_slots,
             None if kind == "neighbor_alltoall" else nbytes))
         return key, op
 
@@ -247,7 +247,7 @@ class DistGraphTopology:
         """Count a collected exchange and retire ``op`` after its last
         member. ``send_bytes`` is one count per lane, or one for all."""
         rank = self.rank
-        rc = eng.rank_counters(rank)
+        rc = self._ctx.counters()
         rc.neighbor_collectives += 1
         rc.bytes_collective += send_total
         eng.counters.ncl.record_row(rank, self._neighbor_arr, send_bytes)
@@ -329,7 +329,7 @@ class PendingNeighborExchange:
             + (send_total + int(sum(recv_bytes))) * (m.beta + m.pack_byte_cost)
         )
         ready_at = max(op.wake_potential(rank), self._issue_time + wire)
-        now = eng.clock_of(rank)
+        now = topo._ctx.now
         if ready_at > now:
             eng.charge_comm(rank, ready_at - now, phase="collective")
         topo._finish(eng, self._key, op, self._send_bytes, send_total)

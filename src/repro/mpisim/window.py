@@ -97,7 +97,8 @@ class Window:
                 f"put outside window: offset {target_offset}+{data.size} "
                 f"> size {store.buffers[target].size} (target {target})"
             )
-        yield from eng.yield_ready_g(self.rank)
+        if not eng.keep_running(self.rank):
+            yield from eng.yield_ready_g(self.rank)
         m = eng.machine
         nbytes = int(data.nbytes)
         eng.charge_comm(self.rank, m.put_origin_cost(nbytes), phase="put")
@@ -111,7 +112,7 @@ class Window:
             matrix=eng.counters.rma,
             deliver=False,
         )
-        rc = eng.rank_counters(self.rank)
+        rc = self._ctx.counters()
         plan = eng.faults
         fate = "ok"
         fate_idx = 0
@@ -150,10 +151,11 @@ class Window:
         """Complete all outstanding one-sided operations from this origin."""
         ctx = self._ctx
         eng = ctx._engine
-        yield from eng.yield_ready_g(self.rank)
-        rc = eng.rank_counters(self.rank)
+        if not eng.keep_running(self.rank):
+            yield from eng.yield_ready_g(self.rank)
+        rc = self._ctx.counters()
         latest = eng.flush_window(self.rank, self.win_id)
-        now = eng.clock_of(self.rank)
+        now = self._ctx.now
         if latest > now:
             # DMA completion wait is communication time, not idle time.
             eng.charge_comm(self.rank, latest - now, phase="flush")
@@ -172,9 +174,10 @@ class Window:
         """
         ctx = self._ctx
         eng = ctx._engine
-        yield from eng.yield_ready_g(self.rank)
+        if not eng.keep_running(self.rank):
+            yield from eng.yield_ready_g(self.rank)
         eng.charge_comm(self.rank, eng.machine.o_win_sync, phase="sync")
-        now = eng.clock_of(self.rank)
+        now = self._ctx.now
         pend = self._store.pending[self.rank]
         if not pend:
             return 0
@@ -202,7 +205,8 @@ class Window:
         """
         ctx = self._ctx
         eng = ctx._engine
-        yield from eng.yield_ready_g(self.rank)
+        if not eng.keep_running(self.rank):
+            yield from eng.yield_ready_g(self.rank)
         m = eng.machine
         store = self._store
         if target_offset < 0 or target_offset + count > store.buffers[target].size:
@@ -216,10 +220,10 @@ class Window:
             m.o_get + 2 * m.alpha + m.wire_bytes(nbytes, True) * m.beta,
             phase="get",
         )
-        rc = eng.rank_counters(self.rank)
+        rc = self._ctx.counters()
         rc.gets += 1
         eng.counters.rma.record(target, self.rank, nbytes)
-        now = eng.clock_of(self.rank)
+        now = self._ctx.now
         region = store.buffers[target][target_offset : target_offset + count].copy()
         for u in sorted(store.pending[target], key=_ARRIVAL_ORDER):
             if u.arrival > now:
@@ -236,5 +240,5 @@ class Window:
 
     def free(self) -> None:
         """Release the memory-accounting charge for the local region."""
-        rc = self._ctx._engine.rank_counters(self.rank)
+        rc = self._ctx.counters()
         rc.free(self.local.nbytes, "rma-window")

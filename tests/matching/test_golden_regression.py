@@ -65,13 +65,18 @@ def test_golden_pins(graph, model, scheduler, engine, use_scheduler):
 # Many empty lanes: R-MAT scale 9, seed 3 over P=64 (8 vertices a rank).
 # Close to nine lanes in ten of every ncl payload exchange carry nothing,
 # the shape where a neighbourhood superstep's host work must follow the
-# lanes with data. Recorded before that work went in.
+# lanes with data. Recorded before that work went in. The same instance
+# gives every Send-Recv rank up to 63 aggregator lanes (the P=4 GOLDEN
+# instance has at most three), so the nsr / nsr-agg rows, recorded before
+# the aggregator tracked its non-empty lanes, catch a flush-order change.
 # model -> (makespan, weight, heap-scheduler switches, total ops,
 #           total messages)
 SPARSE_LANES_GOLDEN = {
     "rma": (0.0025480959999999763, 118.6372479397408, 9237, 16398, 41817),
     "ncl": (0.004009104299999996, 118.6372479397408, 2112, 2048, 63800),
     "incl": (0.0059065511999999995, 118.6372479397408, 3264, 4045, 102080),
+    "nsr": (0.0013262029999999959, 118.6372479397408, 19995, 25925, 5832),
+    "nsr-agg": (0.00047531660000000003, 118.6372479397408, 17497, 28626, 3732),
 }
 
 

@@ -7,8 +7,7 @@ heap and checks each of its answers against a fresh scan. Both drive the
 same rank generators as ``Engine``; see docs/engine_scheduling.md.
 """
 
-from repro.mpisim.engine import _BLOCKED, _PARK, _READY, _RUNNING, Engine
-from repro.mpisim.errors import SimAbort
+from repro.mpisim.engine import _BLOCKED, _READY, Engine
 
 
 def candidate_time(rs):
@@ -34,23 +33,18 @@ class ScanEngine(Engine):
     def _heap_min(self):
         return scan_min(self._ranks)
 
-    def yield_ready_g(self, rank):
+    def keep_running(self, rank):
         """Keep the token unless another live rank's clock is lower."""
         if self.faults is not None:
             self._check_self_crash(rank)
         rs = self._ranks[rank]
-        if any((o.clock, o.rank) < (rs.clock, rank)
-               for o in self._ranks if o.state in (_READY, _BLOCKED)):
-            rs.state = _READY
-            yield _PARK
-            if self._abort:
-                raise SimAbort()
-            rs.state = _RUNNING
+        return not any((o.clock, o.rank) < (rs.clock, rank)
+                       for o in self._ranks if o.state in (_READY, _BLOCKED))
 
 
 class AuditedEngine(Engine):
     """The heap, checked at both ``_heap_min`` call sites: the scheduler
-    loop's pick and ``yield_ready_g``'s keep-running peek."""
+    loop's pick and ``keep_running``'s peek."""
 
     def _heap_min(self):
         top, scan = super()._heap_min(), scan_min(self._ranks)

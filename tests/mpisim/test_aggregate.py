@@ -1,7 +1,10 @@
 """Persistent requests, irecv/waitall, and the message aggregator:
 flush-policy edge cases, crash handling, wire accounting."""
 
+import pickle
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.mpisim import Engine, FaultPlan, MessageAggregator, cori_aries
 from repro.mpisim.machine import zero_latency
@@ -353,6 +356,67 @@ class TestReliableBatches:
         assert rc.agg_batch_bytes == batch
         assert rc.bytes_sent == (1 + rc.retransmits) * (batch + SEQ_HEADER_BYTES)
         assert res.counters.ranks[1].agg_msgs_delivered == 0
+
+
+# ----------------------------------------------------------------------
+# bookkeeping against brute force
+# ----------------------------------------------------------------------
+_DESTS = st.integers(1, 5)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("append"), _DESTS, st.integers(1, 40)),
+    st.tuples(st.just("flush"), _DESTS),
+    st.tuples(st.just("flush_all")),
+    st.tuples(st.just("drop"), _DESTS),
+    st.tuples(st.just("snapshot")),
+), max_size=40)
+
+
+@given(ops=_OPS, flush_count=st.one_of(st.none(), st.integers(1, 4)))
+def test_bookkeeping_matches_brute_force(ops, flush_count):
+    """The running totals and the non-empty set the aggregator keeps
+    agree with sums over its lanes after every operation; ``flush_all_g``
+    ships exactly the non-empty lanes, in ascending destination order;
+    and a snapshot carries the lanes alone."""
+
+    def check(agg):
+        lanes = agg._lanes
+        assert agg.pending_messages() == sum(len(ln.entries) for ln in lanes.values())
+        assert agg.pending_bytes() == sum(ln.payload_bytes for ln in lanes.values())
+        for d in range(1, 6):
+            ln = lanes.get(d)
+            assert agg.pending_messages(d) == (0 if ln is None else len(ln.entries))
+
+    def prog(ctx):
+        if ctx.rank != 0:
+            return
+        trace = ctx._engine.trace
+        agg = ctx.aggregator(flush_count=flush_count)
+        for op in ops:
+            if op[0] == "append":
+                yield from agg.append_g(op[1], 0, "x", op[2])
+            elif op[0] == "flush":
+                want = agg.pending_messages(op[1])
+                assert (yield from agg.flush_g(op[1])) == want
+            elif op[0] == "flush_all":
+                want = sorted(d for d, ln in agg._lanes.items() if ln.entries)
+                first, total = len(trace), agg.pending_messages()
+                assert (yield from agg.flush_all_g()) == total
+                shipped = [e.detail["dest"] for e in trace[first:]
+                           if e.op == "agg-flush"]
+                assert shipped == want
+            elif op[0] == "drop":
+                want = agg.pending_messages(op[1])
+                assert agg.drop_rank(op[1]) == want
+            else:
+                blob = agg.snapshot()
+                assert set(blob) == {"lanes"}
+                for lane in blob["lanes"].values():
+                    assert set(lane) == {"entries", "payload_bytes", "request"}
+                agg = ctx.aggregator(flush_count=flush_count)
+                agg.restore(pickle.loads(pickle.dumps(blob)))
+            check(agg)
+
+    Engine(6, zero_latency(), trace=True).run(prog)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Direct unit tests of the ReceiveQueue matching structure."""
 
+import pickle
+
 import pytest
 
 from repro.mpisim.message import ANY_SOURCE, ANY_TAG, Message, ReceiveQueue
@@ -80,3 +82,16 @@ def test_fifo_within_same_channel():
         idx = q.match_index(1, 1)
         got.append(q.pop(idx).payload)
     assert got == [0, 1, 2, 3, 4]
+
+
+def test_message_pickles_as_a_list_of_fields():
+    """A checkpoint pickles every queued message, and recovery charges
+    for the pickled size, so a message keeps the state layout it had as
+    a frozen dataclass: the list of its field values, in field order."""
+    from repro.mpisim.checkpoint import PICKLE_PROTOCOL
+
+    m = mk(src=3, tag=2, payload=(4, 5))
+    m.fault = "dup"
+    state = m.__reduce_ex__(PICKLE_PROTOCOL)[2]
+    assert state == [3, 9, 2, (4, 5), 8, 0.5, 1.0, 1, "dup"]
+    assert pickle.loads(pickle.dumps(m, PICKLE_PROTOCOL)) == m

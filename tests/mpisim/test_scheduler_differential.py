@@ -14,7 +14,7 @@ that every *virtual* observable agrees exactly:
 * rank results and crashed-rank sets.
 
 ``scheduler_switches`` is deliberately excluded from the comparison: the
-two take different keep-running shortcuts in ``yield_ready_g``, which
+two take different keep-running shortcuts in ``keep_running``, which
 changes how often the token physically moves but nothing a rank program
 can observe in virtual time.
 
@@ -286,6 +286,26 @@ def test_matching_backends_bit_identical(model, engine, use_scheduler):
     )
     for rca, rcb in zip(a.counters.ranks, b.counters.ranks):
         assert _counters_dict(rca) == _counters_dict(rcb)
+
+
+@pytest.mark.parametrize("model", ["nsr", "nsr-agg"])
+def test_scan_oracle_decides_send_recv_keep_running(model, use_scheduler, monkeypatch):
+    """The Send-Recv primitives ask the engine's ``keep_running`` before
+    they act, so the scan oracle's override makes those decisions; a
+    primitive that peeked past it would leave the comparisons above
+    testing the heap against itself."""
+    from repro.graph.generators import rmat_graph
+    from repro.matching import run_matching
+
+    calls = []
+    scan = ScanEngine.keep_running
+    monkeypatch.setattr(
+        ScanEngine, "keep_running",
+        lambda self, rank: calls.append(rank) or scan(self, rank))
+    use_scheduler("reference")
+    res = run_matching(rmat_graph(7, seed=2), 4, model)
+    # at least one question per send: each wire message is one isend_g
+    assert len(calls) >= res.total_messages() > 0
 
 
 @pytest.mark.parametrize("engine", ENGINES)
