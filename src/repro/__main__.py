@@ -873,8 +873,11 @@ def main(argv: list[str] | None = None) -> int:
         help="multiprocessing start method for the worker pool",
     )
     p_serve.add_argument(
-        "--linger", type=float, default=0.05,
-        help="seconds to collect overlapping requests into one batch",
+        "--linger", type=float, default=0.0,
+        help="seconds a free worker waits to collect overlapping requests "
+             "into one batch (default 0: an idle server dispatches at once; "
+             "requests that arrive while every worker is busy are batched "
+             "regardless)",
     )
     p_serve.set_defaults(fn=_cmd_serve)
 

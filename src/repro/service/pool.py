@@ -91,6 +91,8 @@ class InlineExecutor(Executor):
     multiprocessing is unavailable (e.g. sandboxed environments).
     """
 
+    workers = 1  #: one batch at a time: the caller's thread runs it
+
     def submit(self, fn, /, *args, **kwargs) -> Future:
         fut: Future = Future()
         fut.set_running_or_notify_cancel()
@@ -117,13 +119,13 @@ class WorkerPool(Executor):
     def __init__(self, workers: int, mp_context: str = "spawn"):
         import multiprocessing
 
-        self._workers = workers
+        self.workers = workers  #: the orchestrator keeps this many batches in flight
         self._ctx = multiprocessing.get_context(mp_context)
         self._lock = threading.Lock()
         self._pool = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(self._workers, mp_context=self._ctx)
+        return ProcessPoolExecutor(self.workers, mp_context=self._ctx)
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         with self._lock:
@@ -132,7 +134,7 @@ class WorkerPool(Executor):
             except BrokenExecutor:
                 self._pool.shutdown(wait=False)
                 self._pool = self._new_pool()
-                warm_executor(self._pool, self._workers)
+                warm_executor(self._pool, self.workers)
                 return self._pool.submit(fn, *args, **kwargs)
 
     def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:

@@ -59,6 +59,42 @@ def test_lookup_carries_the_stored_bytes(store):
     assert store.peek(KEY).raw == on_disk
 
 
+def test_a_published_entry_is_served_from_memory(store, monkeypatch):
+    from repro.service import store as store_module
+
+    store.put(make_result())
+
+    def no_open(*args, **kwargs):
+        raise AssertionError("read the disk for a key the store has seen")
+
+    monkeypatch.setattr(store_module, "open", no_open, raising=False)
+    assert store.lookup(KEY) == make_result()
+    assert store.peek(KEY).raw == make_result().to_json().encode()
+
+
+def test_memory_map_is_bounded_and_evicted_keys_still_hit(store, monkeypatch):
+    from repro.service import store as store_module
+
+    monkeypatch.setattr(store_module, "OBJECTS_KEPT", 2)
+    keys = [f"{i:064x}" for i in range(5)]
+    for key in keys:
+        store.put(make_result(key=key))
+        assert len(store._kept) <= 2
+    assert keys[0] not in store._kept
+    on_disk = (store.objects / keys[0] / "result.json").read_bytes()
+    assert store.lookup(keys[0]).raw == on_disk  # read back from disk
+    assert len(store._kept) <= 2
+    assert store.stats()["cache_hits"] == 1
+
+
+def test_a_reopened_store_serves_the_stored_bytes(store):
+    store.put(make_result())
+    on_disk = (store.objects / KEY / "result.json").read_bytes()
+    reopened = ResultStore(store.root)  # as after a server restart
+    assert reopened.lookup(KEY).to_bytes() == on_disk
+    assert reopened.peek(KEY).to_bytes() == on_disk
+
+
 def test_artifacts_roundtrip(store):
     arts = {"trace.json": b'{"spans": []}', "phases.csv": b"rank,phase\n"}
     store.put(make_result(artifacts=tuple(sorted(arts))), artifacts=arts)
