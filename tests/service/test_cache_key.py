@@ -42,6 +42,23 @@ def test_roundtripped_request_same_key():
     assert JobRequest.from_json(req.to_json()).cache_key(CODE) == req.cache_key(CODE)
 
 
+def test_key_kept_on_the_request_follows_the_code_version():
+    req = make_request()
+    assert req.cache_key(CODE) == make_request().cache_key(CODE)
+    assert req.cache_key(CODE) == req.cache_key(CODE)  # from the instance
+    other = req.cache_key("0" * 12)
+    assert other != req.cache_key(CODE)
+    assert other == make_request().cache_key("0" * 12)
+    # not a wire field: it neither travels nor decodes, nor takes part in
+    # equality with a request that has not been keyed yet
+    assert "_keyed" not in req.to_dict()
+    assert req == make_request()
+    d = req.to_dict()
+    d["_keyed"] = [CODE, "f" * 64]
+    with pytest.raises(SchemaError, match="unknown field"):
+        JobRequest.from_dict(d)
+
+
 # -- the retired engine and scheduler: no field, no key change --------------
 
 def _with_config_entry(name, value) -> dict:
