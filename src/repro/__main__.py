@@ -23,10 +23,11 @@ Commands
 - ``submit <dataset> [-p N] [-m MODEL] [--url URL]`` — submit one job to
   a running server and print the (possibly cached) result.
 
-The ``match`` / ``profile`` / ``chaos`` commands accept
-``--config FILE.toml``: a named run profile whose values fill in any
-flag the command line left at its default (explicit CLI flags always
-win). See ``examples/profiles/`` and docs/api.md.
+Every command's flags are built from the knob table in
+:mod:`repro.knobs`. ``match`` / ``profile`` / ``chaos`` accept
+``--config FILE.toml``: a named run profile whose values replace the
+table defaults, while a flag typed on the command line always wins. See
+``examples/profiles/`` and docs/api.md.
 
 Every subcommand is a thin client of the library facade
 :mod:`repro.api`; the server executes through the same facade, so CLI,
@@ -135,154 +136,92 @@ def _load_toml(path: str) -> dict:
         raise SystemExit(f"{path}: {e}") from None
 
 
-def _apply_config_file(args, parser) -> None:
-    """Merge a ``--config FILE.toml`` profile into parsed arguments.
+def _fail(message: str):
+    """End the command with one stderr line and argparse's exit status 2."""
+    print(message, file=sys.stderr)
+    raise SystemExit(2)
 
-    Precedence: explicit CLI flags > file values > parser defaults. A
-    flag is "explicit" when its parsed value differs from the parser
-    default (for repeatable flags like ``--crash``: when any were
-    passed), so profiles can set anything without clobbering what the
-    user typed. Top-level keys apply to every command; a ``[match]`` /
-    ``[profile]`` / ``[chaos]`` table applies to that command only and
-    overrides top-level keys.
+
+def _config_values(args) -> dict:
+    """The knob values the ``--config FILE.toml`` profile sets for
+    ``args.command``: top-level keys, then its ``[command]`` table.
+
+    A top-level key naming another command's knob is skipped; a key that
+    names no knob of the command, or a bad value, ends the command.
     """
+    from repro.knobs import NAMES, knobs
+
     data = _load_toml(args.config)
-    flat = {k: v for k, v in data.items() if not isinstance(v, dict)}
     section = data.get(args.command, {})
     if not isinstance(section, dict):
         raise SystemExit(f"[{args.command}] in {args.config} must be a table")
-    flat.update(section)
-    actions = {a.dest: a for a in parser._actions}
-    for key, value in flat.items():
-        dest = key.replace("-", "_")
-        where = f"{args.config}: {key} = {value!r}"
-        if dest not in actions or dest in ("config", "fn", "command"):
-            # argparse's own status for an unrecognized flag
-            print(f"{where}: unknown key for command {args.command!r}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        current = getattr(args, dest)
-        default = parser.get_default(dest)
-        if isinstance(current, list):
-            # Repeatable flags (--crash/--degrade): the parser default
-            # list is mutated in place by append actions, so "explicit"
-            # means non-empty, and file values only fill an empty list.
-            items = value if isinstance(value, list) else [value]
-            items = [_file_value(actions[dest], v, where) for v in items]
-            if not current:
-                setattr(args, dest, items)
-            continue
-        value = _file_value(actions[dest], value, where)
-        if current == default:
-            setattr(args, dest, value)
+    own = knobs(args.command)
+    values = {}
+    for top, table in ((True, data), (False, section)):
+        for key, value in table.items():
+            name = key.replace("-", "_")
+            if top and (isinstance(value, dict) or name in NAMES - own.keys()):
+                continue  # a [command] table, or another command's knob
+            where = f"{args.config}: {key} = {value!r}"
+            if name not in own or name == "config":
+                _fail(f"{where}: unknown key for command {args.command!r}")
+            try:
+                values[name] = own[name].check(value)
+            except ValueError as e:
+                _fail(f"{where}: {e}")
+    return values
 
 
-def _file_value(action, value, where: str):
-    """A config-file ``value`` held to its flag's ``type=`` / ``choices=``.
+def _check_knobs(args) -> None:
+    """Hold every knob value of ``args`` to its row of the table."""
+    from repro.knobs import knobs
 
-    TOML values arrive typed, so they must already be what the flag
-    parses to: an integer flag takes an integer (``"4"`` is a string), a
-    switch a boolean, any other flag a string, which then goes through
-    the flag's own conversion. A mismatch ends the command with one
-    stderr line naming the file and key, and exit status 2 — argparse's
-    own status for a bad flag.
-    """
-    if action.nargs == 0:
-        kind, name = bool, "true or false"
-    else:
-        kind, name = {
-            int: (int, "an integer"), float: ((int, float), "a number"),
-        }.get(action.type, (str, "a string"))
-    try:
-        if isinstance(value, bool) is not (kind is bool) or not isinstance(value, kind):
-            raise TypeError(f"expected {name}")
-        if action.type is not None:
-            value = action.type(value)
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(
-                f"invalid choice (choose from {', '.join(action.choices)})")
-    except (TypeError, ValueError, argparse.ArgumentTypeError) as e:
-        print(f"{where}: {e}", file=sys.stderr)
-        raise SystemExit(2) from None
-    return value
-
-
-def _parse_crashes(specs: list[str]) -> dict[int, float]:
-    """Parse repeated ``--crash RANK:TIME`` options."""
-    crashes: dict[int, float] = {}
-    for s in specs:
+    for knob in knobs(args.command).values():
         try:
-            rank_s, time_s = s.split(":", 1)
-            crashes[int(rank_s)] = float(time_s)
-        except ValueError:
-            raise SystemExit(f"bad --crash spec {s!r}; expected RANK:TIME") from None
-    return crashes
-
-
-def _parse_degradations(specs: list[str]):
-    """Parse repeated ``--degrade RANK:T0:T1:FACTOR`` options."""
-    from repro.mpisim.faults import NicDegradation
-
-    out = []
-    for s in specs:
-        try:
-            rank_s, t0_s, t1_s, f_s = s.split(":")
-            out.append(
-                NicDegradation(
-                    rank=int(rank_s), t_start=float(t0_s),
-                    t_end=float(t1_s), factor=float(f_s),
-                )
-            )
+            knob.check(getattr(args, knob.name))
         except ValueError as e:
-            raise SystemExit(
-                f"bad --degrade spec {s!r}; expected RANK:T0:T1:FACTOR ({e})"
-            ) from None
-    return tuple(out)
+            flag = "/".join(knob.flags) or knob.name
+            _fail(f"{args._parser.prog}: error: argument {flag}: {e}")
 
 
-def _parse_partitions(specs: list[str]):
-    """Parse repeated ``--partition T0:T1:G0|G1|...`` options, where each
-    group is a comma-separated rank list (e.g. ``1e-4:3e-4:0,1|2,3``)."""
-    from repro.mpisim.faults import PartitionWindow
+def _specs(args, name: str, build) -> list:
+    """``build(*fields)`` for each item of the repeatable knob ``name``,
+    split into the colon-separated fields its metavar shows."""
+    from repro.knobs import knobs
 
+    knob = knobs("match")[name]
     out = []
-    for s in specs:
+    for spec in getattr(args, name):
         try:
-            t0_s, t1_s, groups_s = s.split(":", 2)
-            groups = tuple(
-                tuple(int(r) for r in grp.split(","))
-                for grp in groups_s.split("|")
-            )
-            out.append(
-                PartitionWindow(
-                    t_start=float(t0_s), t_end=float(t1_s), groups=groups
-                )
-            )
-        except ValueError as e:
+            out.append(build(*spec.split(":", knob.metavar.count(":"))))
+        except (TypeError, ValueError):  # a field missing or malformed
             raise SystemExit(
-                f"bad --partition spec {s!r}; expected T0:T1:G0|G1 with "
-                f"comma-separated rank groups ({e})"
+                f"bad {knob.flags[0]} spec {spec!r}; expected {knob.metavar}"
             ) from None
-    return tuple(out)
+    return out
 
 
-def _cmd_match(args) -> int:
-    from repro.harness.spec import get_spec
-    from repro.matching import MatchingOptions, RunConfig, run_matching
-    from repro.mpisim.checkpoint import (
-        CheckpointConfig,
-        CheckpointStore,
-        load_checkpoint,
+def _match_config(args):
+    """The :class:`~repro.matching.config.RunConfig` ``repro match`` runs
+    for its parsed ``args``."""
+    from dataclasses import fields
+
+    from repro.knobs import knobs, run_config
+    from repro.mpisim.checkpoint import CheckpointConfig, load_checkpoint
+    from repro.mpisim.faults import (
+        ChurnPlan,
+        FaultPlan,
+        NicDegradation,
+        PartitionWindow,
     )
-    from repro.mpisim.errors import RecoveryFailed, SimKilled
-    from repro.mpisim.faults import ChurnPlan, FaultPlan
-    from repro.mpisim.machine import get_machine
-    from repro.util.tables import format_seconds
 
-    faults = None
-    crashes = _parse_crashes(args.crash)
-    degradations = _parse_degradations(args.degrade)
-    partitions = _parse_partitions(args.partition)
+    crashes = dict(_specs(args, "crash", lambda r, t: (int(r), float(t))))
+    degradations = _specs(args, "degrade", lambda r, t0, t1, factor: NicDegradation(
+        int(r), float(t0), float(t1), float(factor)))
+    # groups are comma-separated rank lists: 1e-4:3e-4:0,1|2,3
+    partitions = _specs(args, "partition", lambda t0, t1, groups: PartitionWindow(
+        float(t0), float(t1),
+        tuple(tuple(map(int, grp.split(","))) for grp in groups.split("|"))))
     churn_plan = None
     if args.churn_mtbf:
         if not args.churn_horizon:
@@ -299,49 +238,34 @@ def _cmd_match(args) -> int:
                 "churn streams crashes through the whole run and needs "
                 "rollback-recovery: pass --spares N (and --replicas K)"
             )
-    if args.spares and not args.checkpoint_interval:
+    interval = args.checkpoint_interval
+    if args.spares and not interval:
         if churn_plan is not None:
-            # A pasted `repro chaos --churn` repro line carries no
-            # interval; default to a cadence dense enough to outpace the
-            # requested MTBF.
-            args.checkpoint_interval = args.churn_mtbf / 8.0
+            # A hand-typed churn line may carry no interval; default to a
+            # cadence dense enough to outpace the requested MTBF.
+            interval = args.churn_mtbf / 8.0
         else:
             raise SystemExit(
                 "--spares turns on rollback-recovery, which needs "
                 "coordinated cuts to roll back to: pass --checkpoint-interval"
             )
-    if (
-        args.drop_rate or args.dup_rate or args.delay_rate
-        or args.rma_drop_rate or args.rma_corrupt_rate
-        or crashes or degradations or partitions or churn_plan is not None
-    ):
-        bad = [r for r in crashes if not 0 <= r < args.nprocs]
-        if bad:
-            raise SystemExit(f"--crash ranks {bad} outside 0..{args.nprocs - 1}")
-        try:
-            faults = FaultPlan(
-                seed=args.fault_seed,
-                drop_rate=args.drop_rate,
-                dup_rate=args.dup_rate,
-                delay_rate=args.delay_rate,
-                degradations=degradations,
-                partitions=partitions,
-                crashes=crashes,
-                detect_latency=args.detect_latency,
-                rma_drop_rate=args.rma_drop_rate,
-                rma_corrupt_rate=args.rma_corrupt_rate,
-                churn_plan=churn_plan,
-            )
-        except ValueError as e:
-            raise SystemExit(str(e)) from None
+    bad = [r for r in crashes if not 0 <= r < args.nprocs]
+    if bad:
+        raise SystemExit(f"--crash ranks {bad} outside 0..{args.nprocs - 1}")
+    try:
+        faults = FaultPlan(
+            seed=args.fault_seed, crashes=crashes, churn_plan=churn_plan,
+            degradations=tuple(degradations), partitions=tuple(partitions),
+            # the rates and detect_latency: knobs named as the plan's fields
+            **{f.name: getattr(args, f.name) for f in fields(FaultPlan)
+               if f.name in knobs("match")},
+        )
+    except ValueError as e:
+        raise SystemExit(str(e)) from None
 
     checkpoint = None
-    if args.checkpoint_interval:
-        checkpoint = CheckpointConfig(
-            interval=args.checkpoint_interval,
-            store=CheckpointStore(),
-            dir=args.checkpoint_dir or None,
-        )
+    if interval:
+        checkpoint = CheckpointConfig(interval, dir=args.checkpoint_dir or None)
     restore = None
     if args.resume:
         try:
@@ -353,33 +277,30 @@ def _cmd_match(args) -> int:
                 f"{args.resume} snapshots {restore.nprocs} ranks; "
                 f"rerun with -p {restore.nprocs}"
             )
+    return run_config(
+        vars(args), faults=None if faults.is_null() else faults,
+        checkpoint=checkpoint,
+        kill_at=args.kill_at, restore=restore,
+        spares=args.spares, replicas=args.replicas,
+    )
+
+
+def _cmd_match(args) -> int:
+    from repro.harness.spec import get_spec
+    from repro.matching import run_matching
+    from repro.mpisim.errors import RecoveryFailed, SimKilled
+    from repro.util.tables import format_seconds
+
+    config = _match_config(args)
+    faults, checkpoint, restore = config.faults, config.checkpoint, config.restore
+    if restore is not None:
         print(
             f"resuming from {args.resume} "
             f"(epoch {restore.epoch}, vtime {restore.vtime:.6e})"
         )
-
     g = _resolve(get_spec, args.dataset).instantiate()
-    options = MatchingOptions(
-        agg_flush_bytes=args.agg_flush_bytes or None,
-        agg_flush_count=args.agg_flush_count or None,
-    )
     try:
-        res = run_matching(
-            g,
-            nprocs=args.nprocs,
-            model=args.model,
-            config=RunConfig(
-                machine=get_machine(args.machine),
-                options=options,
-                faults=faults,
-                max_ops=args.max_ops,
-                checkpoint=checkpoint,
-                kill_at=args.kill_at,
-                restore=restore,
-                spares=args.spares,
-                replicas=args.replicas,
-            ),
-        )
+        res = run_matching(g, nprocs=args.nprocs, model=args.model, config=config)
     except ValueError as e:
         # A configuration run_matching rejects before it starts, e.g. a
         # fault plan the model cannot honour.
@@ -441,15 +362,12 @@ def _cmd_match(args) -> int:
 def _cmd_profile(args) -> int:
     from repro import api
     from repro.harness.spec import get_spec
-    from repro.mpisim.machine import get_machine
+    from repro.knobs import run_config
     from repro.util.tables import format_seconds
 
     g = _resolve(get_spec, args.dataset).instantiate()
     pr = api.profile(
-        g,
-        args.nprocs,
-        args.backend,
-        machine=get_machine(args.machine),
+        g, args.nprocs, args.model, config=run_config(vars(args)),
         out=args.out or None,
     )
     res = pr.result
@@ -479,19 +397,12 @@ def _cmd_chaos(args) -> int:
     mode = "restart" if args.restart else "churn" if args.churn else "faults"
     try:
         report = api.chaos(
-            g,
-            args.nprocs,
-            backends=backends,
-            plans=args.plans,
-            seed=args.seed,
-            mode=mode,
-            max_ops=args.max_ops,
-            spares=args.spares,
-            replicas=args.replicas,
-            mtbf=args.mtbf,
-            dataset=args.dataset,
+            g, args.nprocs, backends=backends, mode=mode,
             do_shrink=not args.no_shrink,
             progress=lambda line: print(line, file=sys.stderr),
+            # the knobs api.chaos takes under their own names
+            **{name: getattr(args, name) for name in (
+                "plans", "seed", "max_ops", "spares", "replicas", "mtbf", "dataset")},
         )
     except ValueError as e:
         raise SystemExit(str(e)) from None
@@ -534,8 +445,9 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_submit(args) -> int:
-    from repro.client import ServiceClient, ServiceError
+def _submit_request(args):
+    """The :class:`~repro.service.schema.JobRequest` ``repro submit`` sends."""
+    from repro.knobs import WIRE, knobs
     from repro.service.schema import (
         GraphRef,
         JobRequest,
@@ -543,27 +455,28 @@ def _cmd_submit(args) -> int:
         WireConfig,
         load_toml_file,
     )
-    from repro.util.tables import format_seconds
 
+    if not args.request:
+        if not args.dataset:
+            raise SystemExit("submit needs a DATASET (or --request FILE.toml)")
+        return JobRequest(
+            graph=GraphRef(args.dataset, seed=args.seed),
+            nprocs=args.nprocs,
+            model=args.model,
+            config=WireConfig(**{k: v for k, v in vars(args).items()
+                                 if k in knobs(WIRE)}),
+        )
     try:
-        if args.request:
-            request = JobRequest.from_dict(load_toml_file(args.request))
-        else:
-            if not args.dataset:
-                raise SystemExit("submit needs a DATASET (or --request FILE.toml)")
-            request = JobRequest(
-                graph=GraphRef(args.dataset, seed=args.seed),
-                nprocs=args.nprocs,
-                model=args.model,
-                config=WireConfig(
-                    machine=args.machine,
-                    profile=args.profile,
-                ),
-            )
-            request.validate()
+        return JobRequest.from_dict(load_toml_file(args.request))
     except (OSError, SchemaError) as e:
         raise SystemExit(str(e)) from None
 
+
+def _cmd_submit(args) -> int:
+    from repro.client import ServiceClient, ServiceError
+    from repro.util.tables import format_seconds
+
+    request = _submit_request(args)
     try:
         with ServiceClient(args.url, timeout=args.timeout) as client:
             env = client.submit(request, wait=not args.no_wait)
@@ -597,324 +510,69 @@ def _cmd_submit(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _add_knobs(parser, command: str, fn) -> None:
+    """Give ``parser`` one argument per knob ``command`` takes."""
+    from repro.knobs import knobs
+
+    for knob in knobs(command).values():
+        default = knob.defaults[command]
+        kw = {"default": default, "help": knob.help}
+        if not knob.flags:  # the dataset, required where it has no default
+            parser.add_argument(knob.name, nargs=None if default is None else "?", **kw)
+            continue
+        if knob.kind is bool:
+            kw["action"] = "store_true"
+        elif knob.repeat:
+            kw.update(action="append", metavar=knob.metavar)
+        else:
+            # Choices known only on first use (the machine presets) are
+            # checked after parsing: building a parser imports no simulator.
+            kw.update(type=None if knob.kind is str else knob.kind,
+                      metavar=knob.metavar,
+                      choices=knob.choices if isinstance(knob.choices, tuple) else None)
+        parser.add_argument(*knob.flags, dest=knob.name, **kw)
+    parser.set_defaults(fn=fn, _parser=parser)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="IPDPS'19 MPI graph-matching reproduction"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for command, fn, help_ in (
+        ("datasets", _cmd_datasets, "list the dataset registry"),
+        ("experiments", _cmd_experiments, "list experiment ids"),
+        ("run", _cmd_run, "run one experiment"),
+        ("report", _cmd_report, "regenerate EXPERIMENTS.md"),
+        ("bundle", _cmd_bundle,
+         "write all experiment artifacts (text + CSV) to a directory"),
+        ("match", _cmd_match, "run one matching configuration"),
+        ("profile", _cmd_profile,
+         "span-profiled run: phase breakdown, critical path, trace"),
+        ("chaos", _cmd_chaos, "sample seeded fault plans, verify, shrink failures"),
+        ("serve", _cmd_serve,
+         "run the matching-as-a-service job server (docs/service.md)"),
+        ("submit", _cmd_submit,
+         "submit one job to a running `repro serve` instance"),
+    ):
+        _add_knobs(sub.add_parser(command, help=help_), command, fn)
+    return parser
 
-    sub.add_parser("datasets", help="list the dataset registry").set_defaults(
-        fn=_cmd_datasets
-    )
-    sub.add_parser("experiments", help="list experiment ids").set_defaults(
-        fn=_cmd_experiments
-    )
 
-    p_run = sub.add_parser("run", help="run one experiment")
-    p_run.add_argument("exp_id")
-    p_run.add_argument("--full", action="store_true", help="full-size configuration")
-    p_run.set_defaults(fn=_cmd_run)
-
-    p_rep = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
-    p_rep.add_argument("path", nargs="?", default="EXPERIMENTS.md")
-    p_rep.add_argument("--full", action="store_true")
-    p_rep.set_defaults(fn=_cmd_report)
-
-    p_bundle = sub.add_parser(
-        "bundle", help="write all experiment artifacts (text + CSV) to a directory"
-    )
-    p_bundle.add_argument("dir", nargs="?", default="artifacts")
-    p_bundle.add_argument("--only", default="", help="comma-separated experiment ids")
-    p_bundle.add_argument("--full", action="store_true")
-    p_bundle.set_defaults(fn=_cmd_bundle)
-
-    p_match = sub.add_parser("match", help="run one matching configuration")
-    p_match.add_argument("dataset")
-    p_match.add_argument("-p", "--nprocs", type=int, default=16)
-    p_match.add_argument(
-        "-m", "--model", default="ncl",
-        choices=["nsr", "rma", "ncl", "mbp", "incl", "nsr-agg"],
-    )
-    p_match.add_argument("--machine", default="cori-aries")
-    p_match.add_argument(
-        "--config", default="", metavar="FILE.toml",
-        help="run profile; fills in flags left at their defaults",
-    )
-    p_match.add_argument(
-        "--agg-flush-bytes", type=int, default=8192,
-        help="nsr-agg lane auto-flush byte threshold (0 disables)",
-    )
-    p_match.add_argument(
-        "--agg-flush-count", type=int, default=0,
-        help="nsr-agg lane auto-flush message count (0 disables)",
-    )
-    p_match.add_argument(
-        "--drop-rate", type=float, default=0.0, help="message drop probability"
-    )
-    p_match.add_argument(
-        "--dup-rate", type=float, default=0.0, help="message duplication probability"
-    )
-    p_match.add_argument(
-        "--delay-rate", type=float, default=0.0, help="message extra-delay probability"
-    )
-    p_match.add_argument(
-        "--fault-seed", type=int, default=0, help="seed for the fault plan"
-    )
-    p_match.add_argument(
-        "--crash",
-        action="append",
-        default=[],
-        metavar="RANK:TIME",
-        help="crash RANK at virtual TIME seconds (repeatable)",
-    )
-    p_match.add_argument(
-        "--detect-latency",
-        type=float,
-        default=1e-5,
-        help="seconds after a crash before survivors are notified",
-    )
-    p_match.add_argument(
-        "--rma-drop-rate",
-        type=float,
-        default=0.0,
-        help="one-sided put silent-loss probability (rma model only)",
-    )
-    p_match.add_argument(
-        "--rma-corrupt-rate",
-        type=float,
-        default=0.0,
-        help="one-sided put bit-flip probability (rma model only)",
-    )
-    p_match.add_argument(
-        "--degrade",
-        action="append",
-        default=[],
-        metavar="RANK:T0:T1:FACTOR",
-        help="slow RANK's NIC by FACTOR during [T0, T1) (repeatable)",
-    )
-    p_match.add_argument(
-        "--max-ops",
-        type=int,
-        default=None,
-        help="abort the simulation after this many scheduler operations",
-    )
-    p_match.add_argument(
-        "--partition",
-        action="append",
-        default=[],
-        metavar="T0:T1:G0|G1",
-        help="network partition over virtual [T0, T1): rank groups like "
-        "0,1|2,3 cannot reach each other until the heal (repeatable)",
-    )
-    p_match.add_argument(
-        "--churn-mtbf",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="stream Poisson crash churn through the run: per-rank mean "
-        "time between failures in virtual seconds (needs --churn-horizon "
-        "and --spares; seeded by --fault-seed)",
-    )
-    p_match.add_argument(
-        "--churn-horizon",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="virtual time past which no more churn events fire",
-    )
-    p_match.add_argument(
-        "--spares",
-        type=int,
-        default=0,
-        help="warm-standby rank budget: > 0 turns on automatic "
-        "rollback-recovery (each healed crash consumes one spare; needs "
-        "--checkpoint-interval, defaulted to mtbf/8 for churn runs)",
-    )
-    p_match.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        help="buddy-replication degree k for the diskless replicated "
-        "checkpoint store (used with --spares)",
-    )
-    p_match.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=0.0,
-        help="take coordinated checkpoints every this many virtual seconds",
-    )
-    p_match.add_argument(
-        "--checkpoint-dir",
-        default="",
-        help="also persist each checkpoint as a .ckpt file here",
-    )
-    p_match.add_argument(
-        "--kill-at",
-        type=float,
-        default=None,
-        help="kill the run at this virtual time (restart testing)",
-    )
-    p_match.add_argument(
-        "--resume",
-        default="",
-        metavar="FILE.ckpt",
-        help="resume from a saved checkpoint instead of starting fresh "
-        "(pass the same dataset/-p/-m/fault flags as the original run)",
-    )
-    p_match.set_defaults(fn=_cmd_match, _parser=p_match)
-
-    p_prof = sub.add_parser(
-        "profile", help="span-profiled run: phase breakdown, critical path, trace"
-    )
-    p_prof.add_argument("dataset", nargs="?", default="rgg-8k")
-    p_prof.add_argument("-p", "--nprocs", type=int, default=8)
-    p_prof.add_argument(
-        "-b", "--backend", default="ncl",
-        choices=["nsr", "rma", "ncl", "mbp", "incl", "nsr-agg"],
-    )
-    p_prof.add_argument("--machine", default="cori-aries")
-    p_prof.add_argument(
-        "--config", default="", metavar="FILE.toml",
-        help="run profile; fills in flags left at their defaults",
-    )
-    p_prof.add_argument(
-        "--out", default="", help="directory for the artifact bundle "
-        "(Chrome trace JSON, phase CSVs, comm matrices, critical path)"
-    )
-    p_prof.set_defaults(fn=_cmd_profile, _parser=p_prof)
-
-    p_chaos = sub.add_parser(
-        "chaos", help="sample seeded fault plans, verify, shrink failures"
-    )
-    p_chaos.add_argument("dataset", nargs="?", default="rgg-8k")
-    p_chaos.add_argument("-p", "--nprocs", type=int, default=8)
-    p_chaos.add_argument("--plans", type=int, default=30, help="fault plans to sample")
-    p_chaos.add_argument("--seed", type=int, default=1, help="sampling seed")
-    p_chaos.add_argument(
-        "--backends",
-        default="nsr,rma,ncl",
-        help="comma-separated backends to round-robin over",
-    )
-    p_chaos.add_argument(
-        "--max-ops",
-        type=int,
-        default=2_000_000,
-        help="per-run scheduler-op budget (classified as a hang when exceeded)",
-    )
-    p_chaos.add_argument(
-        "--no-shrink", action="store_true", help="report failures without shrinking"
-    )
-    p_chaos.add_argument(
-        "--restart",
-        action="store_true",
-        help="checkpoint/restart mode: kill each run at sampled points, "
-        "resume from the latest checkpoint, and require bit-identical "
-        "completion (reports rollback/retry/spurious-detection costs)",
-    )
-    p_chaos.add_argument(
-        "--churn",
-        action="store_true",
-        help="crash-churn mode: stream Poisson crashes through whole runs "
-        "under automatic rollback-recovery; surviving runs must match the "
-        "fault-free mate/weight bit-identically, given-up runs must fail "
-        "deterministically with a classified report (reports spares used, "
-        "cuts lost to buddy death, mean recovery latency)",
-    )
-    p_chaos.add_argument(
-        "--mtbf",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="churn mode: pin the per-rank MTBF to FACTOR x the backend's "
-        "fault-free makespan instead of sampling the factor from [0.6, 3)",
-    )
-    p_chaos.add_argument(
-        "--spares",
-        type=int,
-        default=16,
-        help="churn mode: warm-standby rank budget per run",
-    )
-    p_chaos.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        help="churn mode: buddy-replication degree for checkpoint slices",
-    )
-    p_chaos.add_argument(
-        "--csv",
-        default="",
-        metavar="FILE",
-        help="also write the per-plan verdicts + recovery-cost columns "
-        "as CSV ('-' for stdout)",
-    )
-    p_chaos.add_argument(
-        "--config", default="", metavar="FILE.toml",
-        help="run profile; fills in flags left at their defaults",
-    )
-    p_chaos.set_defaults(fn=_cmd_chaos, _parser=p_chaos)
-
-    p_serve = sub.add_parser(
-        "serve", help="run the matching-as-a-service job server (docs/service.md)"
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument(
-        "--port", type=int, default=8123, help="0 picks an ephemeral port"
-    )
-    p_serve.add_argument(
-        "--store", default="service-store",
-        help="content-addressed result/artifact store directory",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=2,
-        help="worker processes (0 = run jobs inline, single-process)",
-    )
-    p_serve.add_argument(
-        "--mp-context", default="spawn", choices=["spawn", "fork"],
-        help="multiprocessing start method for the worker pool",
-    )
-    p_serve.add_argument(
-        "--linger", type=float, default=0.0,
-        help="seconds a free worker waits to collect overlapping requests "
-             "into one batch (default 0: an idle server dispatches at once; "
-             "requests that arrive while every worker is busy are batched "
-             "regardless)",
-    )
-    p_serve.set_defaults(fn=_cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit one job to a running `repro serve` instance"
-    )
-    p_submit.add_argument("dataset", nargs="?", default="")
-    p_submit.add_argument("-p", "--nprocs", type=int, default=16)
-    p_submit.add_argument(
-        "-m", "--model", default="ncl",
-        choices=["nsr", "rma", "ncl", "mbp", "incl", "nsr-agg"],
-    )
-    p_submit.add_argument("--machine", default="cori-aries")
-    p_submit.add_argument("--seed", type=int, default=None,
-                          help="graph generator seed (default: registry seed)")
-    p_submit.add_argument(
-        "--profile", action="store_true",
-        help="span-profiled run; artifacts land in the service store",
-    )
-    p_submit.add_argument(
-        "--request", default="", metavar="FILE.toml",
-        help="submit this TOML JobRequest instead of building one from flags",
-    )
-    p_submit.add_argument("--url", default="http://127.0.0.1:8123")
-    p_submit.add_argument(
-        "--no-wait", action="store_true",
-        help="return the job id immediately instead of waiting for the result",
-    )
-    p_submit.add_argument("--timeout", type=float, default=630.0)
-    p_submit.add_argument(
-        "--json", action="store_true", help="print the raw response envelope"
-    )
-    p_submit.set_defaults(fn=_cmd_submit)
-
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse a command line: each knob takes its table default, then its
+    ``--config`` profile value, then its typed flag, and is then checked."""
+    parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", ""):
-        _apply_config_file(args, args._parser)
+        args._parser.set_defaults(**_config_values(args))
+        args = parser.parse_args(argv)
+    _check_knobs(args)
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `python -m repro datasets | head`

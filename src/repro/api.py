@@ -213,7 +213,6 @@ def profile(
     model: str,
     *,
     config: RunConfig | None = None,
-    machine: MachineModel | None = None,
     out: str | None = None,
 ) -> ProfileRun:
     """One profiled run: phase breakdown, critical path, artifact bundle.
@@ -224,9 +223,7 @@ def profile(
     """
     from repro.harness import profiler
 
-    if config is not None and machine is not None:
-        raise TypeError("api.profile: cannot mix config= with machine=")
-    cfg = (config or RunConfig(machine=machine)).evolve(profile=True)
+    cfg = (config or RunConfig()).evolve(profile=True)
     res = run_matching(g, nprocs, model=model, config=cfg)
     prof = res.profile
     files: list[str] = []

@@ -22,7 +22,8 @@ invocation.
 The ``runner`` is pluggable (``backend, plan -> (status, detail)`` or
 ``(status, detail, recovery)``) so the shrinker itself is testable
 against an intentionally buggy toy program — see
-``tests/harness/test_chaos.py``.
+``tests/harness/test_chaos.py``. A runner may carry ``config(backend,
+plan)``, the ``RunConfig`` it runs a plan under, which repro lines render.
 
 ``repro chaos --restart`` swaps in :func:`restart_matching_runner`:
 every plan additionally runs a checkpointed reference, gets killed at
@@ -50,6 +51,7 @@ import io
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
+from repro.knobs import knobs
 from repro.mpisim.faults import ChurnPlan, FaultPlan, NicDegradation, PartitionWindow
 from repro.util.rng import derive_seed
 from repro.matching.config import RunConfig
@@ -181,6 +183,10 @@ def _fingerprint(res) -> tuple:
     return (res.makespan, float(res.weight), mate_hash)
 
 
+def _run_config(plan: FaultPlan, max_ops: int | None, **fields) -> RunConfig:
+    return RunConfig(faults=None if plan.is_null() else plan, max_ops=max_ops, **fields)
+
+
 def matching_runner(g, nprocs: int, max_ops: int | None = None) -> Runner:
     """Build the production runner: run, verify, run again, compare."""
     from repro.matching.api import run_matching
@@ -193,7 +199,7 @@ def matching_runner(g, nprocs: int, max_ops: int | None = None) -> Runner:
     )
 
     def one(backend: str, plan: FaultPlan):
-        return run_matching(g, nprocs=nprocs, model=backend, config=RunConfig(faults=None if plan.is_null() else plan, max_ops=max_ops))
+        return run_matching(g, nprocs=nprocs, model=backend, config=_run_config(plan, max_ops))
 
     def run(backend: str, plan: FaultPlan) -> tuple[str, str]:
         try:
@@ -214,6 +220,7 @@ def matching_runner(g, nprocs: int, max_ops: int | None = None) -> Runner:
             return "nondet", f"{_fingerprint(res)} != {_fingerprint(res2)}"
         return "ok", ""
 
+    run.config = lambda backend, plan: _run_config(plan, max_ops)
     return run
 
 
@@ -251,10 +258,9 @@ def restart_matching_runner(
     def run(backend: str, plan: FaultPlan):
         t_scale = t_scales.get(backend, 1e-3)
         interval = t_scale / 4.0
-        faults = None if plan.is_null() else plan
 
         def cfg(**kw) -> RunConfig:
-            return RunConfig(faults=faults, max_ops=max_ops, trace=True, **kw)
+            return _run_config(plan, max_ops, trace=True, **kw)
 
         store = CheckpointStore()
         try:
@@ -330,6 +336,7 @@ def restart_matching_runner(
                 )
         return "ok", "", recovery
 
+    run.config = lambda backend, plan: _run_config(plan, max_ops)
     return run
 
 
@@ -381,18 +388,15 @@ def churn_matching_runner(
             clean_cache[backend] = _fingerprint(res)
         return clean_cache[backend]
 
-    def one(backend: str, plan: FaultPlan):
+    def config(backend: str, plan: FaultPlan) -> RunConfig:
         t_scale = t_scales.get(backend, 1e-3)
-        return run_matching(
-            g, nprocs=nprocs, model=backend,
-            config=RunConfig(
-                faults=None if plan.is_null() else plan,
-                max_ops=max_ops,
-                checkpoint=CheckpointConfig(interval=t_scale / 8.0),
-                spares=spares,
-                replicas=replicas,
-            ),
+        return _run_config(
+            plan, max_ops, checkpoint=CheckpointConfig(interval=t_scale / 8.0),
+            spares=spares, replicas=replicas,
         )
+
+    def one(backend: str, plan: FaultPlan):
+        return run_matching(g, nprocs=nprocs, model=backend, config=config(backend, plan))
 
     def run(backend: str, plan: FaultPlan):
         recovery = {
@@ -469,6 +473,7 @@ def churn_matching_runner(
             )
         return "ok", "", recovery
 
+    run.config = config
     return run
 
 
@@ -620,39 +625,41 @@ def shrink_plan(
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-def render_cli(
-    dataset: str, nprocs: int, backend: str, plan: FaultPlan
-) -> str:
-    """A ready-to-paste ``python -m repro match`` reproducing this plan."""
-    parts = [
-        f"python -m repro match {dataset}", f"-p {nprocs}", f"-m {backend}",
-        f"--fault-seed {plan.seed}",
-    ]
-    for r, t in sorted(plan.crashes.items()):
-        parts.append(f"--crash {r}:{t:.9g}")
-    if plan.crashes:
-        parts.append(f"--detect-latency {plan.detect_latency:.9g}")
+def render_cli(dataset: str, nprocs: int, backend: str, config: RunConfig) -> str:
+    """A ready-to-paste ``python -m repro match`` line that runs ``config``.
+
+    The problem and every other ``repro match`` knob that differs from
+    its default are spelled with their flags from the knob table, floats
+    in full, so the line parses back to the fault plan, budget,
+    checkpoint interval and recovery settings the runner ran.
+    """
+    plan = config.faults or FaultPlan()
     cp = plan.churn_plan
-    if cp is not None:
-        parts.append(f"--churn-mtbf {cp.mtbf:.9g}")
-        parts.append(f"--churn-horizon {cp.horizon:.9g}")
-        parts.append(f"--detect-latency {plan.detect_latency:.9g}")
-        parts.append("--spares 16 --replicas 2")
-    for nm, flag in (
-        ("drop_rate", "--drop-rate"), ("dup_rate", "--dup-rate"),
-        ("delay_rate", "--delay-rate"), ("rma_drop_rate", "--rma-drop-rate"),
-        ("rma_corrupt_rate", "--rma-corrupt-rate"),
-    ):
-        v = getattr(plan, nm)
-        if v > 0:
-            parts.append(f"{flag} {v:.6g}")
-    for d in plan.degradations:
-        parts.append(
-            f"--degrade {d.rank}:{d.t_start:.9g}:{d.t_end:.9g}:{d.factor:.6g}"
-        )
-    for w in plan.partitions:
-        groups = "|".join(",".join(map(str, grp)) for grp in w.groups)
-        parts.append(f"--partition {w.t_start:.9g}:{w.t_end:.9g}:{groups}")
+    values = {
+        "nprocs": nprocs, "model": backend, "fault_seed": plan.seed,
+        "crash": [f"{r}:{t!r}" for r, t in sorted(plan.crashes.items())],
+        "degrade": [f"{d.rank}:{d.t_start!r}:{d.t_end!r}:{d.factor!r}"
+                    for d in plan.degradations],
+        "partition": [
+            f"{w.t_start!r}:{w.t_end!r}:"
+            + "|".join(",".join(map(str, grp)) for grp in w.groups)
+            for w in plan.partitions
+        ],
+        "churn_mtbf": cp.mtbf if cp else 0.0,
+        "churn_horizon": cp.horizon if cp else 0.0,
+        "max_ops": config.max_ops,
+        "checkpoint_interval": config.checkpoint.interval if config.checkpoint else 0.0,
+        "spares": config.spares,
+        "replicas": config.replicas,
+    }
+    parts = [f"python -m repro match {dataset}"]
+    for name, knob in knobs("match").items():
+        default = knob.defaults["match"]
+        value = values.get(name, getattr(plan, name, default))  # the rates
+        if not knob.repeat:  # -p and -m always, the rest when not default
+            value = [value] if value != default or name in ("nprocs", "model") else []
+        parts += [f"{knob.flags[0]} {v if isinstance(v, str) else repr(v)}"
+                  for v in value]
     return " ".join(parts)
 
 
@@ -681,6 +688,8 @@ class ChaosReport:
     nprocs: int
     dataset: str
     outcomes: list[ChaosOutcome] = field(default_factory=list)
+    #: the runner's ``config(backend, plan)``, which repro lines render
+    config: Callable[[str, FaultPlan], RunConfig] = lambda b, plan: _run_config(plan, None)
 
     @property
     def failures(self) -> list[ChaosOutcome]:
@@ -732,10 +741,9 @@ class ChaosReport:
                 lines.append(f"        {o.detail}")
                 target = o.shrunk if o.shrunk is not None else o.plan
                 label = "shrunk to" if o.shrunk is not None else "plan"
-                lines.append(
-                    f"        {label}: "
-                    + render_cli(self.dataset, self.nprocs, o.backend, target)
-                )
+                cfg = self.config(o.backend, target)
+                lines.append(f"        {label}: "
+                             + render_cli(self.dataset, self.nprocs, o.backend, cfg))
         return "\n".join(lines)
 
     #: CSV column order (stable across releases; extend at the end only)
@@ -806,6 +814,8 @@ def run_chaos(
     failures nor get shrunk — they are the sampled churn outpacing the
     replication degree, working as designed."""
     report = ChaosReport(seed=seed, nprocs=nprocs, dataset=dataset)
+    if hasattr(runner, "config"):
+        report.config = runner.config
     for i in range(plans):
         backend = backends[i % len(backends)]
         t_scale = (t_scales or {}).get(backend, 1e-3)

@@ -88,7 +88,7 @@ def generate_experiments_md(path: str | Path, fast: bool = True) -> str:
     lines = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Regenerate with `python -m repro.harness.report` (or run",
+        "Regenerate with `python -m repro report` (or run",
         "`pytest benchmarks/ --benchmark-only`, which also writes each",
         "experiment's rendered output to `benchmarks/_output/`).",
         "",
@@ -111,11 +111,3 @@ def generate_experiments_md(path: str | Path, fast: bool = True) -> str:
     text = "\n".join(lines)
     Path(path).write_text(text)
     return text
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    target = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    generate_experiments_md(target)
-    print(f"wrote {target}")

@@ -137,7 +137,7 @@ def run_matching(
     engine = Engine(
         nprocs,
         machine,
-        max_ops=config.max_ops if config.max_ops is not None else options.max_ops,
+        max_ops=config.max_ops,
         max_vtime=options.max_vtime,
         trace=config.trace,
         profile=config.profile,

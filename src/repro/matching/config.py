@@ -37,8 +37,7 @@ class RunConfig:
     options: MatchingOptions | None = None  #: algorithm/backend tunables
     dist: Any = None  #: vertex distribution override (e.g.
     #: :func:`repro.graph.distribution.edge_balanced_distribution`)
-    max_ops: int | None = None  #: engine operation budget (overrides
-    #: ``options.max_ops`` when set)
+    max_ops: int | None = None  #: engine operation budget
     faults: FaultPlan | None = None  #: deterministic fault plan
     trace: bool = False  #: record per-op trace events
     profile: bool = False  #: span profiler (docs/profiling.md)

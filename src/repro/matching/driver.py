@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.graph.distribution import LocalGraph
+from repro.knobs import knobs
 from repro.matching.incl import INCLBackend
 from repro.matching.mbp import MBPBackend
 from repro.matching.ncl import NCLBackend
@@ -64,16 +65,16 @@ class MatchingOptions:
     max_retries: int = 25  #: retransmissions per message before giving up
 
     # -- message aggregation (nsr-agg backend) ------------------------
-    agg_flush_bytes: int | None = 8192  #: lane auto-flush byte threshold
-    #: (None disables; lanes then flush only at iteration boundaries)
+    agg_flush_bytes: int | None = knobs("match")["agg_flush_bytes"].defaults["match"]
+    #: lane auto-flush byte threshold (None disables; lanes then flush
+    #: only at iteration boundaries)
     agg_flush_count: int | None = None  #: lane auto-flush message-count
     #: threshold (None disables)
     agg_flush_delay: float | None = 5e-6  #: aggregation timer (virtual s):
     #: how long an idle rank lingers for more coalescable traffic before
     #: flushing its lanes (None flushes immediately on running dry)
 
-    # -- simulation budgets (guard runaway runs; SimLimitExceeded) ----
-    max_ops: int | None = None  #: engine operation budget
+    # -- simulation budget (SimLimitExceeded; ops: RunConfig.max_ops) --
     max_vtime: float | None = None  #: virtual-time budget (s)
 
 

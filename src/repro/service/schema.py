@@ -26,26 +26,15 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
+
+from repro.knobs import WIRE, knobs, run_config
 
 SCHEMA_VERSION = 1
-
-#: models the service will execute (mirrors the `repro match` choices)
-MODELS = ("nsr", "rma", "ncl", "mbp", "incl", "nsr-agg")
-
-#: config fields that must be a JSON/TOML boolean, not merely truthy
-_BOOL_FIELDS = ("compute_weight", "profile", "trace", "eager_reject")
-#: optional integer config fields and the least value each accepts
-_INT_FIELDS = (("max_ops", 1), ("agg_flush_bytes", 0), ("agg_flush_count", 0))
 
 
 class SchemaError(ValueError):
     """A request/result body that does not speak this schema."""
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: an ``int`` but not a ``bool``, which subclasses it."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_toml_module():
@@ -130,10 +119,9 @@ class GraphRef:
         name = d.get("name")
         if not isinstance(name, str) or not name:
             raise SchemaError("graph.name must be a non-empty string")
-        seed = d.get("seed")
-        if seed is not None and not isinstance(seed, int):
-            raise SchemaError(f"graph.seed must be an integer, got {seed!r}")
-        return cls(name=name, seed=seed)
+        ref = cls(name=name, seed=d.get("seed"))
+        _check(ref, _GRAPH_KNOBS, "graph.")
+        return ref
 
     def build(self):
         """Instantiate the CSR graph (server/worker side)."""
@@ -145,47 +133,27 @@ class GraphRef:
         return get_graph(self.name, seed=self.seed)
 
 
-@dataclass(frozen=True)
-class WireConfig:
-    """The JSON/TOML-serializable slice of :class:`RunConfig`.
+def _check(obj, named_knobs, prefix: str) -> None:
+    for name, knob in named_knobs:
+        try:
+            knob.check(getattr(obj, name))
+        except ValueError as e:
+            raise SchemaError(f"{prefix}{name} {e}") from None
 
-    ``None`` means "the library default".
+
+class _WireMethods:
+    """The JSON/TOML-serializable slice of :class:`RunConfig`, one field
+    per wire knob of :mod:`repro.knobs`; ``None`` means the library default.
     """
 
-    machine: str = "cori-aries"  #: machine-model preset name
-    max_ops: int | None = None
-    compute_weight: bool = True
-    profile: bool = False  #: span profiler + artifact bundle in the store
-    trace: bool = False
-    tie_break: str = "hash"
-    eager_reject: bool = False
-    agg_flush_bytes: int | None = None  #: None → MatchingOptions default
-    agg_flush_count: int | None = None
+    __slots__ = ()
 
     def validate(self) -> None:
-        from repro.mpisim.machine import PRESETS
-
-        if self.machine not in PRESETS:
-            raise SchemaError(
-                f"config.machine {self.machine!r} unknown; have "
-                f"{sorted(PRESETS)}"
-            )
-        if self.tie_break not in ("hash", "id"):
-            raise SchemaError(f"config.tie_break {self.tie_break!r} unknown")
-        for name in _BOOL_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise SchemaError(f"config.{name} must be a boolean, got {value!r}")
-        for name, least in _INT_FIELDS:
-            value = getattr(self, name)
-            if value is not None and (not _is_int(value) or value < least):
-                raise SchemaError(
-                    f"config.{name} must be an integer >= {least}, got {value!r}"
-                )
+        _check(self, _WIRE_KNOBS, "config.")
 
     def to_dict(self) -> dict:
         # every field is a scalar: no recursive asdict/deepcopy needed
-        return {name: getattr(self, name) for name in _WIRE_FIELDS}
+        return {name: getattr(self, name) for name, _ in _WIRE_KNOBS}
 
     @classmethod
     def from_dict(cls, d: dict) -> "WireConfig":
@@ -196,29 +164,23 @@ class WireConfig:
 
     def to_run_config(self):
         """Materialize the full :class:`RunConfig` for execution."""
-        from repro.matching.config import RunConfig
-        from repro.matching.driver import MatchingOptions
-        from repro.mpisim.machine import get_machine
-
-        opt_kwargs: dict = {
-            "tie_break": self.tie_break,
-            "eager_reject": self.eager_reject,
-        }
-        if self.agg_flush_bytes is not None:
-            opt_kwargs["agg_flush_bytes"] = self.agg_flush_bytes or None
-        if self.agg_flush_count is not None:
-            opt_kwargs["agg_flush_count"] = self.agg_flush_count or None
-        return RunConfig(
-            machine=get_machine(self.machine),
-            options=MatchingOptions(**opt_kwargs),
-            max_ops=self.max_ops,
-            compute_weight=self.compute_weight,
-            profile=self.profile,
-            trace=self.trace,
-        )
+        return run_config(self.to_dict())
 
 
-_WIRE_FIELDS = tuple(f.name for f in fields(WireConfig))
+_WIRE_KNOBS = tuple(knobs(WIRE).items())
+
+WireConfig = make_dataclass(
+    "WireConfig",
+    [(name, knob.kind, field(default=knob.defaults[WIRE]))
+     for name, knob in _WIRE_KNOBS],
+    bases=(_WireMethods,),
+    frozen=True,
+    namespace={"__module__": __name__},
+)
+
+
+_REQUEST_KNOBS = tuple((name, knobs("submit")[name]) for name in ("nprocs", "model"))
+_GRAPH_KNOBS = (("seed", knobs("submit")["seed"]),)
 
 
 @dataclass(frozen=True)
@@ -243,12 +205,7 @@ class JobRequest:
                 f"schema_version {self.schema_version!r} not supported; "
                 f"this build speaks version {SCHEMA_VERSION}"
             )
-        if not _is_int(self.nprocs) or self.nprocs < 1:
-            raise SchemaError(f"nprocs must be a positive integer, got {self.nprocs!r}")
-        if self.model not in MODELS:
-            raise SchemaError(
-                f"model {self.model!r} unknown; have {list(MODELS)}"
-            )
+        _check(self, _REQUEST_KNOBS, "")
         self.config.validate()
 
     # -- wire ---------------------------------------------------------

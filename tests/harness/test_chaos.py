@@ -12,6 +12,7 @@ from repro.harness.chaos import (
     sample_plan,
     shrink_plan,
 )
+from repro.matching import RunConfig
 from repro.mpisim.faults import FaultPlan, NicDegradation, PartitionWindow
 
 
@@ -176,7 +177,7 @@ class TestRunChaos:
             assert o.status == "hang"
             target = o.shrunk if o.shrunk is not None else o.plan
             assert 2 in target.crashes
-            line = render_cli("toy", 6, o.backend, target)
+            line = render_cli("toy", 6, o.backend, RunConfig(faults=target))
             assert line.startswith("python -m repro match toy")
             assert "--crash 2:" in line
         # Round-trips through the actual CLI parser.
@@ -190,6 +191,13 @@ class TestRunChaos:
         assert all(o.shrunk is None for o in rep.outcomes)
 
 
+def _rerun(line: str):
+    """The fault plan `repro match`'s own parser reads from ``line``."""
+    from repro.__main__ import _match_config, parse_args
+
+    return _match_config(parse_args(line.split()[3:])).faults
+
+
 class TestRenderCli:
     def test_cli_line_parses_back_to_same_plan(self):
         plan = FaultPlan(
@@ -198,19 +206,8 @@ class TestRenderCli:
             degradations=(NicDegradation(rank=2, t_start=1e-5,
                                          t_end=9e-5, factor=2.5),),
         )
-        line = render_cli("rgg-8k", 8, "nsr", plan)
-        # Feed the generated flags back through the argparse pipeline.
-        from repro.__main__ import _parse_crashes, _parse_degradations
-
-        toks = line.split()
-        crashes = _parse_crashes(
-            [toks[i + 1] for i, t in enumerate(toks) if t == "--crash"]
-        )
-        assert crashes == plan.crashes
-        degs = _parse_degradations(
-            [toks[i + 1] for i, t in enumerate(toks) if t == "--degrade"]
-        )
-        assert degs == plan.degradations
+        line = render_cli("rgg-8k", 8, "nsr", RunConfig(faults=plan))
+        assert _rerun(line) == plan
         assert f"--fault-seed {plan.seed}" in line
         assert "--drop-rate 0.05" in line
 
@@ -220,14 +217,8 @@ class TestRenderCli:
             partitions=(PartitionWindow(t_start=2e-4, t_end=4.5e-4,
                                         groups=((0, 1), (2, 3))),),
         )
-        line = render_cli("rmat-s10", 4, "nsr-agg", plan)
-        from repro.__main__ import _parse_partitions
-
-        toks = line.split()
-        windows = _parse_partitions(
-            [toks[i + 1] for i, t in enumerate(toks) if t == "--partition"]
-        )
-        assert windows == plan.partitions
+        line = render_cli("rmat-s10", 4, "nsr-agg", RunConfig(faults=plan))
+        assert _rerun(line).partitions == plan.partitions
 
 
 class TestMatchingRunner:
@@ -429,12 +420,46 @@ class TestRenderCliChurn:
         plan = FaultPlan.churn(
             mtbf=2.5e-4, horizon=1e-3, seed=41, detect_latency=3e-6
         )
-        line = render_cli("rgg-8k", 8, "nsr", plan)
+        line = render_cli("rgg-8k", 8, "nsr", RunConfig(faults=plan))
         assert "--churn-mtbf 0.00025" in line
         assert "--churn-horizon 0.001" in line
         assert "--detect-latency 3e-06" in line
-        assert "--spares 16 --replicas 2" in line
         assert "--fault-seed 41" in line
+        # the recovery settings come from the config, never a fixed guess
+        assert "--spares" not in line and "--replicas" not in line
+        line = render_cli("rgg-8k", 8, "nsr",
+                          RunConfig(faults=plan, spares=8, replicas=1))
+        assert "--spares 8 --replicas 1" in line
+
+    def test_line_parses_back_to_the_run_config_of_the_runner(self):
+        """A churn repro line rerun through `repro match`'s own parser
+        gives the RunConfig the runner ran: spares, replicas, checkpoint
+        interval, max_ops and the plan's floats to the last bit."""
+        from dataclasses import replace
+
+        from repro.__main__ import _match_config, parse_args
+        from repro.graph.generators import rmat_graph
+        from repro.harness.chaos import churn_matching_runner
+        from repro.matching import MatchingOptions
+        from repro.mpisim.machine import cori_aries
+
+        g = rmat_graph(6, seed=2)
+        runner = churn_matching_runner(g, 2, {"ncl": 1.2345678901234e-4},
+                                       max_ops=777_777, spares=8, replicas=1)
+        plan = FaultPlan.churn(mtbf=3.141592653589793e-4, horizon=1.1e-3,
+                               seed=5, detect_latency=2.718281828e-6)
+        ran = runner.config("ncl", plan)
+        line = render_cli("rmat-s10", 2, "ncl", ran)
+        args = parse_args(line.split()[3:])
+        got = _match_config(args)
+        assert (args.nprocs, args.model) == (2, "ncl")
+        assert got.checkpoint.interval == ran.checkpoint.interval
+        # the runner leaves machine and options at their defaults, which
+        # the CLI spells out
+        assert got.machine == cori_aries() and got.options == MatchingOptions()
+        assert replace(got, checkpoint=None, machine=None, options=None) == \
+            replace(ran, checkpoint=None)
+        assert (got.spares, got.replicas, got.max_ops) == (8, 1, 777_777)
 
 
 class TestChurnMatchingRunner:

@@ -131,14 +131,15 @@ class TestCrashes:
 class TestBudgets:
     def test_max_ops_budget_via_options(self, graph):
         with pytest.raises(SimLimitExceeded):
-            run_matching(graph, 4, "nsr", config=RunConfig(options=MatchingOptions(max_ops=50)))
+            run_matching(graph, 4, "nsr", config=RunConfig(max_ops=50))
 
     def test_max_vtime_budget_via_options(self, graph):
         with pytest.raises(SimLimitExceeded):
             run_matching(graph, 4, "nsr", config=RunConfig(options=MatchingOptions(max_vtime=1e-9)))
 
     def test_generous_budgets_pass(self, graph, clean):
-        r = run_matching(graph, 4, "nsr", config=RunConfig(options=MatchingOptions(max_ops=10**9, max_vtime=1e6)))
+        r = run_matching(graph, 4, "nsr", config=RunConfig(
+            max_ops=10**9, options=MatchingOptions(max_vtime=1e6)))
         assert np.array_equal(r.mate, clean.mate)
 
 

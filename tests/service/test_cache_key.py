@@ -112,6 +112,28 @@ def test_flip_table_covers_every_config_field():
     assert names == set(_FLIPPED)
 
 
+#: literal keys of three fixed requests, under CODE; computed before the
+#: wire config was derived from the knob table, which must not move them
+_PINNED = [
+    (make_request(),
+     "bc5644549837f0987e8569b95e9643e313e3d9d07684c5899bfeb79de35d880e"),
+    (make_request(graph=GraphRef("rgg-8k"), nprocs=16, model="nsr-agg",
+                  config=WireConfig(max_ops=5000, agg_flush_bytes=0,
+                                    agg_flush_count=4, tie_break="id")),
+     "3cf5589918fb5217d5cb9b2ff1a9ff75c301750e380e7ec80739ae6fb505cde5"),
+    (make_request(graph=GraphRef("rmat-s12", seed=3), nprocs=64, model="rma",
+                  config=WireConfig(machine="commodity", compute_weight=False,
+                                    profile=True, trace=True, eager_reject=True)),
+     "385c251affbe4a0b667374c17fa6cecb62cd8a41be014939ce25aca26d6919ca"),
+]
+
+
+@pytest.mark.parametrize("request_, key", _PINNED, ids=["default", "nsr-agg", "flipped"])
+def test_pinned_keys(request_, key):
+    assert request_.cache_key(CODE) == key
+    assert JobRequest.from_json(request_.to_json()).cache_key(CODE) == key
+
+
 @pytest.mark.parametrize("field", sorted(_FLIPPED))
 def test_any_other_config_field_changes_the_key(field):
     base = make_request(config=WireConfig()).cache_key(CODE)

@@ -33,3 +33,18 @@ def test_no_module_level_scipy_import_under_src():
     found = [str(p.relative_to(SRC)) for p in sorted(SRC.rglob("*.py"))
              if pattern.search(p.read_text())]
     assert found == []
+
+
+def test_client_and_wire_schema_load_neither_numpy_nor_the_simulator():
+    # The client is meant to need http.client only; the wire schema (and
+    # the knob table it is derived from) must not pull in repro.matching,
+    # whose __init__ loads numpy and every backend.
+    code = (
+        "import sys, repro.client, repro.service.schema; "
+        "bad = [m for m in sys.modules "
+        "       if m == 'numpy' or m.startswith('repro.matching')]; "
+        "assert not bad, bad"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
