@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.graph.csr import CSRGraph
+from repro.knobs import default
 from repro.matching.api import MatchingRunResult, run_matching
 from repro.matching.config import RunConfig
 from repro.matching.driver import MatchingOptions
@@ -243,14 +244,14 @@ def chaos(
     g: CSRGraph,
     nprocs: int,
     *,
-    backends: tuple[str, ...] = ("nsr", "rma", "ncl"),
-    plans: int = 30,
-    seed: int = 1,
+    backends: tuple[str, ...] = tuple(default("chaos", "backends").split(",")),
+    plans: int = default("chaos", "plans"),
+    seed: int = default("chaos", "seed"),
     mode: str = "faults",
-    max_ops: int | None = 2_000_000,
-    spares: int = 16,
-    replicas: int = 2,
-    mtbf: float | None = None,
+    max_ops: int | None = default("chaos", "max_ops"),
+    spares: int = default("chaos", "spares"),
+    replicas: int = default("chaos", "replicas"),
+    mtbf: float | None = default("chaos", "mtbf"),
     dataset: str = "?",
     do_shrink: bool = True,
     progress: Callable[[str], None] | None = None,

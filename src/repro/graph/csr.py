@@ -31,6 +31,8 @@ class CSRGraph:
             raise ValueError("xadj must start at 0 and end at len(adjncy)")
         if np.any(np.diff(self.xadj) < 0):
             raise ValueError("xadj must be nondecreasing")
+        if np.isnan(self.weights).any():  # no place in edge_order
+            raise ValueError("edge weights must not be NaN")
 
     # ------------------------------------------------------------------
     @property
@@ -130,6 +132,8 @@ def from_edges(
     Inputs are parallel arrays of endpoints (any orientation, no
     duplicates, no self-loops). Weights default to 1.0.
     """
+    if num_vertices > 3_037_000_499:  # the slot key below reaches n * n - 1
+        raise ValueError(f"num_vertices {num_vertices}: src * n + dst overflows int64")
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if w is None:
@@ -146,12 +150,11 @@ def from_edges(
     src = np.concatenate([u, v])
     dst = np.concatenate([v, u])
     ww = np.concatenate([w, w])
-    order = np.lexsort((dst, src))
-    src, dst, ww = src[order], dst[order], ww[order]
+    # rows in src order, each row by dst, duplicates in input order
+    order = np.argsort(src * num_vertices + dst, kind="stable")
     xadj = np.zeros(num_vertices + 1, dtype=np.int64)
-    np.add.at(xadj, src + 1, 1)
-    np.cumsum(xadj, out=xadj)
-    return CSRGraph(xadj=xadj, adjncy=dst, weights=ww)
+    np.cumsum(np.bincount(src, minlength=num_vertices), out=xadj[1:])
+    return CSRGraph(xadj=xadj, adjncy=dst[order], weights=ww[order])
 
 
 def from_scipy(mat) -> CSRGraph:

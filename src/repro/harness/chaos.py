@@ -51,7 +51,7 @@ import io
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from repro.knobs import knobs
+from repro.knobs import default, knobs
 from repro.mpisim.faults import ChurnPlan, FaultPlan, NicDegradation, PartitionWindow
 from repro.util.rng import derive_seed
 from repro.matching.config import RunConfig
@@ -345,8 +345,8 @@ def churn_matching_runner(
     nprocs: int,
     t_scales: dict[str, float],
     max_ops: int | None = None,
-    spares: int = 16,
-    replicas: int = 2,
+    spares: int = default("chaos", "spares"),
+    replicas: int = default("chaos", "replicas"),
 ) -> Runner:
     """Build the ``--churn`` runner: self-healing runs under crash churn.
 

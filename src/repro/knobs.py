@@ -236,6 +236,11 @@ def knobs(command: str) -> Mapping[str, Knob]:
     return {k.name: k for k in KNOBS if command in k.defaults}
 
 
+def default(command: str, name: str) -> Any:
+    """Knob ``name``'s default in ``command`` (or :data:`WIRE`)."""
+    return knobs(command)[name].defaults[command]
+
+
 def run_config(values: Mapping[str, Any], **fields):
     """The ``RunConfig`` for wire-knob ``values`` (a missing knob takes
     its wire default) plus the ``fields`` no knob sets."""

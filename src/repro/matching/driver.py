@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.graph.distribution import LocalGraph
-from repro.knobs import knobs
+from repro.knobs import default
 from repro.matching.incl import INCLBackend
 from repro.matching.mbp import MBPBackend
 from repro.matching.ncl import NCLBackend
@@ -65,7 +65,7 @@ class MatchingOptions:
     max_retries: int = 25  #: retransmissions per message before giving up
 
     # -- message aggregation (nsr-agg backend) ------------------------
-    agg_flush_bytes: int | None = knobs("match")["agg_flush_bytes"].defaults["match"]
+    agg_flush_bytes: int | None = default("match", "agg_flush_bytes")
     #: lane auto-flush byte threshold (None disables; lanes then flush
     #: only at iteration boundaries)
     agg_flush_count: int | None = None  #: lane auto-flush message-count

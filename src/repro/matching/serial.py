@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.util.hashing import edge_hash_array
+from repro.util.hashing import edge_hash_array, edge_order
 
 NO_MATE = -1
 
@@ -81,8 +81,7 @@ def matching_weight(g: CSRGraph, mate: np.ndarray) -> float:
 def greedy_matching(g: CSRGraph) -> MatchingResult:
     """Avis's half-approx greedy over edges sorted by (weight, hash) desc."""
     u, v, w = g.edge_list()
-    h = edge_hash_array(u, v)
-    order = np.lexsort((h, w))[::-1]  # descending (w, h)
+    order = edge_order(w, edge_hash_array(u, v))  # descending (w, h)
     mate = np.full(g.num_vertices, NO_MATE, dtype=np.int64)
     weight = 0.0
     for i in order:

@@ -31,20 +31,24 @@ iteration, exactly as the paper describes.
 Representation
 --------------
 Every transition touches one vertex at a time, so per-vertex state is
-held in plain Python containers indexed by local id ``i = v - lo``:
-``status`` and ``processed`` are ``bytearray``s, ``mate``, ``pointer``
-and ``ptr_idx`` are lists, and ownership is the range test
-``lo <= v < hi`` on locals. The candidate order and the CSR row are two
-flat ``array('q')`` buffers addressed through ``xadj`` (8 bytes a slot,
-like the numpy CSR they are copied from). numpy lost here because each
-scalar read or write through it costs a conversion and a call — a numpy
-scalar per ``status[i]``, a view per ``row(v)`` — which made this module
-half of the engine's self time on a locality-bound graph; lists were
-kept over ``array('q')`` for the per-vertex fields because an array
-boxes a new int on every read. ``evicted`` / ``pending`` slots share one
-immutable empty sentinel until their first write, which replaces it
-with the slot's own ``set``; a set once created is only ever modified in
-place.
+held in plain Python containers indexed by local id ``i = v - lo``
+(numpy costs a conversion and a call per scalar access): ``status`` and
+``processed`` are ``bytearray``s, ``mate``, ``pointer`` and ``ptr_idx``
+lists, and ownership is the range test ``lo <= v < hi``. The candidate
+order and the CSR row are two flat ``array('q')`` buffers addressed
+through ``xadj``. The candidate order (weight, key, slot: descending)
+is one stable argsort of packed bytes ``[src, ~ordered(w), ~key, ~slot]``
+(:func:`~repro.util.hashing.edge_order`: ``-0.0`` sorts as ``+0.0``,
+NaN is refused). ``evicted`` / ``pending`` slots share one immutable
+empty sentinel until their first write gives the slot its own ``set``,
+which is then only ever modified in place.
+
+A transition is a plain call until it sends: FINDMATE (:meth:`_scan`)
+and PROCESSNEIGHBORS (:meth:`_neighbors`) return the sending step's
+generator — or ``()`` / None when nothing is sent — and the caller
+drives it. A chain of sends is a loop, never nested generators:
+:meth:`drain_work_g` resumes a row after each send, so a row of any
+length parks with one frame of it on the stack.
 
 Snapshot layout (a contract)
 ----------------------------
@@ -68,7 +72,7 @@ import numpy as np
 
 from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import CTX_NAME, Ctx
-from repro.util.hashing import edge_hash_array
+from repro.util.hashing import edge_hash_array, edge_order
 
 NO_MATE = -1
 
@@ -171,22 +175,7 @@ class MatchingState:
             keys = lg.adjncy.astype(np.uint64)
         else:
             raise ValueError(f"unknown tie_break {tie_break!r}")
-        # One global lexsort instead of a per-vertex sort loop. The
-        # per-vertex order was lexsort((keys, w))[::-1]: descending
-        # (weight, key), full ties in descending slot order (the reversal
-        # of a stable ascending sort). Globally: primary src ascending
-        # keeps each CSR segment contiguous; -w / ~keys ascending are w /
-        # keys descending exactly (float negation and uint64 bitwise NOT
-        # are order-reversing bijections); -arange ascending is slot
-        # descending for full ties.
-        n_slots = len(lg.adjncy)
-        if n_slots:
-            perm = np.lexsort((
-                -np.arange(n_slots), np.invert(keys), -lg.weights, src_local,
-            ))
-            sorted_adj = lg.adjncy[perm]
-        else:
-            sorted_adj = lg.adjncy
+        sorted_adj = lg.adjncy[edge_order(lg.weights, keys, src_local)]
         # Two flat arrays addressed by xadj: candidate order (FINDMATE)
         # and CSR row order (PROCESSNEIGHBORS, whose sends follow it).
         self.xadj: list[int] = lg.xadj.tolist()
@@ -195,17 +184,15 @@ class MatchingState:
 
         # Cross-pair activity: (local_idx, ghost_global) -> active?
         # The ownership test is vectorized, but the adds stay one by one
-        # in candidate order: later code iterates this set (and builds
-        # ghosts_of from it), and CPython set iteration order depends on
-        # the exact insertion history, which the differential fingerprint
-        # tests pin across engines.
+        # in candidate order (``set(iterable)`` adds each item in turn):
+        # later code iterates this set (and builds ghosts_of from it), and
+        # CPython set iteration order depends on the exact insertion
+        # history, which the differential fingerprint tests pin.
         ghost_idx = np.nonzero((sorted_adj < lg.lo) | (sorted_adj >= lg.hi))[0]
         ghost_ys = sorted_adj[ghost_idx]
         ys = ghost_ys.tolist()
-        self.active_pairs: set[tuple[int, int]] = set()
-        _add_pair = self.active_pairs.add
-        for i, y in zip(src_local[ghost_idx].tolist(), ys):
-            _add_pair((i, y))
+        self.active_pairs: set[tuple[int, int]] = set(
+            zip(src_local[ghost_idx].tolist(), ys))
         self.nghosts = len(self.active_pairs)
         # Every message goes to, and every message comes from, the owner
         # of a ghost: look the owners up once here, not once per message.
@@ -243,13 +230,15 @@ class MatchingState:
     # ------------------------------------------------------------------
     # FINDMATE (paper Algorithm 4, deferred-proposal variant)
     # ------------------------------------------------------------------
-    def find_mate_g(self, v: int):
-        """Point owned vertex ``v`` at its best available neighbor."""
+    def _scan(self, v: int):
+        """Point owned vertex ``v`` at its best available neighbor. Returns
+        the sending step (:meth:`_propose_g` to a ghost, :meth:`_invalidate_g`
+        if none remains) for the caller to drive, or ``()``."""
         lo, hi = self.lo, self.hi
         i = v - lo
         status = self.status
         if status[i] != FREE:
-            return
+            return ()
         self.stats.findmate_calls += 1
         cand = self.cand
         start = self.xadj[i]
@@ -273,54 +262,54 @@ class MatchingState:
         self.charge(COST_SCAN * (scanned or 1))
 
         if y == NO_MATE:
-            yield from self._invalidate_g(v)
-            return
-
+            # case #5: broadcast INVALID
+            assert not self.pending[i], "dead vertex cannot hold proposals"
+            status[i] = DEAD
+            self.pointer[i] = NO_MATE
+            return self._invalidate_g(i, v) if i in self.ghosts_of else ()
         self.pointer[i] = y
-        if lo <= y < hi:
-            if self.pointer[y - lo] == v:
-                self._match_local(v, y)
-        else:
-            # Commit to the ghost: deactivate the pair, evict it from the
-            # candidate set (a later REJECT must not re-propose it), send
-            # the proposal.
-            self._deactivate(i, y)
-            _add(self.evicted, i, y)
-            self.ptr_idx[i] += 1  # never reconsider y
-            if y in self.pending[i]:
-                # y proposed first: mutual pointing, match immediately;
-                # the REQUEST we send lets y's owner detect the same.
-                yield from self._push_g(REQUEST, y, y, v)
-                self._match_remote(v, y)
-            else:
-                yield from self._push_g(REQUEST, y, y, v)
-                self.awaiting += 1
+        if not lo <= y < hi:
+            return self._propose_g(v, y)
+        if self.pointer[y - lo] == v:
+            self._match_local(v, y)
+        return ()
 
-    def _invalidate_g(self, v: int):
-        """No candidate remains for ``v``: broadcast INVALID (case #5)."""
+    def _propose_g(self, v: int, y: int):
+        """Commit ``v`` to ghost ``y`` and send the proposal: deactivate
+        the pair, and evict ``y`` from the candidates (a later REJECT must
+        not re-propose it)."""
         i = v - self.lo
-        assert not self.pending[i], "dead vertex cannot hold proposals"
-        self.status[i] = DEAD
-        self.pointer[i] = NO_MATE
-        for y in self.ghosts_of.get(i, ()):
+        self._deactivate(i, y)
+        _add(self.evicted, i, y)
+        self.ptr_idx[i] += 1  # never reconsider y
+        # y proposed first: mutual pointing, match once the REQUEST (which
+        # lets y's owner detect the same) is sent
+        mutual = y in self.pending[i]
+        yield from self._push_g(REQUEST, y, y, v)
+        if mutual:
+            self._match_remote(v, y)
+        else:
+            self.awaiting += 1
+
+    def _invalidate_g(self, i: int, v: int):
+        """Tell every still-active ghost neighbor of dead ``v``."""
+        for y in self.ghosts_of[i]:
             if self._deactivate(i, y):
                 yield from self._push_g(INVALID, y, y, v)
 
     # ------------------------------------------------------------------
     # matches
     # ------------------------------------------------------------------
-    def _clear_pending(self, i: int) -> None:
-        p = self.pending[i]
-        if p is not _EMPTY:
-            p.clear()
-
     def _match_local(self, x: int, y: int) -> None:
         ix, iy = x - self.lo, y - self.lo
         self.status[ix] = self.status[iy] = MATCHED
         self.mate[ix] = y
         self.mate[iy] = x
-        self._clear_pending(ix)
-        self._clear_pending(iy)
+        pending = self.pending
+        if pending[ix] is not _EMPTY:
+            pending[ix].clear()
+        if pending[iy] is not _EMPTY:
+            pending[iy].clear()
         self.stats.matched_local += 1
         self.work.append(ix)
         self.work.append(iy)
@@ -329,40 +318,56 @@ class MatchingState:
         ix = x - self.lo
         self.status[ix] = MATCHED
         self.mate[ix] = y_ghost
-        self._clear_pending(ix)
+        if self.pending[ix] is not _EMPTY:
+            self.pending[ix].clear()
         self.stats.matched_remote += 1
         self.work.append(ix)
 
     # ------------------------------------------------------------------
     # PROCESSNEIGHBORS (paper Algorithm 5)
     # ------------------------------------------------------------------
-    def process_neighbors_g(self, i: int):
-        """Resolve the neighborhood of newly matched owned vertex (idx i)."""
-        if self.processed[i]:
-            return
-        self.processed[i] = 1
+    def _neighbors(self, i: int, rest=None):
+        """Resolve the neighborhood of newly matched owned vertex (idx i),
+        from its CSR row or from ``rest``, the row's slots left after a
+        send. Returns None when done, or ``(step, rest)`` at a send."""
+        if rest is None:
+            if self.processed[i]:
+                return None
+            self.processed[i] = 1
+            start, end = self.xadj[i], self.xadj[i + 1]
+            self.charge(COST_NEIGHBOR * (end - start or 1))
+            rest = iter(self.adj[start:end])
         lo, hi = self.lo, self.hi
         v = lo + i
         mate_v = self.mate[i]
-        start = self.xadj[i]
-        end = self.xadj[i + 1]
-        self.charge(COST_NEIGHBOR * (end - start or 1))
         status, pointer = self.status, self.pointer
-        for u in self.adj[start:end]:
+        for u in rest:
             if u == mate_v:
                 continue
             if lo <= u < hi:
                 j = u - lo
-                if status[j] == FREE and pointer[j] == v:
-                    yield from self.find_mate_g(u)
+                if pointer[j] == v and status[j] == FREE:
+                    step = self._scan(u)
+                    if step:
+                        return step, rest
             elif self._deactivate(i, u):
-                yield from self._push_g(REJECT, u, u, v)
+                step = self._push_g(REJECT, u, u, v)
+                if step:
+                    return step, rest
+        return None
 
     def drain_work_g(self):
-        """Run PROCESSNEIGHBORS for every queued matched vertex."""
+        """Run PROCESSNEIGHBORS for every queued matched vertex, each
+        row's sends driven from this one loop, never nested."""
         done = 0
-        while self.work:
-            yield from self.process_neighbors_g(self.work.popleft())
+        work, neighbors = self.work, self._neighbors
+        while work:
+            i = work.popleft()
+            r = neighbors(i)
+            while r:
+                step, rest = r
+                yield from step
+                r = neighbors(i, rest)
             done += 1
         return done
 
@@ -434,7 +439,7 @@ class MatchingState:
             # pointer[i] == y (a ghost) implies an outstanding request.
             self.awaiting -= 1
             self.pointer[i] = NO_MATE
-            yield from self.find_mate_g(x)
+            yield from self._scan(x)
         elif self._deactivate(i, y):
             _add(self.evicted, i, y)
 
@@ -493,7 +498,7 @@ class MatchingState:
                     self.mate[i] = NO_MATE
                     self.stats.widowed += 1
         for v in retarget:
-            yield from self.find_mate_g(v)
+            yield from self._scan(v)
         return len(doomed) + len(retarget)
 
     # ------------------------------------------------------------------
@@ -554,10 +559,10 @@ class MatchingState:
     # ------------------------------------------------------------------
     def start_g(self):
         """Phase 1: initial FINDMATE sweep over owned vertices."""
-        lo, status = self.lo, self.status
+        lo, status, scan = self.lo, self.status, self._scan
         for v in range(lo, self.hi):
             if status[v - lo] == FREE:  # else a local match took it already
-                yield from self.find_mate_g(v)
+                yield from scan(v)
 
     def remaining(self) -> int:
         """Local progress debt; globally zero means the algorithm is done."""

@@ -66,3 +66,26 @@ def edge_hash_array(u: np.ndarray, v: np.ndarray, salt: int = 0) -> np.ndarray:
     with np.errstate(over="ignore"):
         mixed_a = splitmix64_array(a ^ s)
         return splitmix64_array(mixed_a ^ (b * np.uint64(0x9E3779B97F4A7C15)))
+
+
+def edge_order(w: np.ndarray, key: np.ndarray, src: np.ndarray | None = None):
+    """Permutation listing edges by descending ``(w, key)``, full ties
+    latest position first; grouped by ascending ``src`` when given.
+
+    One stable argsort over big-endian ``uint64`` records ``[src,
+    ~ordered(w), ~key, ~position]`` compared as bytes (the four-key sort
+    it replaced is kept in ``tests/matching/candidate_oracle.py``).
+    ``ordered`` maps a float to an unsigned int of the same order (a
+    negative flips every bit, any other sets the sign bit), so ``~ordered``
+    keeps a negative's bits and flips the low 63 of any other. ``w + 0.0``
+    first makes ``-0.0`` into the ``+0.0`` it compares equal to. NaN has no
+    place: ``CSRGraph`` refuses it.
+    """
+    b = (np.asarray(w, dtype=np.float64) + 0.0).view(np.uint64)
+    fields = [] if src is None else [src]
+    fields += [np.where(b >> 63, b, b ^ (2**63 - 1)), ~key,
+               ~np.arange(len(b), dtype=np.uint64)]
+    rec = np.empty((len(b), len(fields)), dtype=">u8")
+    for j, f in enumerate(fields):
+        rec[:, j] = f
+    return np.argsort(rec.view(f"V{8 * len(fields)}").ravel(), kind="stable")

@@ -133,3 +133,12 @@ def test_to_networkx():
 def test_subgraph_weight():
     g = triangle()
     assert g.subgraph_weight([(0, 1), (1, 2)]) == pytest.approx(3.0)
+
+
+def test_from_edges_refuses_a_vertex_count_whose_slot_key_overflows():
+    # (n - 1) * n + (n - 1) = n * n - 1 must fit int64; the guard runs
+    # before the (n + 1)-long xadj would be allocated
+    with pytest.raises(ValueError, match="overflows int64"):
+        from_edges(3_037_000_500, [0, 1], [1, 2])
+    g = from_edges(3, [0, 1], [1, 2])
+    assert g.num_directed_edges == 4

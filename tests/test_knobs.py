@@ -343,3 +343,22 @@ def test_every_entry_refuses_an_invalid_value_with_the_same_reason(data, tmp):
         assert refused.value.code == 2, entry
         line = err.getvalue()
         assert line.count("\n") == 1 and line.endswith(f": {reason}\n"), (entry, line)
+
+
+def test_chaos_signature_defaults_come_from_the_table():
+    """``api.chaos`` and the churn runner default as ``repro chaos`` does."""
+    import inspect
+
+    from repro import api
+    from repro.harness.chaos import churn_matching_runner
+
+    table = {name: k.defaults["chaos"] for name, k in knobs("chaos").items()}
+    table["backends"] = tuple(table["backends"].split(","))
+    for fn, names in [
+        (api.chaos, ("backends", "plans", "seed", "max_ops", "spares",
+                     "replicas", "mtbf")),
+        (churn_matching_runner, ("spares", "replicas")),
+    ]:
+        params = inspect.signature(fn).parameters
+        assert {n: params[n].default for n in names} == \
+            {n: table[n] for n in names}, fn.__name__
