@@ -26,7 +26,7 @@ from repro.matching.serial import matching_weight
 from repro.mpisim.counters import RunCounters
 from repro.mpisim.engine import Engine, EngineResult
 from repro.mpisim.machine import cori_aries
-from repro.mpisim.recovery import RecoveryConfig
+from repro.mpisim.resilience import RecoveryConfig
 
 
 @dataclass

@@ -64,7 +64,7 @@ from repro.mpisim.faults import (
     NicDegradation,
     PartitionWindow,
 )
-from repro.mpisim.recovery import RecoveryConfig
+from repro.mpisim.resilience import RecoveryConfig
 from repro.mpisim.machine import (
     MachineModel,
     commodity_cluster,

@@ -51,6 +51,12 @@ class RankContext:
         # context: a rollback relaunches every rank with a new context.
         self._rs = engine._ranks[rank]
         self._rc = engine.counters.ranks[rank]
+        #: the run's resilience layer (repro.mpisim.resilience), or None
+        self._res = res = engine.resilience
+        #: the fault plan when this run's ranks can observe crashes
+        #: (``Resilience.crashes_visible``), else None: the one gate of
+        #: every crash-aware wait, refusal and notification below
+        self._detector = res.faults if res is not None and res.crashes_visible else None
         # set by Engine.run on a restore: this rank's snapshot record
         self._resume: dict | None = None
         # set while resuming from a tick park: the next checkpoint_tick
@@ -84,10 +90,10 @@ class RankContext:
             self._rc.compute_time += dt
             if rs.clock > eng._vtime_limit:
                 eng._check_vtime(rs)
-            if eng.faults is not None:
+            if self._res is not None:
                 # A compute burst can carry the clock past this rank's
                 # scheduled crash; don't let it outrun death.
-                eng._check_self_crash(self.rank)
+                self._res.gate(self.rank)
 
     def alloc(self, nbytes: int, label: str = "misc") -> None:
         """Register a memory allocation for the memory-usage model."""
@@ -133,17 +139,22 @@ class RankContext:
         monotone in local time. Also consumes pending failure wake-ups,
         so a blocked rank is woken exactly once per new failure.
         """
-        return self._engine.consume_failure_notifications(self.rank)
+        plan = self._detector
+        if plan is None:
+            return frozenset()
+        notified = plan.notified_failures(self._rs.clock)
+        self._rs.failures_seen |= notified
+        return notified
+
+    def _failure_wake_potential(self) -> float | None:
+        """Earliest failure notification this rank has not yet woken for."""
+        plan = self._detector
+        return None if plan is None else plan.next_notification(self._rs.failures_seen)
 
     def is_failed(self, rank: int) -> bool:
         """Has ``rank``'s failure been detected by now? (No side effects.)"""
-        plan = self._engine.faults
+        plan = self._detector
         if plan is None:
-            return False
-        if self._engine._recovery is not None:
-            # Recovery heals every crash before any survivor can observe
-            # it (the dead slot is refilled by a spare under the same
-            # rank id), so peers never appear failed.
             return False
         tc = plan.crash_time(rank)
         return tc is not None and self.now >= tc + plan.detect_latency
@@ -168,8 +179,8 @@ class RankContext:
             # already sit past the *next* due point under clock skew).
             self._skip_tick = False
             return
-        if self._engine._ckpt is not None:
-            yield from self._engine.checkpoint_tick_g(self.rank)
+        if self._res is not None:
+            yield from self._res.checkpoint_tick_g(self.rank)
 
     def register_checkpoint_provider(self, fn) -> None:
         """Register this rank's application-state capture hook.
@@ -178,7 +189,8 @@ class RankContext:
         picklable blob with no engine/context references; after a
         restore the same blob comes back via :meth:`resume_app_state`.
         """
-        self._engine.register_checkpoint_provider(self.rank, fn)
+        if self._res is not None:
+            self._res.register_checkpoint_provider(self.rank, fn)
 
     @property
     def resuming(self) -> bool:
@@ -248,7 +260,7 @@ class RankContext:
             nbytes = payload_nbytes(payload)
         eng = self._engine
         rank = self.rank
-        if eng.faults is not None and self.is_failed(dest):
+        if self._detector is not None and self.is_failed(dest):
             # ULFM semantics: the library refuses communication with a
             # peer it already knows to be dead (MPI_ERR_PROC_FAILED).
             raise RankCrashed(dest)
@@ -360,8 +372,6 @@ class RankContext:
         m = q.peek(idx)
         if not receive:
             return (m.src, m.tag, m.nbytes)
-        if eng.faults is not None:
-            return (yield from self.recv_g(m.src, m.tag))
         if not eng.keep_running(rank):
             yield from eng.yield_ready_g(rank)
             idx = q.match_index(m.src, m.tag, rs.clock)
@@ -379,20 +389,19 @@ class RankContext:
         rank = self.rank
         rs = self._rs
         q = rs.queue
-        if eng.faults is None:
-            # An already-arrived match is taken as block_on_g's satisfied
-            # fast path would take it, without building its wait closure.
-            idx = q.match_index(source, tag, rs.clock)
-            if idx is not None:
-                if not eng.keep_running(rank):
-                    yield from eng.yield_ready_g(rank)
-                    idx = q.match_index(source, tag, rs.clock)
-                return self._receive(idx)
+        # An already-arrived match is taken as block_on_g's satisfied
+        # fast path would take it, without building its wait closure.
+        idx = q.match_index(source, tag, rs.clock)
+        if idx is not None:
+            if not eng.keep_running(rank):
+                yield from eng.yield_ready_g(rank)
+                idx = q.match_index(source, tag, rs.clock)
+            return self._receive(idx)
 
         def potential() -> float | None:
             m = q.earliest_match(source, tag)
             t = None if m is None else m.arrival
-            tf = eng.failure_wake_potential(rank)
+            tf = self._failure_wake_potential()
             if tf is None:
                 return t
             return tf if t is None else min(t, tf)
@@ -404,7 +413,7 @@ class RankContext:
             idx = q.match_index(source, tag, rs.clock)
             if idx is not None:
                 return self._receive(idx)
-            if eng.faults is None:
+            if self._detector is None:
                 raise AssertionError("recv resumed without a matching message")
             # Woken by a failure notification, not a message.
             failed = self.failed_ranks()
@@ -479,7 +488,7 @@ class RankContext:
             cands = [] if m is None else [m.arrival]
             if deadline is not None:
                 cands.append(deadline)
-            tf = eng.failure_wake_potential(self.rank)
+            tf = self._failure_wake_potential()
             if tf is not None:
                 cands.append(tf)
             return min(cands) if cands else None
@@ -495,15 +504,11 @@ class RankContext:
             m = q.earliest_match(source, tag)
             if m is not None and m.arrival <= self._rs.clock:
                 eng.profiler.attach_dep(self.rank, m.src, m.send_time, "message")
-        if eng.faults is not None and eng.faults.has_crashes():
+        if self._detector is not None:
             # Consume any notification we were woken for: wake-once
             # semantics (failed_ranks recomputes from the plan, so the
             # application still observes every failure).
-            eng.consume_failure_notifications(self.rank)
-
-    def pending_message_count(self) -> int:
-        """Messages queued for this rank (arrived or still in flight)."""
-        return len(self._rs.queue)
+            self.failed_ranks()
 
     # ------------------------------------------------------------------
     # classic collectives on COMM_WORLD (scope 0)
@@ -550,12 +555,21 @@ class RankContext:
             # flipped from None to the rendezvous time — re-index them for
             # the heap scheduler (no-op under the reference scheduler).
             eng.notify_ranks(op.entries.keys())
-        if eng.faults is not None and eng.faults.has_crashes():
-            yield from self._block_crash_aware_g(op, f"{kind}#{key[1]}")
-        else:
-            yield from eng.block_on_g(
-                rank, lambda: op.wake_potential(rank), f"{kind}#{key[1]}",
-                wait_phase="collective-wait")
+        potential = self._op_or_failure(op)
+        while True:
+            yield from eng.block_on_g(rank, potential, f"{kind}#{key[1]}",
+                                      wait_phase="collective-wait")
+            if op.wake_potential(rank) is not None:
+                break
+            # Woken by a failure notification. If a crashed rank is among
+            # the missing participants the collective can never complete,
+            # so the survivor raises RankCrashed (ULFM
+            # MPI_ERR_PROC_FAILED) instead of hanging; a failure that
+            # does not block this collective re-enters the wait.
+            failed = self.failed_ranks()
+            dead_missing = [q for q in op.missing_ranks() if q in failed]
+            if dead_missing:
+                raise RankCrashed(dead_missing[0])
         if eng.profiler is not None:
             sq, st = op.straggler()
             if sq != rank:
@@ -588,34 +602,17 @@ class RankContext:
             eng.coll_ops().pop(key, None)
         return result
 
-    def _block_crash_aware_g(self, op, label: str):
-        """Wait on a full collective under a crash plan.
-
-        Wakes on completion *or* on the next unseen failure notification.
-        If a crashed rank is among the missing participants the collective
-        can never complete, so the survivor raises :class:`RankCrashed`
-        (ULFM ``MPI_ERR_PROC_FAILED``) instead of hanging; unrelated
-        notifications re-enter the wait.
-        """
-        eng = self._engine
+    def _op_or_failure(self, op):
+        """Wake potential of a wait on collective ``op``: its rendezvous
+        time, or — when crashes are visible — the next unseen failure
+        notification."""
         rank = self.rank
 
         def potential() -> float | None:
             t = op.wake_potential(rank)
-            if t is not None:
-                return t
-            return eng.failure_wake_potential(rank)
+            return t if t is not None else self._failure_wake_potential()
 
-        while True:
-            yield from eng.block_on_g(rank, potential, label,
-                                      wait_phase="collective-wait")
-            if op.wake_potential(rank) is not None:
-                return
-            failed = self.failed_ranks()
-            dead_missing = [q for q in op.missing_ranks() if q in failed]
-            if dead_missing:
-                raise RankCrashed(dead_missing[0])
-            # A failure that does not block this collective: keep waiting.
+        return potential
 
     # ------------------------------------------------------------------
     # survivor agreement / recovery (ULFM shrink-and-rebuild analogue)
@@ -647,18 +644,12 @@ class RankContext:
         key = eng.next_coll_key(("agree", label, epoch), rank)
         aop = get_or_create_agreement(
             eng.coll_ops(), key, kind, self.nprocs, {"op": op},
-            eng.crashed_at_live(), detect,
+            eng._crashed, detect,
         )
         aop.enter(rank, self._rs.clock, value, kind, {"op": op})
         if aop.complete:
             eng.notify_ranks(aop.entries.keys())
-
-        def potential() -> float | None:
-            t = aop.wake_potential(rank)
-            if t is not None:
-                return t
-            return eng.failure_wake_potential(rank)
-
+        potential = self._op_or_failure(aop)
         while True:
             yield from eng.block_on_g(rank, potential, f"{kind}#{key[1]}@{epoch}",
                                       wait_phase="recovery-wait")
@@ -729,7 +720,7 @@ class RankContext:
         collective on this scope raises :class:`RankCrashed` instead of
         waiting for peers that already abandoned it during recovery.
         """
-        self._engine.revoke_scope(topo.scope_id, self.now, int(dead_rank))
+        self._res.revoke_scope(topo.scope_id, self.now, int(dead_rank))
 
     def win_allocate_survivor_g(
         self, count: int, dtype=np.int64, fill: int = 0,

@@ -15,13 +15,8 @@ import numpy as np
 from repro.mpisim.collectives import get_or_create_neighborhood
 from repro.mpisim.errors import CommMismatchError, RankCrashed
 
-# Buddy placement for diskless checkpoint replication is a topology
-# property (a ring overlay on the process graph); the function lives in
-# ``checkpoint`` to avoid an import cycle and is re-exported here.
-from repro.mpisim.checkpoint import buddy_ranks  # noqa: F401
 
-
-def _block_neighborhood_g(eng, ctx, op, scope_id, epoch_set, label: str):
+def _block_neighborhood_g(ctx, op, scope_id, epoch_set, label: str):
     """Crash-aware wait for a neighborhood rendezvous.
 
     Completion wins when available; otherwise the wait also wakes on a
@@ -32,22 +27,23 @@ def _block_neighborhood_g(eng, ctx, op, scope_id, epoch_set, label: str):
     control to the backend's shrink-and-rebuild recovery path.
     """
     rank = ctx.rank
+    res = ctx._res
 
     def potential() -> float | None:
         t = op.wake_potential(rank)
         if t is not None:
             return t
-        rev = eng.scope_revocation(scope_id)
+        rev = res.scope_revocation(scope_id)
         if rev is not None:
             return rev[0]
-        return eng.failure_wake_potential(rank)
+        return ctx._failure_wake_potential()
 
     while True:
-        yield from eng.block_on_g(rank, potential, label,
-                                  wait_phase="collective-wait")
+        yield from ctx._engine.block_on_g(rank, potential, label,
+                                          wait_phase="collective-wait")
         if op.wake_potential(rank) is not None:
             return
-        rev = eng.scope_revocation(scope_id)
+        rev = res.scope_revocation(scope_id)
         if rev is not None:
             raise RankCrashed(rev[1])
         failed = ctx.failed_ranks()
@@ -56,7 +52,7 @@ def _block_neighborhood_g(eng, ctx, op, scope_id, epoch_set, label: str):
             missing = op.missing_for(rank)
             dead_missing = sorted(q for q in missing if q in failed)
             blame = dead_missing[0] if dead_missing else fresh[0]
-            eng.revoke_scope(scope_id, ctx.now, blame)
+            res.revoke_scope(scope_id, ctx.now, blame)
             raise RankCrashed(blame)
         # Notification already accounted for by this topology's epoch:
         # keep waiting.
@@ -115,11 +111,11 @@ class DistGraphTopology:
         #: notifications for them do not abort its collectives
         self.epoch: tuple[int, ...] = tuple(epoch)
         self._epoch_set = frozenset(self.epoch)
-        plan = ctx.fault_plan
-        self._crash_aware = plan is not None and plan.has_crashes()
+        #: crash-aware exchanges only when ranks can observe crashes
+        self._crash_aware = ctx._detector is not None
 
-    def _check_revoked(self, eng) -> None:
-        rev = eng.scope_revocation(self.scope_id)
+    def _check_revoked(self) -> None:
+        rev = self._ctx._res.scope_revocation(self.scope_id)
         if rev is not None:
             raise RankCrashed(rev[1])
 
@@ -184,7 +180,7 @@ class DistGraphTopology:
         nbytes = self._lane_bytes("ineighbor_alltoallv", items, nbytes_each)
         eng = self._ctx._engine
         if self._crash_aware:
-            self._check_revoked(eng)
+            self._check_revoked()
         key, op = self._enter(eng, "neighbor_alltoallv", items, nbytes)
         # CPU posting happens now (it cannot be overlapped).
         m = eng.machine
@@ -233,7 +229,7 @@ class DistGraphTopology:
         rank = self.rank
         if self._crash_aware:
             yield from _block_neighborhood_g(
-                eng, ctx, op, self.scope_id, self._epoch_set, label)
+                ctx, op, self.scope_id, self._epoch_set, label)
         else:
             yield from eng.block_on_g(
                 rank, lambda: op.wake_potential(rank), label,
@@ -260,7 +256,7 @@ class DistGraphTopology:
         eng = self._ctx._engine
         rank = self.rank
         if self._crash_aware:
-            self._check_revoked(eng)
+            self._check_revoked()
         key, op = self._enter(eng, kind, lanes, nbytes)
         yield from self._await_g(op, f"{kind}#{key[1]}")
 

@@ -120,7 +120,7 @@ class Window:
             # Timing (origin cost, NIC serialization, flush completion) is
             # charged identically for every fate: a dropped RDMA write
             # still consumed the wire, it just never landed.
-            fate_idx = eng.next_put_index()
+            fate_idx = eng.resilience.next_put_index()
             fate = plan.put_fate(self.rank, target, fate_idx)
         if fate == "drop":
             rc.puts_dropped += 1

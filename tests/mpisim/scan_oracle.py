@@ -35,8 +35,8 @@ class ScanEngine(Engine):
 
     def keep_running(self, rank):
         """Keep the token unless another live rank's clock is lower."""
-        if self.faults is not None:
-            self._check_self_crash(rank)
+        if self.resilience is not None:
+            self.resilience.gate(rank)
         rs = self._ranks[rank]
         return not any((o.clock, o.rank) < (rs.clock, rank)
                        for o in self._ranks if o.state in (_READY, _BLOCKED))

@@ -24,7 +24,7 @@ from repro.mpisim.engine import Engine
 from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import ChurnPlan, FaultPlan
 from repro.mpisim.machine import cori_aries
-from repro.mpisim.recovery import RecoveryConfig
+from repro.mpisim.resilience import RecoveryConfig
 
 
 def program(ctx):
@@ -98,7 +98,7 @@ class TestValidation:
             interval=clean.makespan / 8,
             store=plain,
         )
-        adopted = eng._ckpt.store
+        adopted = eng.resilience._ckpt.store
         assert isinstance(adopted, ReplicatedCheckpointStore)
         assert adopted.replicas == 2
         assert adopted.keep == 3  # caller's retention bound carried over

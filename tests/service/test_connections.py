@@ -309,6 +309,12 @@ class ScriptedPeer:
 
     def __exit__(self, *exc):
         self.release.set()
+        # Closing a listening socket does not wake a thread blocked in
+        # accept(); shutting it down does.
+        try:
+            self.listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self.listener.close()
         self._thread.join(5)
 
