@@ -478,7 +478,11 @@ def _cmd_submit(args) -> int:
 
     request = _submit_request(args)
     try:
-        with ServiceClient(args.url, timeout=args.timeout) as client:
+        client = ServiceClient(args.url, timeout=args.timeout)
+    except ValueError as e:  # not an http:// URL
+        raise SystemExit(str(e)) from None
+    try:
+        with client:
             env = client.submit(request, wait=not args.no_wait)
     except ServiceError as e:
         raise SystemExit(str(e)) from None

@@ -7,9 +7,12 @@
 ...     env["cache"], env["result"]["record"]["makespan"]
 
 Everything speaks the versioned wire schema in
-:mod:`repro.service.schema`; no third-party HTTP stack is involved
-(``http.client`` only), so any environment that can import ``repro``
-can be a client.
+:mod:`repro.service.schema`, over plain HTTP/1.1 read and written here
+on a socket: a request goes out in one ``sendall``, and a reply head is
+read by :mod:`repro.service.http11`, the same reader the server uses.
+No third-party or ``http.client`` stack is involved, so any environment
+that can import ``repro`` can be a client. The server speaks ``http://``
+only, so an ``https://`` URL is refused.
 
 A client keeps its connections open between calls: the TCP set-up (and
 the server's thread start) is paid once, not per request, which is most
@@ -20,12 +23,24 @@ requests are in flight together, never queued on one socket.
 
 from __future__ import annotations
 
-import http.client
 import json
+import re
+import socket
 from collections import deque
 from urllib.parse import urlsplit
 
+from repro.service.http11 import (
+    MAX_LINE,
+    FramingError,
+    content_length,
+    read_headers,
+)
 from repro.service.schema import JobRequest, JobResult, SchemaError
+
+#: a reply's status line: ``HTTP/1.<minor> <status> <reason>``
+_STATUS = re.compile(rb"HTTP/1\.(\d) (\d{3})(?: [^\r\n]*)?\r?\n")
+#: a request target that would break the request line
+_BAD_TARGET = re.compile(r"[^\x21-\x7e]")
 
 
 class ServiceError(RuntimeError):
@@ -34,6 +49,47 @@ class ServiceError(RuntimeError):
     def __init__(self, status: int, message: str):
         super().__init__(f"HTTP {status}: {message}")
         self.status = status
+
+
+class _Connection:
+    """One kept-alive socket and the buffered reader over it."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, address: tuple[str, int], timeout: float):
+        self.sock = socket.create_connection(address, timeout)
+        # a request is one write anyway; never hold the next one back
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()  # first: the socket stays open while it is not
+        self.sock.close()
+
+    def exchange(self, request: bytes) -> tuple[int, bytes, str, bool]:
+        """Send one request; (status, body, Content-Type, keep open)."""
+        self.sock.sendall(request)
+        line = self.rfile.readline(MAX_LINE + 1)
+        if not line:
+            raise ConnectionError("the server closed the connection")
+        status = _STATUS.fullmatch(line)
+        if status is None:
+            raise ConnectionError(f"malformed reply: status line {line[:80]!r}")
+        try:
+            headers = read_headers(self.rfile)
+            length = content_length(headers)
+        except FramingError as e:
+            raise ConnectionError(f"malformed reply: {e.reason}") from None
+        if length is None:
+            raise ConnectionError("malformed reply: without Content-Length")
+        blob = self.rfile.read(length)
+        if len(blob) < length:
+            raise ConnectionError(
+                f"reply cut off after {len(blob)} of {length} body bytes")
+        conntype = headers.get("connection", "").lower()
+        keep = (conntype == "keep-alive" if status[1] == b"0"  # HTTP/1.0
+                else conntype != "close")
+        return int(status[2]), blob, headers.get("content-type", ""), keep
 
 
 class ServiceClient:
@@ -47,14 +103,15 @@ class ServiceClient:
         self.url = url.rstrip("/")
         self.timeout = timeout
         parts = urlsplit(self.url)
-        self._connection = (
-            http.client.HTTPSConnection if parts.scheme == "https"
-            else http.client.HTTPConnection
-        )
-        self._netloc = parts.netloc
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(
+                f"{url!r}: the service speaks plain HTTP, give http://HOST:PORT"
+            )
+        self._address = (parts.hostname, parts.port or 80)
+        self._host = parts.netloc
         self._prefix = parts.path
         #: connections no request is using; deque push/pop are atomic
-        self._idle: deque[http.client.HTTPConnection] = deque()
+        self._idle: deque[_Connection] = deque()
 
     # -- lifecycle ----------------------------------------------------
     def close(self) -> None:
@@ -69,11 +126,6 @@ class ServiceClient:
         self.close()
 
     # -- plumbing -----------------------------------------------------
-    def _connect(self) -> http.client.HTTPConnection:
-        conn = self._connection(self._netloc, timeout=self.timeout)
-        conn.connect()  # sets TCP_NODELAY: headers and body go out at once
-        return conn
-
     def _request(
         self,
         method: str,
@@ -81,19 +133,22 @@ class ServiceClient:
         body: bytes | None = None,
         content_type: str = "application/json",
     ) -> tuple[int, bytes, str]:
-        headers = {} if body is None else {"Content-Type": content_type}
-
-        def exchange(conn) -> http.client.HTTPResponse:
-            conn.request(method, self._prefix + path, body, headers)
-            return conn.getresponse()
+        target = self._prefix + path
+        if _BAD_TARGET.search(target):
+            raise ValueError(f"not a request target: {target!r}")
+        head = f"{method} {target} HTTP/1.1\r\nHost: {self._host}\r\n"
+        if body is not None:
+            head += (f"Content-Type: {content_type}\r\n"
+                     f"Content-Length: {len(body)}\r\n")
+        request = head.encode("latin-1") + b"\r\n" + (body or b"")
 
         try:
             conn, reused = self._idle.pop(), True
         except IndexError:
-            conn, reused = self._connect(), False
+            conn, reused = _Connection(self._address, self.timeout), False
         try:
             try:
-                resp = exchange(conn)
+                status, blob, ctype, keep = conn.exchange(request)
             except ConnectionError:
                 # The server closes connections that sit idle, and only a
                 # reused one can have gone stale: send again, once, on a
@@ -102,24 +157,23 @@ class ServiceClient:
                 if not reused:
                     raise
                 conn.close()
-                conn = self._connect()
-                resp = exchange(conn)
-            blob = resp.read()
+                conn = _Connection(self._address, self.timeout)
+                status, blob, ctype, keep = conn.exchange(request)
         except BaseException:
             conn.close()
             raise
-        if resp.will_close:
-            conn.close()
-        else:
+        if keep:
             self._idle.append(conn)
-        if resp.status >= 400:
+        else:
+            conn.close()
+        if status >= 400:
             detail = blob.decode("utf-8", errors="replace")
             try:
                 detail = json.loads(detail).get("error", detail)
             except json.JSONDecodeError:
                 pass
-            raise ServiceError(resp.status, detail)
-        return resp.status, blob, resp.headers.get("Content-Type", "")
+            raise ServiceError(status, detail)
+        return status, blob, ctype
 
     def _json(self, method: str, path: str, body: bytes | None = None,
               content_type: str = "application/json") -> dict:

@@ -129,6 +129,11 @@ class Resilience:
         self.crashes_visible = (
             faults is not None and faults.has_crashes() and recovery is None
         )
+        #: Can the plan kill a rank at all? Drop, delay, partition,
+        #: put-fate and NIC-only plans cannot, and then neither
+        #: :meth:`decide` nor :meth:`gate` looks for a crash time.
+        self._kills = faults is not None and (
+            faults.has_crashes() or faults.has_churn())
         self._post_count = 0  # fault-fate index: one per lossy post
         self._put_count = 0  # one-sided fate index: one per issued put
         # ULFM-style revocation: scope_id -> (revoke time, crashed rank that
@@ -215,6 +220,8 @@ class Resilience:
             return True
         if self._ckpt is not None and self._ckpt_poll(best):
             return True
+        if not self._kills:
+            return False
         ranks = self._eng._ranks
         if best is not None:
             t, rank = best
@@ -237,6 +244,8 @@ class Resilience:
         """Called from rank programs at every communication yield point:
         if this rank's clock has reached its scheduled crash time, it dies
         here (unwinding the generator) instead of issuing the operation."""
+        if not self._kills:
+            return
         rs = self._eng._ranks[rank]
         tc = self._scheduled_crash(rank)
         if tc is not None and rs.clock >= tc:

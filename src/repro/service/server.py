@@ -25,6 +25,10 @@ they are.
 
 Connections are kept alive (HTTP/1.1) and served by one thread each, so
 a client pays the TCP set-up and the thread start once, not per request.
+A request head is read by :mod:`repro.service.http11`, not by the
+``email`` parser ``http.server`` uses, and a body is framed by
+``Content-Length`` only (docs/service.md, "Wire framing").
+
 A submit body the server has accepted before is not decoded again: the
 request comes from a memo keyed on the exact (Content-Type, body) pair,
 and it carries its cache key from the first submit.
@@ -34,15 +38,18 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 import socket
 import sys
 import threading
+import time
 from dataclasses import dataclass
-from http import HTTPStatus
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro.service.codever import cached_code_version
+from repro.service.http11 import FramingError, content_length, read_headers
 from repro.service.orchestrator import FINISHED_JOBS_KEPT, Orchestrator
 from repro.service.pool import make_executor, warm_executor
 from repro.service.schema import (
@@ -67,6 +74,20 @@ DECODED_REQUESTS_KEPT = 1024
 #: the memo holds at most DECODED_REQUESTS_KEPT × this many body bytes
 #: (a real request is a few hundred bytes)
 DECODED_BODY_MAX = 4096
+
+
+#: the versions a request line may name, ``HTTP/<major>.<minor>``
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})")
+#: ``(second, Date header value)``, formatted again once a second
+_date = (0, "")
+
+
+def _http_date() -> str:
+    global _date
+    now = int(time.time())
+    if _date[0] != now:
+        _date = (now, formatdate(now, usegmt=True))
+    return _date[1]
 
 
 def _encode(payload: dict) -> bytes:
@@ -213,19 +234,66 @@ def _make_handler(service: MatchingService):
         server_version = "repro-matchd/1"
         timeout = IDLE_TIMEOUT
         disable_nagle_algorithm = True
+        server_header = (
+            f"Server: {server_version} {BaseHTTPRequestHandler.sys_version}\r\n"
+        )
 
         # -- plumbing -------------------------------------------------
         def log_message(self, format, *args):  # quiet by default
             pass
+
+        def parse_request(self) -> bool:
+            """``BaseHTTPRequestHandler.parse_request`` over
+            :mod:`repro.service.http11`: HTTP/1.0 and 1.1 only, and
+            ``self.body_length`` from ``Content-Length``."""
+            self.command = None
+            self.close_connection = True
+            # so that a refusal below is sent with a status line
+            self.request_version = "HTTP/1.0"
+            self.requestline = str(
+                self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            words = self.requestline.split()
+            if not words:
+                return False
+            if len(words) != 3:
+                self.send_error(
+                    400, f"Bad request syntax ({self.requestline!r})")
+                return False
+            self.command, path, version = words
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            number = int(match[1]), int(match[2])
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+            # '//x' would read as a host to a client; see gh-87389
+            self.path = "/" + path.lstrip("/") if path[:2] == "//" else path
+            try:
+                self.headers = read_headers(self.rfile)
+                self.body_length = content_length(self.headers) or 0
+            except FramingError as e:
+                self.send_error(e.status, e.reason)
+                return False
+            conntype = self.headers.get("connection", "").lower()
+            self.close_connection = (
+                conntype == "close" if number >= (1, 1)
+                else conntype != "keep-alive"
+            )
+            if (self.headers.get("expect", "").lower() == "100-continue"
+                    and number >= (1, 1)):
+                return self.handle_expect_100()
+            return True
 
         def _send(self, code: int, payload: dict | bytes,
                   content_type: str = "application/json",
                   close: bool = False) -> None:
             body = payload if isinstance(payload, bytes) else _encode(payload)
             head = (
-                f"{self.protocol_version} {code} {HTTPStatus(code).phrase}\r\n"
-                f"Server: {self.version_string()}\r\n"
-                f"Date: {self.date_time_string()}\r\n"
+                f"HTTP/1.1 {code} {self.responses[code][0]}\r\n"
+                f"{self.server_header}Date: {_http_date()}\r\n"
                 f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(body)}\r\n"
             )
@@ -241,7 +309,7 @@ def _make_handler(service: MatchingService):
             self._send(code, {"error": message})
 
         def _body(self) -> bytes:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self.body_length
             return self.rfile.read(length) if length else b""
 
         def _envelope(self, job) -> bytes:

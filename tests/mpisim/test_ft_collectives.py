@@ -93,6 +93,49 @@ class TestAgreement:
         assert res.rank_results[0] >= tc + dl
         assert res.rank_results[0] == res.rank_results[2]
 
+    def test_kill_in_the_scheduler_wakes_a_survivor_parked_on_nothing(self):
+        # Rank 0 agrees over epoch (1,) before rank 1 is dead. Woken by
+        # the notification it already knew of, it parks again with no
+        # wake time at all: the agreement lacks rank 1, and no failure is
+        # left unseen. Rank 1 sits in a receive nobody sends to, and dies
+        # only when the scheduler reaches its own notification entry. That
+        # kill completes the agreement, and only re-indexing the parked
+        # ranks after a kill lets rank 0 see it.
+        tc, dl = 1e-5, 1e-6
+        plan = FaultPlan(crashes={1: tc}, detect_latency=dl)
+
+        def prog(ctx):
+            if ctx.rank == 1:
+                yield from ctx.recv_g(source=0, tag=7)
+                return "unreachable"
+            value = yield from ctx.agree_g(5, epoch=(1,))
+            return value, ctx.now
+
+        res = run_plan(2, prog, plan)
+        value, now = res.rank_results[0]
+        assert value == 5 and now > tc + dl  # resolved at the notification
+        assert res.rank_results[1] is None
+
+    def test_kill_at_a_yield_wakes_a_survivor_parked_on_nothing(self):
+        # As above, but rank 0 consumed rank 1's notification before it
+        # entered, so it parks unindexed at once, and rank 1 dies inside
+        # its own compute burst rather than in the scheduler.
+        plan = FaultPlan(crashes={1: 1e-5}, detect_latency=1e-6)
+
+        def prog(ctx):
+            if ctx.rank == 1:
+                ctx.compute(seconds=1.0)
+                return "unreachable"
+            ctx.compute(seconds=2e-5)
+            assert ctx.failed_ranks() == {1}
+            value = yield from ctx.agree_g(5, epoch=(1,))
+            return value, ctx.now
+
+        res = run_plan(2, prog, plan)
+        value, now = res.rank_results[0]
+        assert value == 5 and now > 2e-5
+        assert res.rank_results[1] is None
+
     def test_agree_raises_on_failure_outside_epoch(self):
         plan = FaultPlan(crashes={1: 1e-7}, detect_latency=1e-6)
 

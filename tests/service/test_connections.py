@@ -303,6 +303,17 @@ class ScriptedPeer:
             data += chunk
         return data
 
+    @staticmethod
+    def replying(raw: bytes, *, hang_up: bool = True):
+        """A script answering each connection's request with ``raw``, then
+        hanging up, or holding the connection open until exit."""
+        def script(peer, conn, index):
+            peer.read_request(conn)
+            conn.sendall(raw)
+            if not hang_up:
+                peer.release.wait(WAIT)
+        return script
+
     def __enter__(self):
         self._thread.start()
         return self

@@ -2,8 +2,9 @@
 
 One module-scoped service runs with ``workers=0`` (InlineExecutor), so
 simulations execute on the dispatcher thread — fast and sandbox-safe —
-while the HTTP path (ThreadingHTTPServer + http.client connections) is
-fully real. The transport itself is tests/service/test_connections.py.
+while the HTTP path (ThreadingHTTPServer + ServiceClient's kept-alive
+sockets) is fully real. The transport itself is
+tests/service/test_connections.py.
 """
 
 import json

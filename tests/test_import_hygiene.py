@@ -5,6 +5,7 @@ pool worker, each CLI call — and only `rgg_graph` (cKDTree) and
 `from_scipy` need it. The CI `test` job runs the same one-liner.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -36,7 +37,7 @@ def test_no_module_level_scipy_import_under_src():
 
 
 def test_client_and_wire_schema_load_neither_numpy_nor_the_simulator():
-    # The client is meant to need http.client only; the wire schema (and
+    # The client is meant to need the stdlib only; the wire schema (and
     # the knob table it is derived from) must not pull in repro.matching,
     # whose __init__ loads numpy and every backend.
     code = (
@@ -48,3 +49,14 @@ def test_client_and_wire_schema_load_neither_numpy_nor_the_simulator():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+def test_client_frames_http_itself():
+    # repro.client writes requests on a plain socket and reads replies
+    # with repro.service.http11; the CI `test` job greps for the same.
+    tree = ast.parse((SRC / "repro" / "client.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not [m for m in imported if m.startswith("http.")], imported
