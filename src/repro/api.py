@@ -27,7 +27,7 @@ from repro.graph.csr import CSRGraph
 from repro.knobs import default
 from repro.matching.api import MatchingRunResult, run_matching
 from repro.matching.config import RunConfig
-from repro.matching.driver import MatchingOptions
+from repro.matching.driver import CRASH_SURVIVING_BACKENDS, MatchingOptions
 from repro.mpisim.faults import FaultPlan
 from repro.mpisim.machine import MachineModel, cori_aries
 from repro.mpisim.power import EnergyReport, PowerModel, energy_report
@@ -274,8 +274,9 @@ def chaos(
     if mode not in ("faults", "restart", "churn"):
         raise ValueError(f"chaos mode must be faults/restart/churn, got {mode!r}")
     for b in backends:
-        if b not in ("nsr", "nsr-agg", "rma", "ncl"):
-            raise ValueError(f"chaos supports nsr/nsr-agg/rma/ncl, got {b!r}")
+        if b not in CRASH_SURVIVING_BACKENDS:
+            raise ValueError(
+                f"chaos supports {'/'.join(CRASH_SURVIVING_BACKENDS)}, got {b!r}")
     # Anchor sampled fault times to each backend's actual fault-free
     # makespan so they land mid-algorithm.
     t_scales = {

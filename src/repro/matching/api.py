@@ -91,10 +91,10 @@ def run_matching(
       Send-Recv model (``nsr`` / ``nsr-agg``, whose reliable channel
       masks them) and put fates require ``rma``. Crashes without
       rollback-recovery (``config.spares == 0``) require a backend that
-      survives them (``nsr`` / ``nsr-agg`` / ``rma`` / ``ncl``). Any other
-      pairing raises ``ValueError`` before the run starts. When ranks
-      crash, the returned mate array is projected onto the surviving
-      subgraph.
+      survives them (``CRASH_SURVIVING_BACKENDS``: all but ``mbp``). Any
+      other pairing raises ``ValueError`` before the run starts. When
+      ranks crash, the returned mate array is projected onto the
+      surviving subgraph.
     * ``config.profile=True`` turns on the span profiler
       (docs/profiling.md): the result's
       :attr:`MatchingRunResult.profile` then carries a phase-attributed
@@ -118,9 +118,10 @@ def run_matching(
         if (faults.has_crashes() and config.spares == 0
                 and model not in CRASH_SURVIVING_BACKENDS):
             raise ValueError(
-                "rank crashes (--crash) require -m nsr, nsr-agg, rma or "
-                "ncl, or rollback-recovery (--spares) — "
-                f"{model} cannot finish the matching on the survivors"
+                "rank crashes (--crash) require -m "
+                f"{', '.join(CRASH_SURVIVING_BACKENDS)}, or rollback-recovery "
+                f"(--spares) — {model} cannot finish the matching on the "
+                "survivors"
             )
     machine = config.machine or cori_aries()
     options = config.options or MatchingOptions()

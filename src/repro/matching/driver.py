@@ -2,7 +2,7 @@
 together (paper Algorithm 3 and §IV-D).
 
 The same :class:`~repro.matching.state.MatchingState` transition system
-runs over any of the four backends; only Push/Evoke/Process differ
+runs over any of the backends; only Push/Evoke/Process differ
 (paper Table I). ``matching_rank_main`` is the SPMD target executed by
 every simulated rank.
 """
@@ -38,8 +38,9 @@ BACKENDS = {
 #: can honour message faults and partitions
 SEND_RECV_BACKENDS = ("nsr", "nsr-agg")
 #: the backends that finish the matching on the survivors of a rank crash
-#: (rma / ncl through the superstep loop's shrink-and-rebuild)
-CRASH_SURVIVING_BACKENDS = SEND_RECV_BACKENDS + ("rma", "ncl")
+#: (rma / ncl / incl through the superstep loop's shrink-and-rebuild; mbp
+#: runs that loop too but has no survivor recovery of its own)
+CRASH_SURVIVING_BACKENDS = SEND_RECV_BACKENDS + ("rma", "ncl", "incl")
 
 
 @dataclass(frozen=True)
@@ -59,20 +60,18 @@ class MatchingOptions:
     #: on (True) or off (False); None = auto, on exactly when the engine's
     #: fault plan injects message faults or partitions. Read by the
     #: Send-Recv backends (nsr, nsr-agg) only.
-    rto: float | None = None  #: initial retransmission timeout (s,
-    #: virtual); None derives ~4x RTT from the machine model
-    rto_max: float | None = None  #: backoff cap (s); None = 64x rto
-    max_retries: int = 25  #: retransmissions per message before giving up
 
     # -- message aggregation (nsr-agg backend) ------------------------
     agg_flush_bytes: int | None = default("match", "agg_flush_bytes")
     #: lane auto-flush byte threshold (None disables; lanes then flush
-    #: only at iteration boundaries)
+    #: only at iteration boundaries); of the eager limit's order, so only
+    #: pathologically hot lanes flush early
     agg_flush_count: int | None = None  #: lane auto-flush message-count
     #: threshold (None disables)
     agg_flush_delay: float | None = 5e-6  #: aggregation timer (virtual s):
     #: how long an idle rank lingers for more coalescable traffic before
-    #: flushing its lanes (None flushes immediately on running dry)
+    #: flushing its lanes (None flushes immediately on running dry); a few
+    #: network latencies wide, so one linger spans a wave of proposals
 
     # -- simulation budget (SimLimitExceeded; ops: RunConfig.max_ops) --
     max_vtime: float | None = None  #: virtual-time budget (s)
@@ -140,20 +139,13 @@ def matching_rank_main(
     if not resuming:
         ctx.alloc(state_bytes, "matching-state")
 
+    # Every backend checkpoints: its blob rides with the state's.
     if rblob is not None:
-        restore = getattr(backend, "restore_checkpoint", None)
-        if restore is None:
-            raise ValueError(
-                f"backend {model!r} does not support checkpoint resume"
-            )
         state.restore(rblob["state"])
-        restore(rblob["backend"])
-
-    snap_fn = getattr(backend, "snapshot", None)
-    if snap_fn is not None:
-        ctx.register_checkpoint_provider(
-            lambda: {"state": state.snapshot(), "backend": snap_fn()}
-        )
+        backend.restore_checkpoint(rblob["backend"])
+    ctx.register_checkpoint_provider(
+        lambda: {"state": state.snapshot(), "backend": backend.snapshot()}
+    )
 
     info = yield from backend.run_g(state)
     backend.finalize(state)

@@ -14,80 +14,60 @@ serialization overlap with whatever local work is available. On
 dense-process-graph inputs this claws back part — not all — of the
 blocking-collective penalty, mirroring the partial wins reported for
 nonblocking collectives on irregular workloads.
+
+Everything but that one exchange is NCL's: the superstep loop
+(:mod:`repro.matching.superstep`), the send lanes, the checkpoint blob.
+Under a crash plan the backend is plain ``ncl`` — its cumulative-log
+exchange and its push step — so it survives crashes the same way.
 """
 
 from __future__ import annotations
 
-from repro.graph.distribution import LocalGraph
-from repro.matching.contexts import TRIPLE_BYTES, Ctx
-from repro.matching.ncl import handle_lanes_g, ship_lanes, stage
+from repro.matching.contexts import TRIPLE_BYTES
+from repro.matching.ncl import NCLBackend
 from repro.matching.state import MatchingState
-from repro.mpisim.context import RankContext
 
 
-class INCLBackend:
+class INCLBackend(NCLBackend):
     """Double-buffered nonblocking neighborhood-collective communication."""
 
     name = "incl"
 
-    def __init__(self, ctx: RankContext, lg: LocalGraph, options=None):
-        self.options = options
-        self.ctx = ctx
-        self.lg = lg
+    def _evoke_and_process_g(self, state: MatchingState):
+        """Counts, then the payload issued nonblocking with the previous
+        round's deferred work draining inside the overlap window."""
+        if self.fault_aware:
+            return (yield from super()._evoke_and_process_g(state))
+        ctx = self.ctx
+        topo = self.topo
+        # Swap buffers: pushes generated during the overlap window and
+        # the processing below belong to the *next* exchange.
+        counts, lanes, nbytes_each = self._ship_lanes()
+        # Counts first (cheap, blocking — receivers must size buffers).
+        recv_counts = yield from topo.neighbor_alltoall_g(counts, nbytes_per_item=8)
+        staged = self._staged_bytes
+        recv_bytes = sum(recv_counts) * TRIPLE_BYTES
+        ctx.alloc(recv_bytes, "ncl-recvbuf")
+        req = topo.ineighbor_alltoallv(lanes, nbytes_each=nbytes_each)
         self._staged_bytes = 0
+        # Overlap window: PROCESSNEIGHBORS work deferred from the previous
+        # round executes while the wire moves this round's payload.
+        # (Blocking NCL drains after its exchange instead, leaving
+        # nothing to hide transfers behind.)
+        ctx.prof_stage("push")
+        yield from state.drain_work_g()
+        ctx.prof_stage("evoke")
+        items, _ = yield from req.wait_g()
+        ctx.free(staged, "ncl-sendbuf")
+        ctx.prof_stage("process")
+        handled = yield from self._handle_lanes_g(state, items)
+        ctx.free(recv_bytes, "ncl-recvbuf")
+        return handled
 
-    # ------------------------------------------------------------------
-    def push(self, ctx_id: Ctx, target_rank: int, x: int, y: int) -> None:
-        stage(self.send_bufs, self._active, self.nbr_index[target_rank],
-              (int(ctx_id), x, y))
-        self.ctx.alloc(TRIPLE_BYTES, "ncl-sendbuf")
-        self._staged_bytes += TRIPLE_BYTES
-
-    # ------------------------------------------------------------------
-    def run_g(self, state: MatchingState):
-        # Topology construction parks (it is a collective), so it is the
-        # first step of the run; nothing before it touches the clock.
-        self.topo = yield from self.ctx.dist_graph_create_adjacent_g(
-            self.lg.neighbor_ranks)
-        self.nbr_index = self.topo.neighbor_index
-        self.send_bufs: list[list[int]] = [[] for _ in self.topo.neighbors]
-        self._active: list[int] = []  # non-empty send buffers
-        yield from state.start_g()
-        iterations = 0
-        while True:
-            iterations += 1
-            # Swap buffers: pushes generated during the overlap window and
-            # the processing below belong to the *next* exchange.
-            counts, lanes, nbytes_each = ship_lanes(self.send_bufs, self._active)
-            # Counts first (cheap, blocking — receivers must size buffers).
-            recv_counts = yield from self.topo.neighbor_alltoall_g(
-                counts, nbytes_per_item=8)
-            staged = self._staged_bytes
-
-            recv_bytes_est = sum(recv_counts) * TRIPLE_BYTES
-            self.ctx.alloc(recv_bytes_est, "ncl-recvbuf")
-            req = self.topo.ineighbor_alltoallv(lanes, nbytes_each=nbytes_each)
-            self._staged_bytes = 0
-
-            # Overlap window: PROCESSNEIGHBORS work deferred from the
-            # previous round executes while the wire moves this round's
-            # payload. (Blocking NCL drains immediately instead, leaving
-            # nothing to hide transfers behind.)
-            yield from state.drain_work_g()
-
-            items, _ = yield from req.wait_g()
-            self.ctx.free(staged, "ncl-sendbuf")
-            yield from handle_lanes_g(state, items)
-            self.ctx.free(recv_bytes_est, "ncl-recvbuf")
-            # Matches found above stay queued; they are the next overlap
-            # window's work. remaining() counts them, so termination is
-            # not declared while work is deferred.
-            done = yield from self.ctx.allreduce_g(state.remaining())
-            if done == 0:
-                break
-        return {"iterations": iterations}
-
-    def finalize(self, state: MatchingState) -> None:
-        if self._staged_bytes:
-            self.ctx.free(self._staged_bytes, "ncl-sendbuf")
-            self._staged_bytes = 0
+    def _push_g(self, state: MatchingState):
+        """Nothing: matches found this round stay queued as the next
+        overlap window's work. ``remaining()`` counts them, so the loop
+        declares no termination while work is deferred."""
+        if self.fault_aware:
+            return super()._push_g(state)
+        return ()

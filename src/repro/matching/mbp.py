@@ -15,6 +15,10 @@ properties of the older queue-based design:
   topology neighborhood (memory model);
 * **global termination rounds** — the old code established quiescence
   with communicator-wide reductions instead of the local exit rule.
+
+The last point makes MBP a :mod:`~repro.matching.superstep` backend whose
+evoke drains the incoming queue. It takes that loop's checkpoint cuts,
+but has no crash recovery of its own: a crash plan needs ``spares``.
 """
 
 from __future__ import annotations
@@ -22,26 +26,31 @@ from __future__ import annotations
 from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import TRIPLE_BYTES, Ctx
 from repro.matching.state import MatchingState
+from repro.matching.superstep import SuperstepBackend
 from repro.mpisim.context import RankContext
 
 #: extra abstract work units per message event (queue churn in the old code)
 _MBP_EXTRA_WORK = 6.0
 
 
-class MBPBackend:
+class MBPBackend(SuperstepBackend):
     """Older-generation Send-Recv with acknowledgments and global rounds."""
 
     name = "mbp"
     handle_scale = 20.0  #: even heavier per-message path than tuned NSR
 
     def __init__(self, ctx: RankContext, lg: LocalGraph, options=None):
-        self.options = options
-        self.ctx = ctx
-        self.lg = lg
+        super().__init__(ctx, lg, options)
         # O(p) bookkeeping arrays plus eager pools for every rank (the
         # old code opened channels communicator-wide).
         self._fixed_bytes = (96 + ctx.machine.eager_pool_per_peer_bytes // 2) * ctx.nprocs
-        self.ctx.alloc(self._fixed_bytes, "mbp-tables")
+        if not ctx.resuming:
+            # Resume: the restored counters already carry this allocation.
+            self.ctx.alloc(self._fixed_bytes, "mbp-tables")
+
+    def _setup_g(self, dead):
+        """Nothing to build: MBP sends point-to-point, over no topology."""
+        yield from ()
 
     # ------------------------------------------------------------------
     def push_g(self, ctx_id: Ctx, target_rank: int, x: int, y: int):
@@ -49,7 +58,8 @@ class MBPBackend:
         yield from self.ctx.isend_g(target_rank, (x, y), tag=int(ctx_id),
                                     nbytes=TRIPLE_BYTES)
 
-    def _drain_incoming_g(self, state: MatchingState):
+    def _evoke_and_process_g(self, state: MatchingState):
+        """Drain the incoming queue, acknowledging every REQUEST."""
         ctx = self.ctx
         handled = 0
         while True:
@@ -67,22 +77,15 @@ class MBPBackend:
             handled += 1
 
     # ------------------------------------------------------------------
-    def run_g(self, state: MatchingState):
-        """Globally synchronized rounds: drain, work, then a communicator-
-        wide termination reduction every round (the old code's quiescence
-        scheme). Every rank executes the same collective sequence, so the
-        reductions stay aligned; leftover ACKs in flight at exit carry no
-        algorithmic content."""
-        yield from state.start_g()
-        iterations = 0
-        while True:
-            iterations += 1
-            yield from self._drain_incoming_g(state)
-            yield from state.drain_work_g()
-            done = yield from self.ctx.allreduce_g(state.remaining())
-            if done == 0:
-                break
-        return {"iterations": iterations}
+    # checkpoint capture/restore
+    # ------------------------------------------------------------------
+    def snapshot(self) -> dict:
+        """The loop state; messages in flight belong to the engine's cut."""
+        return {**self._loop_state(), "topo": None}
+
+    def restore_checkpoint(self, blob: dict) -> None:
+        """Adopt a snapshot; the next :meth:`run_g` resumes mid-loop."""
+        self._restore_loop_state(blob)
 
     def finalize(self, state: MatchingState) -> None:
         self.ctx.free(self._fixed_bytes, "mbp-tables")

@@ -21,6 +21,9 @@ a crash can strand an exchange half-done — one side advanced its sent
 mark, the other never received the chunk. After a rebuild every sent
 mark is therefore reset to zero and the full logs are resent:
 at-least-once delivery plus exact dedup restores the no-loss invariant.
+
+:class:`~repro.matching.incl.INCLBackend` subclasses this backend and
+replaces only the fault-free exchange and its push step.
 """
 
 from __future__ import annotations
@@ -35,50 +38,6 @@ from repro.mpisim.context import RankContext
 #: shared: the sender keeps pushing into its own (still empty) buffer
 #: after the exchange, while a receiver may read the lane later.
 NO_TRIPLES: tuple[int, ...] = ()
-
-
-def stage(bufs: list[list[int]], active: list[int], k: int, triple) -> None:
-    """Append ``triple`` to lane ``k``, noting the lane's first write."""
-    b = bufs[k]
-    if not b:
-        active.append(k)
-    b.extend(triple)
-
-
-def ship_lanes(
-    bufs: list[list[int]], active: list[int]
-) -> tuple[list[int], list, list[int]]:
-    """Hand each staged buffer over as its neighbor's lane.
-
-    Returns ``(counts, lanes, nbytes)``, aligned with ``bufs``: triples,
-    lanes and wire bytes per neighbor. Only the ``active`` lanes (those
-    :func:`stage` wrote since the last shipment) cost a step here; each
-    is handed over as is and replaced by a fresh list in ``bufs``, so the
-    sender's next pushes cannot reach a lane in flight.
-    """
-    n = len(bufs)
-    counts, lanes, nbytes = [0] * n, [NO_TRIPLES] * n, [0] * n
-    for k in active:
-        b = lanes[k] = bufs[k]
-        bufs[k] = []
-        counts[k] = c = len(b) // 3
-        nbytes[k] = c * TRIPLE_BYTES
-    active.clear()
-    return counts, lanes, nbytes
-
-
-def handle_lanes_g(state: MatchingState, lanes):
-    """Feed every received ``(ctx, x, y)`` triple to the state machine,
-    lane by lane in neighbor order; returns how many were handled."""
-    handle = state.handle_g
-    handled = 0
-    for lane in lanes:
-        if lane:
-            it = iter(lane)
-            for c, x, y in zip(it, it, it):
-                yield from handle(c, x, y)
-            handled += len(lane) // 3
-    return handled
 
 
 class NCLBackend(SuperstepBackend):
@@ -106,7 +65,7 @@ class NCLBackend(SuperstepBackend):
         if not self.fault_aware:
             self.nbr_index = self.topo.neighbor_index
             self.send_bufs: list[list[int]] = [[] for _ in self.topo.neighbors]
-            #: indices of the non-empty send buffers (see :func:`stage`)
+            #: indices of the non-empty send buffers (see :meth:`push`)
             self._active: list[int] = []
         elif self._recoveries:
             # A half-completed exchange may have advanced a peer's sent
@@ -121,8 +80,11 @@ class NCLBackend(SuperstepBackend):
         if self.fault_aware:
             self.sent_log[target_rank].extend((int(ctx_id), x, y))
         else:
-            stage(self.send_bufs, self._active, self.nbr_index[target_rank],
-                  (int(ctx_id), x, y))
+            k = self.nbr_index[target_rank]
+            b = self.send_bufs[k]
+            if not b:
+                self._active.append(k)
+            b.extend((int(ctx_id), x, y))
         self.ctx.alloc(TRIPLE_BYTES, "ncl-sendbuf")
         self._staged_bytes += TRIPLE_BYTES
 
@@ -131,7 +93,7 @@ class NCLBackend(SuperstepBackend):
         if self.fault_aware:
             return (yield from self._exchange_logs_g(state))
         topo = self.topo
-        counts, lanes, nbytes_each = ship_lanes(self.send_bufs, self._active)
+        counts, lanes, nbytes_each = self._ship_lanes()
         recv_counts = yield from topo.neighbor_alltoall_g(counts, nbytes_per_item=8)
         # Receive buffers are sized from the counts exchange; account them
         # for the duration of processing.
@@ -143,8 +105,42 @@ class NCLBackend(SuperstepBackend):
         self.ctx.free(self._staged_bytes, "ncl-sendbuf")
         self._staged_bytes = 0
         self.ctx.prof_stage("process")
-        handled = yield from handle_lanes_g(state, items)
+        handled = yield from self._handle_lanes_g(state, items)
         self.ctx.free(recv_bytes, "ncl-recvbuf")
+        return handled
+
+    def _ship_lanes(self) -> tuple[list[int], list, list[int]]:
+        """Hand each staged buffer over as its neighbor's lane.
+
+        Returns ``(counts, lanes, nbytes)``, aligned with the neighbors:
+        triples, lanes and wire bytes per neighbor. Only the active lanes
+        (those :meth:`push` wrote since the last shipment) cost a step
+        here; each is handed over as is and replaced by a fresh list, so
+        the next pushes cannot reach a lane in flight.
+        """
+        bufs, active = self.send_bufs, self._active
+        n = len(bufs)
+        counts, lanes, nbytes = [0] * n, [NO_TRIPLES] * n, [0] * n
+        for k in active:
+            b = lanes[k] = bufs[k]
+            bufs[k] = []
+            counts[k] = c = len(b) // 3
+            nbytes[k] = c * TRIPLE_BYTES
+        active.clear()
+        return counts, lanes, nbytes
+
+    @staticmethod
+    def _handle_lanes_g(state: MatchingState, lanes):
+        """Feed every received ``(ctx, x, y)`` triple to the state machine,
+        lane by lane in neighbor order; returns how many were handled."""
+        handle = state.handle_g
+        handled = 0
+        for lane in lanes:
+            if lane:
+                it = iter(lane)
+                for c, x, y in zip(it, it, it):
+                    yield from handle(c, x, y)
+                handled += len(lane) // 3
         return handled
 
     def _exchange_logs_g(self, state: MatchingState):
@@ -180,7 +176,7 @@ class NCLBackend(SuperstepBackend):
                 )
             fresh = chunk[(have - start) * 3:]
             recv_bytes += 8 * len(fresh)
-            handled += yield from handle_lanes_g(state, (fresh,))
+            handled += yield from self._handle_lanes_g(state, (fresh,))
             self.consumed[q] = have + len(fresh) // 3
         if recv_bytes:
             self.ctx.alloc(recv_bytes, "ncl-recvbuf")

@@ -69,12 +69,7 @@ class NSRBackend:
         )
         self.channel: ReliableChannel | None = None
         if want_reliable:
-            self.channel = ReliableChannel(
-                ctx,
-                rto=getattr(options, "rto", None),
-                rto_max=getattr(options, "rto_max", None),
-                max_retries=getattr(options, "max_retries", 25),
-            )
+            self.channel = ReliableChannel(ctx)
             # Linger after quiescence: long enough that a peer's final
             # retransmission (worst-case backoff) plus its injected delay
             # still finds us alive to ack it.

@@ -45,17 +45,6 @@ from repro.matching.nsr import NSRBackend
 from repro.matching.state import MatchingState
 from repro.mpisim.context import RankContext
 
-#: lane auto-flush defaults: the byte threshold sits at the eager limit's
-#: order of magnitude so only pathologically hot lanes flush early; the
-#: normal case is one batch per destination per blocking boundary.
-DEFAULT_FLUSH_BYTES = 8192
-DEFAULT_FLUSH_COUNT = None
-#: how long a rank lingers (virtual seconds) for more coalescable
-#: traffic before flushing, once it runs out of local work — the
-#: aggregation timer; a few network latencies wide, so one linger spans
-#: a whole wave of in-flight proposals
-DEFAULT_FLUSH_DELAY = 5e-6
-
 
 class NSRAggBackend(NSRBackend):
     """Send-Recv with same-destination message coalescing."""
@@ -70,10 +59,10 @@ class NSRAggBackend(NSRBackend):
         # NSR's fixed per-peer footprint too, so nsr vs nsr-agg memory
         # differences are transport-only.
         super().__init__(ctx, lg, options)
-        self.flush_delay = getattr(options, "agg_flush_delay", DEFAULT_FLUSH_DELAY)
+        self.flush_delay = options.agg_flush_delay
         self.agg = ctx.aggregator(
-            flush_bytes=getattr(options, "agg_flush_bytes", DEFAULT_FLUSH_BYTES),
-            flush_count=getattr(options, "agg_flush_count", DEFAULT_FLUSH_COUNT),
+            flush_bytes=options.agg_flush_bytes,
+            flush_count=options.agg_flush_count,
             channel=self.channel,
         )
         self._staged_bytes = 0

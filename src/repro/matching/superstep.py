@@ -1,9 +1,11 @@
-"""The superstep loop shared by the bulk-synchronous backends (rma, ncl).
+"""The superstep loop shared by every backend that ends each round on a
+global reduction (rma, ncl, incl, mbp).
 
 Each iteration: checkpoint tick -> evoke and process (the backend's
 exchange) -> push the work that produced -> a global reduction on the
 remaining work decides termination (paper §V-D: unlike Send-Recv, these
-ranks cannot exit on local evidence alone).
+ranks cannot exit on local evidence alone; MatchBox-P's older code
+reached quiescence the same way).
 
 One loop serves every run. Under a crash plan (extension; see
 docs/fault_model.md) the construction collectives and the termination
@@ -25,11 +27,13 @@ from repro.mpisim.topology import DistGraphTopology
 
 
 class SuperstepBackend:
-    """Loop, setup, recovery and loop-state checkpointing for rma / ncl.
+    """Loop, setup, recovery and loop-state checkpointing for rma, ncl,
+    incl and mbp.
 
     A subclass supplies ``_evoke_and_process_g(state)`` and may extend
-    ``_setup_g`` (window, send buffers), ``_work_left`` (termination
-    debt beyond the state machine's) and its checkpoint blob.
+    ``_setup_g`` (window, send buffers), ``_push_g`` (when the work the
+    exchange produced is pushed), ``_work_left`` (termination debt beyond
+    the state machine's) and its checkpoint blob.
     """
 
     def __init__(self, ctx: RankContext, lg: LocalGraph, options=None):
@@ -79,7 +83,7 @@ class SuperstepBackend:
                     ctx.prof_stage("evoke")
                     yield from self._evoke_and_process_g(state)
                     ctx.prof_stage("push")
-                    yield from state.drain_work_g()
+                    yield from self._push_g(state)
                     ctx.prof_stage("terminate")
                     left = self._work_left(state)
                     if self.fault_aware:
@@ -94,6 +98,12 @@ class SuperstepBackend:
                         }
             except RankCrashed as e:
                 yield from self._recover_g(state, e.rank)
+
+    def _push_g(self, state: MatchingState):
+        """Push the work this round's exchange produced. Returns what the
+        loop drives with ``yield from`` (here the state's own generator,
+        without a frame of its own)."""
+        return state.drain_work_g()
 
     def _work_left(self, state: MatchingState) -> int:
         """This rank's share of the termination reduction."""

@@ -486,3 +486,23 @@ class TestChurnMatchingRunner:
         assert status == "unrecoverable"
         assert detail in ("no-cut-taken", "no-complete-cut",
                           "spares-exhausted")
+
+
+class TestChaosBackends:
+    def test_backends_are_the_crash_surviving_ones(self):
+        """``api.chaos`` takes its backend list from the driver: every
+        sampled plan may crash a rank, so it accepts exactly the backends
+        that survive one (incl among them) and refuses mbp up front."""
+        from repro.api import chaos
+        from repro.graph.generators import rmat_graph
+        from repro.matching.driver import CRASH_SURVIVING_BACKENDS
+
+        g = rmat_graph(6, seed=2)
+        with pytest.raises(ValueError, match="got 'mbp'") as exc:
+            chaos(g, 4, backends=("mbp",), plans=1)
+        assert "/".join(CRASH_SURVIVING_BACKENDS) in str(exc.value)
+        rep = chaos(g, 4, backends=("incl",), plans=4, seed=1,
+                    do_shrink=False)
+        assert len(rep.outcomes) == 4
+        assert any(o.plan.crashes for o in rep.outcomes)
+        assert rep.failures == []

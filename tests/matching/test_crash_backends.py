@@ -1,4 +1,4 @@
-"""Crash-survivable RMA and NCL backends, RMA put-fate repair, and
+"""Crash-survivable RMA, NCL and INCL backends, RMA put-fate repair, and
 per-backend golden pins for one canonical crash plan.
 
 The canonical instance mirrors ``test_golden_regression.py`` (R-MAT
@@ -28,6 +28,8 @@ GOLDEN_CRASH = {
     "nsr": (0.0009365654999999977, 22.723514399910133, 29, [1]),
     "rma": (0.0003278700000000007, 23.626562698807945, 30, [1]),
     "ncl": (0.0002704848000000009, 22.723514399910133, 29, [1]),
+    # under a crash plan incl is plain ncl: the same run to the bit
+    "incl": (0.0002704848000000009, 22.723514399910133, 29, [1]),
 }
 
 CRASH_PLAN = FaultPlan(seed=3, crashes={1: 1e-4}, detect_latency=1e-5)
@@ -56,7 +58,7 @@ def test_golden_crash_pins(graph, model, scheduler, use_scheduler):
     assert res.num_matched_edges == edges
 
 
-@pytest.mark.parametrize("model", ["rma", "ncl"])
+@pytest.mark.parametrize("model", ["rma", "ncl", "incl"])
 class TestCrashRecovery:
     def test_single_crash_valid_survivor_matching(self, rgg, model):
         plan = FaultPlan(seed=3, crashes={2: 5e-5}, detect_latency=2e-6)

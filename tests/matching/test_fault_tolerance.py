@@ -15,7 +15,6 @@ from repro.matching.verify import (
 )
 from repro.mpisim import FaultPlan, SimLimitExceeded
 from repro.mpisim.checkpoint import CheckpointConfig
-from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import PartitionWindow
 from repro.mpisim.machine import cori_aries
 
@@ -167,18 +166,23 @@ def test_fault_plan_backend_mismatch_rejected(model, plan):
                      config=RunConfig(faults=plan, max_ops=20_000))
 
 
-@pytest.mark.parametrize("model", ["mbp", "incl"])
+@pytest.mark.parametrize("model", ["mbp"])
 def test_crash_plan_backend_mismatch_rejected(model):
     """Without rollback-recovery a crash must be survived by the backend
-    itself, and mbp / incl cannot: the run used to end in a RankFailure
-    raised from inside a survivor. It is now refused before it starts.
-    With spares the
-    engine heals the crash instead, so the plan is accepted and ends in
-    a classified RecoveryFailed (neither backend takes checkpoint cuts)."""
+    itself, and mbp cannot: the run used to end in a RankFailure raised
+    from inside a survivor. It is now refused before it starts. With
+    spares the engine heals the crash instead: mbp takes the superstep
+    loop's checkpoint cuts, so a crash after the first cut rolls back to
+    it and the run ends with the fault-free matching."""
     g = rmat_graph(7, seed=3)
-    plan = FaultPlan(crashes={1: 1e-5})
     with pytest.raises(ValueError, match="require -m"):
-        run_matching(g, 4, model, config=RunConfig(faults=plan))
-    with pytest.raises(RecoveryFailed, match="no-cut-taken"):
         run_matching(g, 4, model, config=RunConfig(
-            faults=plan, spares=1, checkpoint=CheckpointConfig(interval=1e-5)))
+            faults=FaultPlan(crashes={1: 1e-5})))
+    clean = run_matching(g, 4, model)
+    res = run_matching(g, 4, model, config=RunConfig(
+        faults=FaultPlan(crashes={1: 5e-5}), spares=1,
+        checkpoint=CheckpointConfig(interval=1e-5)))
+    assert res.crashed_ranks == ()
+    assert res.recovery["recoveries"] == 1
+    assert np.array_equal(res.mate, clean.mate)
+    assert res.weight == clean.weight

@@ -25,7 +25,7 @@ from repro.mpisim.checkpoint import CheckpointConfig
 from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import FaultPlan, PartitionWindow
 
-BACKENDS = ["nsr", "nsr-agg", "rma", "ncl"]
+BACKENDS = ["nsr", "nsr-agg", "rma", "ncl", "incl"]
 # Retired engine names, kept as test ids only: every leg runs the one
 # engine against the same pins.
 ENGINES = ["threaded", "coroutine"]
@@ -39,13 +39,14 @@ INTERVAL = {
     "nsr-agg": 9.5e-5,
     "rma": 1.35e-4,
     "ncl": 1.15e-4,
+    "incl": 1.15e-4,
 }
 # Churn survival pins: FaultPlan.churn(mtbf=makespan, horizon=4*makespan,
 # seed=7) on each backend's own fault-free makespan. The recovery counts
 # are exact functions of the deterministic simulation — drift means the
 # churn stream or the recovery controller moved.
 CHURN_SEED = 7
-CHURN_RECOVERIES = {"nsr": 2, "nsr-agg": 3, "rma": 8, "ncl": 2}
+CHURN_RECOVERIES = {"nsr": 2, "nsr-agg": 3, "rma": 8, "ncl": 2, "incl": 2}
 
 
 @pytest.fixture(scope="module")

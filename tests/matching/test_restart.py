@@ -6,8 +6,9 @@ The contract under test (docs/fault_model.md):
   *checkpointed* run bit-for-bit — same mate array, weight, makespan,
   trace suffix, and fault counters. Golden pins keep the reference runs
   from drifting silently.
-* For rma/ncl, checkpointing is pure instrumentation: the checkpointed
-  run is itself bit-identical to the uncheckpointed one. For the
+* For the superstep backends (rma, ncl, incl, mbp), checkpointing is
+  pure instrumentation: the checkpointed run is itself bit-identical to
+  the uncheckpointed one. For the
   Send-Recv family (nsr, nsr-agg), the coordination ticks deterministically
   reshuffle the token-grant schedule, so only the *matching* is invariant
   — which is why a from-scratch restart must rerun with the same
@@ -29,7 +30,7 @@ from repro.mpisim.checkpoint import CheckpointConfig, CheckpointStore
 from repro.mpisim.errors import SimKilled
 from repro.mpisim.faults import FaultPlan, PartitionWindow
 
-BACKENDS = ["nsr", "nsr-agg", "rma", "ncl"]
+BACKENDS = ["nsr", "nsr-agg", "rma", "ncl", "incl", "mbp"]
 
 # Golden pins for the reference instance: rmat scale 8, seed 7, p=4,
 # cori-aries, heap scheduler, checkpointed at the per-backend interval.
@@ -39,7 +40,7 @@ WEIGHT_PIN = 61.21528815737458
 # kill_frac positions the whole-job kill (as a fraction of the pinned
 # makespan) late enough that at least one cut was *assembled* before any
 # rank's clock passed it: the kill fires on rank-local clocks while cut
-# assembly waits for every rank to park, so with heavy run-ahead (nsr) a
+# assembly waits for every rank to park, so with heavy run-ahead (nsr, mbp) a
 # mid-run kill outraces cuts whose virtual time is long past.
 PIN = {
     #          interval   epochs  makespan                kill_frac
@@ -47,6 +48,8 @@ PIN = {
     "nsr-agg": (9.5e-5,   4,      0.0004026850000000012,  0.75),
     "rma":     (1.35e-4,  3,      0.0005416549999999987,  0.75),
     "ncl":     (1.15e-4,  3,      0.00046338400000000044, 0.75),
+    "incl":    (1.15e-4,  4,      0.0005352918000000014,  0.75),
+    "mbp":     (1.2e-3,   4,      0.004863012499999973,   0.90),
 }
 
 
@@ -108,9 +111,9 @@ class TestGoldenPins:
             )
             assert_bit_identical_suffix(res, ref, snap)
 
-    @pytest.mark.parametrize("model", ["rma", "ncl"])
+    @pytest.mark.parametrize("model", ["rma", "ncl", "incl", "mbp"])
     def test_checkpointing_is_pure_instrumentation(self, graph, model):
-        """One-sided backends: ckpt-on is bit-identical to ckpt-off."""
+        """Superstep backends: ckpt-on is bit-identical to ckpt-off."""
         interval = PIN[model][0]
         base = run_matching(graph, 4, model, config=RunConfig(trace=True))
         res, store = checkpointed_run(graph, model, interval)

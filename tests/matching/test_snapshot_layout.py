@@ -89,7 +89,7 @@ class Probe(MatchingState):
         return super().mate_global()
 
 
-@pytest.mark.parametrize("model", ["nsr", "nsr-agg", "rma", "ncl"])
+@pytest.mark.parametrize("model", ["nsr", "nsr-agg", "rma", "ncl", "incl", "mbp"])
 def test_snapshot_pickles_to_the_numpy_layout(model, monkeypatch):
     g = rmat_graph(7, seed=2)
     ref = run_matching(g, 4, model, config=RunConfig())
