@@ -6,12 +6,13 @@ switches, operation count, final clocks and crashed ranks, its recovery
 report, every per-rank counter and communication matrix, its trace
 events, its mate array and the pickled bytes of every cut it assembled
 (cuts a rollback later discards included). The runs cover the clean
-paths of three backends, each lossy fate, survivable crashes, put
+paths of four backends, each lossy fate, survivable crashes, put
 fates, kill/resume and rollback recovery, so a change to how the engine
 arms, schedules or heals faults that moves any observable by one bit
 trips the pin. The digests were recorded before the resilience layer
-was split out of the engine core, and must never change as a side
-effect of restructuring it.
+was split out of the engine core (the nsr-agg rows before its event
+loop was folded into nsr's), and must never change as a side effect of
+restructuring it.
 """
 
 import dataclasses
@@ -33,6 +34,7 @@ from repro.mpisim.faults import FaultPlan, PartitionWindow
 # (same instance: rmat scale 8, seed 7, P=4, cori-aries).
 INTERVAL = {"nsr": 6.7e-4, "nsr-agg": 9.5e-5, "rma": 1.35e-4, "ncl": 1.15e-4}
 KILL_AT = {"nsr": 0.90 * 0.0026952819999999916,
+           "nsr-agg": 0.75 * 0.0004026850000000012,
            "ncl": 0.75 * 0.00046338400000000044}
 
 LOSSY = FaultPlan(seed=5, drop_rate=0.05, dup_rate=0.05, delay_rate=0.1)
@@ -46,9 +48,13 @@ RUNS = {
     "clean-nsr": ("nsr", {}, False),
     "clean-ncl": ("ncl", {}, False),
     "clean-rma": ("rma", {}, False),
+    "clean-nsr-agg": ("nsr-agg", {}, False),
     "lossy-nsr": ("nsr", {"faults": LOSSY}, False),
     "partition-nsr": ("nsr", {"faults": PARTITION}, False),
     "crash-nsr": ("nsr", {"faults": CRASH}, False),
+    "lossy-nsr-agg": ("nsr-agg", {"faults": LOSSY}, False),
+    "partition-nsr-agg": ("nsr-agg", {"faults": PARTITION}, False),
+    "crash-nsr-agg": ("nsr-agg", {"faults": CRASH}, False),
     "crash-ncl": ("ncl", {"faults": CRASH}, False),
     "crash-rma": ("rma", {"faults": CRASH}, False),
     "put-fates-rma": ("rma", {"faults": PUT_FATES}, False),
@@ -70,12 +76,20 @@ DIGEST = {
         "787156f74799dd7cd18ec4c35cf30e8e6fc0efa4538cb446cb70b9a80321e28a",
     "clean-rma":
         "aaeea95f5902b411bf483a723e541c71716b3fa88553cea873b265756bc57b23",
+    "clean-nsr-agg":
+        "1a94e78d68b23b7865a7ceb11ab6521c2b65c1a066d88a46c2eedb5c68dfd011",
     "lossy-nsr":
         "22f3035680736acaa2345c2848017042bf3912ad89d5e9205fbff5a8622bbc92",
     "partition-nsr":
         "0f8adce6dc79c40c045392007da133a6417f74a547e026086cf5a6325c58642e",
     "crash-nsr":
         "e798ed38880d9ce82c24a9909d0e83040afc201033671ff87a67e6bbc9ad7ccc",
+    "lossy-nsr-agg":
+        "04906c29f24b38e1aa95aa7bf6819dfd056964e1d1fa48d42659f344d4904c01",
+    "partition-nsr-agg":
+        "a8fd122aaada83a83d1069b4d009c2eb5f45f1cc293f1ae85e52fd8fa0f43fb5",
+    "crash-nsr-agg":
+        "d12106d0e59be5b506f275b716d73d67dc8cfe7169a00c22f72ec124d693e890",
     "crash-ncl":
         "9fa8b4c8536d168bf416bc06c91df64935cc86dde1544cf3fbc8b232b83e090b",
     "crash-rma":
@@ -94,6 +108,8 @@ DIGEST = {
         "d484799b8010082dab9f45754d2f69f20e4a18e82c48da5ed0eb1dd3100f8419",
     "kill-resume-ncl":
         "e02964e0bd744c3ece9560f4c8f7b0d85515fafa7b4604488c905d41ea5283e7",
+    "kill-resume-nsr-agg":
+        "fd8725d11c9807cec6548df791f19218ec6f3c723f248853b327ab9130fedf30",
 }
 
 
