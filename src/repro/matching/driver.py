@@ -55,23 +55,13 @@ class MatchingOptions:
     charge_graph_memory: bool = True  #: register CSR bytes with the
     #: memory model (identical across models; off to isolate buffers)
 
-    # -- fault tolerance (docs/fault_model.md) ------------------------
-    reliable: bool | None = None  #: force the ack/retry delivery channel
-    #: on (True) or off (False); None = auto, on exactly when the engine's
-    #: fault plan injects message faults or partitions. Read by the
-    #: Send-Recv backends (nsr, nsr-agg) only.
-
     # -- message aggregation (nsr-agg backend) ------------------------
     agg_flush_bytes: int | None = default("match", "agg_flush_bytes")
     #: lane auto-flush byte threshold (None disables; lanes then flush
-    #: only at iteration boundaries); of the eager limit's order, so only
+    #: only at blocking boundaries); of the eager limit's order, so only
     #: pathologically hot lanes flush early
     agg_flush_count: int | None = None  #: lane auto-flush message-count
     #: threshold (None disables)
-    agg_flush_delay: float | None = 5e-6  #: aggregation timer (virtual s):
-    #: how long an idle rank lingers for more coalescable traffic before
-    #: flushing its lanes (None flushes immediately on running dry); a few
-    #: network latencies wide, so one linger spans a wave of proposals
 
     # -- simulation budget (SimLimitExceeded; ops: RunConfig.max_ops) --
     max_vtime: float | None = None  #: virtual-time budget (s)

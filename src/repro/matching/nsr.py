@@ -13,15 +13,17 @@ Fault tolerance (extension; see docs/fault_model.md): message faults
 (drop/dup/delay) and partitions are masked by the
 :class:`~repro.mpisim.reliable.ReliableChannel` ack/retry transport, so
 the state machine still sees exactly-once in-order delivery and computes
-the same matching as the fault-free run. Rank crashes are handled
-ULFM-style: on detection the survivors renounce all cross edges into the
-dead rank (``MatchingState.renounce_rank``) and finish the matching on
-the surviving subgraph. One event loop serves every case; without a
-channel or crashes its extra steps are skipped.
+the same matching as the fault-free run. The channel is on exactly when
+the fault plan injects message faults or partitions. Rank crashes are
+handled ULFM-style: on detection the survivors renounce all cross edges
+into the dead rank (``MatchingState.renounce_failed_g``) and finish the
+matching on the surviving subgraph.
 
-:class:`NSRBackend` also holds the Send-Recv policy ``nsr-agg``
-inherits: the fixed p2p-table footprint, the reliability decision and
-its channel, the post-quiescence linger, and crash renouncement.
+:meth:`NSRBackend.run_g` is the one Send-Recv event loop: ``nsr-agg``
+runs it too, and overrides only its named steps — the receive step, the
+flush before the rank blocks or leaves, the coalescing linger and what a
+productive iteration does next. Without a channel or crashes the loop's
+extra steps are skipped.
 """
 
 from __future__ import annotations
@@ -54,27 +56,19 @@ class NSRBackend:
             self.ctx.alloc(self._fixed_bytes, "p2p-tables")
 
         plan = ctx.fault_plan
-        self._plan = plan
-        want_reliable = getattr(options, "reliable", None)
-        if want_reliable is None:
-            want_reliable = plan is not None and plan.needs_reliability()
         self.fault_aware = plan is not None and plan.has_crashes()
-        # A quiescent rank must stay alive past the last partition heal:
-        # a peer's retransmission deferred behind the cut cannot reach us
-        # before then, so the linger clock starts no earlier than this.
-        self._quiet_floor = (
-            max((w.t_end for w in plan.partitions), default=0.0)
-            if plan is not None
-            else 0.0
-        )
         self.channel: ReliableChannel | None = None
-        if want_reliable:
+        if plan is not None and plan.needs_reliability():
             self.channel = ReliableChannel(ctx)
             # Linger after quiescence: long enough that a peer's final
             # retransmission (worst-case backoff) plus its injected delay
             # still finds us alive to ack it.
-            delay_max = plan.delay_max if plan is not None else 0.0
-            self._linger = 3.0 * self.channel.rto_max + delay_max
+            self._linger = 3.0 * self.channel.rto_max + plan.delay_max
+            # A quiescent rank must stay alive past the last partition
+            # heal: a peer's retransmission deferred behind the cut cannot
+            # reach us before then, so the linger clock starts no earlier.
+            self._quiet_floor = max(
+                (w.t_end for w in plan.partitions), default=0.0)
 
         # Loop state lives on the instance so a checkpoint provider can
         # capture it while the rank is parked inside a probe.
@@ -92,7 +86,7 @@ class NSRBackend:
         if self.fault_aware and self.ctx.is_failed(target_rank):
             # Detected-dead peer we have not renounced yet (detection can
             # land mid-iteration); the message would be blackholed anyway
-            # and renounce_rank repairs the bookkeeping at the loop top.
+            # and renouncing it repairs the bookkeeping at the loop top.
             return None
         return self.ctx.isend_g(target_rank, (x, y), tag=int(ctx_id),
                                 nbytes=TRIPLE_BYTES)
@@ -115,76 +109,90 @@ class NSRBackend:
         ctx = self.ctx
         chan = self.channel
         rc = ctx.counters()
-        yield from self._start_g(state)
-
-        def deliver(src: int, user_tag: int, payload):
-            x, y = payload
-            yield from state.handle_g(user_tag, x, y)
-
+        if self._resumed:
+            self._resumed = False
+            yield from ctx.reissue_parked_wait_g()
+        else:
+            yield from state.start_g()
         while True:
             # Coordinated-checkpoint boundary: charge-free no-op until a
             # cut is due, then parks so the scheduler can assemble the
             # snapshot (ranks caught in a blocking probe are safepoints
-            # already). A resumed run re-enters here and the tick no-ops.
+            # already). A resumed run re-enters here and the tick no-ops,
+            # so every probe below is the last step of its iteration.
             yield from ctx.checkpoint_tick_g()
             self._iterations += 1
             ctx.prof_iteration(self._iterations)
             if self.fault_aware:
-                yield from self._recover_g(state)
+                ctx.prof_stage("recovery")
+                yield from state.renounce_failed_g(
+                    ctx, ctx.failed_ranks(), self._forget_rank)
             ctx.prof_stage("evoke")
-            if chan is None:
-                progressed = (yield from self._drain_incoming_g(state)) > 0
-            else:
-                acks_before = rc.acks_sent
-                progressed = (yield from chan.poll_g(deliver)) > 0
-                if rc.acks_sent > acks_before:
-                    # Any receipt (dups included) restarts the linger
-                    # clock: the sender clearly had not seen our ack yet.
-                    self._quiet_until = None
+            acks_before = rc.acks_sent
+            progressed = (yield from self._receive_g(state)) > 0
+            if rc.acks_sent > acks_before:
+                # Any receipt (dups included) restarts the linger clock:
+                # the sender clearly had not seen our ack yet.
+                self._quiet_until = None
+            if chan is not None:
                 yield from chan.service_g(ctx.now,
                                           may_abandon=state.locally_done())
             if state.work:
                 ctx.prof_stage("push")
                 yield from state.drain_work_g()
                 progressed = True
-            if state.locally_done() and (chan is None or chan.idle()):
-                if (yield from self._linger_g()):
-                    break
+            if progressed and self._poll_again():
                 continue
+            done = state.locally_done()
+            if done:
+                # Final responses (REJECT/INVALID to peers still waiting
+                # on us) must be on the wire before this rank leaves.
+                yield from self._flush_g()
+                if chan is None or chan.idle():
+                    if (yield from self._linger_g()):
+                        break
+                    continue
             self._quiet_until = None
-            if not progressed:
-                # Nothing local to do: the next change must arrive on the
-                # wire (or a retransmission fall due). Real codes spin on
-                # Iprobe; we model the blocking probe (fast-forwarding the
-                # clock) and account the wait.
-                yield from ctx.probe_g(deadline=self._next_deadline())
+            if progressed:
+                continue
+            if not done and (yield from self._coalesce_g()):
+                continue
+            # Nothing local to do: the next change must arrive on the
+            # wire (or a retransmission fall due). Real codes spin on
+            # Iprobe; we model the blocking probe (fast-forwarding the
+            # clock) and account the wait. Nothing may stay buffered
+            # while peers wait on us.
+            yield from self._flush_g()
+            yield from ctx.probe_g(deadline=self._next_deadline())
         return {"iterations": self._iterations}
 
     # ------------------------------------------------------------------
-    # Send-Recv policy shared with nsr-agg
+    # the loop's named steps (nsr-agg overrides the first four)
     # ------------------------------------------------------------------
-    def _start_g(self, state: MatchingState):
-        """Begin the matching, or re-enter a resumed run's parked wait."""
-        if self._resumed:
-            self._resumed = False
-            yield from self.ctx.reissue_parked_wait_g()
-        else:
-            yield from state.start_g()
+    def _receive_g(self, state: MatchingState):
+        """Evoke and process every arrived message; the loop drives the
+        returned generator, whose value is the count delivered."""
+        if self.channel is not None:
+            return self.channel.poll_g(state.deliver)
+        return self._drain_incoming_g(state)
 
-    def _recover_g(self, state: MatchingState):
-        """ULFM-style recovery: renounce every newly detected dead rank."""
-        ctx = self.ctx
-        ctx.prof_stage("recovery")
-        for r in ctx.failed_ranks():
-            if r not in state.dead_ranks:
-                yield from self._renounce_g(state, r)
+    def _flush_g(self):
+        """Ship what the push step buffered, before the rank blocks or
+        leaves. NSR sends each message at once: nothing to drive."""
+        return ()
 
-    def _renounce_g(self, state: MatchingState, r: int):
-        if self._plan is None or self._plan.crash_time(r) is None:
-            # Detection is plan-driven, so this cannot happen for a merely
-            # partitioned peer — the counter proves it stayed that way.
-            self.ctx.counters().spurious_detections += 1
-        yield from state.renounce_rank_g(r)
+    def _coalesce_g(self):
+        """Out of local work, linger for traffic to coalesce with; the
+        driven value is True when the rank waited. NSR never does."""
+        return ()
+
+    def _poll_again(self) -> bool:
+        """A productive iteration: True to poll again before the rank may
+        block or leave. NSR may leave at once."""
+        return False
+
+    def _forget_rank(self, r: int) -> None:
+        """Drop transport state for a renounced dead rank."""
         if self.channel is not None:
             self.channel.on_rank_failed(r)
 

@@ -374,6 +374,13 @@ class MatchingState:
     # ------------------------------------------------------------------
     # PROCESSINCOMINGDATA (paper Algorithm 6, deferred variant)
     # ------------------------------------------------------------------
+    def deliver(self, src: int, user_tag: int, payload):
+        """:meth:`handle_g` as a Send-Recv transport's receive handler:
+        ``payload`` is one message's ``(x, y)``. Returns the generator
+        for the transport to drive."""
+        x, y = payload
+        return self.handle_g(user_tag, x, y)
+
     def handle_g(self, ctx_id: int, x: int, y: int):
         """Process one incoming (ctx, x, y): x is ours, y is the sender's.
 
@@ -500,6 +507,21 @@ class MatchingState:
         for v in retarget:
             yield from self._scan(v)
         return len(doomed) + len(retarget)
+
+    def renounce_failed_g(self, ctx, ranks, then: Callable[[int], None] | None = None):
+        """The recovery step of every loop: renounce each rank of
+        ``ranks`` not renounced yet, in that order, and call ``then(r)``
+        after each one."""
+        for r in ranks:
+            if r in self.dead_ranks:
+                continue
+            if ctx.fault_plan.crash_time(r) is None:
+                # Detection is plan-driven: a partitioned-but-alive peer
+                # can never land here; the counter proves it.
+                ctx.counters().spurious_detections += 1
+            yield from self.renounce_rank_g(r)
+            if then is not None:
+                then(r)
 
     # ------------------------------------------------------------------
     # checkpoint capture/restore

@@ -131,13 +131,7 @@ class SuperstepBackend:
         """Renounce newly detected failures and schedule a rebuild."""
         ctx = self.ctx
         ctx.prof_stage("recovery")
-        for r in sorted(ctx.failed_ranks()):
-            if r not in state.dead_ranks:
-                if self._plan.crash_time(r) is None:
-                    # Detection is plan-driven: a partitioned-but-alive
-                    # peer can never land here; the counter proves it.
-                    ctx.counters().spurious_detections += 1
-                yield from state.renounce_rank_g(r)
+        yield from state.renounce_failed_g(ctx, sorted(ctx.failed_ranks()))
         if self.topo is not None:
             # Strand-proof the abandoned scope: survivors still blocked in
             # its collectives raise instead of waiting for us.

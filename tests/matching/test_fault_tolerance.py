@@ -64,8 +64,9 @@ class TestMessageFaults:
 
     def test_forced_reliable_on_clean_network(self, graph, clean):
         # The shim itself must not change the matching, only the timing.
-        opts = MatchingOptions(reliable=True)
-        r = run_matching(graph, 4, "nsr", config=RunConfig(options=opts))
+        # A delay-only plan arms it and loses no message.
+        delay_only = FaultPlan(seed=1, delay_rate=0.1)
+        r = run_matching(graph, 4, "nsr", config=RunConfig(faults=delay_only))
         check_matching_valid(graph, r.mate)
         assert np.array_equal(r.mate, clean.mate)
         assert r.fault_totals()["acks_sent"] > 0

@@ -70,7 +70,6 @@ def test_flush_policy_does_not_change_matching():
     for opts in (
         MatchingOptions(),  # default byte threshold + linger
         MatchingOptions(agg_flush_bytes=None, agg_flush_count=4),
-        MatchingOptions(agg_flush_bytes=256, agg_flush_delay=None),
     ):
         res = run_matching(g, 8, "nsr-agg",
                            config=RunConfig(options=opts))
