@@ -6,7 +6,9 @@ rounds with bulk frontier exchanges, whereas matching generates dynamic,
 unpredictable traffic over many rounds. This module reproduces the BFS
 side of that comparison with the same 1D block distribution and
 nonblocking Send-Recv transport as the matching NSR backend, so the two
-communication matrices are directly comparable.
+communication matrices are directly comparable. Its frontier goes to the
+owner of each candidate, not to every neighbor rank, so it keeps its own
+rank main but shares the :mod:`repro.kernels` run driver.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.graph.distribution import LocalGraph
+from repro.kernels import run_kernel
 from repro.mpisim.context import RankContext
 
 _FRONTIER_TAG = 10
@@ -84,21 +87,9 @@ def bfs_rank_main(
         frontier = next_frontier
 
     ctx.free(lg.memory_bytes(), "graph-csr")
-    return {"lo": lg.lo, "hi": lg.hi, "level": level, "rounds": rounds}
+    return {"values": level, "rounds": rounds}
 
 
 def run_bfs(g, nprocs: int, root: int = 0, machine=None):
-    """Partition, run the SPMD BFS, and assemble the global level array."""
-    from repro.graph.distribution import partition_graph
-    from repro.mpisim.engine import Engine
-    from repro.mpisim.machine import cori_aries
-
-    machine = machine or cori_aries()
-    parts = partition_graph(g, nprocs)
-    engine = Engine(nprocs, machine)
-    result = engine.run(bfs_rank_main, args=(parts, root))
-    level = np.full(g.num_vertices, -1, dtype=np.int64)
-    for rr in result.rank_results:
-        level[rr["lo"] : rr["hi"]] = rr["level"]
-    rounds = max(rr["rounds"] for rr in result.rank_results)
-    return level, result, rounds
+    """Partition, run the SPMD BFS; returns (level array, engine result, rounds)."""
+    return run_kernel(g, nprocs, bfs_rank_main, (root,), machine)

@@ -68,13 +68,13 @@ def run_graph500(
     times: list[float] = []
     rounds_seen: list[int] = []
     teps: list[float] = []
+    src = np.repeat(np.arange(g.num_vertices), np.diff(g.xadj))
     for root in roots:
         level, res, rounds = run_bfs(g, nprocs, root=root, machine=machine)
         if validate:
             validate_bfs_levels(g, root, level)
         # Graph500 counts edges within the traversed component.
         reached = level >= 0
-        src = np.repeat(np.arange(g.num_vertices), np.diff(g.xadj))
         traversed = int(np.count_nonzero(reached[src])) // 2
         times.append(res.makespan)
         rounds_seen.append(rounds)

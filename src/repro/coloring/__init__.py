@@ -5,14 +5,11 @@ Send-Recv, RMA and neighborhood collective routines can be applied to any
 graph algorithm imitating the owner-computes model." This package
 substantiates that claim with a second kernel — Gebremedhin-Manne
 speculative coloring (the other half of the paper's ref [5]) — running
-over the same three communication models.
+over the same three communication models, through the boundary exchange
+and round loop of :mod:`repro.kernels`.
 """
 
-from repro.coloring.distributed import (
-    ColoringRunResult,
-    coloring_rank_main,
-    run_coloring,
-)
+from repro.coloring.distributed import ColoringRunResult, run_coloring
 from repro.coloring.serial import (
     NO_COLOR,
     check_color_bound,
@@ -28,6 +25,5 @@ __all__ = [
     "check_color_bound",
     "NO_COLOR",
     "run_coloring",
-    "coloring_rank_main",
     "ColoringRunResult",
 ]
