@@ -1,12 +1,11 @@
 """Shared benchmark plumbing.
 
-Every paper figure/table gets one benchmark that executes its experiment
-module once (simulated runs are deterministic — repeated rounds would
-measure Python overhead, not the system), records the experiment's
-summary numbers in the benchmark's ``extra_info``, and writes the
-rendered figure/table to ``benchmarks/_output/<exp_id>.txt`` so a full
-benchmark run regenerates the paper's evaluation section as text
-artifacts.
+Every paper figure/table gets one test that executes its experiment
+module once (simulated runs are deterministic, so there is nothing to
+repeat), asserts the paper's claim on its data, and writes the rendered
+figure/table to ``benchmarks/_output/<exp_id>.txt`` so a full run
+regenerates the paper's evaluation section as text artifacts. Wall-clock
+performance is measured by the ladder (``benchmarks/ladder/``).
 
 Set ``REPRO_FULL=1`` to run the full-size (slower) configurations.
 """
@@ -29,18 +28,15 @@ def output_dir() -> Path:
 
 
 @pytest.fixture
-def run_exp(benchmark, output_dir):
-    """Run one experiment under pytest-benchmark and persist its output."""
+def run_exp(output_dir):
+    """Run one experiment and persist its output."""
 
     def _run(exp_id: str):
         from repro.harness import run_experiment
 
-        out = benchmark.pedantic(
-            lambda: run_experiment(exp_id, fast=FAST), rounds=1, iterations=1
-        )
+        out = run_experiment(exp_id, fast=FAST)
         text = out.text + "\nFindings:\n" + "\n".join(f"* {f}" for f in out.findings)
         (output_dir / f"{exp_id}.txt").write_text(text + "\n")
-        benchmark.extra_info["findings"] = out.findings
         return out
 
     return _run

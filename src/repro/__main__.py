@@ -319,7 +319,7 @@ def _cmd_match(args) -> int:
                 last = checkpoint.store.latest()
                 print(
                     f"resume with: --resume {checkpoint.dir}/"
-                    f"{checkpoint.prefix}-epoch{last.epoch}.ckpt"
+                    f"checkpoint-epoch{last.epoch}.ckpt"
                 )
         return 0
     print(f"graph: {args.dataset} |V|={g.num_vertices} |E|={g.num_edges}")

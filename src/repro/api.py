@@ -27,9 +27,7 @@ from repro.graph.csr import CSRGraph
 from repro.knobs import default
 from repro.matching.api import MatchingRunResult, run_matching
 from repro.matching.config import RunConfig
-from repro.matching.driver import CRASH_SURVIVING_BACKENDS, MatchingOptions
-from repro.mpisim.faults import FaultPlan
-from repro.mpisim.machine import MachineModel, cori_aries
+from repro.matching.driver import CRASH_SURVIVING_BACKENDS
 from repro.mpisim.power import EnergyReport, PowerModel, energy_report
 
 if TYPE_CHECKING:  # pure type references; avoids harness import cycles
@@ -59,37 +57,6 @@ class RunRecord:
         return baseline.makespan / self.makespan if self.makespan > 0 else float("inf")
 
 
-def _build_config(
-    config: RunConfig | None,
-    machine: MachineModel | None,
-    options: MatchingOptions | None,
-    faults: FaultPlan | None,
-) -> RunConfig:
-    """Fold the convenience kwargs into a RunConfig.
-
-    Passing ``config=`` together with any convenience kwarg is an error.
-    """
-    extras = {
-        k: v
-        for k, v in (
-            ("machine", machine),
-            ("options", options),
-            ("faults", faults),
-        )
-        if v is not None
-    }
-    if config is not None:
-        if extras:
-            raise TypeError(
-                "api.run: cannot mix config= with convenience keyword "
-                f"argument(s) {sorted(extras)}; fold them into the RunConfig"
-            )
-        return config
-    return RunConfig(
-        machine=machine, options=options, faults=faults, compute_weight=True,
-    )
-
-
 def run(
     g: CSRGraph,
     nprocs: int,
@@ -97,24 +64,17 @@ def run(
     *,
     config: RunConfig | None = None,
     label: str = "?",
-    machine: MachineModel | None = None,
     power: PowerModel | None = None,
-    options: MatchingOptions | None = None,
-    faults: FaultPlan | None = None,
     keep_result: bool = False,
 ) -> RunRecord:
     """Execute one matching run and package its measurements.
 
     The run itself is entirely described by ``config`` (a
-    :class:`~repro.matching.config.RunConfig`); ``machine`` / ``options``
-    / ``faults`` are conveniences folded into a fresh config
-    when no explicit one is passed (mixing the two styles raises).
-    ``power`` and ``keep_result`` are measurement-side knobs: they shape
-    the returned :class:`RunRecord`, not the simulation, so they combine
-    freely with ``config=``.
+    :class:`~repro.matching.config.RunConfig`; ``None`` for the
+    defaults). ``power`` and ``keep_result`` are measurement-side knobs:
+    they shape the returned :class:`RunRecord`, not the simulation.
     """
-    cfg = _build_config(config, machine, options, faults)
-    res = run_matching(g, nprocs, model=model, config=cfg)
+    res = run_matching(g, nprocs, model=model, config=config)
     c = res.counters
     erep = energy_report(model.upper(), res.makespan, c, power)
     return RunRecord(
@@ -150,7 +110,6 @@ def sweep(
     *,
     title: str,
     xlabel: str = "processes",
-    machine: MachineModel | None = None,
     config: RunConfig | None = None,
 ) -> "tuple[FigureData, list[RunRecord]]":
     """Run ``models`` over a list of (label, graph, nprocs) points.
@@ -167,7 +126,7 @@ def sweep(
         xs: list[float] = []
         ys: list[float] = []
         for label, g, p in points:
-            rec = run(g, p, model, label=label, machine=machine, config=config)
+            rec = run(g, p, model, label=label, config=config)
             records.append(rec)
             xs.append(p)
             ys.append(rec.makespan)

@@ -175,14 +175,22 @@ class ServiceClient:
             raise ServiceError(status, detail)
         return status, blob, ctype
 
+    def _reply(self, method: str, path: str, body: bytes | None = None,
+               content_type: str = "application/json",
+               ) -> tuple[dict, JobResult | None]:
+        """The reply envelope, and its ``result`` parsed through the schema
+        (version and unknown-field checks); the envelope keeps the dict
+        as the server sent it."""
+        _, blob, _ = self._request(method, path, body, content_type)
+        payload = json.loads(blob)
+        result = None
+        if isinstance(payload, dict) and payload.get("result"):
+            result = JobResult.from_dict(payload["result"])
+        return payload, result
+
     def _json(self, method: str, path: str, body: bytes | None = None,
               content_type: str = "application/json") -> dict:
-        status, blob, _ = self._request(method, path, body, content_type)
-        payload = json.loads(blob)
-        if isinstance(payload, dict) and "result" in payload and payload["result"]:
-            # parse through the schema so version/unknown-field checks run
-            payload["result"] = JobResult.from_dict(payload["result"]).to_dict()
-        return payload
+        return self._reply(method, path, body, content_type)[0]
 
     # -- API ----------------------------------------------------------
     def health(self) -> dict:
@@ -217,10 +225,10 @@ class ServiceClient:
         return self._json("GET", f"/v1/jobs/{job_id}")
 
     def result(self, key: str) -> JobResult:
-        env = self._json("GET", f"/v1/results/{key}")
-        if not env.get("result"):
+        _, result = self._reply("GET", f"/v1/results/{key}")
+        if result is None:
             raise SchemaError(f"service returned no result for key {key}")
-        return JobResult.from_dict(env["result"])
+        return result
 
     def artifact(self, key: str, name: str) -> bytes:
         _, blob, _ = self._request("GET", f"/v1/artifacts/{key}/{name}")

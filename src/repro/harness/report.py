@@ -89,7 +89,7 @@ def generate_experiments_md(path: str | Path, fast: bool = True) -> str:
         "# EXPERIMENTS — paper vs. measured",
         "",
         "Regenerate with `python -m repro report` (or run",
-        "`pytest benchmarks/ --benchmark-only`, which also writes each",
+        "`pytest benchmarks/test_*.py`, which also writes each",
         "experiment's rendered output to `benchmarks/_output/`).",
         "",
         "All runtimes are *simulated* seconds from the `repro.mpisim` cost",

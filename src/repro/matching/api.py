@@ -139,7 +139,6 @@ def run_matching(
         nprocs,
         machine,
         max_ops=config.max_ops,
-        max_vtime=options.max_vtime,
         trace=config.trace,
         profile=config.profile,
         faults=config.faults,

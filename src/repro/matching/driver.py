@@ -52,8 +52,6 @@ class MatchingOptions:
     #: quality and cross-backend determinism are not guaranteed)
     tie_break: str = "hash"  #: "hash" (paper's fix) or "id" (the naive,
     #: pathological scheme from §III; ablation only)
-    charge_graph_memory: bool = True  #: register CSR bytes with the
-    #: memory model (identical across models; off to isolate buffers)
 
     # -- message aggregation (nsr-agg backend) ------------------------
     agg_flush_bytes: int | None = default("match", "agg_flush_bytes")
@@ -62,9 +60,6 @@ class MatchingOptions:
     #: pathologically hot lanes flush early
     agg_flush_count: int | None = None  #: lane auto-flush message-count
     #: threshold (None disables)
-
-    # -- simulation budget (SimLimitExceeded; ops: RunConfig.max_ops) --
-    max_vtime: float | None = None  #: virtual-time budget (s)
 
 
 def make_backend(
@@ -108,7 +103,7 @@ def matching_rank_main(
             f"cannot resume rank {ctx.rank}: the checkpoint carries no "
             f"application state (was it taken by a non-matching workload?)"
         )
-    if options.charge_graph_memory and not resuming:
+    if not resuming:
         ctx.alloc(lg.memory_bytes(), "graph-csr")
 
     backend = make_backend(model, ctx, lg, options)
@@ -140,8 +135,7 @@ def matching_rank_main(
     info = yield from backend.run_g(state)
     backend.finalize(state)
     ctx.free(state_bytes, "matching-state")
-    if options.charge_graph_memory:
-        ctx.free(lg.memory_bytes(), "graph-csr")
+    ctx.free(lg.memory_bytes(), "graph-csr")
 
     return {
         "rank": ctx.rank,

@@ -38,7 +38,6 @@ from repro.mpisim.engine import Engine, EngineResult
 from repro.mpisim.checkpoint import (
     CheckpointConfig,
     CheckpointCorrupt,
-    CheckpointPruned,
     CheckpointStore,
     EngineSnapshot,
     ReplicatedCheckpointStore,
@@ -145,7 +144,6 @@ __all__ = [
     "ChurnPlan",
     "CheckpointConfig",
     "CheckpointCorrupt",
-    "CheckpointPruned",
     "CheckpointStore",
     "ReplicatedCheckpointStore",
     "buddy_ranks",

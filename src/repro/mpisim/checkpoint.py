@@ -57,15 +57,6 @@ class CheckpointCorrupt(ValueError):
         self.field = field
 
 
-class CheckpointPruned(LookupError):
-    """The requested snapshot existed but was dropped by ``keep=N``.
-
-    Distinct from a plain ``None`` return, which means the snapshot was
-    *never taken* — an operator resuming from epoch 3 should learn that
-    epoch 3 was pruned, not silently fall back to "no such epoch".
-    """
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -135,73 +126,36 @@ def make_snapshot(epoch: int, vtime: float, nprocs: int, state: dict) -> EngineS
 
 
 class CheckpointStore:
-    """In-memory (and optionally on-disk) collection of snapshots.
-
-    ``keep`` bounds the number retained in memory (oldest dropped
-    first); ``None`` keeps everything. When ``dir`` is set on the
-    :class:`CheckpointConfig`, each snapshot is also written to
-    ``<dir>/<prefix>-epoch<N>.ckpt`` as it is taken.
+    """In-memory (and optionally on-disk) collection of every snapshot
+    a run took. When ``dir`` is set on the :class:`CheckpointConfig`,
+    each snapshot is also written to ``<dir>/checkpoint-epoch<N>.ckpt``
+    as it is taken.
     """
 
-    def __init__(self, keep: int | None = None):
-        if keep is not None and keep < 1:
-            raise ValueError(f"CheckpointStore.keep must be >= 1, got {keep}")
-        self.keep = keep
+    def __init__(self):
         self._snapshots: list[EngineSnapshot] = []
-        # What pruning dropped: epoch ids plus the vtime range covered,
-        # so lookups can tell "pruned" apart from "never existed".
-        self._pruned_epochs: set[int] = set()
-        self._pruned_vtime_min: float | None = None
 
     def add(self, snap: EngineSnapshot) -> None:
         self._snapshots.append(snap)
-        if self.keep is not None:
-            cut = max(0, len(self._snapshots) - self.keep)
-            if cut:
-                for s in self._snapshots[:cut]:
-                    self._pruned_epochs.add(s.epoch)
-                    if (self._pruned_vtime_min is None
-                            or s.vtime < self._pruned_vtime_min):
-                        self._pruned_vtime_min = s.vtime
-                del self._snapshots[:cut]
-                self._on_pruned()
-
-    def _on_pruned(self) -> None:
-        """Subclass hook: retained snapshot set just shrank."""
 
     def latest(self) -> EngineSnapshot | None:
         return self._snapshots[-1] if self._snapshots else None
 
     def latest_before(self, vtime: float) -> EngineSnapshot | None:
         """The most recent snapshot with ``vtime <= vtime`` (for restart
-        after a kill at ``vtime``).
-
-        Returns ``None`` when no snapshot was ever taken at or before
-        ``vtime``; raises :class:`CheckpointPruned` when one *was* taken
-        but ``keep=N`` has since dropped every candidate.
+        after a kill at ``vtime``); ``None`` when none was taken by then.
         """
         best = None
         for s in self._snapshots:
             if s.vtime <= vtime:
                 best = s
-        if best is None and (self._pruned_vtime_min is not None
-                             and self._pruned_vtime_min <= vtime):
-            raise CheckpointPruned(
-                f"every snapshot with vtime <= {vtime:.9g} was pruned "
-                f"(keep={self.keep})"
-            )
         return best
 
     def at_epoch(self, epoch: int) -> EngineSnapshot | None:
-        """Snapshot for ``epoch``; ``None`` if that epoch was never taken,
-        :class:`CheckpointPruned` if it was taken and then dropped."""
+        """Snapshot for ``epoch``; ``None`` if that epoch was never taken."""
         for s in self._snapshots:
             if s.epoch == epoch:
                 return s
-        if epoch in self._pruned_epochs:
-            raise CheckpointPruned(
-                f"snapshot for epoch {epoch} was pruned (keep={self.keep})"
-            )
         return None
 
     def __len__(self) -> int:
@@ -247,8 +201,8 @@ class ReplicatedCheckpointStore(CheckpointStore):
     "no complete cut survives" failure report.
     """
 
-    def __init__(self, replicas: int = 2, keep: int | None = None):
-        super().__init__(keep=keep)
+    def __init__(self, replicas: int = 2):
+        super().__init__()
         if replicas < 0:
             raise ValueError(
                 f"ReplicatedCheckpointStore.replicas must be >= 0, got {replicas}"
@@ -266,11 +220,6 @@ class ReplicatedCheckpointStore(CheckpointStore):
             nprocs=snap.nprocs,
             slice_nbytes=dict(slice_nbytes),
         )
-
-    def _on_pruned(self) -> None:
-        retained = {s.epoch for s in self._snapshots}
-        for e in [e for e in self._records if e not in retained]:
-            del self._records[e]
 
     def mark_rank_lost(self, rank: int) -> None:
         """A holder died: every copy it stored (for every cut) is gone."""
@@ -363,7 +312,6 @@ class CheckpointConfig:
     interval: float
     store: CheckpointStore = field(default_factory=CheckpointStore)
     dir: str | Path | None = None
-    prefix: str = "checkpoint"
 
     def __post_init__(self) -> None:
         if not (self.interval > 0):

@@ -89,7 +89,7 @@ class RankContext:
             rs.clock += dt
             self._rc.compute_time += dt
             if rs.clock > eng._vtime_limit:
-                eng._check_vtime(rs)
+                eng._check_vtime()
             if self._res is not None:
                 # A compute burst can carry the clock past this rank's
                 # scheduled crash; don't let it outrun death.

@@ -176,8 +176,6 @@ class Engine:
     max_ops:
         Abort with :class:`SimLimitExceeded` after this many charged
         operations (guards against runaway programs in tests).
-    max_vtime:
-        Abort when any rank's clock passes this virtual time.
     profile:
         Record phase-attributed :class:`~repro.mpisim.tracing.Span`\\ s
         for every virtual second of every rank; the finalized
@@ -192,7 +190,6 @@ class Engine:
         machine: MachineModel,
         *,
         max_ops: int | None = None,
-        max_vtime: float | None = None,
         trace: bool = False,
         profile: bool = False,
         faults: FaultPlan | None = None,
@@ -210,12 +207,10 @@ class Engine:
         self.nprocs = nprocs
         self.machine = machine
         self.max_ops = max_ops
-        self.max_vtime = max_vtime
         self.kill_at = kill_at
         # The hot paths test one precomputed bound each (inf when off).
         self._op_limit = _INF if max_ops is None else max_ops
-        self._vtime_limit = min(
-            (v for v in (max_vtime, kill_at) if v is not None), default=_INF)
+        self._vtime_limit = _INF if kill_at is None else kill_at
         #: the run's fault plan; None when absent or null
         self.faults = faults
         self._heap: list[tuple[float, int, int]] = []
@@ -668,16 +663,11 @@ class Engine:
         rs.clock += seconds
         self.counters.ranks[rank].comm_time += seconds
         if rs.clock > self._vtime_limit:
-            self._check_vtime(rs)
+            self._check_vtime()
 
-    def _check_vtime(self, rs: _RankState) -> None:
-        """Raise for the budget a clock past ``_vtime_limit`` broke."""
-        if self.max_vtime is not None and rs.clock > self.max_vtime:
-            raise SimLimitExceeded(
-                f"virtual time budget exceeded ({self.max_vtime}s) on rank {rs.rank}"
-            )
-        if self.kill_at is not None and rs.clock > self.kill_at:
-            raise SimKilled(self.kill_at)
+    def _check_vtime(self) -> None:
+        """A clock passed ``kill_at``: the scheduled whole-job kill."""
+        raise SimKilled(self.kill_at)
 
     # ------------------------------------------------------------------
     # transport (senders call this while holding the token)

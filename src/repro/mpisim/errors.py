@@ -69,7 +69,7 @@ class SimAbort(BaseException):
 
 
 class SimLimitExceeded(SimError):
-    """The engine exceeded its configured operation or virtual-time budget."""
+    """The engine exceeded its configured operation budget (``max_ops``)."""
 
 
 class SimKilled(SimError):

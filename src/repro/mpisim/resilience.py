@@ -118,7 +118,7 @@ class Resilience:
                 # Adopt the caller's cadence/dir but replicate the cuts:
                 # diskless recovery is only possible from buddy copies.
                 checkpoint = replace(checkpoint, store=ReplicatedCheckpointStore(
-                    replicas=recovery.replicas, keep=checkpoint.store.keep))
+                    replicas=recovery.replicas))
         self._eng = engine
         self.faults = faults
         #: Can a rank observe a crash in this run? Only when the plan
@@ -189,7 +189,7 @@ class Resilience:
             # interval and the next due point (set by _restore) must match
             # the original run so every later cut (and deterministic skip)
             # replays identically. A caller-passed config contributes only
-            # its store/dir/prefix; the cadence always comes from the
+            # its store and dir; the cadence always comes from the
             # snapshot.
             interval = st["ckpt"]["interval"]
             self._ckpt = (CheckpointConfig(interval=interval) if checkpoint is None
@@ -517,9 +517,7 @@ class Resilience:
         if self._ckpt.dir is not None:
             ckdir = Path(self._ckpt.dir)
             ckdir.mkdir(parents=True, exist_ok=True)
-            save_checkpoint(
-                snap, ckdir / f"{self._ckpt.prefix}-epoch{snap.epoch}.ckpt"
-            )
+            save_checkpoint(snap, ckdir / f"checkpoint-epoch{snap.epoch}.ckpt")
 
     def _charge_replication(self, snap: EngineSnapshot, ranks_state: list) -> None:
         """Push every live rank's slice of a fresh cut to its buddies.

@@ -16,34 +16,34 @@ from repro.harness import get_graph
 from repro.harness.records import record_from_dict, record_to_dict
 from repro.mpisim import zero_latency
 
-FAST = zero_latency()
+FAST = api.RunConfig(machine=zero_latency())
 
 
 def test_runrecord_is_the_api_class():
-    rec = api.run(get_graph("rmat-s10"), 2, "nsr", label="rmat", machine=FAST)
+    rec = api.run(get_graph("rmat-s10"), 2, "nsr", label="rmat", config=FAST)
     assert type(record_from_dict(record_to_dict(rec))) is api.RunRecord
 
 
 def test_run_one_warns_and_delegates():
     g = get_graph("rmat-s10")
     assert not hasattr(repro.harness, "run_one")
-    first = api.run(g, 4, "ncl", label="rmat-s10", machine=FAST)
-    assert api.run(g, 4, "ncl", label="rmat-s10", machine=FAST) == first
+    first = api.run(g, 4, "ncl", label="rmat-s10", config=FAST)
+    assert api.run(g, 4, "ncl", label="rmat-s10", config=FAST) == first
 
 
 def test_run_models_warns_and_delegates():
     g = get_graph("rmat-s10")
     assert not hasattr(repro.harness, "run_models")
-    recs = api.run_models(g, 2, ("nsr", "ncl"), machine=FAST)
-    assert recs == {m: api.run(g, 2, m, machine=FAST) for m in ("nsr", "ncl")}
+    recs = api.run_models(g, 2, ("nsr", "ncl"), config=FAST)
+    assert recs == {m: api.run(g, 2, m, config=FAST) for m in ("nsr", "ncl")}
 
 
 def test_scaling_sweep_warns_and_delegates():
     g = get_graph("rmat-s10")
     assert not hasattr(repro.harness, "scaling_sweep")
     points = [("rmat", g, 2), ("rmat", g, 4)]
-    fig, recs = api.sweep(points, models=("nsr",), title="t", machine=FAST)
-    assert recs == [api.run(g, p, "nsr", label="rmat", machine=FAST)
+    fig, recs = api.sweep(points, models=("nsr",), title="t", config=FAST)
+    assert recs == [api.run(g, p, "nsr", label="rmat", config=FAST)
                     for _, _, p in points]
     (series,) = fig.series
     assert (series.label, series.ys) == ("NSR", [r.makespan for r in recs])
@@ -52,7 +52,7 @@ def test_scaling_sweep_warns_and_delegates():
 def test_best_speedup_warns_and_delegates():
     g = get_graph("rmat-s10")
     assert not hasattr(repro.harness, "best_speedup_over_baseline")
-    recs = [api.run(g, 4, m, label="rmat", machine=FAST) for m in ("nsr", "ncl")]
+    recs = [api.run(g, 4, m, label="rmat", config=FAST) for m in ("nsr", "ncl")]
     best = api.best_speedup_over_baseline(recs)
     assert set(best) == {("rmat", 4)}
     assert best[("rmat", 4)][1] in ("nsr", "ncl")
@@ -63,8 +63,3 @@ def test_importing_shims_does_not_warn():
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(gone)
 
-
-def test_api_run_rejects_mixed_config_styles():
-    g = get_graph("rmat-s10")
-    with pytest.raises(TypeError, match="cannot mix config="):
-        api.run(g, 2, "nsr", config=api.RunConfig(), machine=FAST)

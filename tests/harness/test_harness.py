@@ -13,9 +13,10 @@ from repro.harness import (
     get_spec,
     performance_profile,
 )
+from repro.matching.config import RunConfig
 from repro.mpisim import zero_latency
 
-FAST = zero_latency()
+FAST = RunConfig(machine=zero_latency())
 
 
 # -- spec registry -------------------------------------------------------
@@ -51,7 +52,7 @@ def test_specs_have_paper_identifiers():
 
 def test_run_one_record_fields():
     g = get_graph("rmat-s10")
-    rec = run(g, 4, "ncl", label="rmat-s10", machine=FAST)
+    rec = run(g, 4, "ncl", label="rmat-s10", config=FAST)
     assert rec.graph == "rmat-s10"
     assert rec.model == "ncl"
     assert rec.makespan > 0
@@ -64,15 +65,15 @@ def test_run_one_record_fields():
 
 def test_run_one_keep_result():
     g = get_graph("rmat-s10")
-    rec = run(g, 2, "nsr", machine=FAST, keep_result=True)
+    rec = run(g, 2, "nsr", config=FAST, keep_result=True)
     assert rec.result is not None
     assert rec.result.nprocs == 2
 
 
 def test_speedup_over():
     g = get_graph("rmat-s10")
-    a = run(g, 4, "nsr", machine=FAST)
-    b = run(g, 4, "ncl", machine=FAST)
+    a = run(g, 4, "nsr", config=FAST)
+    b = run(g, 4, "ncl", config=FAST)
     assert a.speedup_over(a) == pytest.approx(1.0)
     assert b.speedup_over(a) == pytest.approx(a.makespan / b.makespan)
 
@@ -144,7 +145,7 @@ def test_scaling_sweep_and_best_speedup():
         [("rmat", g, 2), ("rmat", g, 4)],
         models=("nsr", "ncl"),
         title="t",
-        machine=FAST,
+        config=FAST,
     )
     assert len(records) == 4
     assert len(fig.series) == 2

@@ -11,6 +11,7 @@ from repro.harness.records import (
     record_to_dict,
     save_records,
 )
+from repro.matching.config import RunConfig
 from repro.mpisim import zero_latency
 
 
@@ -18,7 +19,7 @@ from repro.mpisim import zero_latency
 def sample_records():
     g = get_graph("rmat-s10")
     return [
-        api.run(g, 4, m, label="rmat-s10", machine=zero_latency())
+        api.run(g, 4, m, label="rmat-s10", config=RunConfig(machine=zero_latency()))
         for m in ("nsr", "ncl")
     ]
 

@@ -7,7 +7,6 @@ import pytest
 from repro.graph.generators import rmat_graph, rgg_graph
 from repro.matching.api import run_matching
 from repro.matching.config import RunConfig
-from repro.matching.driver import MatchingOptions
 from repro.matching.verify import (
     check_matching_valid,
     check_cross_rank_consistency,
@@ -133,13 +132,8 @@ class TestBudgets:
         with pytest.raises(SimLimitExceeded):
             run_matching(graph, 4, "nsr", config=RunConfig(max_ops=50))
 
-    def test_max_vtime_budget_via_options(self, graph):
-        with pytest.raises(SimLimitExceeded):
-            run_matching(graph, 4, "nsr", config=RunConfig(options=MatchingOptions(max_vtime=1e-9)))
-
     def test_generous_budgets_pass(self, graph, clean):
-        r = run_matching(graph, 4, "nsr", config=RunConfig(
-            max_ops=10**9, options=MatchingOptions(max_vtime=1e6)))
+        r = run_matching(graph, 4, "nsr", config=RunConfig(max_ops=10**9))
         assert np.array_equal(r.mate, clean.mate)
 
 

@@ -2,7 +2,7 @@
 
 The engine-level bit-identity contract lives in
 ``tests/matching/test_restart.py``; this file covers the artifact layer
-— content hashing, store retention/selection, config validation, and
+— content hashing, store selection, config validation, and
 the on-disk envelope's corruption detection.
 """
 
@@ -16,7 +16,6 @@ from repro.matching import RunConfig, run_matching
 from repro.mpisim.checkpoint import (
     CheckpointConfig,
     CheckpointCorrupt,
-    CheckpointPruned,
     CheckpointStore,
     EngineSnapshot,
     ReplicatedCheckpointStore,
@@ -68,42 +67,6 @@ class TestStore:
         assert store.latest_before(4e-4).epoch == 3  # inclusive
         assert store.latest_before(0.5e-4) is None
 
-    def test_keep_bounds_memory(self):
-        store = CheckpointStore(keep=2)
-        for e in range(5):
-            store.add(snap(epoch=e, vtime=e * 1e-4))
-        assert [s.epoch for s in store] == [3, 4]
-
-    def test_keep_must_be_positive(self):
-        with pytest.raises(ValueError, match="keep"):
-            CheckpointStore(keep=0)
-
-    def test_pruned_epoch_is_distinct_from_never_taken(self):
-        store = CheckpointStore(keep=2)
-        for e in range(5):
-            store.add(snap(epoch=e, vtime=(e + 1) * 1e-4))
-        # Retained epochs resolve; never-taken epochs are None; pruned
-        # epochs raise — an operator must not mistake "dropped by keep=2"
-        # for "that checkpoint never happened".
-        assert store.at_epoch(4).epoch == 4
-        assert store.at_epoch(9) is None
-        with pytest.raises(CheckpointPruned, match="epoch 1 was pruned"):
-            store.at_epoch(1)
-        with pytest.raises(CheckpointPruned, match="keep=2"):
-            store.at_epoch(0)
-
-    def test_latest_before_reports_pruned(self):
-        store = CheckpointStore(keep=1)
-        for e in range(5):
-            store.add(snap(epoch=e, vtime=(e + 1) * 1e-4))
-        # Only epoch 4 @ 5e-4 is retained.
-        assert store.latest_before(5e-4).epoch == 4
-        # Before the first-ever cut: genuinely never existed.
-        assert store.latest_before(0.5e-4) is None
-        # In the pruned range: a restart point existed and was dropped.
-        with pytest.raises(CheckpointPruned, match="pruned"):
-            store.latest_before(2.5e-4)
-
     def test_unbounded_store_never_reports_pruned(self):
         store = CheckpointStore()
         for e in range(5):
@@ -146,8 +109,8 @@ class TestBuddyRanks:
 
 
 class TestReplicatedStore:
-    def make(self, replicas=1, nprocs=4, epochs=1, keep=None):
-        store = ReplicatedCheckpointStore(replicas=replicas, keep=keep)
+    def make(self, replicas=1, nprocs=4, epochs=1):
+        store = ReplicatedCheckpointStore(replicas=replicas)
         for e in range(epochs):
             s = snap(epoch=e, vtime=(e + 1) * 1e-4, nprocs=nprocs)
             store.add(s)
@@ -248,14 +211,6 @@ class TestReplicatedStore:
         assert "unreplicated" in store.explain()
         assert not store.is_complete(0)
         assert store.latest_complete() == (None, 1)
-
-    def test_pruning_drops_replication_records(self):
-        store = self.make(keep=1, epochs=3)
-        assert [s.epoch for s in store] == [2]
-        assert store.slice_size(0, 0) == 0
-        assert not store.is_complete(0)
-        with pytest.raises(CheckpointPruned):
-            store.at_epoch(0)
 
 
 class TestConfig:
@@ -371,7 +326,6 @@ class TestEnvelope:
         assert issubclass(CheckpointCorrupt, ValueError)
         err = CheckpointCorrupt("hash", "boom")
         assert err.field == "hash"
-        assert issubclass(CheckpointPruned, LookupError)
 
 
 class TestOnDiskIntegration:
@@ -379,11 +333,10 @@ class TestOnDiskIntegration:
         """With dir set, every cut lands on disk and resumes identically."""
         g = rmat_graph(7, seed=3)
         store = CheckpointStore()
-        cfg = CheckpointConfig(interval=8e-5, store=store, dir=tmp_path,
-                               prefix="ck")
+        cfg = CheckpointConfig(interval=8e-5, store=store, dir=tmp_path)
         ref = run_matching(g, 4, "ncl", config=RunConfig(checkpoint=cfg))
         assert len(store) > 0
-        files = sorted(tmp_path.glob("ck-epoch*.ckpt"))
+        files = sorted(tmp_path.glob("checkpoint-epoch*.ckpt"))
         assert len(files) == len(store)
         for s, f in zip(store, files):
             disk = load_checkpoint(f)

