@@ -219,7 +219,7 @@ class ServiceClient:
             return self._json(
                 "POST", path, toml_body.encode(), "application/toml"
             )
-        return self._json("POST", path, request.to_json().encode())
+        return self._json("POST", path, request.to_bytes())
 
     def job(self, job_id: str) -> dict:
         return self._json("GET", f"/v1/jobs/{job_id}")

@@ -10,6 +10,7 @@ communication model studied.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,9 @@ class BlockDistribution:
             if np.any(np.diff(starts) < 1):
                 raise ValueError("every rank must own at least one vertex")
             self._starts = starts.copy()
+        #: ``starts`` as a plain list, for one ``bisect`` per scalar lookup
+        #: (shared by every rank's state: one list per distribution)
+        self.start_list: list[int] = self._starts.tolist()
 
     def range_of(self, rank: int) -> tuple[int, int]:
         """Half-open global-id range [lo, hi) owned by ``rank``."""
@@ -67,7 +71,7 @@ class BlockDistribution:
 
     def owner(self, v: int) -> int:
         """Owning rank of global vertex ``v`` (O(log p))."""
-        return int(np.searchsorted(self._starts, v, side="right") - 1)
+        return bisect_right(self.start_list, v) - 1
 
     def owner_array(self, vs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`owner`."""
@@ -93,7 +97,8 @@ class LocalGraph:
     xadj: np.ndarray  #: local offsets, length (hi - lo + 1), starting at 0
     adjncy: np.ndarray  #: global neighbor ids of owned vertices
     weights: np.ndarray
-    ghost_counts: dict[int, int]  #: neighbor rank -> number of cross edges
+    ghost_ranks: np.ndarray  #: neighbor ranks, ascending (int64)
+    ghost_edges: np.ndarray  #: cross edges shared with each of ``ghost_ranks``
 
     @property
     def num_owned(self) -> int:
@@ -101,11 +106,17 @@ class LocalGraph:
 
     @property
     def neighbor_ranks(self) -> list[int]:
-        return sorted(self.ghost_counts)
+        """Ranks sharing a cross edge with this one, ascending, unique."""
+        return self.ghost_ranks.tolist()
+
+    @property
+    def ghost_counts(self) -> dict[int, int]:
+        """Neighbor rank -> number of cross edges (a fresh dict per read)."""
+        return dict(zip(self.ghost_ranks.tolist(), self.ghost_edges.tolist()))
 
     @property
     def num_cross_edges(self) -> int:
-        return sum(self.ghost_counts.values())
+        return int(self.ghost_edges.sum())
 
     @property
     def num_local_directed_edges(self) -> int:
@@ -178,9 +189,8 @@ def partition_graph(
         adjncy = g.adjncy[s:e]
         weights = g.weights[s:e]
         owners = dist.owner_array(adjncy)
-        ghost_counts: dict[int, int] = {}
-        for q, cnt in zip(*np.unique(owners[owners != rank], return_counts=True)):
-            ghost_counts[int(q)] = int(cnt)
+        ghost_ranks, ghost_edges = np.unique(
+            owners[owners != rank], return_counts=True)
         parts.append(
             LocalGraph(
                 rank=rank,
@@ -190,7 +200,8 @@ def partition_graph(
                 xadj=xadj,
                 adjncy=adjncy,
                 weights=weights,
-                ghost_counts=ghost_counts,
+                ghost_ranks=ghost_ranks,
+                ghost_edges=ghost_edges.astype(np.int64, copy=False),
             )
         )
     return parts

@@ -63,7 +63,7 @@ class GhostStats:
 
 
 def process_graph_stats_from_parts(parts: list[LocalGraph]) -> ProcessGraphStats:
-    degrees = np.array([len(p.neighbor_ranks) for p in parts], dtype=np.int64)
+    degrees = np.array([len(p.ghost_ranks) for p in parts], dtype=np.int64)
     num_edges = int(degrees.sum()) // 2
     return ProcessGraphStats(
         nprocs=len(parts),

@@ -33,13 +33,14 @@ def _layout_rank_main(ctx, parts):
     backend = RMABackend(ctx, lg)
     yield from backend._setup_g(())  # the construction collectives
     nbrs = list(backend.topo.neighbors)
+    ghosts = lg.ghost_counts
     layout = {
         "neighbors": nbrs,
         "caps": [backend.region_cap[q] for q in nbrs],
         "starts": [int(backend.region_start[q]) for q in nbrs],
         "window_elems": backend.win.size_of(ctx.rank),
         "remote_base": [int(backend.remote_base[q]) for q in nbrs],
-        "ghosts": {q: lg.ghost_counts[q] for q in nbrs},
+        "ghosts": {q: ghosts[q] for q in nbrs},
     }
     yield from ctx.barrier_g()
     return layout

@@ -47,9 +47,9 @@ class NSRBackend:
         self.options = options
         # Per-peer request tables plus the eager-protocol buffer pool the
         # MPI layer pins for every point-to-point peer — memory model only.
-        deg = max(1, len(lg.neighbor_ranks))
+        peers = len(lg.ghost_ranks)
         self._fixed_bytes = (
-            64 * deg + ctx.machine.eager_pool_per_peer_bytes * len(lg.neighbor_ranks)
+            64 * max(1, peers) + ctx.machine.eager_pool_per_peer_bytes * peers
         )
         if not ctx.resuming:
             # Resume: the restored counters already carry this allocation.

@@ -74,7 +74,7 @@ class RMABackend(SuperstepBackend):
         # Window layout is fixed over the *original* neighbor set (a dead
         # neighbor's region simply goes unused after recovery), so region
         # offsets survive a topology rebuild unchanged.
-        caps = [2 * lg.ghost_counts[q] for q in self._all_nbrs]
+        caps = (2 * lg.ghost_edges).tolist()  # _all_nbrs is lg.ghost_ranks
         starts = np.zeros(len(self._all_nbrs) + 1, dtype=np.int64)
         np.cumsum(caps, out=starts[1:])
         self.region_cap = {q: int(c) for q, c in zip(self._all_nbrs, caps)}

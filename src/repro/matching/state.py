@@ -43,6 +43,16 @@ NaN is refused). ``evicted`` / ``pending`` slots share one immutable
 empty sentinel until their first write gives the slot its own ``set``,
 which is then only ever modified in place.
 
+Per-pair state is flat too, so what a rank holds grows with its cross
+edges in machine words, not in Python objects. The distinct cross pairs
+``(i, y)`` are one sorted ``array('q')`` of keys ``i * n + y`` (``n``
+the global vertex count) with a ``bytearray`` of active flags beside it;
+deactivating a pair is one ``bisect_left`` and one flag test. A ghost's
+owner is one ``bisect_right`` in the distribution's block starts, a list
+every rank shares. The ghosts of each owned vertex are one flat
+``array('q')`` addressed through an offsets array, in the order the
+initial pair set iterates them.
+
 A transition is a plain call until it sends: FINDMATE (:meth:`_scan`)
 and PROCESSNEIGHBORS (:meth:`_neighbors`) return the sending step's
 generator — or ``()`` / None when nothing is sent — and the caller
@@ -59,11 +69,20 @@ one *distinct* ``set`` per owned vertex. Recovery charges virtual time
 for the pickled size of a cut, so the pickle of a snapshot must not
 depend on how the state is held; ``tests/matching/test_snapshot_layout.py``
 pins it byte for byte.
+
+``active_pairs`` is the set of still-active cross pairs that a rank
+holding them in a ``set`` from the start would pickle, iteration order
+included: the read-only property adds the distinct pairs in candidate
+order and discards the inactive ones, which leaves the same table
+(``tests/matching/test_pair_flags.py`` checks it against such a set).
+After :meth:`restore` it starts from the set that was unpickled, and
+discards from that one.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
@@ -182,30 +201,84 @@ class MatchingState:
         self.cand = _flat(sorted_adj)
         self.adj = _flat(lg.adjncy)
 
-        # Cross-pair activity: (local_idx, ghost_global) -> active?
-        # The ownership test is vectorized, but the adds stay one by one
-        # in candidate order (``set(iterable)`` adds each item in turn):
-        # later code iterates this set (and builds ghosts_of from it), and
-        # CPython set iteration order depends on the exact insertion
-        # history, which the differential fingerprint tests pin.
-        ghost_idx = np.nonzero((sorted_adj < lg.lo) | (sorted_adj >= lg.hi))[0]
-        ghost_ys = sorted_adj[ghost_idx]
-        ys = ghost_ys.tolist()
-        self.active_pairs: set[tuple[int, int]] = set(
-            zip(src_local[ghost_idx].tolist(), ys))
-        self.nghosts = len(self.active_pairs)
-        # Every message goes to, and every message comes from, the owner
-        # of a ghost: look the owners up once here, not once per message.
-        self.ghost_owner: dict[int, int] = dict(
-            zip(ys, lg.dist.owner_array(ghost_ys).tolist()))
+        # Cross-pair activity: the distinct pairs (i, y), y a ghost, as
+        # sorted keys ``i * n + y`` with one active flag each.
+        self._n = n = lg.dist.num_vertices
+        src, ys = self._cross_slots()
+        pairs = set(zip(src.tolist(), ys.tolist()))
+        # sort and drop repeats (multi-edges) by hand: a plain np.unique
+        # imports numpy.ma on first use, ~20 ms per process
+        keys = np.sort(src * n + ys)
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        self._pair_keys = _flat(keys[first])
+        self._pair_live = bytearray(b"\x01") * len(self._pair_keys)
+        #: the set :meth:`restore` adopted, which :attr:`active_pairs`
+        #: keeps discarding from; None before any restore
+        self._restored: set[tuple[int, int]] | None = None
+        self.nghosts = len(self._pair_keys)
+        # Owners of ghosts: one bisect in the distribution's block starts.
+        self._starts: list[int] = lg.dist.start_list
         self.awaiting = 0
         self.dead_ranks: set[int] = set()  # crashed peers we have renounced
         self.work: deque[int] = deque()  # local indices awaiting PROCESSNEIGHBORS
-        # Ghost neighbors of the owned vertices that have any, for
-        # broadcast-style walks (in active_pairs iteration order).
-        self.ghosts_of: dict[int, list[int]] = {}
-        for (i, y) in self.active_pairs:
-            self.ghosts_of.setdefault(i, []).append(y)
+        # Ghost neighbors of each owned vertex, for broadcast-style walks:
+        # ``ghosts[ghost_off[i]:ghost_off[i + 1]]``, in the iteration
+        # order of the initial pair set. The same offsets delimit vertex
+        # i's keys in ``_pair_keys``.
+        flat = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        by_vertex = np.argsort(flat[:, 0], kind="stable")
+        off = np.zeros(n_local + 1, dtype=np.int64)
+        np.cumsum(np.bincount(flat[:, 0], minlength=n_local), out=off[1:])
+        self._ghost_off = _flat(off)
+        self._ghosts = _flat(flat[by_vertex, 1])
+
+    # ------------------------------------------------------------------
+    # cross pairs
+    # ------------------------------------------------------------------
+    def _cross_slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(i, y)`` of every candidate slot whose ``y`` is a ghost, as
+        two arrays in candidate order."""
+        cand = np.frombuffer(self.cand, dtype=np.int64)
+        src = np.repeat(np.arange(len(self.xadj) - 1), np.diff(self.xadj))
+        ghost = (cand < self.lo) | (cand >= self.hi)
+        return src[ghost], cand[ghost]
+
+    @property
+    def active_pairs(self) -> set[tuple[int, int]]:
+        """The still-active cross pairs as the set a checkpoint pickles.
+
+        CPython set iteration order, and so the pickle, depends on the
+        exact insertion and removal history. Removing leaves a dummy in
+        the slot and never resizes, so adding the pairs in candidate
+        order and discarding the inactive ones rebuilds the table a set
+        held from the start would have, whatever the order of removals.
+        After :meth:`restore` the history starts from the unpickled set.
+        """
+        pairs = self._restored
+        if pairs is None:
+            # ``set(iterable)`` adds each item in turn
+            src, ys = self._cross_slots()
+            pairs = set(zip(src.tolist(), ys.tolist()))
+        keys = np.frombuffer(self._pair_keys, dtype=np.int64)
+        inactive = np.frombuffer(self._pair_live, dtype=np.uint8) == 0
+        n = self._n
+        for key in keys[inactive].tolist():
+            pairs.discard(divmod(key, n))
+        return pairs
+
+    def _deactivate(self, i: int, y: int) -> bool:
+        """Deactivate cross pair (local i, ghost y); True if it was active."""
+        keys = self._pair_keys
+        key = i * self._n + y
+        off = self._ghost_off
+        end = off[i + 1]
+        k = bisect_left(keys, key, off[i], end)
+        if k < end and keys[k] == key and self._pair_live[k]:
+            self._pair_live[k] = 0
+            self.nghosts -= 1
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # helpers
@@ -216,16 +289,8 @@ class MatchingState:
         from``, so this frame is not on the chain a parked send resumes."""
         self.charge(COST_PUSH)
         self.stats.sent[CTX_NAME[ctx_id]] += 1
-        return self.push_fn(ctx_id, self.ghost_owner[y], x_payload, y_payload) or ()
-
-    def _deactivate(self, i: int, y: int) -> bool:
-        """Deactivate cross pair (local i, ghost y); True if it was active."""
-        pair = (i, y)
-        if pair in self.active_pairs:
-            self.active_pairs.remove(pair)
-            self.nghosts -= 1
-            return True
-        return False
+        owner = bisect_right(self._starts, y) - 1
+        return self.push_fn(ctx_id, owner, x_payload, y_payload) or ()
 
     # ------------------------------------------------------------------
     # FINDMATE (paper Algorithm 4, deferred-proposal variant)
@@ -266,7 +331,8 @@ class MatchingState:
             assert not self.pending[i], "dead vertex cannot hold proposals"
             status[i] = DEAD
             self.pointer[i] = NO_MATE
-            return self._invalidate_g(i, v) if i in self.ghosts_of else ()
+            off = self._ghost_off
+            return self._invalidate_g(i, v) if off[i] != off[i + 1] else ()
         self.pointer[i] = y
         if not lo <= y < hi:
             return self._propose_g(v, y)
@@ -293,7 +359,8 @@ class MatchingState:
 
     def _invalidate_g(self, i: int, v: int):
         """Tell every still-active ghost neighbor of dead ``v``."""
-        for y in self.ghosts_of[i]:
+        off = self._ghost_off
+        for y in self._ghosts[off[i]:off[i + 1]]:
             if self._deactivate(i, y):
                 yield from self._push_g(INVALID, y, y, v)
 
@@ -393,7 +460,7 @@ class MatchingState:
         if not lo <= x < self.hi:
             raise ValueError(
                 f"rank {self.lg.rank} received message for foreign vertex {x}")
-        if self.dead_ranks and self.ghost_owner.get(y) in self.dead_ranks:
+        if self.dead_ranks and bisect_right(self._starts, y) - 1 in self.dead_ranks:
             # Late message from a peer we have since renounced: its pairs
             # are already deactivated/evicted, so every branch below would
             # be a no-op — except REQUEST, which would park a proposal
@@ -474,11 +541,14 @@ class MatchingState:
         if dead in self.dead_ranks:
             return 0
         self.dead_ranks.add(dead)
-        # every vertex below that can be dead-owned is a ghost
-        owner = self.ghost_owner
-        lo, hi = self.lo, self.hi
+        # the ghosts ``dead`` owns: its block, none if that is this rank's
+        # (NO_MATE is in no block)
+        dlo, dhi = self._starts[dead], self._starts[dead + 1]
+        if dlo == self.lo:
+            dhi = dlo
+        lo = self.lo
 
-        doomed = [(i, y) for (i, y) in self.active_pairs if owner[y] == dead]
+        doomed = [(i, y) for (i, y) in self.active_pairs if dlo <= y < dhi]
         for i, y in doomed:
             self._deactivate(i, y)
             _add(self.evicted, i, y)
@@ -487,12 +557,12 @@ class MatchingState:
         retarget: list[int] = []
         for i in range(len(self.status)):
             if self.pending[i]:
-                stale = {y for y in self.pending[i] if owner[y] == dead}
+                stale = {y for y in self.pending[i] if dlo <= y < dhi}
                 self.pending[i] -= stale
             st = self.status[i]
             if st == FREE:
                 p = self.pointer[i]
-                if p != NO_MATE and not lo <= p < hi and owner[p] == dead:
+                if dlo <= p < dhi:
                     # Outstanding REQUEST into the void: resolve it the
                     # way a REJECT would have (p is already evicted —
                     # proposing deactivates and evicts the pair).
@@ -501,7 +571,7 @@ class MatchingState:
                     retarget.append(lo + i)
             elif st == MATCHED:
                 m = self.mate[i]
-                if m != NO_MATE and not lo <= m < hi and owner[m] == dead:
+                if dlo <= m < dhi:
                     self.mate[i] = NO_MATE
                     self.stats.widowed += 1
         for v in retarget:
@@ -570,7 +640,14 @@ class MatchingState:
         directly cannot alias another run's state.
         """
         for f in self._SNAPSHOT_FIELDS:
-            setattr(self, f, blob[f])
+            if f != "active_pairs":
+                setattr(self, f, blob[f])
+        pairs = self._restored = blob["active_pairs"]
+        flat = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+        live = np.zeros(len(self._pair_keys), dtype=np.uint8)
+        live[np.searchsorted(np.frombuffer(self._pair_keys, dtype=np.int64),
+                             flat[:, 0] * self._n + flat[:, 1])] = 1
+        self._pair_live = bytearray(live.tobytes())
         self.status = bytearray(blob["status"].tobytes())
         self.processed = bytearray(blob["processed"].tobytes())
         for f in ("mate", "pointer", "ptr_idx"):

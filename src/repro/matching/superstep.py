@@ -45,7 +45,7 @@ class SuperstepBackend:
         self.fault_aware = plan is not None and plan.has_crashes()
         # The original neighbour set: after a crash the topology is
         # rebuilt over its survivors.
-        self._all_nbrs = sorted(set(int(q) for q in lg.neighbor_ranks))
+        self._all_nbrs = lg.neighbor_ranks
         # Setup collectives park, so they are the loop's first step
         # (nothing before it touches the clock or trace); a resumed rank
         # adopts its topology from the checkpoint instead — re-running

@@ -8,6 +8,7 @@ paper used, and it is what the communication-matrix figures (Figs. 2, 9,
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,9 +137,11 @@ class CommMatrix:
 
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
-        #: ``src * nprocs + dst`` -> messages / bytes (same keys, same order)
+        #: ``src * nprocs + dst`` -> slot in the two columns below; slots
+        #: are numbered in insertion order
         self._messages: dict[int, int] = {}
-        self._volume: dict[int, int] = {}
+        self._counts = array("q")  #: messages per slot
+        self._volume = array("q")  #: bytes per slot
         #: ``src`` -> ``[(dsts, messages, bytes), ...]``, one lane per
         #: neighbour array that rank has passed to :meth:`record_row`
         self._lanes: dict[int, list[tuple]] = {}
@@ -149,9 +152,14 @@ class CommMatrix:
         if not (0 <= src < n and 0 <= dst < n):
             raise IndexError(f"pair ({src}, {dst}) outside {n} ranks")
         key = src * n + dst
-        messages, volume = self._messages, self._volume
-        messages[key] = messages.get(key, 0) + count
-        volume[key] = volume.get(key, 0) + count * int(nbytes)
+        slot = self._messages.get(key)
+        if slot is None:
+            self._messages[key] = len(self._counts)
+            self._counts.append(count)
+            self._volume.append(count * int(nbytes))
+        else:
+            self._counts[slot] += count
+            self._volume[slot] += count * int(nbytes)
 
     def record_row(self, src: int, dsts: np.ndarray, nbytes) -> None:
         """One message from ``src`` to each of ``dsts`` (distinct ranks,
@@ -187,11 +195,10 @@ class CommMatrix:
     def _parts(self):
         """Raw ``(keys, messages, bytes)`` array triples — the pairs,
         then each lane — with ``key = src * nprocs + dst``."""
-        n = len(self._messages)
         yield (
-            np.fromiter(self._messages, np.int64, n),
-            np.fromiter(self._messages.values(), np.int64, n),
-            np.fromiter(self._volume.values(), np.int64, n),
+            np.fromiter(self._messages, np.int64, len(self._messages)),
+            np.array(self._counts, dtype=np.int64),
+            np.array(self._volume, dtype=np.int64),
         )
         for src, lanes in self._lanes.items():
             for dsts, messages, volume in lanes:
@@ -234,9 +241,9 @@ class CommMatrix:
 
     def __setstate__(self, state: tuple) -> None:
         self.nprocs, keys, messages, volume = state
-        keys = keys.tolist()
-        self._messages = dict(zip(keys, messages.tolist()))
-        self._volume = dict(zip(keys, volume.tolist()))
+        self._messages = dict(zip(keys.tolist(), range(len(keys))))
+        self._counts = array("q", np.asarray(messages, dtype=np.int64).tobytes())
+        self._volume = array("q", np.asarray(volume, dtype=np.int64).tobytes())
         self._lanes = {}
 
     def merged_with(self, other: "CommMatrix") -> "CommMatrix":

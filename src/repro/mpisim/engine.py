@@ -228,10 +228,10 @@ class Engine:
         self._ranks = [_RankState(r) for r in range(nprocs)]
         self._abort = False
         self._send_seq = 0
-        # Per-(src, dst) last delivery time: MPI guarantees non-overtaking
-        # point-to-point ordering, so a small message sent after a large
-        # one must not arrive earlier.
-        self._pair_arrival: dict[tuple[int, int], float] = {}
+        # Per-(src, dst) last delivery time, keyed by ``src * nprocs + dst``:
+        # MPI guarantees non-overtaking point-to-point ordering, so a small
+        # message sent after a large one must not arrive earlier.
+        self._pair_arrival: dict[int, float] = {}
         self._op_count = 0
         self._crashed: dict[int, float] = {}  # rank -> time it was killed
         self._switches = 0
@@ -722,7 +722,7 @@ class Engine:
         # applies to the fault-free arrival; injected delays are added
         # after it, so a delayed copy genuinely arrives late and can be
         # overtaken by subsequent traffic.
-        pair = (src, dst)
+        pair = src * self.nprocs + dst
         prev = self._pair_arrival.get(pair, 0.0)
         if prev > arrival:
             arrival = prev

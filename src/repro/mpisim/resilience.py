@@ -490,7 +490,9 @@ class Resilience:
             "vtime": due,
             "ranks": ranks_state,
             "send_seq": eng._send_seq,
-            "pair_arrival": eng._pair_arrival,
+            # the cut's layout: keyed by (src, dst), in the same order
+            "pair_arrival": {divmod(key, eng.nprocs): t
+                             for key, t in eng._pair_arrival.items()},
             "op_count": eng._op_count,
             "post_count": self._post_count,
             "put_count": self._put_count,
@@ -569,7 +571,8 @@ class Resilience:
         """
         eng = self._eng
         eng._send_seq = st["send_seq"]
-        eng._pair_arrival = st["pair_arrival"]
+        eng._pair_arrival = {src * eng.nprocs + dst: t
+                             for (src, dst), t in st["pair_arrival"].items()}
         eng._op_count = st["op_count"]
         self._post_count = st["post_count"]
         self._put_count = st["put_count"]

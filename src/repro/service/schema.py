@@ -198,6 +198,12 @@ class JobRequest:
     _keyed: tuple[str, str] | None = field(
         default=None, init=False, compare=False, repr=False
     )
+    #: the encoded body of the first :meth:`to_bytes` call. Not a wire
+    #: field, and kept on the instance, never keyed by equality: two equal
+    #: requests may encode differently (``eager_reject=1`` vs ``True``).
+    _body: bytes | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def validate(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
@@ -220,6 +226,14 @@ class JobRequest:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+    def to_bytes(self) -> bytes:
+        """:meth:`to_json` as UTF-8, encoded once per instance."""
+        body = self._body
+        if body is None:
+            body = self.to_json().encode()
+            object.__setattr__(self, "_body", body)
+        return body
 
     @classmethod
     def from_dict(cls, d: dict) -> "JobRequest":
