@@ -21,6 +21,7 @@ from repro.graph.distribution import LocalGraph
 from repro.kernels import kernel_rank_main, run_kernel
 from repro.mpisim.context import RankContext
 from repro.mpisim.machine import MachineModel
+from repro.util.arrays import distinct
 
 _COST_SWEEP = 1.5  #: per neighbor examined
 _COST_UPDATE = 1.5  #: per boundary update applied
@@ -89,7 +90,7 @@ def run_cc(
         model=model,
         nprocs=nprocs,
         labels=labels,
-        num_components=len(np.unique(labels)),
+        num_components=len(distinct(labels)),
         rounds=rounds,
         makespan=res.makespan,
         counters=res.counters,

@@ -7,6 +7,7 @@ from collections import deque
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.util.arrays import distinct
 
 
 def connected_components(g: CSRGraph) -> np.ndarray:
@@ -30,7 +31,7 @@ def connected_components(g: CSRGraph) -> np.ndarray:
 
 
 def num_components(labels: np.ndarray) -> int:
-    return len(np.unique(labels))
+    return len(distinct(labels))
 
 
 def validate_components(g: CSRGraph, labels: np.ndarray) -> None:
@@ -41,7 +42,7 @@ def validate_components(g: CSRGraph, labels: np.ndarray) -> None:
     if np.any(labels[u] != labels[v]):
         raise AssertionError("edge endpoints carry different labels")
     # labels must be canonical: the minimum vertex id of the component
-    for lbl in np.unique(labels):
+    for lbl in distinct(labels):
         members = np.nonzero(labels == lbl)[0]
         if members.min() != lbl:
             raise AssertionError(

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.graph.build import build_graph
 from repro.graph.csr import CSRGraph
+from repro.util.arrays import distinct
 from repro.util.rng import make_rng
 
 
@@ -65,7 +66,7 @@ def sbm_hilo_graph(
     def sample_in_block(blocks: np.ndarray) -> np.ndarray:
         """Propensity-weighted vertex choice inside each given block."""
         out = np.empty(len(blocks), dtype=np.int64)
-        for b in np.unique(blocks):
+        for b in distinct(blocks):
             sel = blocks == b
             lo, hi = block_starts[b], block_starts[b + 1]
             w = sorted_theta[lo:hi]

@@ -1,8 +1,10 @@
 """Graph I/O: Matrix Market, plain edge lists, and fast NPZ snapshots.
 
 MatrixMarket covers interchange with SuiteSparse-style tooling (the
-paper's real-world inputs are SuiteSparse matrices); NPZ is the fast
-native round-trip used by the benchmark harness's graph cache.
+paper's real-world inputs are SuiteSparse matrices); NPZ is a fast
+native round-trip. Nothing in the package writes NPZ files: the
+harness keeps built graphs in memory (``lru_cache`` in
+:mod:`repro.harness.spec`).
 """
 
 from __future__ import annotations

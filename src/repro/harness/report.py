@@ -1,6 +1,6 @@
 """EXPERIMENTS.md generator: run every experiment, record paper-vs-measured.
 
-``python -m repro.harness.report`` regenerates the full report (about ten
+``python -m repro report`` regenerates the full report (about ten
 minutes in fast mode); each experiment's rendered table/figure also lands
 in ``benchmarks/_output/`` when run through the benchmark suite.
 """

@@ -18,6 +18,7 @@ from repro.graph.distribution import LocalGraph, partition_graph
 from repro.mpisim.context import RankContext
 from repro.mpisim.engine import Engine, EngineResult
 from repro.mpisim.machine import MachineModel, cori_aries
+from repro.util.arrays import distinct
 
 _UPDATE_TAG = 21
 _DONE_TAG = 22
@@ -27,7 +28,7 @@ def boundary_of(lg: LocalGraph) -> dict[int, np.ndarray]:
     """Sorted owned endpoints of the cross edges, per neighbor rank."""
     owners = lg.dist.owner_array(lg.adjncy)
     src = np.repeat(np.arange(lg.lo, lg.hi, dtype=np.int64), np.diff(lg.xadj))
-    return {q: np.unique(src[owners == q]) for q in lg.neighbor_ranks}
+    return {q: distinct(src[owners == q]) for q in lg.neighbor_ranks}
 
 
 # make(ctx, boundary, outbox, apply_update) sets one model up and returns

@@ -17,7 +17,7 @@ nonblocking collectives on irregular workloads.
 
 Everything but that one exchange is NCL's: the superstep loop
 (:mod:`repro.matching.superstep`), the send lanes, the checkpoint blob.
-Under a crash plan the backend is plain ``ncl`` — its cumulative-log
+When ranks can see crashes the backend is plain ``ncl`` — its cumulative-log
 exchange and its push step — so it survives crashes the same way.
 """
 

@@ -13,7 +13,7 @@ paper Fig. 4c, Tables III/IV).
 
 Crash recovery (extension; see docs/fault_model.md): the loop and its
 renounce-revoke-rebuild step are :mod:`repro.matching.superstep`'s.
-Under a crash plan the backend keeps a *cumulative* per-neighbor send
+When ranks can see crashes the backend keeps a *cumulative* per-neighbor send
 log and ships ``(start, chunk)`` payloads tagged with the chunk's
 position in that log; the receiver tracks a per-sender consumed count
 and skips overlap. A neighborhood collective is completed per-rank, so

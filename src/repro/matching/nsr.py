@@ -56,7 +56,7 @@ class NSRBackend:
             self.ctx.alloc(self._fixed_bytes, "p2p-tables")
 
         plan = ctx.fault_plan
-        self.fault_aware = plan is not None and plan.has_crashes()
+        self.fault_aware = ctx.crashes_visible
         self.channel: ReliableChannel | None = None
         if plan is not None and plan.needs_reliability():
             self.channel = ReliableChannel(ctx)

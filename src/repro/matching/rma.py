@@ -67,7 +67,7 @@ class RMABackend(SuperstepBackend):
 
     def __init__(self, ctx: RankContext, lg: LocalGraph, options=None):
         super().__init__(ctx, lg, options)
-        plan = self._plan
+        plan = ctx.fault_plan
         self.put_verify = plan is not None and plan.has_rma_faults()
         self._slot = _VSLOT if self.put_verify else _SLOT
 

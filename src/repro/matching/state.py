@@ -91,6 +91,7 @@ import numpy as np
 
 from repro.graph.distribution import LocalGraph
 from repro.matching.contexts import CTX_NAME, Ctx
+from repro.util.arrays import distinct
 from repro.util.hashing import edge_hash_array, edge_order
 
 NO_MATE = -1
@@ -206,12 +207,7 @@ class MatchingState:
         self._n = n = lg.dist.num_vertices
         src, ys = self._cross_slots()
         pairs = set(zip(src.tolist(), ys.tolist()))
-        # sort and drop repeats (multi-edges) by hand: a plain np.unique
-        # imports numpy.ma on first use, ~20 ms per process
-        keys = np.sort(src * n + ys)
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        self._pair_keys = _flat(keys[first])
+        self._pair_keys = _flat(distinct(src * n + ys))
         self._pair_live = bytearray(b"\x01") * len(self._pair_keys)
         #: the set :meth:`restore` adopted, which :attr:`active_pairs`
         #: keeps discarding from; None before any restore

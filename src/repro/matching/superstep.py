@@ -7,10 +7,11 @@ remaining work decides termination (paper §V-D: unlike Send-Recv, these
 ranks cannot exit on local evidence alone; MatchBox-P's older code
 reached quiescence the same way).
 
-One loop serves every run. Under a crash plan (extension; see
-docs/fault_model.md) the construction collectives and the termination
-reduction are the survivor-safe ones (epoch-keyed topology rebuild,
-:meth:`~repro.mpisim.context.RankContext.agree_g`), and a
+One loop serves every run. When ranks can see crashes (a crash plan
+without rollback recovery, ``RankContext.crashes_visible``; extension,
+see docs/fault_model.md) the construction collectives and the
+termination reduction are the survivor-safe ones (epoch-keyed topology
+rebuild, :meth:`~repro.mpisim.context.RankContext.agree_g`), and a
 :class:`~repro.mpisim.errors.RankCrashed` renounces the newly detected
 dead ranks, revokes the stale topology scope and re-enters setup over
 the survivors. Without crashes they are the plain MPI-3 collectives, so
@@ -40,9 +41,7 @@ class SuperstepBackend:
         self.options = options
         self.ctx = ctx
         self.lg = lg
-        plan = ctx.fault_plan
-        self._plan = plan
-        self.fault_aware = plan is not None and plan.has_crashes()
+        self.fault_aware = ctx.crashes_visible
         # The original neighbour set: after a crash the topology is
         # rebuilt over its survivors.
         self._all_nbrs = lg.neighbor_ranks
@@ -112,7 +111,7 @@ class SuperstepBackend:
     def _setup_g(self, dead):
         """Build the process-graph topology over the live neighbours.
 
-        Under a crash plan this is the epoch-keyed survivor rebuild:
+        When ranks can see crashes this is the epoch-keyed survivor rebuild:
         SPMD-symmetric and idempotent per failure epoch, so every
         survivor runs the same agreement sequence and per-scope
         collective sequence numbers stay aligned across ranks re-entering

@@ -53,10 +53,14 @@ class RankContext:
         self._rc = engine.counters.ranks[rank]
         #: the run's resilience layer (repro.mpisim.resilience), or None
         self._res = res = engine.resilience
-        #: the fault plan when this run's ranks can observe crashes
-        #: (``Resilience.crashes_visible``), else None: the one gate of
-        #: every crash-aware wait, refusal and notification below
-        self._detector = res.faults if res is not None and res.crashes_visible else None
+        #: can this run's ranks observe a crash? (``Resilience
+        #: .crashes_visible``: false without a crash plan and under
+        #: rollback recovery.) Backends and topologies take their
+        #: survivor paths only when it is true.
+        self.crashes_visible = res is not None and res.crashes_visible
+        #: the fault plan when ranks can observe crashes, else None: the
+        #: one gate of every crash-aware wait, refusal and notification below
+        self._detector = res.faults if self.crashes_visible else None
         # set by Engine.run on a restore: this rank's snapshot record
         self._resume: dict | None = None
         # set while resuming from a tick park: the next checkpoint_tick

@@ -112,7 +112,7 @@ class DistGraphTopology:
         self.epoch: tuple[int, ...] = tuple(epoch)
         self._epoch_set = frozenset(self.epoch)
         #: crash-aware exchanges only when ranks can observe crashes
-        self._crash_aware = ctx._detector is not None
+        self._crash_aware = ctx.crashes_visible
 
     def _check_revoked(self) -> None:
         rev = self._ctx._res.scope_revocation(self.scope_id)

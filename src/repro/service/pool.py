@@ -87,8 +87,8 @@ def execute_batch(jobs: list[dict]) -> list[dict]:
 class InlineExecutor(Executor):
     """`workers=0` mode: run batches synchronously in the caller thread.
 
-    Used by tests and by `repro submit --local`; also the fallback when
-    multiprocessing is unavailable (e.g. sandboxed environments).
+    Used by tests and by `repro serve --workers 0`; also the fallback
+    when multiprocessing is unavailable (e.g. sandboxed environments).
     """
 
     workers = 1  #: one batch at a time: the caller's thread runs it

@@ -74,6 +74,10 @@ DECODED_REQUESTS_KEPT = 1024
 #: the memo holds at most DECODED_REQUESTS_KEPT × this many body bytes
 #: (a real request is a few hundred bytes)
 DECODED_BODY_MAX = 4096
+#: seconds the accept loop waits before it looks for a shutdown request,
+#: so the longest a clean shutdown waits on it (requests on kept-alive
+#: connections are served by their own threads, not by this loop)
+POLL_INTERVAL = 0.05
 
 
 #: the versions a request line may name, ``HTTP/<major>.<minor>``
@@ -206,14 +210,15 @@ class MatchingService:
 
     def serve_forever(self) -> None:
         try:
-            self.httpd.serve_forever()
+            self.httpd.serve_forever(POLL_INTERVAL)
         finally:
             self.orchestrator.shutdown()
 
     def start_background(self) -> threading.Thread:
         """Serve on a daemon thread (tests and embedded use)."""
         t = threading.Thread(
-            target=self.httpd.serve_forever, name="repro-httpd", daemon=True
+            target=self.httpd.serve_forever, args=(POLL_INTERVAL,),
+            name="repro-httpd", daemon=True,
         )
         t.start()
         return t

@@ -3,7 +3,7 @@
 The contract (docs/fault_model.md, "Recovery"): with ``spares > 0`` a
 matching run survives rank crashes — including continuous Poisson churn
 — and still produces **bit-identical mate and weight** to the fault-free
-run, on every fault-capable backend and under every engine name.
+run, on every fault-capable backend.
 Matching is confluent: recovery shifts the schedule (rollback, recovery
 charges, replication traffic), which moves the makespan but can never
 move the matching. ``WEIGHT_PIN`` keeps the reference from drifting
@@ -26,9 +26,6 @@ from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import FaultPlan, PartitionWindow
 
 BACKENDS = ["nsr", "nsr-agg", "rma", "ncl", "incl"]
-# Retired engine names, kept as test ids only: every leg runs the one
-# engine against the same pins.
-ENGINES = ["threaded", "coroutine"]
 
 # Same reference instance as tests/matching/test_restart.py: rmat scale
 # 8, seed 7, p=4, cori-aries, heap scheduler — and the same per-backend
@@ -101,9 +98,8 @@ class TestEpochBoundaryCrash:
     """Scripted scenario: rank 1 dies exactly at the third epoch
     boundary — the instant a fresh cut has just been replicated."""
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_identical_recovery(self, graph, clean, backend, engine):
+    def test_bit_identical_recovery(self, graph, clean, backend):
         tcrash = 3 * INTERVAL[backend]
         res = recovered_run(graph, backend, FaultPlan(crashes={1: tcrash}))
         assert_healed_to_clean(res, clean[backend])
@@ -148,6 +144,21 @@ class TestChurn:
         assert co.makespan == ve.makespan
         assert co.recovery == ve.recovery
         assert np.array_equal(co.mate, ve.mate)
+
+
+@pytest.mark.parametrize("backend", BACKENDS + ["mbp"])
+def test_unfired_crash_plan_runs_the_clean_schedule(graph, backend):
+    # Under rollback recovery no rank can see a crash, so a crash that
+    # never fires leaves every backend on its fault-free schedule: the
+    # survivor topology, window and agreement paths stay unused.
+    clean = run_matching(graph, 4, backend)
+    res = run_matching(graph, 4, backend, config=RunConfig(
+        faults=FaultPlan(crashes={1: 10.0}), spares=2,
+        checkpoint=CheckpointConfig(interval=1.0),
+    ))
+    assert res.makespan == clean.makespan
+    assert res.engine.total_ops == clean.engine.total_ops
+    assert np.array_equal(res.mate, clean.mate)
 
 
 class TestRestoreUnderFaults:

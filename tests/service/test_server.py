@@ -314,6 +314,22 @@ def test_shutdown_endpoint(tmp_path):
         pytest.fail("server still answering after shutdown")
 
 
+def test_shutdown_returns_without_waiting_out_a_poll(tmp_path):
+    """The accept loop looks for a shutdown request every POLL_INTERVAL,
+    so a clean shutdown no longer sleeps out socketserver's 0.5 s poll."""
+    import time
+
+    svc = MatchingService(ServiceConfig(
+        port=0, store_dir=str(tmp_path / "store"), workers=0,
+    ))
+    svc.start_background()
+    with ServiceClient(svc.url, timeout=10) as c:
+        assert c.health()["ok"] is True
+    t0 = time.perf_counter()
+    svc.shutdown()
+    assert time.perf_counter() - t0 < 0.25
+
+
 def test_shutdown_endpoint_races_no_pool_teardown(tmp_path):
     """`POST /v1/shutdown` and `serve_forever()`'s own clean-up both shut
     the orchestrator down; racing each other into the process pool they

@@ -60,3 +60,23 @@ def test_client_frames_http_itself():
     imported |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not [m for m in imported if m.startswith("http.")], imported
+
+
+def test_coloring_and_cc_runs_do_not_import_numpy_ma():
+    # A plain np.unique imports numpy.ma on its first call (~20 ms a
+    # process); the kernels and the sbm generator take repro.util.arrays
+    # .distinct instead.
+    code = (
+        "import sys; "
+        "from repro.cc import run_cc; "
+        "from repro.coloring import run_coloring; "
+        "from repro.graph.generators import rmat_graph, sbm_hilo_graph; "
+        "g = rmat_graph(7, seed=1); "
+        "[(run_cc(g, 4, m), run_coloring(g, 4, m)) "
+        " for m in ('nsr', 'rma', 'ncl')]; "
+        "sbm_hilo_graph(256, seed=1); "
+        "assert 'numpy.ma' not in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
