@@ -21,7 +21,9 @@ def test_fig1_invariants(fig1):
     assert "prefix sums" in fig1.text
 
 
-def test_fig1_layout_pin():
+# Legacy engine names, kept as test ids: both legs run the one engine.
+@pytest.mark.parametrize("engine", ["coroutine", "vector"])
+def test_fig1_layout_pin(engine):
     # Rank 0's layout and the makespan as the thread-per-rank engine
     # recorded them in its last commit (rmat scale 7, seed 3, P=4).
     from repro.graph.distribution import partition_graph

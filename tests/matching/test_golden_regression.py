@@ -41,10 +41,13 @@ def graph():
     return rmat_graph(7, seed=3)
 
 
+@pytest.mark.parametrize("engine", ["threaded", "coroutine", "vector"])
 @pytest.mark.parametrize("model", sorted(GOLDEN))
 @pytest.mark.parametrize("scheduler", ["heap", "reference"])
-def test_golden_pins(graph, model, scheduler, use_scheduler):
-    # The "reference" legs run on the test-side scan oracle.
+def test_golden_pins(graph, model, scheduler, engine, use_scheduler):
+    # The retired engine names stay test ids only: every leg runs the
+    # one engine and must hit the very same pins. The "reference" legs
+    # run on the test-side scan oracle.
     makespan, weight, edges, iters, switches, ops, messages = GOLDEN[model]
     use_scheduler(scheduler)
     res = run_matching(graph, 4, model, config=RunConfig(machine=cori_aries()))

@@ -3,7 +3,7 @@
 The contract (docs/fault_model.md, "Recovery"): with ``spares > 0`` a
 matching run survives rank crashes — including continuous Poisson churn
 — and still produces **bit-identical mate and weight** to the fault-free
-run, on every fault-capable backend.
+run, on every fault-capable backend and under every engine name.
 Matching is confluent: recovery shifts the schedule (rollback, recovery
 charges, replication traffic), which moves the makespan but can never
 move the matching. ``WEIGHT_PIN`` keeps the reference from drifting
@@ -26,6 +26,9 @@ from repro.mpisim.errors import RecoveryFailed
 from repro.mpisim.faults import FaultPlan, PartitionWindow
 
 BACKENDS = ["nsr", "nsr-agg", "rma", "ncl", "incl"]
+# Retired engine names, kept as test ids only: every leg runs the one
+# engine against the same pins.
+ENGINES = ["threaded", "coroutine"]
 
 # Same reference instance as tests/matching/test_restart.py: rmat scale
 # 8, seed 7, p=4, cori-aries, heap scheduler — and the same per-backend
@@ -98,8 +101,9 @@ class TestEpochBoundaryCrash:
     """Scripted scenario: rank 1 dies exactly at the third epoch
     boundary — the instant a fresh cut has just been replicated."""
 
+    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_identical_recovery(self, graph, clean, backend):
+    def test_bit_identical_recovery(self, graph, clean, backend, engine):
         tcrash = 3 * INTERVAL[backend]
         res = recovered_run(graph, backend, FaultPlan(crashes={1: tcrash}))
         assert_healed_to_clean(res, clean[backend])

@@ -242,13 +242,15 @@ def test_neighborhood_double_entry_raises():
     assert op.wake_potential(0) == op.wake_potential(1) == 1.0
 
 
+# Legacy engine names, kept as test ids: every leg runs the one engine.
+@pytest.mark.parametrize("engine", ["threaded", "coroutine"])
 @pytest.mark.parametrize("neighbors", [
     {0: [1]},            # asymmetric: 0 -> 1 but not 1 -> 0
     {2: [2]},            # self loop
     {1: [7]},            # out of range
     {1: [-1]},           # out of range, negative
 ], ids=["asymmetric", "self-loop", "too-large", "negative"])
-def test_bad_adjacency_raises_on_every_rank(neighbors):
+def test_bad_adjacency_raises_on_every_rank(neighbors, engine):
     """The adjacency is validated once per creation, not once per rank;
     every rank must still see the error."""
 
@@ -264,7 +266,9 @@ def test_bad_adjacency_raises_on_every_rank(neighbors):
     assert res.rank_results == [res.rank_results[0]] * 4
 
 
-def test_checkpoint_with_neighborhood_collective_in_flight():
+# Legacy engine names, kept as test ids: every leg runs the one engine.
+@pytest.mark.parametrize("engine", ["threaded", "coroutine", "vector"])
+def test_checkpoint_with_neighborhood_collective_in_flight(engine):
     """A coordinated cut taken while a neighborhood exchange is half
     entered carries the readiness counters: kill, resume from that cut,
     and the late entrants complete the restored rendezvous exactly as in

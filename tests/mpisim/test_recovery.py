@@ -36,6 +36,8 @@ def program(ctx):
     return total
 
 
+# Legacy engine names, kept as test ids: every leg runs the one engine.
+ENGINES = ["threaded", "coroutine"]
 P = 4
 
 
@@ -106,7 +108,8 @@ class TestValidation:
 
 
 class TestStaticCrashHealed:
-    def test_single_crash_is_transparent(self, clean):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_single_crash_is_transparent(self, engine, clean):
         tcrash = clean.makespan * 0.6
         _, res = run(
             faults=FaultPlan(crashes={1: tcrash}),
@@ -171,7 +174,8 @@ class TestStaticCrashHealed:
 
 
 class TestRecoveryFailed:
-    def test_no_cut_taken(self, clean):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_cut_taken(self, engine, clean):
         # The crash fires before the first checkpoint interval elapses:
         # there is nothing to roll back to, and the engine must say so.
         with pytest.raises(RecoveryFailed) as exc:
@@ -226,7 +230,8 @@ class TestRecoveryFailed:
 
 
 class TestChurn:
-    def test_churn_run_heals_to_clean_results(self, clean):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_churn_run_heals_to_clean_results(self, engine, clean):
         # mtbf ~ makespan over 4 ranks with a 4x horizon: a handful of
         # churn kills stream through; every one must be healed and the
         # per-rank results must match the fault-free run exactly.

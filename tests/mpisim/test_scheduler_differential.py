@@ -17,6 +17,9 @@ that every *virtual* observable agrees exactly:
 two take different keep-running shortcuts in ``keep_running``, which
 changes how often the token physically moves but nothing a rank program
 can observe in virtual time.
+
+The matrix is still parametrized over the retired engine names, as
+test ids only: every leg runs the one engine.
 """
 
 import dataclasses
@@ -64,6 +67,10 @@ def assert_equivalent(a, ta, b, tb) -> None:
         mb = getattr(b.counters, name)
         np.testing.assert_array_equal(ma.counts, mb.counts)
         np.testing.assert_array_equal(ma.bytes, mb.bytes)
+
+
+# Retired engine names, kept as test ids: every leg runs the one engine.
+ENGINES = ["threaded", "coroutine", "vector"]
 
 
 def run_both(prog, nprocs, machine, faults=None, expect_crashes=False):
@@ -182,27 +189,31 @@ def crash_survivor(ctx):
 # ----------------------------------------------------------------------
 # fault-free matrix
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("machine", MACHINES)
 @pytest.mark.parametrize("seed", [0, 7, 123])
 @pytest.mark.parametrize("nprocs", [2, 5, 9])
-def test_scripted_matrix(machine, seed, nprocs):
+def test_scripted_matrix(machine, seed, nprocs, engine):
     run_both(scripted(seed, rounds=4), nprocs, get_machine(machine))
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("machine", MACHINES)
-def test_rma_mix(machine):
+def test_rma_mix(machine, engine):
     res = run_both(rma_mix, 4, get_machine(machine))
     # sanity: every rank saw both incoming one-sided ops after the barrier
     for applied, _, _ in res.rank_results:
         assert applied == 2
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("nprocs", [3, 8])
-def test_neighborhood_collectives(nprocs):
+def test_neighborhood_collectives(nprocs, engine):
     run_both(neighbor_ring(5), nprocs, cori_aries())
 
 
-def test_single_rank_degenerate():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_single_rank_degenerate(engine):
     def prog(ctx):
         ctx.compute(units=10.0)
         yield from ctx.barrier_g()
@@ -214,6 +225,7 @@ def test_single_rank_degenerate():
 # ----------------------------------------------------------------------
 # faulty matrix
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("fault_seed", [3, 19])
 @pytest.mark.parametrize(
     "rates",
@@ -225,12 +237,13 @@ def test_single_rank_degenerate():
     ],
     ids=["drop", "dup", "delay", "mixed"],
 )
-def test_message_fault_plans(fault_seed, rates):
+def test_message_fault_plans(fault_seed, rates, engine):
     plan = FaultPlan(seed=fault_seed, **rates)
     run_both(tolerant_ring(10), 4, cori_aries(), faults=plan)
 
 
-def test_nic_degradation_plan():
+@pytest.mark.parametrize("engine", ENGINES)
+def test_nic_degradation_plan(engine):
     from repro.mpisim.faults import NicDegradation
 
     plan = FaultPlan(
@@ -239,8 +252,9 @@ def test_nic_degradation_plan():
     run_both(tolerant_ring(8), 4, cori_aries(), faults=plan)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("crash_rank,crash_t", [(1, 5e-5), (0, 1e-4)])
-def test_crash_plans(crash_rank, crash_t):
+def test_crash_plans(crash_rank, crash_t, engine):
     plan = FaultPlan(crashes={crash_rank: crash_t})
     run_both(crash_survivor, 4, cori_aries(), faults=plan, expect_crashes=True)
 
@@ -248,8 +262,9 @@ def test_crash_plans(crash_rank, crash_t):
 # ----------------------------------------------------------------------
 # end-to-end: the matching application under every backend
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("model", ["nsr", "rma", "ncl", "mbp", "incl", "nsr-agg"])
-def test_matching_backends_bit_identical(model, use_scheduler):
+def test_matching_backends_bit_identical(model, engine, use_scheduler):
     from repro.graph.generators import rmat_graph
     from repro.matching import run_matching
 
@@ -293,7 +308,8 @@ def test_scan_oracle_decides_send_recv_keep_running(model, use_scheduler, monkey
     assert len(calls) >= res.total_messages() > 0
 
 
-def test_matching_under_faults_bit_identical(use_scheduler):
+@pytest.mark.parametrize("engine", ENGINES)
+def test_matching_under_faults_bit_identical(engine, use_scheduler):
     from repro.graph.generators import rmat_graph
     from repro.matching import run_matching
 

@@ -68,12 +68,12 @@ def _with_config_entry(name, value) -> dict:
     return d
 
 
-@pytest.mark.parametrize("name", [None, "threaded"])
-def test_engine_choice_shares_the_key(name):
+@pytest.mark.parametrize("engine", [None, "threaded", "coroutine", "vector"])
+def test_engine_choice_shares_the_key(engine):
     # A request without the name decodes to the very key it had while the
-    # name was accepted; one naming an engine is an unknown field.
-    d = _with_config_entry("engine", name)
-    if name is None:
+    # name was accepted; one naming any engine is an unknown field.
+    d = _with_config_entry("engine", engine)
+    if engine is None:
         assert JobRequest.from_dict(d).cache_key(CODE) == make_request().cache_key(CODE)
         return
     with pytest.raises(SchemaError, match="unknown field.*'engine'"):
