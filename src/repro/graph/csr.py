@@ -158,7 +158,11 @@ def from_edges(
 
 
 def from_scipy(mat) -> CSRGraph:
-    """Build from a symmetric scipy sparse matrix (diagonal dropped)."""
+    """Build from a symmetric scipy sparse matrix (diagonal dropped).
+
+    Needs scipy, which the package does not depend on (it is in the
+    ``test`` extra); a caller holding a scipy matrix has it already.
+    """
     import scipy.sparse as sp
 
     m = sp.coo_matrix(mat)

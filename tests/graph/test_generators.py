@@ -104,6 +104,17 @@ def test_rgg_radius_vs_degree_exclusive():
         rgg_graph(100, radius=0.1, target_avg_degree=4)
 
 
+@pytest.mark.parametrize("kw", [
+    {"radius": -0.1}, {"radius": 0.0}, {"radius": float("nan")},
+    {"target_avg_degree": -3}, {"target_avg_degree": 0},
+    {"target_avg_degree": float("nan")},
+], ids=lambda kw: "=".join(map(str, next(iter(kw.items())))))
+def test_rgg_refuses_a_radius_or_degree_not_above_zero(kw):
+    # a negative radius once built the |radius| graph, since it is squared
+    with pytest.raises(ValueError, match="must be > 0"):
+        rgg_graph(50, seed=1, **kw)
+
+
 def test_rmat_degree_skew():
     g = rmat_graph(10, seed=2)
     deg = g.degrees()
