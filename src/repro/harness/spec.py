@@ -11,19 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.graph.csr import CSRGraph
-from repro.graph.generators import (
-    cage15_proxy,
-    friendster_proxy,
-    hv15r_proxy,
-    kmer_preset_graph,
-    orkut_proxy,
-    rgg_graph,
-    rmat_graph,
-    sbm_hilo_graph,
-)
+if TYPE_CHECKING:  # the registry itself loads neither numpy nor repro.graph
+    from repro.graph.csr import CSRGraph
 
 DEFAULT_SEED = 20190521  # IPDPS'19 conference date, for flavour
 
@@ -70,6 +61,18 @@ def all_specs() -> list[GraphSpec]:
     return list(_REGISTRY.values())
 
 
+def _recipe(generator: str, *args, **kwargs) -> Callable[[int], CSRGraph]:
+    """``build(seed)``: ``repro.graph.generators.<generator>(*args,
+    seed=seed, **kwargs)``, with the generators imported on the first build."""
+
+    def build(seed: int) -> CSRGraph:
+        from repro.graph import generators
+
+        return getattr(generators, generator)(*args, seed=seed, **kwargs)
+
+    return build
+
+
 # ----------------------------------------------------------------------
 # the registry (paper Table II, scaled)
 # ----------------------------------------------------------------------
@@ -82,7 +85,7 @@ for _i, (_n, _procs) in enumerate([(8_000, (4,)), (16_000, (8,)), (32_000, (16,)
             name=f"rgg-{_n // 1000}k",
             category="Random geometric graphs (RGG)",
             paper_identifier=["d=8.56E-05", "d=6.12E-05", "d=4.37E-05"][_i],
-            build=(lambda n: lambda seed: rgg_graph(n, target_avg_degree=8, seed=seed))(_n),
+            build=_recipe("rgg_graph", _n, target_avg_degree=8),
             default_procs=_procs,
         )
     )
@@ -99,7 +102,7 @@ for _scale, _paper, _procs in [
             name=f"rmat-s{_scale}",
             category="Graph500 R-MAT",
             paper_identifier=_paper,
-            build=(lambda s: lambda seed: rmat_graph(s, seed=seed))(_scale),
+            build=_recipe("rmat_graph", _scale),
             default_procs=_procs,
         )
     )
@@ -113,7 +116,7 @@ for _n, _procs in [(1_024, (16,)), (2_048, (32,)), (4_096, (64,))]:
             name=f"sbm-{_n}",
             category="Stochastic block partitioned (HILO)",
             paper_identifier="high overlap, low block sizes",
-            build=(lambda n: lambda seed: sbm_hilo_graph(n, avg_degree=8.0, seed=seed))(_n),
+            build=_recipe("sbm_hilo_graph", _n, avg_degree=8.0),
             default_procs=_procs,
         )
     )
@@ -125,7 +128,7 @@ for _preset, _n in [("V2a", 8_000), ("U1a", 9_600), ("P1a", 16_000), ("V1r", 24_
             name=f"kmer-{_preset}",
             category="Protein k-mer",
             paper_identifier=_preset,
-            build=(lambda p, n: lambda seed: kmer_preset_graph(p, n, seed=seed))(_preset, _n),
+            build=_recipe("kmer_preset_graph", _preset, _n),
             default_procs=(8, 16, 32),
         )
     )
@@ -136,7 +139,7 @@ _register(
         name="cage15",
         category="DNA",
         paper_identifier="Cage15",
-        build=lambda seed: cage15_proxy(12_000, seed=seed),
+        build=_recipe("cage15_proxy", 12_000),
         default_procs=(16, 32),
     )
 )
@@ -145,7 +148,7 @@ _register(
         name="hv15r",
         category="CFD",
         paper_identifier="HV15R",
-        build=lambda seed: hv15r_proxy(6_000, seed=seed),
+        build=_recipe("hv15r_proxy", 6_000),
         default_procs=(16, 32),
     )
 )
@@ -160,7 +163,7 @@ _register(
         name="orkut",
         category="Social networks",
         paper_identifier="Orkut",
-        build=lambda seed: orkut_proxy(4_000, seed=seed),
+        build=_recipe("orkut_proxy", 4_000),
         default_procs=(8, 16, 32),
     )
 )
@@ -169,7 +172,7 @@ _register(
         name="friendster",
         category="Social networks",
         paper_identifier="Friendster",
-        build=lambda seed: friendster_proxy(6_000, seed=seed),
+        build=_recipe("friendster_proxy", 6_000),
         default_procs=(8, 16, 32),
     )
 )

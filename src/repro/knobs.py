@@ -8,8 +8,12 @@ derived from :data:`KNOBS`, so every entry refuses a bad value with the
 same :meth:`Knob.check` reason. A knob with a :data:`WIRE` default is a
 ``WireConfig`` field; ``None`` there means the library default.
 
-Stdlib only at import time: the service client reaches this module
-through the wire schema and must not load numpy or the simulator.
+Stdlib only, at import time and when a value is checked: the service
+client and the server's request check reach this module through the
+wire schema and must load neither numpy nor the simulator. The machine
+presets come from :mod:`repro.mpisim.machine`, itself stdlib only (the
+:mod:`repro.mpisim` package imports its engine on first use); only
+:func:`run_config` loads the simulator.
 """
 
 from __future__ import annotations

@@ -17,34 +17,13 @@ Modules: :mod:`~repro.service.schema` (wire types),
 lives in :mod:`repro.client`.
 """
 
-from repro.service.codever import cached_code_version, code_version
-from repro.service.orchestrator import Job, Orchestrator
-from repro.service.schema import (
-    SCHEMA_VERSION,
-    GraphRef,
-    JobRequest,
-    JobResult,
-    SchemaError,
-    WireConfig,
-    parse_request,
-)
-from repro.service.server import MatchingService, ServiceConfig, serve
-from repro.service.store import ResultStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "GraphRef",
-    "JobRequest",
-    "JobResult",
-    "SchemaError",
-    "WireConfig",
-    "parse_request",
-    "code_version",
-    "cached_code_version",
-    "Job",
-    "Orchestrator",
-    "ResultStore",
-    "MatchingService",
-    "ServiceConfig",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "codever": ("cached_code_version", "code_version"),
+    "orchestrator": ("Job", "Orchestrator"),
+    "schema": ("SCHEMA_VERSION", "GraphRef", "JobRequest", "JobResult",
+               "SchemaError", "WireConfig", "parse_request"),
+    "server": ("MatchingService", "ServiceConfig", "serve"),
+    "store": ("ResultStore",),
+})

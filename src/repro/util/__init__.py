@@ -1,21 +1,16 @@
 """Shared low-level utilities: seeded RNG, stable hashing, table rendering.
 
-These helpers are deliberately dependency-light so every other subpackage
+They import no other `repro` subpackage, so every other subpackage
 (`repro.mpisim`, `repro.graph`, `repro.matching`, ...) can use them without
-import cycles.
+import cycles. `hashing`, `rng` and `arrays` need numpy; `tables` is stdlib
+only, and the re-exports below load on first use, so a process that
+formats a table (`repro submit`) does not load numpy.
 """
 
-from repro.util.hashing import splitmix64, edge_hash, vertex_hash
-from repro.util.rng import make_rng, derive_seed
-from repro.util.tables import TextTable, format_si, format_seconds
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "splitmix64",
-    "edge_hash",
-    "vertex_hash",
-    "make_rng",
-    "derive_seed",
-    "TextTable",
-    "format_si",
-    "format_seconds",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "hashing": ("edge_hash", "splitmix64", "vertex_hash"),
+    "rng": ("derive_seed", "make_rng"),
+    "tables": ("TextTable", "format_seconds", "format_si"),
+})

@@ -103,9 +103,10 @@ def test_all_backends_agree_on_weight(graph):
 # ----------------------------------------------------------------------
 # weak-scaling pins: P=1024..16384
 # ----------------------------------------------------------------------
-# Weak scaling in the Fig. 4 sense: the per-rank problem is held fixed
-# (R-MAT scale 13 over 1024 ranks, 14 over 4096, 15 over 16384 — eight
-# vertices per rank) while P quadruples. P=16384 took 46 s on a
+# Not weak scaling in the Fig. 4 sense: the graph doubles (R-MAT scale
+# 13 over 1024 ranks, 14 over 4096, 15 over 16384) while P quadruples,
+# so a rank holds 8, 4 and 2 vertices and the per-rank size halves at
+# each step. P=16384 took 46 s on a
 # 2-core x86-64 box. Deselected by default via the `scale` marker — CI's
 # scale-smoke job and `pytest -m scale` opt in.
 #

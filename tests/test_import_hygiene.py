@@ -83,3 +83,114 @@ def test_coloring_and_cc_runs_do_not_import_numpy_ma():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    timeout=120)
+
+
+# Each service process loads only what it runs. The package __init__s of
+# repro.mpisim, repro.harness, repro.service and repro.util resolve their
+# re-exports on first use, so checking a request takes the stdlib and
+# repro.service only, and the pool worker's entry point does not bring
+# in the HTTP server. The CI `test` job runs the same one-liners.
+
+REQUEST_ONE_LINER = (
+    "import sys; "
+    "from repro.service.schema import GraphRef, JobRequest, WireConfig, parse_request; "
+    "r = JobRequest(GraphRef('rmat-s10', seed=3), 8, 'ncl', WireConfig(machine='zero-latency')); "
+    "r.validate(); assert parse_request(r.to_bytes()) == r; "
+    "bad = [m for m in ('numpy', 'repro.mpisim.engine') if m in sys.modules]; "
+    "assert not bad, bad"
+)
+
+DECODE_ONE_LINER = (
+    "import sys; "
+    "from repro.service.schema import GraphRef, JobRequest, WireConfig; "
+    "from repro.service.server import MatchingService; "
+    "r = JobRequest(GraphRef('rmat-s10'), 8, 'ncl', WireConfig(machine='zero-latency')); "
+    "assert MatchingService._decode_request('application/json', r.to_bytes()) == r; "
+    "bad = [m for m in ('numpy', 'repro.mpisim.engine', 'repro.harness.experiments') "
+    "if m in sys.modules]; "
+    "assert not bad, bad"
+)
+
+POOL_ONE_LINER = (
+    "import sys, repro.service.pool; "
+    "assert 'http.server' not in sys.modules, 'http.server imported'"
+)
+
+
+def _run(code: str) -> None:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
+
+
+def test_checking_a_request_loads_neither_numpy_nor_the_engine():
+    _run(REQUEST_ONE_LINER)
+
+
+def test_server_decode_loads_neither_numpy_nor_the_engine_nor_the_experiments():
+    # a bad preset and an unknown dataset are refused on the same path first
+    refusals = """
+from repro.service.schema import SchemaError
+from repro.service.server import MatchingService
+good = (b'{"graph": {"name": "rmat-s10"}, "nprocs": 8, "model": "ncl", '
+        b'"config": {"machine": "zero-latency"}}')
+for old, new, error in ((b'zero-latency', b'cray', SchemaError),
+                        (b'rmat-s10', b'no-such', KeyError)):
+    try:
+        MatchingService._decode_request('application/json', good.replace(old, new))
+    except error:
+        continue
+    raise AssertionError(new)
+"""
+    _run(refusals + DECODE_ONE_LINER)
+
+
+def test_pool_worker_entry_loads_no_http_server():
+    _run(POOL_ONE_LINER)
+
+
+def test_submit_loads_no_numpy_before_it_fails_to_connect():
+    import socket
+
+    with socket.socket() as s:  # a port nobody listens on once closed
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "submit",
+         "rmat-s10", "--url", f"http://127.0.0.1:{port}"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert "cannot reach service" in done.stderr
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "repro.client" in imported
+    assert "numpy" not in imported
+
+
+def test_every_lazy_reexport_resolves_and_is_listed():
+    code = """
+import importlib, types
+for name in ('repro.mpisim', 'repro.harness', 'repro.service', 'repro.util'):
+    pkg = importlib.import_module(name)
+    listed = dir(pkg)  # before any name is resolved
+    for attr in pkg.__all__:
+        assert attr in listed, (name, attr)
+        assert not isinstance(getattr(pkg, attr), types.ModuleType), (name, attr)
+        assert attr in vars(pkg), (name, attr)  # kept after the first read
+    assert sorted(set(pkg.__all__)) == sorted(pkg.__all__), name
+    assert set(pkg.__all__) <= set(dir(pkg)), name
+    star = {}
+    exec(f'from {name} import *', star)
+    assert set(pkg.__all__) <= set(star), name
+try:
+    importlib.import_module('repro.mpisim').no_such_name
+    raise AssertionError('an unknown name resolved')
+except AttributeError:
+    pass
+from repro.mpisim import engine, Engine
+assert engine.Engine is Engine
+"""
+    _run(code)
